@@ -184,6 +184,19 @@ def resolve_config(args) -> dict:
     return cfg
 
 
+def _count_field(errors: list, path: str, value):
+    """value as an int >= 1; otherwise None, with an error naming path appended."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError):
+        errors.append(f"{path}: expected an integer >= 1, got {value!r}")
+        return None
+    if n < 1:
+        errors.append(f"{path}: must be >= 1, got {n}")
+        return None
+    return n
+
+
 class Experiment:
     """Typed view of a resolved config; construction validates everything."""
 
@@ -237,12 +250,10 @@ class Experiment:
             )
         except (ValueError, TypeError) as e:
             errors.append(f"gift: {e}")
-        self.est_k1 = int(g.get("est_k1", g["k1"]))
-        self.est_k2 = int(g.get("est_k2", g["k2"]))
-        if self.est_k1 < 1 or self.est_k2 < 1:
-            errors.append("gift.est_k1/est_k2: must be >= 1")
+        self.est_k1 = _count_field(errors, "gift.est_k1", g.get("est_k1", g["k1"]))
+        self.est_k2 = _count_field(errors, "gift.est_k2", g.get("est_k2", g["k2"]))
         self.normalize_direction = bool(g.get("normalize_direction", True))
-        self.fresh_eval_k2 = int(g.get("fresh_eval_k2", g["k2"]))
+        self.fresh_eval_k2 = _count_field(errors, "gift.fresh_eval_k2", g.get("fresh_eval_k2", g["k2"]))
 
         dev = cfg["device"]
         try:
@@ -257,8 +268,8 @@ class Experiment:
             errors.append(f"data.kind: unknown kind {data_cfg['kind']!r}")
         if data_cfg["kind"] == "mnist" and not (data_cfg.get("dir") or os.environ.get(DATA_DIR_ENV)):
             errors.append(f"data.dir: required for kind 'mnist' (or set {DATA_DIR_ENV})")
-        if int(data_cfg["n_train"]) < 1 or int(data_cfg["n_test"]) < 1:
-            errors.append("data.n_train/n_test: must be >= 1")
+        for field in ("n_train", "n_test"):
+            _count_field(errors, f"data.{field}", data_cfg[field])
         self.data_cfg = data_cfg
 
         seeds = cfg.get("seeds") or []
@@ -583,30 +594,32 @@ def _sweep_task(cfg_json: str, family: str, s0: float, seed: int):
     return rows
 
 
+def _sweep_cell(cfg_json: str, family: str, s0: float, seed: int):
+    """(rows, None) for one sweep task, or ([], failure record) if it raised; run by either executor."""
+    try:
+        return _sweep_task(cfg_json, family, s0, seed), None
+    except Exception as e:  # keep sweeping; record the cell failure
+        return [], {"family": family, "s0": s0, "seed": seed, "error": str(e)}
+
+
 def cmd_sweep(exp: Experiment) -> int:
     meta = _meta(exp.raw)
     sw = exp.sweep_cfg
     cfg_json = json.dumps(exp.raw)
     tasks = [
-        (family, float(s0), seed)
+        (cfg_json, family, float(s0), seed)
         for family in sw["families"]
         for s0 in sw["s0_grid"]
         for seed in exp.seeds
     ]
     workers = int(sw.get("workers", 1))
-    failures = []
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_task, *zip(*[(cfg_json, f, s, sd) for f, s, sd in tasks])))
+            results = list(pool.map(_sweep_cell, *zip(*tasks)))
     else:
-        results = []
-        for family, s0, seed in tasks:
-            try:
-                results.append(_sweep_task(cfg_json, family, s0, seed))
-            except Exception as e:  # keep sweeping; record the cell failure
-                failures.append({"family": family, "s0": s0, "seed": seed, "error": str(e)})
-                results.append([])
-    rows = [row for chunk in results for row in chunk]
+        results = [_sweep_cell(*task) for task in tasks]
+    rows = [row for chunk, _ in results for row in chunk]
+    failures = [failure for _, failure in results if failure is not None]
 
     agg_rows = []
     for family in sw["families"]:

@@ -28,6 +28,11 @@ class Device:
     stream (seed, STREAM_DEVICE) index j. Passing the same slot to two calls of
     identical batch shape replays the same noise (common random numbers);
     slot-less calls consume fresh slots.
+
+    The last draw is kept, read-only, keyed by (slot, batch size), so a run of
+    calls on one slot draws its noise once and replays it, not regenerates it.
+    Only one draw is ever kept: a call on another key drops it before drawing.
+    Every call still counts its rows in query_count.
     """
 
     def __init__(self, arch: Architecture, params: Params, noise: NoiseModel, seed: int):
@@ -38,6 +43,8 @@ class Device:
         self._noise = noise
         self._stream = RngStream(seed, STREAM_DEVICE)
         self._next_slot = 0
+        self._cached_key = None
+        self._cached_draw = None
         self.query_count = 0
 
     @property
@@ -53,13 +60,26 @@ class Device:
         self._next_slot += 1
         return slot
 
+    def _draw(self, slot: int, n: int | None):
+        """Noise for slot at batch size n (None: one row), drawn once per run of equal keys."""
+        if self._cached_key != (slot, n):
+            self._cached_key = self._cached_draw = None  # free the old draw before the next is made
+            if n is None:
+                draw = sample_noise(self._arch, self._noise, self._stream, index=slot)
+            else:
+                draw = sample_noise_batch(self._arch, self._noise, self._stream, slot, n)
+            for v in draw.act + draw.weigh:
+                v.flags.writeable = False
+            self._cached_key, self._cached_draw = (slot, n), draw
+        return self._cached_draw
+
     def forward(self, x, noise_slot: int | None = None) -> np.ndarray:
         """One noisy inference; returns only the output vector."""
         x = np.asarray(x, dtype=float)
         if x.ndim != 1 or x.shape[0] != self._arch.layer_dims[0]:
             raise ValueError(f"input shape {x.shape}, want ({self._arch.layer_dims[0]},)")
         slot = self.new_slot() if noise_slot is None else noise_slot
-        draw = sample_noise(self._arch, self._noise, self._stream, index=slot)
+        draw = self._draw(slot, None)
         self.query_count += 1
         return _forward(self._params, x, draw).activations[-1].copy()
 
@@ -69,13 +89,9 @@ class Device:
         if X.ndim != 2 or X.shape[1] != self._arch.layer_dims[0]:
             raise ValueError(f"input shape {X.shape}, want (n, {self._arch.layer_dims[0]})")
         slot = self.new_slot() if noise_slot is None else noise_slot
-        draw = sample_noise_batch(self._arch, self._noise, self._stream, slot, X.shape[0])
+        draw = self._draw(slot, X.shape[0])
         self.query_count += X.shape[0]
         return _forward(self._params, X, draw).activations[-1].copy()
-
-
-def device_forward(device: Device, x) -> np.ndarray:
-    return device.forward(x)
 
 
 def set_device_params(device: Device, params: Params) -> Device:

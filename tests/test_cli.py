@@ -214,6 +214,14 @@ class TestExitCodes:
         assert main(argv) == 1
         assert "missing params for seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting, field", [
+        ("gift.fresh_eval_k2=0", "gift.fresh_eval_k2"),
+        ("data.n_train=abc", "data.n_train"),
+    ])
+    def test_count_fields_are_validated(self, tmp_path, capsys, setting, field):
+        assert main(tiny_argv("gift", tmp_path / "o", setting)) == 1
+        assert f"config error: {field}:" in capsys.readouterr().err
+
     def test_corrupt_checkpoint_exits_2(self, tmp_path, capsys):
         ck = tmp_path / "ck" / "seed_0"
         ck.mkdir(parents=True)
@@ -356,3 +364,26 @@ class TestSweep:
         assert summary["n_rows"] == 8
         assert summary["failures"] == []
         assert summary["non_degradation"] is True
+
+    def test_worker_count_keeps_bodies_byte_identical(self, tmp_path, capsys):
+        grid = ("sweep.s0_grid=[0.1,0.2]", "sweep.st_grid=[0.1,0.3]")
+        outs = {}
+        for workers in (1, 2):
+            outs[workers] = tmp_path / f"w{workers}"
+            assert main(tiny_argv("sweep", outs[workers], *grid, f"sweep.workers={workers}")) == 0
+        capsys.readouterr()
+        for name in ("sweep_rows.csv", "sweep_aggregate.csv"):
+            assert csv_body(outs[1] / "sweep" / name) == csv_body(outs[2] / "sweep" / name)
+
+    def test_diverging_cells_are_recorded_under_any_worker_count(self, tmp_path, capsys):
+        failures = {}
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}" / "sweep"
+            argv = tiny_argv("sweep", out.parent, "sweep.s0_grid=[0.1]", "train.eps0=1e6",
+                             f"sweep.workers={workers}")
+            assert main(argv) == 0
+            assert (out / "sweep_rows.csv").exists()
+            failures[workers] = json.loads((out / "sweep.json").read_text())["failures"]
+        capsys.readouterr()
+        assert [(f["s0"], f["seed"]) for f in failures[1]] == [(0.1, 0), (0.1, 1)]
+        assert failures[1] == failures[2]

@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
 
-from giftnn.device import Device, device_forward, set_device_params
+from giftnn import device as device_module
+from giftnn.device import Device, set_device_params
 from giftnn.model import (
     Architecture,
     NoiseModel,
     Params,
     RngStream,
     STREAM_DEVICE,
+    _forward,
     forward_deterministic,
     forward_noisy,
     sample_noise,
+    sample_noise_batch,
 )
 
 from test_model import small_params
@@ -84,6 +87,81 @@ class TestQueryCounter:
         assert dev.query_count == 1
         dev.forward_batch(np.zeros((7, 2)))
         assert dev.query_count == 8
+
+    def test_replayed_slot_counts_every_row(self):
+        dev, _ = identity_device("gaussian_additive", 0.1)
+        slot = dev.new_slot()
+        for _ in range(3):
+            dev.forward_batch(np.zeros((7, 2)), noise_slot=slot)
+        for _ in range(2):
+            dev.forward(np.zeros(2), noise_slot=slot)
+        assert dev.query_count == 3 * 7 + 2
+
+
+def counting_draws(monkeypatch, name="sample_noise_batch"):
+    """Record every draw the device makes through giftnn.device.<name>."""
+    draws = []
+    real = getattr(device_module, name)
+
+    def counting(*args, **kwargs):
+        draws.append(real(*args, **kwargs))
+        return draws[-1]
+
+    monkeypatch.setattr(device_module, name, counting)
+    return draws
+
+
+def uncached_output(params, model, seed, slot, X):
+    draw = sample_noise_batch(params.arch, model, RngStream(seed, STREAM_DEVICE), slot, X.shape[0])
+    return _forward(params, X, draw).activations[-1]
+
+
+class TestDrawCache:
+    @pytest.mark.parametrize("family", ["gaussian_additive", "laplace", "gaussian_multiplicative"])
+    def test_interleaved_slots_match_uncached_draws(self, family):
+        p = small_params([3, 4, 2], seed=7)
+        model = NoiseModel(family, 0.3)
+        dev = Device(p.arch, p, model, seed=8)
+        X = RngStream(9, 1).generator(0).standard_normal((6, 3))
+        a, b = dev.new_slot(), dev.new_slot()
+        for slot in (a, b, a):
+            out = dev.forward_batch(X, noise_slot=slot)
+            assert out.tobytes() == uncached_output(p, model, 8, slot, X).tobytes()
+
+    def test_repeated_slot_draws_once_and_read_only(self, monkeypatch):
+        draws = counting_draws(monkeypatch)
+        dev, _ = identity_device("gaussian_additive", 0.4)
+        slot = dev.new_slot()
+        for _ in range(3):
+            dev.forward_batch(np.ones((5, 2)), noise_slot=slot)
+        assert len(draws) == 1
+        for v in draws[0].act + draws[0].weigh:
+            assert not v.flags.writeable
+            with pytest.raises(ValueError):
+                v[...] = 0.0
+        dev.forward_batch(np.ones((4, 2)), noise_slot=slot)  # another batch size is another draw
+        assert len(draws) == 2
+
+    def test_single_row_slot_draws_once(self, monkeypatch):
+        draws = counting_draws(monkeypatch, "sample_noise")
+        dev, _ = identity_device("gaussian_additive", 0.4)
+        slot = dev.new_slot()
+        a = dev.forward(np.ones(2), noise_slot=slot)
+        b = dev.forward(np.ones(2), noise_slot=slot)
+        assert len(draws) == 1 and np.array_equal(a, b)
+
+    def test_new_params_on_one_slot_keep_the_noise(self, monkeypatch):
+        draws = counting_draws(monkeypatch)
+        p, q = small_params([2, 3, 2], seed=10), small_params([2, 3, 2], seed=11)
+        model = NoiseModel("gaussian_additive", 0.3)
+        dev = Device(p.arch, p, model, seed=12)
+        X = RngStream(13, 1).generator(0).standard_normal((4, 2))
+        slot = dev.new_slot()
+        dev.forward_batch(X, noise_slot=slot)
+        set_device_params(dev, q)
+        out = dev.forward_batch(X, noise_slot=slot)
+        assert len(draws) == 1
+        assert out.tobytes() == uncached_output(q, model, 12, slot, X).tobytes()
 
 
 class TestFamilies:
@@ -178,4 +256,4 @@ class TestOpacity:
 def test_device_forward_helper():
     dev, _ = identity_device("gaussian_additive", 1e-9)
     x = np.array([0.7, -0.7])
-    assert np.allclose(device_forward(dev, x), x, atol=1e-6)
+    assert np.allclose(dev.forward(x), x, atol=1e-6)

@@ -27,6 +27,7 @@ from giftnn.model import (
     zero_noise,
 )
 
+from test_device import counting_draws
 from test_model import small_params
 
 
@@ -288,3 +289,19 @@ class TestGiftRun:
         d = d.scaled(1.0 / d.norm())
         trace = gift_run(dev, p, d, cfg, data, RngStream(53, STREAM_EVAL))
         assert trace.queries == (1 + 2 * trace.steps_taken) * 16 * 3
+
+    def test_line_search_draws_its_noise_slot_once(self, monkeypatch):
+        # every candidate replays the shared slot; the fresh pair on a new slot adds one draw
+        draws = counting_draws(monkeypatch)
+        arch, w0, data, dev = quadratic_device_and_data(s_t=0.1)
+        d = Direction([np.array([[1.0]])], [np.zeros(1)])
+        cfg = GiftConfig(eta=0.5, k1=1, k2=4, max_steps=3, stop_rule="both_worse")
+        trace = gift_run(dev, w0, d, cfg, data, RngStream(1, STREAM_EVAL))
+        assert trace.steps_taken == 3 and len(trace.records) == 6
+        assert len(draws) == 1
+        fresh = dev.new_slot()
+        for p in (w0, trace.w_f):
+            eval_in_situ(dev, p, data, 1, 4, RngStream(2, STREAM_EVAL),
+                         data_indices=np.zeros(1, dtype=int), noise_slot=fresh)
+        assert len(draws) == 2
+        assert dev.query_count == (1 + 6 + 2) * 4
