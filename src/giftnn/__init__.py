@@ -21,7 +21,6 @@ from .model import (
 from .gradients import GradSample, backward, batch_gradient
 from .trainer import TrainConfig, TrainingDiverged, init_params, train
 from .gift import (
-    Direction,
     EvalReport,
     GiftConfig,
     GiftTrace,

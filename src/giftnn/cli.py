@@ -30,7 +30,7 @@ from .data import (
     synthetic_teacher,
 )
 from .device import Device
-from .gift import Direction, GiftConfig, estimate_direction, eval_in_situ, gift_run
+from .gift import GiftConfig, estimate_direction, eval_in_situ, gift_run
 from .model import (
     Architecture,
     Hyperrectangle,
@@ -197,6 +197,16 @@ def _count_field(errors: list, path: str, value):
     return n
 
 
+def _level_list(errors: list, path: str, values):
+    """values as a nonempty list of positive finite floats; otherwise an error naming path."""
+    try:
+        levels = [float(v) for v in values]
+    except (TypeError, ValueError):
+        levels = []
+    if not levels or not all(np.isfinite(v) and v > 0 for v in levels):
+        errors.append(f"{path}: must be a nonempty list of positive levels, got {values!r}")
+
+
 class Experiment:
     """Typed view of a resolved config; construction validates everything."""
 
@@ -273,9 +283,14 @@ class Experiment:
         self.data_cfg = data_cfg
 
         seeds = cfg.get("seeds") or []
+        self.seeds = []
         if not seeds:
             errors.append("seeds: must be a nonempty list")
-        self.seeds = [int(s) for s in seeds] if seeds else []
+        else:
+            try:
+                self.seeds = [int(s) for s in seeds]
+            except (TypeError, ValueError):
+                errors.append(f"seeds: expected a list of integers, got {seeds!r}")
 
         sw = cfg["sweep"]
         for fam in sw["families"]:
@@ -284,8 +299,8 @@ class Experiment:
             except ValueError as e:
                 errors.append(f"sweep.families: {e}")
         for field in ("s0_grid", "st_grid"):
-            if not sw[field] or any(not (float(s) > 0) for s in sw[field]):
-                errors.append(f"sweep.{field}: must be a nonempty list of positive levels")
+            _level_list(errors, f"sweep.{field}", sw[field])
+        self.workers = _count_field(errors, "sweep.workers", sw.get("workers", 1))
         self.sweep_cfg = sw
 
         self.name = cfg.get("name", "experiment")
@@ -401,7 +416,7 @@ def _train_one(exp: Experiment, train_ds, seed: int):
     return train(exp.arch, cfg, train_ds)
 
 
-def _estimate_one(exp: Experiment, params, train_ds, s0: float, seed: int) -> Direction:
+def _estimate_one(exp: Experiment, params, train_ds, s0: float, seed: int) -> Params:
     direction = estimate_direction(
         params, train_ds, s0, exp.est_k1, exp.est_k2, RngStream(seed, STREAM_ESTIMATE)
     )
@@ -412,7 +427,7 @@ def _estimate_one(exp: Experiment, params, train_ds, s0: float, seed: int) -> Di
     return direction
 
 
-def _gift_one(exp: Experiment, w0: Params, direction: Direction, test_ds,
+def _gift_one(exp: Experiment, w0: Params, direction: Params, test_ds,
               family: str, s_t: float, seed: int):
     """One fine-tuning run plus an independent paired re-evaluation on the full
     test subset (fresh noise slot, shared between w0 and w_f)."""
@@ -506,10 +521,8 @@ def _load_checkpoint(exp: Experiment, checkpoint_root: str | None, train_ds, see
     if not os.path.exists(path):
         raise ConfigError(f"checkpoint: missing params for seed {seed}: {path}")
     params = load_params(path)
-    if params.arch.layer_dims != exp.arch.layer_dims:
-        raise ConfigError(
-            f"checkpoint: params dims {params.arch.layer_dims} do not match arch.layer_dims {exp.arch.layer_dims}"
-        )
+    if params.arch != exp.arch:
+        raise ConfigError(f"checkpoint: params architecture {params.arch} does not match the config's {exp.arch}")
     return params
 
 
@@ -612,9 +625,8 @@ def cmd_sweep(exp: Experiment) -> int:
         for s0 in sw["s0_grid"]
         for seed in exp.seeds
     ]
-    workers = int(sw.get("workers", 1))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    if exp.workers > 1:
+        with ProcessPoolExecutor(max_workers=exp.workers) as pool:
             results = list(pool.map(_sweep_cell, *zip(*tasks)))
     else:
         results = [_sweep_cell(*task) for task in tasks]

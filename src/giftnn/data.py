@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Architecture, RngStream, forward_deterministic, Params
+from .model import Architecture, RngStream, forward_deterministic, init_uniform
 
 DATA_DIR_ENV = "GIFTNN_DATA_DIR"
 
@@ -180,14 +180,8 @@ def synthetic_teacher(arch: Architecture, n: int, sigma_x: float, rng: RngStream
     if n < 1:
         raise ValueError("n must be >= 1")
     gen = rng.generator(0)
-    dims = arch.layer_dims
-    ws, bs = [], []
-    for l in range(arch.n_layers):
-        a = 1.0 / np.sqrt(dims[l])
-        ws.append(gen.uniform(-a, a, (dims[l + 1], dims[l])))
-        bs.append(np.zeros(dims[l + 1]))
-    teacher = Params(arch, ws, bs)
-    X = sigma_x * gen.standard_normal((n, dims[0]))
+    teacher = init_uniform(arch, gen)
+    X = sigma_x * gen.standard_normal((n, arch.layer_dims[0]))
     Y = forward_deterministic(teacher, X)
     return Dataset(X, Y, name="synthetic_teacher", normalization="none")
 

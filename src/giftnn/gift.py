@@ -5,6 +5,10 @@ noise_weight_factor(N) * (R(l) A(l-1)^T, R(l)) over K1 data pairs times K2
 level-s0 draws. Its mean is (-s0/2) times the s-derivative of the average-loss
 gradient; the bidirectional line search absorbs that sign and scale, so no
 constant is applied here.
+
+D lives in parameter space, so it is a Params: one flat vector in the
+parameters' layout, and each candidate w0 + c*D is one vector operation
+(apply_step).
 """
 
 from __future__ import annotations
@@ -29,28 +33,6 @@ from .model import (
 CHUNK_ROWS = 8192
 
 STOP_RULES = ("either_worse", "both_worse")
-
-
-@dataclass
-class Direction:
-    """Params-shaped search direction."""
-
-    d_weights: list
-    d_biases: list
-
-    def __post_init__(self):
-        if not all(np.isfinite(W).all() for W in self.d_weights) or not all(
-            np.isfinite(b).all() for b in self.d_biases
-        ):
-            raise ValueError("direction contains non-finite entries")
-
-    def norm(self) -> float:
-        sq = sum(float((W**2).sum()) for W in self.d_weights)
-        sq += sum(float((b**2).sum()) for b in self.d_biases)
-        return np.sqrt(sq)
-
-    def scaled(self, c: float) -> "Direction":
-        return Direction([c * W for W in self.d_weights], [c * b for b in self.d_biases])
 
 
 @dataclass
@@ -127,7 +109,7 @@ def noise_weight_factor(noise: NoiseDraw, s0: float):
     return total
 
 
-def estimate_direction(params: Params, data, s0: float, k1: int, k2: int, rng: RngStream) -> Direction:
+def estimate_direction(params: Params, data, s0: float, k1: int, k2: int, rng: RngStream) -> Params:
     """Hierarchical mean over K1 data pairs x K2 level-s0 draws of factor-weighted residual terms.
 
     Per draw the contribution is factor(N) * R(l) A(l-1)^T for weights and
@@ -144,8 +126,7 @@ def estimate_direction(params: Params, data, s0: float, k1: int, k2: int, rng: R
     gen = rng.generator(0)
     data_idx = gen.integers(0, len(data), size=k1)
 
-    dw_sum = [np.zeros_like(W) for W in params.weights]
-    db_sum = [np.zeros_like(b) for b in params.biases]
+    total = Params.zeros(arch)
     points_per_chunk = max(1, CHUNK_ROWS // k2)
     chunk_index = 0
     for start in range(0, k1, points_per_chunk):
@@ -159,10 +140,9 @@ def estimate_direction(params: Params, data, s0: float, k1: int, k2: int, rng: R
         f = noise_weight_factor(noise, s0)
         for l in range(L):
             Rw = R[l] * f[:, None]
-            dw_sum[l] += Rw.T @ trace.activations[l]
-            db_sum[l] += Rw.sum(axis=0)
-    n = k1 * k2
-    return Direction([W / n for W in dw_sum], [b / n for b in db_sum])
+            total.weights[l] += Rw.T @ trace.activations[l]
+            total.biases[l] += Rw.sum(axis=0)
+    return Params.from_vector(arch, total.vector / (k1 * k2))
 
 
 def eval_in_situ(
@@ -222,7 +202,7 @@ def eval_in_situ(
 def gift_run(
     device: Device,
     w0: Params,
-    direction: Direction,
+    direction: Params,
     config: GiftConfig,
     data,
     rng: RngStream,
@@ -252,8 +232,8 @@ def gift_run(
     steps_taken = 0
     for i in range(1, config.max_steps + 1):
         coef = i * config.eta
-        r_plus = ev(apply_step(w0, +coef, direction.d_weights, direction.d_biases))
-        r_minus = ev(apply_step(w0, -coef, direction.d_weights, direction.d_biases))
+        r_plus = ev(apply_step(w0, +coef, direction))
+        r_minus = ev(apply_step(w0, -coef, direction))
         records.append((i, +1, r_plus))
         records.append((i, -1, r_minus))
         steps_taken = i
@@ -275,7 +255,7 @@ def gift_run(
     if selected == (0, 0):
         w_f = w0.copy()
     else:
-        w_f = apply_step(w0, selected[0] * selected[1] * config.eta, direction.d_weights, direction.d_biases)
+        w_f = apply_step(w0, selected[0] * selected[1] * config.eta, direction)
 
     return GiftTrace(
         baseline=baseline,

@@ -24,14 +24,15 @@ from .model import (
 
 @dataclass
 class GradSample:
-    """Loss gradients per layer plus the backprop vectors that produced them.
+    """The loss gradient, Params-shaped, plus the backprop vectors that produced it.
 
-    residuals[l-1] holds R(l); R(L) = y - A(L). Gradients carry the explicit
-    -2 of the squared loss: dW(l) = -2 R(l) A(l-1)^T, db(l) = -2 R(l).
+    residuals[l-1] holds R(l); R(L) = y - A(L). The gradient carries the
+    explicit -2 of the squared loss: dW(l) = -2 R(l) A(l-1)^T, db(l) = -2 R(l).
+    It is written in place and not checked for finite entries; the batch loss
+    is what detects divergence.
     """
 
-    d_weights: list
-    d_biases: list
+    grad: Params
     residuals: list
 
 
@@ -62,39 +63,26 @@ def backward(trace: ForwardTrace, target, params: Params) -> GradSample:
     L = params.arch.n_layers
     R = residual_stack(trace, target, params)
     batched = trace.activations[-1].ndim == 2
-    d_weights, d_biases = [], []
+    grad = Params.empty(params.arch)
     for l in range(L):
         A_prev = trace.activations[l]
         if batched:
-            n = A_prev.shape[0]
-            d_weights.append((-2.0 / n) * (R[l].T @ A_prev))
-            d_biases.append(-2.0 * R[l].mean(axis=0))
+            # the product lands in the gradient's own view, with no temporary
+            np.matmul(R[l].T, A_prev, out=grad.weights[l])
+            grad.weights[l] *= -2.0 / A_prev.shape[0]
+            np.multiply(R[l].mean(axis=0), -2.0, out=grad.biases[l])
         else:
-            d_weights.append(-2.0 * np.outer(R[l], A_prev))
-            d_biases.append(-2.0 * R[l])
-    return GradSample(d_weights=d_weights, d_biases=d_biases, residuals=R)
+            np.multiply(np.outer(R[l], A_prev), -2.0, out=grad.weights[l])
+            np.multiply(R[l], -2.0, out=grad.biases[l])
+    return GradSample(grad=grad, residuals=R)
 
 
-def _stack_batch(batch):
-    """Accept a (X, Y) array pair or a sequence of (x, y) pairs."""
-    if isinstance(batch, tuple) and len(batch) == 2 and not np.isscalar(batch[0]):
-        X = np.asarray(batch[0], dtype=float)
-        Y = np.asarray(batch[1], dtype=float)
-        if X.ndim == 2 and Y.ndim == 2:
-            return X, Y
-    pairs = list(batch)
-    if len(pairs) == 0:
-        raise ValueError("batch must be nonempty")
-    X = np.stack([np.asarray(x, dtype=float) for x, _ in pairs])
-    Y = np.stack([np.asarray(y, dtype=float) for _, y in pairs])
-    return X, Y
-
-
-def batch_gradient(params: Params, batch, s0: float, rng: RngStream, index: int = 0) -> GradSample:
-    """Mean gradient over a batch, each sample under an independent level-s0 Gaussian draw."""
-    X, Y = _stack_batch(batch)
-    if X.shape[0] == 0:
-        raise ValueError("batch must be nonempty")
+def batch_gradient(params: Params, X, Y, s0: float, rng: RngStream, index: int = 0) -> GradSample:
+    """Mean gradient over the rows of X, Y, each row under an independent level-s0 Gaussian draw."""
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    if X.ndim != 2 or Y.ndim != 2 or X.shape[0] == 0:
+        raise ValueError(f"batch needs nonempty 2-D inputs and targets, got {X.shape} and {Y.shape}")
     noise = sample_noise_batch(params.arch, NoiseModel("gaussian_additive", s0), rng, index, X.shape[0])
     trace = forward_noisy(params, X, noise)
     return backward(trace, Y, params)

@@ -13,7 +13,7 @@ vectors exist: activation noise a_0..a_{L-1} and weighing noise w_1..w_L.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,60 +84,113 @@ class Architecture:
     def n_layers(self) -> int:
         return len(self.layer_dims) - 1
 
-
-@dataclass
-class Params:
-    """Tunable weights: weights[l] is W(l+1) with shape (d_{l+1}, d_l), biases[l] is b(l+1)."""
-
-    arch: Architecture
-    weights: list
-    biases: list
-
-    def __post_init__(self):
-        dims = self.arch.layer_dims
-        L = self.arch.n_layers
-        if len(self.weights) != L or len(self.biases) != L:
-            raise ValueError(f"expected {L} weight layers, got {len(self.weights)}/{len(self.biases)}")
-        self.weights = [np.asarray(W, dtype=float) for W in self.weights]
-        self.biases = [np.asarray(b, dtype=float) for b in self.biases]
-        for l in range(L):
-            want = (dims[l + 1], dims[l])
-            if self.weights[l].shape != want:
-                raise ValueError(f"W[{l + 1}] shape {self.weights[l].shape}, want {want}")
-            if self.biases[l].shape != (dims[l + 1],):
-                raise ValueError(f"b[{l + 1}] shape {self.biases[l].shape}, want {(dims[l + 1],)}")
-        if not all(np.isfinite(W).all() for W in self.weights) or not all(
-            np.isfinite(b).all() for b in self.biases
-        ):
-            raise ValueError("params contain non-finite entries")
-
-    def copy(self) -> "Params":
-        return Params(self.arch, [W.copy() for W in self.weights], [b.copy() for b in self.biases])
+    @property
+    def n_weights(self) -> int:
+        """Entries of W(1)..W(L); in a parameter vector the biases start here."""
+        d = self.layer_dims
+        return sum(a * b for a, b in zip(d[:-1], d[1:]))
 
     @property
     def n_params(self) -> int:
-        return sum(W.size for W in self.weights) + sum(b.size for b in self.biases)
+        return self.n_weights + sum(self.layer_dims[1:])
 
-    def to_vector(self) -> np.ndarray:
-        parts = [W.ravel() for W in self.weights] + [b.ravel() for b in self.biases]
-        return np.concatenate(parts)
 
-    @staticmethod
-    def from_vector(arch: Architecture, vec) -> "Params":
-        vec = np.asarray(vec, dtype=float)
+class Params:
+    """Tunable weights of an architecture, stored as one contiguous float64 vector.
+
+    The layout is W(1)..W(L), each row-major with shape (d_l, d_{l-1}), then
+    b(1)..b(L). weights[l] is W(l+1) and biases[l] is b(l+1); both are views of
+    `vector`, so writing through them writes the vector. The list and vector
+    constructors check the shapes and that all entries are finite. Loss
+    gradients, search directions and their standard errors are Params too.
+    """
+
+    def __init__(self, arch: Architecture, weights, biases):
         dims = arch.layer_dims
-        ws, bs, k = [], [], 0
+        L = arch.n_layers
+        if len(weights) != L or len(biases) != L:
+            raise ValueError(f"expected {L} weight layers, got {len(weights)}/{len(biases)}")
+        weights = [np.asarray(W, dtype=float) for W in weights]
+        biases = [np.asarray(b, dtype=float) for b in biases]
+        for l in range(L):
+            want = (dims[l + 1], dims[l])
+            if weights[l].shape != want:
+                raise ValueError(f"W[{l + 1}] shape {weights[l].shape}, want {want}")
+            if biases[l].shape != (dims[l + 1],):
+                raise ValueError(f"b[{l + 1}] shape {biases[l].shape}, want {(dims[l + 1],)}")
+        self._bind(arch, _finite(np.concatenate([W.ravel() for W in weights] + biases)))
+
+    def _bind(self, arch: Architecture, vector: np.ndarray):
+        dims = arch.layer_dims
+        self.arch = arch
+        self.vector = vector
+        self.weights, self.biases, k = [], [], 0
         for l in range(arch.n_layers):
             n = dims[l + 1] * dims[l]
-            ws.append(vec[k:k + n].reshape(dims[l + 1], dims[l]))
+            self.weights.append(vector[k:k + n].reshape(dims[l + 1], dims[l]))
             k += n
         for l in range(arch.n_layers):
-            n = dims[l + 1]
-            bs.append(vec[k:k + n])
-            k += n
-        if k != vec.size:
-            raise ValueError(f"vector length {vec.size}, architecture needs {k}")
-        return Params(arch, ws, bs)
+            self.biases.append(vector[k:k + dims[l + 1]])
+            k += dims[l + 1]
+
+    @classmethod
+    def _over(cls, arch: Architecture, vector: np.ndarray) -> "Params":
+        params = cls.__new__(cls)
+        params._bind(arch, vector)
+        return params
+
+    @classmethod
+    def from_vector(cls, arch: Architecture, vec) -> "Params":
+        """Params backed by vec itself when it is already a contiguous float64 vector."""
+        vec = np.ascontiguousarray(vec, dtype=float)
+        if vec.shape != (arch.n_params,):
+            raise ValueError(f"vector shape {vec.shape}, architecture needs ({arch.n_params},)")
+        return cls._over(arch, _finite(vec))
+
+    @classmethod
+    def zeros(cls, arch: Architecture) -> "Params":
+        return cls._over(arch, np.zeros(arch.n_params))
+
+    @classmethod
+    def empty(cls, arch: Architecture) -> "Params":
+        """Uninitialized and unchecked, for a caller that writes every entry (a gradient)."""
+        return cls._over(arch, np.empty(arch.n_params))
+
+    def __reduce__(self):
+        return Params._over, (self.arch, self.vector)
+
+    def copy(self) -> "Params":
+        return Params._over(self.arch, self.vector.copy())
+
+    def to_vector(self) -> np.ndarray:
+        return self.vector.copy()
+
+    def norm(self) -> float:
+        """Euclidean norm: weight layers summed, then bias layers, then the two added.
+
+        That summation order fixes the last bit, which a flat sum would not keep.
+        """
+        sq = sum(float((W**2).sum()) for W in self.weights)
+        sq += sum(float((b**2).sum()) for b in self.biases)
+        return np.sqrt(sq)
+
+    def scaled(self, c: float) -> "Params":
+        return Params.from_vector(self.arch, c * self.vector)
+
+
+def _finite(vector: np.ndarray) -> np.ndarray:
+    if not np.isfinite(vector).all():
+        raise ValueError("params contain non-finite entries")
+    return vector
+
+
+def init_uniform(arch: Architecture, gen: np.random.Generator) -> Params:
+    """Weights ~ Uniform(-a, a) with a = 1/sqrt(d_in), drawn layer by layer from gen; biases zero."""
+    params = Params.zeros(arch)
+    for W in params.weights:
+        a = 1.0 / np.sqrt(W.shape[1])
+        W[...] = gen.uniform(-a, a, W.shape)
+    return params
 
 
 @dataclass(frozen=True)
@@ -314,16 +367,16 @@ def forward_deterministic(params: Params, x) -> np.ndarray:
 
 def project(params: Params, h: Hyperrectangle) -> Params:
     """Euclidean projection onto the box: componentwise clamp (exact for a box)."""
-    ws = [np.clip(W, h.w_min, h.w_max) for W in params.weights]
-    bs = [np.clip(b, h.b_min, h.b_max) for b in params.biases]
-    return Params(params.arch, ws, bs)
+    v, nw = params.vector, params.arch.n_weights
+    clamped = np.concatenate([np.clip(v[:nw], h.w_min, h.w_max), np.clip(v[nw:], h.b_min, h.b_max)])
+    return Params.from_vector(params.arch, clamped)
 
 
-def apply_step(params: Params, coef: float, d_weights, d_biases) -> Params:
-    """params + coef * (d_weights, d_biases), as a new Params."""
-    ws = [W + coef * dW for W, dW in zip(params.weights, d_weights)]
-    bs = [b + coef * db for b, db in zip(params.biases, d_biases)]
-    return Params(params.arch, ws, bs)
+def apply_step(params: Params, coef: float, direction: Params) -> Params:
+    """params + coef * direction, as a new Params."""
+    v = coef * direction.vector
+    v += params.vector  # in place: one temporary per step, and the same sum as params + coef * direction
+    return Params.from_vector(params.arch, v)
 
 
 PARAMS_FORMAT_VERSION = 1

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .device import Device
-from .gift import Direction, GiftConfig, estimate_direction, gift_run
+from .gift import GiftConfig, estimate_direction, gift_run
 from .gradients import residual_stack
 from .model import (
     Architecture,
@@ -35,15 +35,13 @@ _CHUNK = 65536
 
 @dataclass
 class DirEstimate:
-    """A Direction plus componentwise standard errors (same shape)."""
+    """A parameter-space estimate plus its componentwise standard errors."""
 
-    value: Direction
-    se: Direction
+    value: Params
+    se: Params
 
     def to_vectors(self):
-        v = np.concatenate([W.ravel() for W in self.value.d_weights] + [b.ravel() for b in self.value.d_biases])
-        s = np.concatenate([W.ravel() for W in self.se.d_weights] + [b.ravel() for b in self.se.d_biases])
-        return v, s
+        return self.value.to_vector(), self.se.to_vector()
 
 
 def _scaled_draw(Z: NoiseDraw, s: float) -> NoiseDraw:
@@ -64,10 +62,8 @@ def _fd_grad_combo(params: Params, data, s_values, coeffs, mc_samples: int, seed
     idx = gen.integers(0, len(data), size=mc_samples)
 
     m = len(s_values)
-    sum_W = [np.zeros_like(W) for W in params.weights]
-    sq_W = [np.zeros_like(W) for W in params.weights]
-    sum_b = [np.zeros_like(b) for b in params.biases]
-    sq_b = [np.zeros_like(b) for b in params.biases]
+    total = Params.zeros(arch)  # sums of the per-sample combination
+    sq = Params.zeros(arch)  # sums of its square
 
     for c, start in enumerate(range(0, mc_samples, _CHUNK)):
         rows = idx[start:start + _CHUNK]
@@ -81,20 +77,18 @@ def _fd_grad_combo(params: Params, data, s_values, coeffs, mc_samples: int, seed
             As.append(trace.activations)
         for l in range(L):
             for j in range(m):
-                sum_W[l] += (-2.0 * coeffs[j]) * (Rs[j][l].T @ As[j][l])
-                sum_b[l] += (-2.0 * coeffs[j]) * Rs[j][l].sum(axis=0)
+                total.weights[l] += (-2.0 * coeffs[j]) * (Rs[j][l].T @ As[j][l])
+                total.biases[l] += (-2.0 * coeffs[j]) * Rs[j][l].sum(axis=0)
                 for j2 in range(j, m):
                     w = 4.0 * coeffs[j] * coeffs[j2] * (1.0 if j2 == j else 2.0)
                     RR = Rs[j][l] * Rs[j2][l]
-                    sq_W[l] += w * (RR.T @ (As[j][l] * As[j2][l]))
-                    sq_b[l] += w * RR.sum(axis=0)
+                    sq.weights[l] += w * (RR.T @ (As[j][l] * As[j2][l]))
+                    sq.biases[l] += w * RR.sum(axis=0)
 
     n = float(mc_samples)
-    mean_W = [W / n for W in sum_W]
-    mean_b = [b / n for b in sum_b]
-    se_W = [np.sqrt(np.maximum(q / n - mw**2, 0.0) / n) for q, mw in zip(sq_W, mean_W)]
-    se_b = [np.sqrt(np.maximum(q / n - mb**2, 0.0) / n) for q, mb in zip(sq_b, mean_b)]
-    return DirEstimate(Direction(mean_W, mean_b), Direction(se_W, se_b))
+    mean = total.vector / n
+    se = np.sqrt(np.maximum(sq.vector / n - mean**2, 0.0) / n)
+    return DirEstimate(Params.from_vector(arch, mean), Params.from_vector(arch, se))
 
 
 def d_ds_grad_fd_report(params: Params, s: float, data, h: float = 0.05,
@@ -103,11 +97,6 @@ def d_ds_grad_fd_report(params: Params, s: float, data, h: float = 0.05,
     if not 0 < h < s:
         raise ValueError(f"need 0 < h < s, got h={h}, s={s}")
     return _fd_grad_combo(params, data, [s - h, s + h], [-0.5 / h, 0.5 / h], mc_samples, seed)
-
-
-def d_ds_grad_fd(params: Params, s: float, data, h: float = 0.05,
-                 mc_samples: int = 200_000, seed: int = 0) -> Direction:
-    return d_ds_grad_fd_report(params, s, data, h, mc_samples, seed).value
 
 
 def d2_ds2_grad_fd_report(params: Params, s: float, data, h: float = 0.05,
@@ -407,10 +396,7 @@ def gradient_fd_check(n_cases: int, rng: RngStream, dim_caps=(5, 7, 4, 3), step:
         noise = NoiseDraw(act=[v[0] for v in noise.act], weigh=[v[0] for v in noise.weigh])
 
         trace = forward_noisy(params, x, noise)
-        grad = backward(trace, y, params)
-        analytic = np.concatenate(
-            [W.ravel() for W in grad.d_weights] + [b.ravel() for b in grad.d_biases]
-        )
+        analytic = backward(trace, y, params).grad.vector
 
         vec = params.to_vector()
         loss = lambda p: float(((y - forward_noisy(p, x, noise).activations[-1]) ** 2).sum())

@@ -17,6 +17,7 @@ from .model import (
     STREAM_SHUFFLE,
     STREAM_TRAIN_NOISE,
     apply_step,
+    init_uniform,
     project,
 )
 
@@ -80,22 +81,9 @@ class LossHistory:
         return out
 
 
-def init_params(arch: Architecture, scheme: str = "uniform_scaled", rng: RngStream | None = None) -> Params:
-    """Weights ~ Uniform(-a, a) with a = 1/sqrt(d_in); biases exactly zero.
-
-    Both accepted scheme names produce this one initialization.
-    """
-    if scheme not in ("uniform_scaled", "zeros_bias"):
-        raise ValueError(f"unknown init scheme {scheme!r}")
-    rng = rng or RngStream(0, STREAM_INIT)
-    gen = rng.generator(0)
-    dims = arch.layer_dims
-    ws, bs = [], []
-    for l in range(arch.n_layers):
-        a = 1.0 / np.sqrt(dims[l])
-        ws.append(gen.uniform(-a, a, (dims[l + 1], dims[l])))
-        bs.append(np.zeros(dims[l + 1]))
-    return Params(arch, ws, bs)
+def init_params(arch: Architecture, rng: RngStream | None = None) -> Params:
+    """Weights ~ Uniform(-a, a) with a = 1/sqrt(d_in); biases exactly zero."""
+    return init_uniform(arch, (rng or RngStream(0, STREAM_INIT)).generator(0))
 
 
 def train(arch: Architecture, config: TrainConfig, data, init: Params | None = None):
@@ -115,13 +103,13 @@ def train(arch: Architecture, config: TrainConfig, data, init: Params | None = N
     k = 0
     for epoch in range(config.epochs):
         for idx in epoch_batches(len(data), config.batch_size, shuffle_rng, epoch):
-            grad = batch_gradient(params, (X[idx], Y[idx]), config.s0, noise_rng, index=k)
-            loss = batch_loss(grad)
+            sample = batch_gradient(params, X[idx], Y[idx], config.s0, noise_rng, index=k)
+            loss = batch_loss(sample)
             if not np.isfinite(loss) or loss > config.loss_guard:
                 raise TrainingDiverged(
                     f"loss {loss:.6g} at step {k} (epoch {epoch}); guard {config.loss_guard:g}"
                 )
-            params = apply_step(params, -step_size(config, k), grad.d_weights, grad.d_biases)
+            params = apply_step(params, -step_size(config, k), sample.grad)
             if config.projection is not None:
                 params = project(params, config.projection)
             history.steps.append(k)

@@ -48,7 +48,7 @@ def direction_mean_se(params, data, s0, k1, k2, n_runs, seed0):
     vecs = []
     for r in range(n_runs):
         d = estimate_direction(params, data, s0, k1, k2, RngStream(seed0 + r, STREAM_ESTIMATE))
-        vecs.append(np.concatenate([W.ravel() for W in d.d_weights] + [b.ravel() for b in d.d_biases]))
+        vecs.append(d.to_vector())
     vecs = np.asarray(vecs) * (-2.0 / s0)
     return vecs.mean(axis=0), vecs.std(axis=0, ddof=1) / np.sqrt(n_runs)
 

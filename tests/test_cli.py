@@ -47,7 +47,8 @@ TINY_SETS = [
 
 
 def tiny_argv(command, out, *extra):
-    argv = [command, "--out", str(out), "--seeds", "0,1"]
+    # seeds go in as a --set leaf, so an extra seeds=... setting can override them
+    argv = [command, "--out", str(out), "--set", "seeds=[0,1]"]
     for item in TINY_SETS:
         argv += ["--set", item]
     for item in extra:
@@ -158,10 +159,11 @@ class TestExperimentValidation:
             Experiment(cfg)
 
     def test_sweep_grid_levels_must_be_positive(self):
-        cfg = fresh_config()
-        cfg["sweep"]["st_grid"] = [0.1, 0.0]
-        with pytest.raises(ConfigError, match="sweep.st_grid"):
-            Experiment(cfg)
+        for field, levels in (("st_grid", [0.1, 0.0]), ("s0_grid", ["a"]), ("st_grid", [0.1, "b"])):
+            cfg = fresh_config()
+            cfg["sweep"][field] = levels
+            with pytest.raises(ConfigError, match=f"sweep.{field}"):
+                Experiment(cfg)
 
     def test_datasets_sizes_and_disjointness(self):
         cfg = fresh_config()
@@ -217,10 +219,20 @@ class TestExitCodes:
     @pytest.mark.parametrize("setting, field", [
         ("gift.fresh_eval_k2=0", "gift.fresh_eval_k2"),
         ("data.n_train=abc", "data.n_train"),
+        ('sweep.workers="abc"', "sweep.workers"),
+        ("sweep.workers=0", "sweep.workers"),
+        ('seeds=["x"]', "seeds"),
     ])
     def test_count_fields_are_validated(self, tmp_path, capsys, setting, field):
         assert main(tiny_argv("gift", tmp_path / "o", setting)) == 1
         assert f"config error: {field}:" in capsys.readouterr().err
+
+    def test_checkpoint_architecture_mismatch_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(tiny_argv("train", out)) == 0
+        argv = tiny_argv("gift", out, "arch.layer_dims=[2,3,1]") + ["--checkpoint", str(out / "train")]
+        assert main(argv) == 1
+        assert "checkpoint: params architecture" in capsys.readouterr().err
 
     def test_corrupt_checkpoint_exits_2(self, tmp_path, capsys):
         ck = tmp_path / "ck" / "seed_0"

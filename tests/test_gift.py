@@ -4,7 +4,6 @@ import pytest
 from giftnn.data import Dataset, synthetic_linear
 from giftnn.device import Device
 from giftnn.gift import (
-    Direction,
     GiftConfig,
     estimate_direction,
     eval_in_situ,
@@ -90,10 +89,7 @@ class TestEstimateDirection:
         trace = forward_noisy(p, data.inputs[0], single)
         g = backward(trace, data.targets[0], p)
         f = noise_weight_factor(single, s0)
-        for dw, gw in zip(d.d_weights, g.d_weights):
-            assert np.allclose(dw, f * (gw / -2.0), rtol=1e-12)
-        for db, gb in zip(d.d_biases, g.d_biases):
-            assert np.allclose(db, f * (gb / -2.0), rtol=1e-12)
+        assert np.allclose(d.vector, f * (g.grad.vector / -2.0), rtol=1e-12)
 
     def test_affine_in_targets_with_shared_streams(self):
         # the estimate is affine in Y under fixed noise: D(2Y) = 2 D(Y) - D(0);
@@ -105,8 +101,7 @@ class TestEstimateDirection:
         est = lambda targets: estimate_direction(
             p, Dataset(X, targets), 0.2, 16, 4, RngStream(11, STREAM_ESTIMATE))
         d1, d2, d0 = est(Y), est(2 * Y), est(0 * Y)
-        assert np.allclose(d2.d_weights[0], 2 * d1.d_weights[0] - d0.d_weights[0], rtol=1e-10)
-        assert np.allclose(d2.d_biases[0], 2 * d1.d_biases[0] - d0.d_biases[0], rtol=1e-10)
+        assert np.allclose(d2.vector, 2 * d1.vector - d0.vector, rtol=1e-10)
 
     def test_empty_data_rejected(self):
         p = small_params([2, 1])
@@ -119,10 +114,10 @@ class TestEstimateDirection:
         data = linear_dataset(128)
         a = estimate_direction(p, data, 0.2, 32, 8, RngStream(13, STREAM_ESTIMATE))
         b = estimate_direction(p, data, 0.2, 32, 8, RngStream(13, STREAM_ESTIMATE))
-        assert np.array_equal(a.d_weights[0], b.d_weights[0])
+        assert np.array_equal(a.vector, b.vector)
 
     def test_direction_norm_and_scaling(self):
-        d = Direction([np.array([[3.0, 0.0]])], [np.array([4.0])])
+        d = Params(Architecture((2, 1), "tanh"), [np.array([[3.0, 0.0]])], [np.array([4.0])])
         assert d.norm() == pytest.approx(5.0)
         assert d.scaled(0.2).norm() == pytest.approx(1.0)
 
@@ -198,7 +193,7 @@ class TestGiftRun:
         # (w-2)^2 from w0=0 with D=1, eta=0.5: both_worse keeps searching past
         # the immediately-worse minus side and lands exactly on w=2.0
         arch, w0, data, dev = quadratic_device_and_data()
-        d = Direction([np.array([[1.0]])], [np.zeros(1)])
+        d = Params(arch, [np.array([[1.0]])], [np.zeros(1)])
         cfg = GiftConfig(eta=0.5, k1=1, k2=1, max_steps=10, stop_rule="both_worse")
         trace = gift_run(dev, w0, d, cfg, data, RngStream(1, STREAM_EVAL))
         assert trace.selected == (4, 1)
@@ -213,7 +208,7 @@ class TestGiftRun:
     def test_quadratic_under_paper_literal_rule_stops_early(self):
         # either_worse stops at i=1 because the minus side is already worse
         arch, w0, data, dev = quadratic_device_and_data()
-        d = Direction([np.array([[1.0]])], [np.zeros(1)])
+        d = Params(arch, [np.array([[1.0]])], [np.zeros(1)])
         cfg = GiftConfig(eta=0.5, k1=1, k2=1, max_steps=10, stop_rule="either_worse")
         trace = gift_run(dev, w0, d, cfg, data, RngStream(1, STREAM_EVAL))
         assert trace.steps_taken == 1
@@ -227,7 +222,7 @@ class TestGiftRun:
         w0 = Params(arch, [np.array([[2.0]])], [np.zeros(1)])
         data = Dataset(np.array([[1.0]]), np.array([[2.0]]))
         dev = Device(arch, w0, NoiseModel("gaussian_additive", 1e-9), seed=0)
-        d = Direction([np.array([[1.0]])], [np.zeros(1)])
+        d = Params(arch, [np.array([[1.0]])], [np.zeros(1)])
         cfg = GiftConfig(eta=5.0, k1=1, k2=1, max_steps=10, stop_rule="either_worse")
         trace = gift_run(dev, w0, d, cfg, data, RngStream(2, STREAM_EVAL))
         assert trace.selected == (0, 0)
@@ -236,7 +231,7 @@ class TestGiftRun:
 
     def test_eta_zero_degenerates_to_baseline(self):
         arch, w0, data, dev = quadratic_device_and_data(s_t=0.3)
-        d = Direction([np.array([[1.0]])], [np.zeros(1)])
+        d = Params(arch, [np.array([[1.0]])], [np.zeros(1)])
         cfg = GiftConfig(eta=0.0, k1=4, k2=2, max_steps=5, stop_rule="either_worse")
         trace = gift_run(dev, w0, d, cfg, data, RngStream(3, STREAM_EVAL))
         assert trace.selected == (0, 0)
@@ -245,7 +240,7 @@ class TestGiftRun:
 
     def test_zero_direction_rejected(self):
         arch, w0, data, dev = quadratic_device_and_data()
-        d = Direction([np.array([[0.0]])], [np.zeros(1)])
+        d = Params(arch, [np.array([[0.0]])], [np.zeros(1)])
         cfg = GiftConfig(eta=0.5, k1=1, k2=1)
         with pytest.raises(ValueError):
             gift_run(dev, w0, d, cfg, data, RngStream(4, STREAM_EVAL))
@@ -269,7 +264,7 @@ class TestGiftRun:
         p = small_params([2, 2], seed=40)
         data = linear_dataset(128, seed=41)
         cfg = GiftConfig(eta=0.1, k1=32, k2=4, max_steps=4)
-        d = Direction([np.full((1, 2), 0.5)], [np.array([0.1])])
+        d = Params(p.arch, [np.full((2, 2), 0.5)], [np.full(2, 0.1)])
         traces = []
         for _ in range(2):
             dev = Device(p.arch, p, NoiseModel("laplace", 0.3), seed=42)
@@ -285,7 +280,7 @@ class TestGiftRun:
         data = linear_dataset(64, seed=51)
         dev = Device(p.arch, p, NoiseModel("gaussian_additive", 0.2), seed=52)
         cfg = GiftConfig(eta=0.05, k1=16, k2=3, max_steps=4, stop_rule="either_worse")
-        d = Direction([np.full((1, 2), 1.0)], [np.array([0.5])])
+        d = Params(p.arch, [np.full((2, 2), 1.0)], [np.full(2, 0.5)])
         d = d.scaled(1.0 / d.norm())
         trace = gift_run(dev, p, d, cfg, data, RngStream(53, STREAM_EVAL))
         assert trace.queries == (1 + 2 * trace.steps_taken) * 16 * 3
@@ -294,7 +289,7 @@ class TestGiftRun:
         # every candidate replays the shared slot; the fresh pair on a new slot adds one draw
         draws = counting_draws(monkeypatch)
         arch, w0, data, dev = quadratic_device_and_data(s_t=0.1)
-        d = Direction([np.array([[1.0]])], [np.zeros(1)])
+        d = Params(arch, [np.array([[1.0]])], [np.zeros(1)])
         cfg = GiftConfig(eta=0.5, k1=1, k2=4, max_steps=3, stop_rule="both_worse")
         trace = gift_run(dev, w0, d, cfg, data, RngStream(1, STREAM_EVAL))
         assert trace.steps_taken == 3 and len(trace.records) == 6

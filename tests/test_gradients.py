@@ -20,10 +20,7 @@ def test_zero_residual_gives_zero_gradients():
     draw = sample_noise(p.arch, NoiseModel("gaussian_additive", 0.3), RngStream(2, 3))
     trace = forward_noisy(p, np.array([0.4, -0.1]), draw)
     g = backward(trace, trace.activations[-1].copy(), p)
-    for dw in g.d_weights:
-        assert np.all(dw == 0.0)
-    for db in g.d_biases:
-        assert np.all(db == 0.0)
+    assert np.all(g.grad.vector == 0.0)
 
 
 def test_l1_linear_hand_expansion():
@@ -37,8 +34,8 @@ def test_l1_linear_hand_expansion():
     trace = forward_noisy(p, x, zero_noise(arch))
     g = backward(trace, y, p)
     r = y - (W @ x + b)
-    assert np.allclose(g.d_weights[0], -2.0 * np.outer(r, x), rtol=1e-12)
-    assert np.allclose(g.d_biases[0], -2.0 * r, rtol=1e-12)
+    assert np.allclose(g.grad.weights[0], -2.0 * np.outer(r, x), rtol=1e-12)
+    assert np.allclose(g.grad.biases[0], -2.0 * r, rtol=1e-12)
 
 
 def test_residual_recursion_shapes_and_values():
@@ -53,7 +50,7 @@ def test_residual_recursion_shapes_and_values():
     r1 = (p.weights[1].T @ r2) * sig
     assert np.allclose(g.residuals[1], r2, rtol=1e-12)
     assert np.allclose(g.residuals[0], r1, rtol=1e-12)
-    assert np.allclose(g.d_weights[0], -2.0 * np.outer(r1, trace.activations[0]), rtol=1e-12)
+    assert np.allclose(g.grad.weights[0], -2.0 * np.outer(r1, trace.activations[0]), rtol=1e-12)
 
 
 def test_fd_agreement_fixed_noise():
@@ -72,7 +69,7 @@ def test_fd_agreement_fixed_noise():
         return float(((y - t.activations[-1]) ** 2).sum())
 
     v0 = p.to_vector()
-    analytic = np.concatenate([w.ravel() for w in g.d_weights] + [b.ravel() for b in g.d_biases])
+    analytic = g.grad.to_vector()
     h = 1e-6
     for i in range(v0.size):
         e = np.zeros_like(v0)
@@ -91,7 +88,7 @@ def test_ones_activation_ties_dw_rows_to_db():
     trace = forward_noisy(p, x, zero_noise(arch))
     g = backward(trace, y, p)
     for j in range(2):
-        assert np.allclose(g.d_weights[0][j], g.d_biases[0][j])
+        assert np.allclose(g.grad.weights[0][j], g.grad.biases[0][j])
 
 
 def test_target_shape_mismatch():
@@ -106,7 +103,7 @@ def test_batch_of_one_equals_single():
     x = np.array([[0.1, 0.9]])
     y = np.array([[0.4]])
     rng = RngStream(10, 3)
-    g_batch = batch_gradient(p, (x, y), 0.25, rng, index=3)
+    g_batch = batch_gradient(p, x, y, 0.25, rng, index=3)
     model = NoiseModel("gaussian_additive", 0.25)
     from giftnn.model import sample_noise_batch
 
@@ -116,8 +113,7 @@ def test_batch_of_one_equals_single():
         act=[v[0] for v in draws.act], weigh=[v[0] for v in draws.weigh],
         multiplicative=False, level=0.25))
     g_one = backward(trace, y[0], p)
-    for a, b in zip(g_batch.d_weights, g_one.d_weights):
-        assert np.allclose(a, b, rtol=1e-12)
+    assert np.allclose(g_batch.grad.vector, g_one.grad.vector, rtol=1e-12)
     del single
 
 
@@ -126,7 +122,7 @@ def test_batch_mean_is_average_of_members():
     gen = RngStream(13, 3).generator(0)
     X = gen.standard_normal((6, 2))
     Y = gen.standard_normal((6, 2))
-    g = batch_gradient(p, (X, Y), 0.2, RngStream(14, 3), index=0)
+    g = batch_gradient(p, X, Y, 0.2, RngStream(14, 3), index=0)
 
     from giftnn.model import sample_noise_batch
 
@@ -136,14 +132,14 @@ def test_batch_mean_is_average_of_members():
         d = type(draws)(act=[v[i] for v in draws.act], weigh=[v[i] for v in draws.weigh],
                         multiplicative=False, level=0.2)
         trace = forward_noisy(p, X[i], d)
-        acc_w += backward(trace, Y[i], p).d_weights[0]
-    assert np.allclose(g.d_weights[0], acc_w / 6, rtol=1e-10)
+        acc_w += backward(trace, Y[i], p).grad.weights[0]
+    assert np.allclose(g.grad.weights[0], acc_w / 6, rtol=1e-10)
 
 
 def test_empty_batch_rejected():
     p = small_params([2, 2])
     with pytest.raises(ValueError):
-        batch_gradient(p, (np.zeros((0, 2)), np.zeros((0, 2))), 0.1, RngStream(0, 3))
+        batch_gradient(p, np.zeros((0, 2)), np.zeros((0, 2)), 0.1, RngStream(0, 3))
 
 
 def test_mean_gradient_matches_fd_of_mc_objective():
@@ -159,8 +155,8 @@ def test_mean_gradient_matches_fd_of_mc_objective():
     n_reps = 400
     samples = np.empty((n_reps, 3))
     for r in range(n_reps):
-        g = batch_gradient(p, (X, Y), s0, RngStream(21, 3), index=r)
-        samples[r] = np.concatenate([g.d_weights[0].ravel(), g.d_biases[0]])
+        g = batch_gradient(p, X, Y, s0, RngStream(21, 3), index=r)
+        samples[r] = g.grad.vector
     mean = samples.mean(axis=0)
     se = samples.std(axis=0, ddof=1) / np.sqrt(n_reps)
 
@@ -178,7 +174,7 @@ def test_batch_loss_matches_residuals():
     gen = RngStream(31, 3).generator(0)
     X = gen.standard_normal((5, 2))
     Y = gen.standard_normal((5, 2))
-    g = batch_gradient(p, (X, Y), 0.3, RngStream(32, 3), index=1)
+    g = batch_gradient(p, X, Y, 0.3, RngStream(32, 3), index=1)
     loss = batch_loss(g)
     assert np.isfinite(loss) and loss > 0
     assert np.isclose(loss, np.mean(np.sum(g.residuals[-1] ** 2, axis=1)))

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,8 @@ class TestParams:
         arch = Architecture((2, 1), "tanh")
         with pytest.raises(ValueError):
             Params(arch, [np.array([[np.inf, 0.0]])], [np.zeros(1)])
+        with pytest.raises(ValueError):
+            Params.from_vector(arch, [0.0, np.nan, 0.0])
 
     def test_vector_round_trip(self):
         p = small_params([3, 4, 2])
@@ -63,6 +67,28 @@ class TestParams:
             assert np.array_equal(a, b)
         for a, b in zip(p.biases, q.biases):
             assert np.array_equal(a, b)
+
+    def test_layers_are_views_in_vector_layout(self):
+        p = small_params([3, 4, 2], seed=2)
+        expected = np.concatenate([p.weights[0].ravel(), p.weights[1].ravel(), p.biases[0], p.biases[1]])
+        assert np.array_equal(p.vector, expected)
+        for q in (p, pickle.loads(pickle.dumps(p))):
+            q.weights[1][1, 3] = 7.0
+            q.biases[0][2] = -7.0
+            assert q.vector[12 + 7] == 7.0 and q.vector[12 + 8 + 2] == -7.0
+
+    def test_norm_sums_weight_layers_then_bias_layers(self):
+        # deep_mnist dims, at a seed where one flat sum of squares differs in
+        # the last bit; that bit moves every normalized direction and CSV body
+        dims = (784, 500, 250, 250, 100, 50, 10)
+        gen = RngStream(1, 9).generator(0)
+        ws = [gen.standard_normal((dims[l + 1], dims[l])) for l in range(6)]
+        bs = [gen.standard_normal(dims[l + 1]) for l in range(6)]
+        p = Params(Architecture(dims, "tanh"), ws, bs)
+        sq = sum(float((W**2).sum()) for W in ws)
+        sq += sum(float((b**2).sum()) for b in bs)
+        assert np.sqrt((p.vector**2).sum()) != np.sqrt(sq)
+        assert p.norm() == np.sqrt(sq)
 
     def test_copy_is_independent(self):
         p = small_params([2, 2])
@@ -233,11 +259,24 @@ class TestProject:
 class TestApplyStep:
     def test_linear_combination(self):
         p = small_params([2, 2])
-        dw = [np.ones_like(w) for w in p.weights]
-        db = [np.ones_like(b) for b in p.biases]
-        q = apply_step(p, -0.5, dw, db)
+        d = Params(p.arch, [np.ones_like(w) for w in p.weights], [np.ones_like(b) for b in p.biases])
+        q = apply_step(p, -0.5, d)
         assert np.allclose(q.weights[0], p.weights[0] - 0.5)
         assert np.allclose(q.biases[0], p.biases[0] - 0.5)
+
+    def test_results_never_alias_the_start(self):
+        # the line search builds every candidate from the same w0
+        p = small_params([3, 4, 2], seed=5)
+        d = small_params([3, 4, 2], seed=6)
+        p_before, d_before = p.to_vector(), d.to_vector()
+        box = Hyperrectangle(-0.1, 0.1, -0.1, 0.1)
+        for q in (apply_step(p, 0.0, d), apply_step(p, 0.3, d), project(p, box), p.copy(), p.scaled(1.0)):
+            assert not np.shares_memory(q.vector, p.vector)
+            assert not np.shares_memory(q.vector, d.vector)
+            q.weights[0][...] = 9.0
+            q.biases[-1][...] = 9.0
+        assert np.array_equal(p.vector, p_before)
+        assert np.array_equal(d.vector, d_before)
 
 
 class TestSerialization:

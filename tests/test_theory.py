@@ -21,7 +21,6 @@ from giftnn.theory import (
     check_theorem1_empirically,
     condition_report,
     d2_ds2_grad_fd_report,
-    d_ds_grad_fd,
     d_ds_grad_fd_report,
     default_hierarchical_spec,
     gradient_fd_check,
@@ -79,9 +78,9 @@ class TestDsGradFd:
         # common draws make the MC gradient exactly quadratic in s, so the
         # central difference is h-independent up to float rounding
         p = linear_params()
-        a = d_ds_grad_fd(p, 0.4, linear_data(), h=0.05, mc_samples=50_000, seed=1)
-        b = d_ds_grad_fd(p, 0.4, linear_data(), h=0.025, mc_samples=50_000, seed=1)
-        assert np.allclose(a.d_weights[0], b.d_weights[0], rtol=1e-8, atol=1e-10)
+        a = d_ds_grad_fd_report(p, 0.4, linear_data(), h=0.05, mc_samples=50_000, seed=1).value
+        b = d_ds_grad_fd_report(p, 0.4, linear_data(), h=0.025, mc_samples=50_000, seed=1).value
+        assert np.allclose(a.weights[0], b.weights[0], rtol=1e-8, atol=1e-10)
 
     def test_second_derivative_matches_4w(self):
         # d2/ds2 of the loss gradient is 4W for the one-layer linear net,
@@ -94,7 +93,7 @@ class TestDsGradFd:
 
     def test_h_validation(self):
         with pytest.raises(ValueError):
-            d_ds_grad_fd(linear_params(), 0.1, linear_data(64), h=0.1, mc_samples=100, seed=0)
+            d_ds_grad_fd_report(linear_params(), 0.1, linear_data(64), h=0.1, mc_samples=100, seed=0)
 
 
 class TestLinearConditionBound:

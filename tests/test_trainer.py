@@ -61,11 +61,6 @@ class TestInit:
         assert np.all(np.abs(w) <= a)
         assert abs(w.var() - a**2 / 3) / (a**2 / 3) < 0.1
 
-    def test_scheme_names(self):
-        init_params(ARCH, scheme="zeros_bias", rng=RngStream(0, 1))
-        with pytest.raises(ValueError):
-            init_params(ARCH, scheme="xavier", rng=RngStream(0, 1))
-
 
 class TestTrain:
     def test_linear_converges_to_ridge_minimizer(self):
