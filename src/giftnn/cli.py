@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
@@ -34,6 +35,7 @@ from .gift import GiftConfig, estimate_direction, eval_in_situ, gift_run
 from .model import (
     Architecture,
     Hyperrectangle,
+    NOISE_FAMILIES,
     NoiseModel,
     Params,
     RngStream,
@@ -43,6 +45,7 @@ from .model import (
     STREAM_THEORY,
     mix64,
     load_params,
+    open_atomic,
     save_params,
 )
 from .theory import (
@@ -197,14 +200,34 @@ def _count_field(errors: list, path: str, value):
     return n
 
 
-def _level_list(errors: list, path: str, values):
-    """values as a nonempty list of positive finite floats; otherwise an error naming path."""
+def _positive_number(errors: list, path: str, value):
+    """Appends an error naming path unless value is a positive finite number."""
     try:
-        levels = [float(v) for v in values]
+        x = float(value)
+    except (TypeError, ValueError):
+        x = float("nan")
+    if not (np.isfinite(x) and x > 0):
+        errors.append(f"{path}: must be a positive finite number, got {value!r}")
+
+
+def _level_list(errors: list, path: str, values):
+    """values as a nonempty list of distinct positive finite floats; otherwise an error naming path."""
+    try:
+        levels = [float(v) for v in values] if isinstance(values, list) else []
     except (TypeError, ValueError):
         levels = []
-    if not levels or not all(np.isfinite(v) and v > 0 for v in levels):
-        errors.append(f"{path}: must be a nonempty list of positive levels, got {values!r}")
+    if (not levels or len(set(levels)) != len(levels)
+            or not all(np.isfinite(v) and v > 0 for v in levels)):
+        errors.append(f"{path}: must be a nonempty list of distinct positive levels, got {values!r}")
+
+
+def _family_list(errors: list, path: str, values):
+    """values as a nonempty list of distinct known noise family names; otherwise an error naming path."""
+    if (not isinstance(values, list) or not values
+            or not all(isinstance(f, str) and f in NOISE_FAMILIES for f in values)
+            or len(set(values)) != len(values)):
+        errors.append(f"{path}: must be a nonempty list of distinct noise families "
+                      f"(choices: {list(NOISE_FAMILIES)}), got {values!r}")
 
 
 class Experiment:
@@ -280,6 +303,11 @@ class Experiment:
             errors.append(f"data.dir: required for kind 'mnist' (or set {DATA_DIR_ENV})")
         for field in ("n_train", "n_test"):
             _count_field(errors, f"data.{field}", data_cfg[field])
+        _positive_number(errors, "data.sigma_x", data_cfg["sigma_x"])
+        try:
+            int(data_cfg["seed"])
+        except (TypeError, ValueError):
+            errors.append(f"data.seed: expected an integer, got {data_cfg['seed']!r}")
         self.data_cfg = data_cfg
 
         seeds = cfg.get("seeds") or []
@@ -293,11 +321,7 @@ class Experiment:
                 errors.append(f"seeds: expected a list of integers, got {seeds!r}")
 
         sw = cfg["sweep"]
-        for fam in sw["families"]:
-            try:
-                NoiseModel(fam, 0.1)
-            except ValueError as e:
-                errors.append(f"sweep.families: {e}")
+        _family_list(errors, "sweep.families", sw["families"])
         for field in ("s0_grid", "st_grid"):
             _level_list(errors, f"sweep.{field}", sw[field])
         self.workers = _count_field(errors, "sweep.workers", sw.get("workers", 1))
@@ -322,9 +346,9 @@ class Experiment:
                 raise ConfigError(f"data.dir: {e}")
             return subset(train_full, n_train, rng), subset(test_full, n_test, rng.child(1))
         if kind == "synthetic_linear":
-            pool = synthetic_linear(np.asarray(dc["v"], dtype=float), dc["sigma_x"], n_train + n_test, rng)
+            pool = synthetic_linear(np.asarray(dc["v"], dtype=float), float(dc["sigma_x"]), n_train + n_test, rng)
         else:
-            pool = synthetic_teacher(self.arch, n_train + n_test, dc["sigma_x"], rng)
+            pool = synthetic_teacher(self.arch, n_train + n_test, float(dc["sigma_x"]), rng)
         train_ds = Dataset(pool.inputs[:n_train], pool.targets[:n_train], name=pool.name, split="train")
         test_ds = Dataset(pool.inputs[n_train:], pool.targets[n_train:], name=pool.name, split="test")
         return train_ds, test_ds
@@ -365,7 +389,7 @@ def write_csv(path, fieldnames, rows, meta: dict):
     writer.writeheader()
     for row in rows:
         writer.writerow({k: _plain(v) for k, v in row.items()})
-    with open(path, "w") as f:
+    with open_atomic(path, "w") as f:
         f.write("# meta " + json.dumps(meta, sort_keys=True) + "\n")
         f.write(buf.getvalue())
 
@@ -399,7 +423,7 @@ def _jsonable(obj):
 
 def write_json(path, payload: dict):
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "w") as f:
+    with open_atomic(path, "w") as f:
         json.dump(_jsonable(payload), f, indent=2, sort_keys=True)
         f.write("\n")
 
@@ -410,10 +434,7 @@ def _device_seed(seed: int, family: str, s_t: float) -> int:
 
 
 def _train_one(exp: Experiment, train_ds, seed: int):
-    from dataclasses import replace
-
-    cfg = replace(exp.train_config, seed=seed)
-    return train(exp.arch, cfg, train_ds)
+    return train(exp.arch, replace(exp.train_config, seed=seed), train_ds)
 
 
 def _estimate_one(exp: Experiment, params, train_ds, s0: float, seed: int) -> Params:
@@ -591,47 +612,53 @@ def cmd_eval(exp: Experiment, checkpoint_root: str | None) -> int:
     return EXIT_OK
 
 
-def _sweep_task(cfg_json: str, family: str, s0: float, seed: int):
-    """All s_t cells for one (family, s0, seed); self-contained for worker pools."""
+def _sweep_task(cfg_json: str, s0: float, seed: int):
+    """All (family, s_t) cells for one (s0, seed); self-contained for worker pools.
+
+    w0 and the direction depend on (s0, seed) alone, so they are computed once
+    and shared by every family. Returns one (rows, failure) per family, by
+    position in sweep.families; failure is None or a record of the exception.
+    """
     exp = Experiment(json.loads(cfg_json))
-    train_ds, test_ds = exp.datasets()
-    from dataclasses import replace
+    families = exp.sweep_cfg["families"]
 
-    exp.train_config = replace(exp.train_config, s0=s0, seed=seed)
-    w0, _ = train(exp.arch, exp.train_config, train_ds)
-    direction = _estimate_one(exp, w0, train_ds, s0, seed)
-    rows = []
-    for s_t in exp.sweep_cfg["st_grid"]:
-        trace, fresh_base, fresh_post = _gift_one(exp, w0, direction, test_ds, family, float(s_t), seed)
-        rows.append(_gift_row(exp, family, s0, float(s_t), seed, trace, fresh_base, fresh_post))
-    return rows
+    def failure(family, e):
+        return {"family": family, "s0": s0, "seed": seed, "error": str(e)}
 
-
-def _sweep_cell(cfg_json: str, family: str, s0: float, seed: int):
-    """(rows, None) for one sweep task, or ([], failure record) if it raised; run by either executor."""
     try:
-        return _sweep_task(cfg_json, family, s0, seed), None
-    except Exception as e:  # keep sweeping; record the cell failure
-        return [], {"family": family, "s0": s0, "seed": seed, "error": str(e)}
+        train_ds, test_ds = exp.datasets()
+        w0, _ = train(exp.arch, replace(exp.train_config, s0=s0, seed=seed), train_ds)
+        direction = _estimate_one(exp, w0, train_ds, s0, seed)
+    except Exception as e:  # keep sweeping; every family's cells needed w0 and D
+        return [([], failure(family, e)) for family in families]
+    results = []
+    for family in families:
+        try:
+            rows = []
+            for s_t in exp.sweep_cfg["st_grid"]:
+                trace, fresh_base, fresh_post = _gift_one(exp, w0, direction, test_ds, family, float(s_t), seed)
+                rows.append(_gift_row(exp, family, s0, float(s_t), seed, trace, fresh_base, fresh_post))
+            results.append((rows, None))
+        except Exception as e:  # keep sweeping; record this family's failure
+            results.append(([], failure(family, e)))
+    return results
 
 
 def cmd_sweep(exp: Experiment) -> int:
     meta = _meta(exp.raw)
     sw = exp.sweep_cfg
     cfg_json = json.dumps(exp.raw)
-    tasks = [
-        (cfg_json, family, float(s0), seed)
-        for family in sw["families"]
-        for s0 in sw["s0_grid"]
-        for seed in exp.seeds
-    ]
-    if exp.workers > 1:
-        with ProcessPoolExecutor(max_workers=exp.workers) as pool:
-            results = list(pool.map(_sweep_cell, *zip(*tasks)))
+    tasks = [(cfg_json, float(s0), seed) for s0 in sw["s0_grid"] for seed in exp.seeds]
+    workers = min(exp.workers, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_sweep_task, *zip(*tasks)))
     else:
-        results = [_sweep_cell(*task) for task in tasks]
-    rows = [row for chunk, _ in results for row in chunk]
-    failures = [failure for _, failure in results if failure is not None]
+        results = [_sweep_task(*task) for task in tasks]
+    # family-major, then (s0, seed) in task order: the order of the grid loops below
+    per_family = [result[i] for i in range(len(sw["families"])) for result in results]
+    rows = [row for chunk, _ in per_family for row in chunk]
+    failures = [failure for _, failure in per_family if failure is not None]
 
     agg_rows = []
     for family in sw["families"]:

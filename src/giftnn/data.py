@@ -162,12 +162,16 @@ def load_mnist(data_dir=None, train: bool = True) -> Dataset:
     return to_dataset(images, labels, split="train" if train else "test")
 
 
+def _check_sigma_x(sigma_x):
+    if not (np.isfinite(sigma_x) and sigma_x > 0):
+        raise ValueError(f"sigma_x must be a positive finite number, got {sigma_x!r}")
+
+
 def synthetic_linear(V, sigma_x: float, n: int, rng: RngStream) -> Dataset:
     """x ~ N(0, sigma_x^2 I) per component, y = V x (noiseless linear targets)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not sigma_x > 0:
-        raise ValueError("sigma_x must be positive")
+    _check_sigma_x(sigma_x)
     V = np.atleast_2d(np.asarray(V, dtype=float))
     gen = rng.generator(0)
     X = sigma_x * gen.standard_normal((n, V.shape[1]))
@@ -179,6 +183,7 @@ def synthetic_teacher(arch: Architecture, n: int, sigma_x: float, rng: RngStream
     """x ~ N(0, sigma_x^2 I), y = teacher(x) for a fixed random noise-free teacher net."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    _check_sigma_x(sigma_x)
     gen = rng.generator(0)
     teacher = init_uniform(arch, gen)
     X = sigma_x * gen.standard_normal((n, arch.layer_dims[0]))

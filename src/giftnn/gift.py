@@ -51,8 +51,8 @@ class GiftConfig:
     stop_rule: str = "either_worse"
 
     def __post_init__(self):
-        if self.eta < 0:
-            raise ValueError("eta must be >= 0")
+        if not (np.isfinite(self.eta) and self.eta >= 0):
+            raise ValueError(f"eta must be a finite number >= 0, got {self.eta!r}")
         if self.k1 < 1 or self.k2 < 1:
             raise ValueError("k1 and k2 must be >= 1")
         if self.max_steps < 1:

@@ -13,6 +13,8 @@ vectors exist: activation noise a_0..a_{L-1} and weighing noise w_1..w_L.
 
 from __future__ import annotations
 
+import contextlib
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -382,6 +384,24 @@ def apply_step(params: Params, coef: float, direction: Params) -> Params:
 PARAMS_FORMAT_VERSION = 1
 
 
+@contextlib.contextmanager
+def open_atomic(path, mode: str = "w"):
+    """Open a temp file beside path for writing ("w" or "wb"); on a clean exit it
+    replaces path, on an exception it is removed. Readers see the old file or the
+    whole new one, never a partial write."""
+    path = os.fspath(path)
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, mode.replace("w", "x")) as f:  # "x": a fresh file, created under the umask
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def save_params(params: Params, path):
     """Binary params document (npz) with an explicit format-version field."""
     arrays = {
@@ -392,7 +412,8 @@ def save_params(params: Params, path):
     for l, (W, b) in enumerate(zip(params.weights, params.biases), start=1):
         arrays[f"W{l}"] = W
         arrays[f"b{l}"] = b
-    np.savez(path, **arrays)
+    with open_atomic(path, "wb") as f:  # a file object: savez appends no ".npz" suffix
+        np.savez(f, **arrays)
 
 
 def load_params(path) -> Params:

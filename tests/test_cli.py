@@ -18,6 +18,7 @@ from giftnn.cli import (
     read_csv_body,
     resolve_config,
     write_csv,
+    write_json,
 )
 from giftnn.data import DATA_DIR_ENV
 
@@ -193,6 +194,15 @@ class TestArtifacts:
         assert len(h) == 12
         int(h, 16)
 
+    def test_failed_write_keeps_the_previous_file(self, tmp_path):
+        path = tmp_path / "out" / "x.json"
+        write_json(str(path), {"a": 1})
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            write_json(str(path), {"a": 2, "b": object()})  # json.dump raises after writing "a"
+        assert path.read_bytes() == before
+        assert os.listdir(path.parent) == ["x.json"]
+
     def test_device_seed_separates_family_level_and_sign(self):
         a = _device_seed(0, "gaussian_additive", 0.3)
         assert a == _device_seed(0, "gaussian_additive", 0.3)
@@ -222,10 +232,20 @@ class TestExitCodes:
         ('sweep.workers="abc"', "sweep.workers"),
         ("sweep.workers=0", "sweep.workers"),
         ('seeds=["x"]', "seeds"),
+        ("gift.eta=Infinity", "gift"),
+        ('data.sigma_x="x"', "data.sigma_x"),
+        ('data.seed="x"', "data.seed"),
+        ("sweep.families=5", "sweep.families"),
+        ('sweep.families="laplace"', "sweep.families"),
+        ("sweep.families=[]", "sweep.families"),
+        ('sweep.families=["laplace","laplace"]', "sweep.families"),
+        ("sweep.s0_grid=[0.1,0.1]", "sweep.s0_grid"),
     ])
     def test_count_fields_are_validated(self, tmp_path, capsys, setting, field):
         assert main(tiny_argv("gift", tmp_path / "o", setting)) == 1
-        assert f"config error: {field}:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"config error: {field}:" in err
+        assert err.count("config error:") == 1
 
     def test_checkpoint_architecture_mismatch_exits_1(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -351,6 +371,9 @@ class TestTrainGiftEval:
             assert int(r["k1"]) == 32 and int(r["k2"]) == 2
 
 
+TWO_FAMILIES = 'sweep.families=["gaussian_additive","laplace"]'
+
+
 class TestSweep:
     def test_grid_rows_aggregate_and_flags(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -392,10 +415,80 @@ class TestSweep:
         for workers in (1, 2):
             out = tmp_path / f"w{workers}" / "sweep"
             argv = tiny_argv("sweep", out.parent, "sweep.s0_grid=[0.1]", "train.eps0=1e6",
-                             f"sweep.workers={workers}")
+                             TWO_FAMILIES, f"sweep.workers={workers}")
             assert main(argv) == 0
             assert (out / "sweep_rows.csv").exists()
             failures[workers] = json.loads((out / "sweep.json").read_text())["failures"]
         capsys.readouterr()
-        assert [(f["s0"], f["seed"]) for f in failures[1]] == [(0.1, 0), (0.1, 1)]
+        assert [(f["family"], f["s0"], f["seed"]) for f in failures[1]] == [
+            ("gaussian_additive", 0.1, 0), ("gaussian_additive", 0.1, 1),
+            ("laplace", 0.1, 0), ("laplace", 0.1, 1),
+        ]
         assert failures[1] == failures[2]
+
+    def test_training_and_estimate_run_once_per_s0_and_seed(self, tmp_path, capsys, monkeypatch):
+        calls = {"train": 0, "estimate_direction": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(cli, name, counted)
+        argv = tiny_argv("sweep", tmp_path / "o", "sweep.s0_grid=[0.1,0.2]", "sweep.st_grid=[0.1]", TWO_FAMILIES)
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert calls == {"train": 2 * 2, "estimate_direction": 2 * 2}  # |s0_grid| x |seeds|
+
+    def test_families_share_w0_and_direction(self, tmp_path, capsys):
+        grid = ("sweep.s0_grid=[0.1,0.2]", "sweep.st_grid=[0.1,0.3]")
+        bodies = {}
+        for name, families in (("both", TWO_FAMILIES),
+                               ("gauss", 'sweep.families=["gaussian_additive"]'),
+                               ("laplace", 'sweep.families=["laplace"]')):
+            assert main(tiny_argv("sweep", tmp_path / name, *grid, families)) == 0
+            bodies[name] = [read_csv_body(tmp_path / name / "sweep" / f)[1]
+                            for f in ("sweep_rows.csv", "sweep_aggregate.csv")]
+        capsys.readouterr()
+        for i in range(2):
+            assert bodies["both"][i] == bodies["gauss"][i] + bodies["laplace"][i]
+
+    def test_one_family_failing_keeps_the_other_rows(self, tmp_path, capsys, monkeypatch):
+        gift_one = cli._gift_one
+
+        def flaky(exp, w0, direction, test_ds, family, s_t, seed):
+            if family == "laplace":
+                raise FloatingPointError("device diverged")
+            return gift_one(exp, w0, direction, test_ds, family, s_t, seed)
+
+        monkeypatch.setattr(cli, "_gift_one", flaky)
+        out = tmp_path / "o"
+        assert main(tiny_argv("sweep", out, "sweep.s0_grid=[0.1]", "sweep.st_grid=[0.1,0.3]", TWO_FAMILIES)) == 0
+        capsys.readouterr()
+        _, rows = read_csv_body(out / "sweep" / "sweep_rows.csv")
+        assert [(r["family"], r["seed"], r["s_t"]) for r in rows] == [
+            ("gaussian_additive", str(seed), s_t) for seed in (0, 1) for s_t in ("0.1", "0.3")]
+        failures = json.loads((out / "sweep" / "sweep.json").read_text())["failures"]
+        assert failures == [{"family": "laplace", "s0": 0.1, "seed": seed, "error": "device diverged"}
+                            for seed in (0, 1)]
+
+    def test_pool_starts_no_more_workers_than_tasks(self, tmp_path, capsys, monkeypatch):
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        argv = tiny_argv("sweep", tmp_path / "o", "sweep.s0_grid=[0.1]", "sweep.st_grid=[0.1]",
+                         "sweep.workers=8")
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert started == [2]  # one (s0, seed) task per seed

@@ -173,6 +173,14 @@ class TestSynthetic:
         assert ds.targets.shape == (50, 2)
         assert np.all(np.isfinite(ds.targets))
 
+    def test_sigma_x_must_be_positive_finite(self):
+        arch = Architecture((2, 1), "tanh")
+        for sigma in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="sigma_x"):
+                synthetic_linear(np.ones((1, 2)), sigma, 10, RngStream(5, STREAM_DATA))
+            with pytest.raises(ValueError, match="sigma_x"):
+                synthetic_teacher(arch, 10, sigma, RngStream(5, STREAM_DATA))
+
     def test_teacher_deterministic(self):
         arch = Architecture((3, 2), "tanh")
         a = synthetic_teacher(arch, 20, 1.0, RngStream(4, STREAM_DATA))
