@@ -43,6 +43,7 @@ from .model import (
     STREAM_ESTIMATE,
     STREAM_EVAL,
     STREAM_THEORY,
+    STREAM_VERSION,
     mix64,
     load_params,
     open_atomic,
@@ -188,8 +189,13 @@ def resolve_config(args) -> dict:
 
 
 def _count_field(errors: list, path: str, value):
-    """value as an int >= 1; otherwise None, with an error naming path appended."""
+    """value as an int >= 1; otherwise None, with an error naming path appended.
+
+    Booleans and non-integral numbers are rejected, not truncated.
+    """
     try:
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+            raise TypeError
         n = int(value)
     except (TypeError, ValueError):
         errors.append(f"{path}: expected an integer >= 1, got {value!r}")
@@ -259,11 +265,14 @@ class Experiment:
                 projection = Hyperrectangle(**proj)
             except (TypeError, ValueError) as e:
                 errors.append(f"train.projection: {e}")
+        # A count already reported as bad stands in as 1, so the other fields are still checked.
+        epochs = _count_field(errors, "train.epochs", tr["epochs"])
+        batch_size = _count_field(errors, "train.batch_size", tr["batch_size"])
         try:
             self.train_config = TrainConfig(
                 s0=tr["s0"],
-                epochs=tr["epochs"],
-                batch_size=tr["batch_size"],
+                epochs=epochs or 1,
+                batch_size=batch_size or 1,
                 eps0=tr["eps0"],
                 decay_p=tr["decay_p"],
                 tau=tr["tau"],
@@ -273,12 +282,13 @@ class Experiment:
             errors.append(f"train: {e}")
 
         g = cfg["gift"]
+        k1, k2, max_steps = (_count_field(errors, f"gift.{f}", g[f]) for f in ("k1", "k2", "max_steps"))
         try:
             self.gift_config = GiftConfig(
                 eta=g["eta"],
-                k1=g["k1"],
-                k2=g["k2"],
-                max_steps=g["max_steps"],
+                k1=k1 or 1,
+                k2=k2 or 1,
+                max_steps=max_steps or 1,
                 stop_rule=g["stop_rule"],
             )
         except (ValueError, TypeError) as e:
@@ -374,6 +384,7 @@ def _meta(cfg: dict) -> dict:
     return {
         "version": __version__,
         "code_hash": code_hash(),
+        "stream_version": STREAM_VERSION,
         "config_sha256": hashlib.sha256(blob.encode()).hexdigest()[:16],
         "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "config": cfg,

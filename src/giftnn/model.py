@@ -35,6 +35,9 @@ STREAM_EVAL = 6
 STREAM_DEVICE = 7
 STREAM_THEORY = 8
 
+# Bumped whenever the same (seed, stream, index) starts giving different draws.
+STREAM_VERSION = 2
+
 _U64 = 2**64
 
 
@@ -48,19 +51,21 @@ def mix64(x: int) -> int:
 
 @dataclass(frozen=True)
 class RngStream:
-    """Counter-based random stream: (seed, stream_id, index) fixes every draw.
+    """Keyed random stream: (seed, stream_id, index) fixes every draw.
 
-    Each index addresses a disjoint 2^128-draw block of a Philox stream, so
-    results do not depend on scheduling or worker count.
+    generator(index) is an SFC64 generator seeded by a SeedSequence with entropy
+    seed and spawn key (stream_id, index), so each index gets its own
+    independent stream and results do not depend on scheduling or worker
+    count. This is stream version 2 (STREAM_VERSION); version 1 used a keyed
+    Philox counter, and its draws are not reproduced.
     """
 
     seed: int
     stream_id: int = 0
 
     def generator(self, index: int = 0) -> np.random.Generator:
-        key = np.array([self.seed % _U64, self.stream_id % _U64], dtype=np.uint64)
-        counter = np.array([0, 0, index % _U64, 0], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key, counter=counter))
+        seq = np.random.SeedSequence(self.seed % _U64, spawn_key=(self.stream_id % _U64, index % _U64))
+        return np.random.Generator(np.random.SFC64(seq))
 
     def child(self, salt: int) -> "RngStream":
         return RngStream(self.seed, mix64((self.stream_id % _U64) ^ mix64(salt)))
@@ -264,7 +269,9 @@ def _site_dims(arch: Architecture):
 
 def _draw_site(gen: np.random.Generator, family: str, s: float, shape):
     if family == "gaussian_additive":
-        return s * gen.standard_normal(shape)
+        v = gen.standard_normal(shape)
+        v *= s  # in place: the same values as s * v, without a second array
+        return v
     if family == "uniform":
         return gen.uniform(-s, s, shape)
     if family == "laplace":
@@ -336,16 +343,24 @@ def _forward(params: Params, x, noise: NoiseDraw) -> ForwardTrace:
     mult = noise.multiplicative
     s = noise.level
 
+    def perturb(v, n):  # v is a fresh array; the draw n is only read
+        if mult:
+            v *= 1.0 + s * n
+        else:
+            v += n
+
     a = x * (1.0 + s * noise.act[0]) if mult else x + noise.act[0]
     activations = [a]
     pre_activations = []
     for l in range(1, L + 1):
-        z = activations[-1] @ params.weights[l - 1].T + params.biases[l - 1]
-        z = z * (1.0 + s * noise.weigh[l - 1]) if mult else z + noise.weigh[l - 1]
+        # in place, in the order of W a + b + n: the same values with fewer temporaries
+        z = activations[-1] @ params.weights[l - 1].T
+        z += params.biases[l - 1]
+        perturb(z, noise.weigh[l - 1])
         pre_activations.append(z)
         if l < L:
             a = act_fn(z)
-            a = a * (1.0 + s * noise.act[l]) if mult else a + noise.act[l]
+            perturb(a, noise.act[l])
         else:
             a = z
         activations.append(a)

@@ -240,6 +240,15 @@ class TestExitCodes:
         ("sweep.families=[]", "sweep.families"),
         ('sweep.families=["laplace","laplace"]', "sweep.families"),
         ("sweep.s0_grid=[0.1,0.1]", "sweep.s0_grid"),
+        ("gift.est_k1=1.5", "gift.est_k1"),
+        ("data.n_train=50.7", "data.n_train"),
+        ("sweep.workers=1.5", "sweep.workers"),
+        ("gift.fresh_eval_k2=true", "gift.fresh_eval_k2"),
+        ("train.epochs=2.5", "train.epochs"),
+        ("train.batch_size=1.5", "train.batch_size"),
+        ("gift.k1=1.5", "gift.k1"),
+        ("gift.k2=2.5", "gift.k2"),
+        ("gift.max_steps=1.5", "gift.max_steps"),
     ])
     def test_count_fields_are_validated(self, tmp_path, capsys, setting, field):
         assert main(tiny_argv("gift", tmp_path / "o", setting)) == 1

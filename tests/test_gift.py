@@ -179,31 +179,33 @@ class TestEvalInSitu:
         assert a.loss == b.loss and a.accuracy == b.accuracy
 
 
-def quadratic_device_and_data(s_t=1e-9):
-    # one data point (x=1, y=2) on a [1,1] net: loss(w) = (2 - w)^2 up to s_t noise
+def quadratic_device_and_data(s_t=1e-9, y=2.0):
+    # one data point (x=1, y) on a [1,1] net: loss(w) = (y - w)^2 up to s_t noise
     arch = Architecture((1, 1), "tanh")
     w0 = Params(arch, [np.array([[0.0]])], [np.zeros(1)])
-    data = Dataset(np.array([[1.0]]), np.array([[2.0]]))
+    data = Dataset(np.array([[1.0]]), np.array([[y]]))
     dev = Device(arch, w0, NoiseModel("gaussian_additive", s_t), seed=0)
     return arch, w0, data, dev
 
 
 class TestGiftRun:
     def test_quadratic_line_search_finds_minimum(self):
-        # (w-2)^2 from w0=0 with D=1, eta=0.5: both_worse keeps searching past
-        # the immediately-worse minus side and lands exactly on w=2.0
-        arch, w0, data, dev = quadratic_device_and_data()
+        # (w-1.8)^2 from w0=0 with D=1, eta=0.5: both_worse keeps searching past
+        # the immediately-worse minus side and lands on the nearest grid point, w=2.0
+        arch, w0, data, dev = quadratic_device_and_data(y=1.8)
         d = Params(arch, [np.array([[1.0]])], [np.zeros(1)])
         cfg = GiftConfig(eta=0.5, k1=1, k2=1, max_steps=10, stop_rule="both_worse")
         trace = gift_run(dev, w0, d, cfg, data, RngStream(1, STREAM_EVAL))
         assert trace.selected == (4, 1)
         assert trace.w_f.weights[0][0, 0] == pytest.approx(2.0, abs=1e-12)
-        # at +-4.0 the plus side ties the baseline (both sides >=), so it stops
+        # at +-4.0 both sides are worse than the baseline (4.84 and 33.64 > 3.24),
+        # by far more than the noise, so it stops there
         assert trace.steps_taken == 8
         visited = sorted(i * s * 0.5 for i, s, _ in trace.records)
         assert visited == [x * 0.5 for x in range(-8, 0)] + [x * 0.5 for x in range(1, 9)]
         assert 2.0 in visited
-        assert trace.improvement == pytest.approx(trace.baseline.loss, rel=1e-6)
+        # the loss at w=2.0 is (1.8 - 2.0)^2 = 0.04
+        assert trace.improvement == pytest.approx(trace.baseline.loss - 0.04, rel=1e-6)
 
     def test_quadratic_under_paper_literal_rule_stops_early(self):
         # either_worse stops at i=1 because the minus side is already worse

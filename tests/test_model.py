@@ -10,6 +10,8 @@ from giftnn.model import (
     NoiseModel,
     Params,
     RngStream,
+    STREAM_VERSION,
+    _forward,
     apply_step,
     forward_deterministic,
     forward_noisy,
@@ -237,6 +239,38 @@ class TestForward:
         assert np.all(np.abs(outs.var(axis=0) / expected - 1.0) < 0.05)
 
 
+def out_of_place_forward(params, x, noise):
+    """The noisy recursion written with a new array for every operation."""
+    mult, s = noise.multiplicative, noise.level
+    perturb = (lambda v, n: v * (1.0 + s * n)) if mult else (lambda v, n: v + n)
+    a = perturb(x, noise.act[0])
+    acts, pres = [a], []
+    for l in range(params.arch.n_layers):
+        z = perturb(acts[-1] @ params.weights[l].T + params.biases[l], noise.weigh[l])
+        pres.append(z)
+        acts.append(perturb(np.tanh(z), noise.act[l + 1]) if l + 1 < params.arch.n_layers else z)
+    return acts, pres
+
+
+class TestInPlaceForward:
+    @pytest.mark.parametrize("family", ["gaussian_additive", "gaussian_multiplicative", "laplace"])
+    @pytest.mark.parametrize("n", [None, 5])
+    def test_matches_out_of_place_reference_and_leaves_draw_intact(self, family, n):
+        p = small_params([3, 4, 4, 2], seed=13)
+        model = NoiseModel(family, 0.3)
+        rng = RngStream(14, 3)
+        draw = sample_noise(p.arch, model, rng) if n is None else sample_noise_batch(p.arch, model, rng, 0, n)
+        x = RngStream(15, 3).generator(0).standard_normal(3 if n is None else (n, 3))
+        before = [v.copy() for v in draw.act + draw.weigh]
+        x_before = x.copy()
+        trace = _forward(p, x, draw)
+        acts, pres = out_of_place_forward(p, x, draw)
+        assert all(np.array_equal(u, v) for u, v in zip(trace.activations, acts, strict=True))
+        assert all(np.array_equal(u, v) for u, v in zip(trace.pre_activations, pres, strict=True))
+        assert all(np.array_equal(u, v) for u, v in zip(draw.act + draw.weigh, before))
+        assert np.array_equal(x, x_before)
+
+
 class TestProject:
     def test_fixed_point_inside(self):
         p = small_params([2, 2], scale=0.4)
@@ -312,3 +346,11 @@ class TestRngStream:
     def test_child_streams_are_stable(self):
         assert RngStream(3, 1).child(2) == RngStream(3, 1).child(2)
         assert RngStream(3, 1).child(2) != RngStream(3, 1).child(3)
+
+    def test_stream_version_fingerprint(self):
+        # stream version 2: SFC64 seeded by SeedSequence(seed, spawn_key=(stream, index));
+        # a change to these values is a new stream version
+        assert STREAM_VERSION == 2
+        got = RngStream(0, 1).generator(0).standard_normal(4)
+        want = [-1.2540797385549642, -0.057374060490056056, 0.1831656089569397, -0.25374987556925]
+        assert got.tolist() == want
