@@ -13,7 +13,6 @@ from .model import (
     forward_noisy,
     load_params,
     project,
-    sample_noise,
     sample_noise_batch,
     save_params,
     zero_noise,

@@ -216,6 +216,21 @@ def _positive_number(errors: list, path: str, value):
         errors.append(f"{path}: must be a positive finite number, got {value!r}")
 
 
+def _matrix_field(errors: list, path: str, value, shape):
+    """Appends an error naming path unless value is a shape matrix of finite numbers.
+
+    A flat list counts as one row. Booleans are not numbers here.
+    """
+    try:
+        m = np.atleast_2d(np.asarray(value))
+        ok = (m.dtype.kind in "iuf" and m.shape == tuple(shape) and bool(np.isfinite(m).all())
+              and not any(isinstance(x, bool) for x in np.ravel(np.asarray(value, dtype=object))))
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        errors.append(f"{path}: must be a {tuple(shape)} matrix of finite numbers, got {value!r}")
+
+
 def _level_list(errors: list, path: str, values):
     """values as a nonempty list of distinct positive finite floats; otherwise an error naming path."""
     try:
@@ -295,7 +310,10 @@ class Experiment:
             errors.append(f"gift: {e}")
         self.est_k1 = _count_field(errors, "gift.est_k1", g.get("est_k1", g["k1"]))
         self.est_k2 = _count_field(errors, "gift.est_k2", g.get("est_k2", g["k2"]))
-        self.normalize_direction = bool(g.get("normalize_direction", True))
+        normalize = g.get("normalize_direction", True)
+        if not isinstance(normalize, bool):
+            errors.append(f"gift.normalize_direction: expected true or false, got {normalize!r}")
+        self.normalize_direction = normalize
         self.fresh_eval_k2 = _count_field(errors, "gift.fresh_eval_k2", g.get("fresh_eval_k2", g["k2"]))
 
         dev = cfg["device"]
@@ -314,6 +332,9 @@ class Experiment:
         for field in ("n_train", "n_test"):
             _count_field(errors, f"data.{field}", data_cfg[field])
         _positive_number(errors, "data.sigma_x", data_cfg["sigma_x"])
+        if data_cfg["kind"] == "synthetic_linear" and hasattr(self, "arch"):
+            d = self.arch.layer_dims
+            _matrix_field(errors, "data.v", data_cfg["v"], (d[-1], d[0]))
         try:
             int(data_cfg["seed"])
         except (TypeError, ValueError):

@@ -16,7 +16,6 @@ from .model import (
     RngStream,
     STREAM_DEVICE,
     _forward,
-    sample_noise,
     sample_noise_batch,
 )
 
@@ -24,10 +23,11 @@ from .model import (
 class Device:
     """Opaque noisy forward oracle with a monotone query counter.
 
-    Noise for slot j is exactly the draw an in-silico sampler would produce at
-    stream (seed, STREAM_DEVICE) index j. Passing the same slot to two calls of
-    identical batch shape replays the same noise (common random numbers);
-    slot-less calls consume fresh slots.
+    Queries are batches: forward_batch takes (n, d0) input rows and returns
+    (n, dL) outputs. Noise for slot j is exactly the batch draw an in-silico
+    sampler would produce at stream (seed, STREAM_DEVICE) index j. Passing the
+    same slot to two calls of identical batch size replays the same noise
+    (common random numbers); slot-less calls consume fresh slots.
 
     The last draw is kept, read-only, keyed by (slot, batch size), so a run of
     calls on one slot draws its noise once and replays it, not regenerates it.
@@ -60,28 +60,15 @@ class Device:
         self._next_slot += 1
         return slot
 
-    def _draw(self, slot: int, n: int | None):
-        """Noise for slot at batch size n (None: one row), drawn once per run of equal keys."""
+    def _draw(self, slot: int, n: int):
+        """Noise for slot at batch size n, drawn once per run of equal keys."""
         if self._cached_key != (slot, n):
             self._cached_key = self._cached_draw = None  # free the old draw before the next is made
-            if n is None:
-                draw = sample_noise(self._arch, self._noise, self._stream, index=slot)
-            else:
-                draw = sample_noise_batch(self._arch, self._noise, self._stream, slot, n)
+            draw = sample_noise_batch(self._arch, self._noise, self._stream, slot, n)
             for v in draw.act + draw.weigh:
                 v.flags.writeable = False
             self._cached_key, self._cached_draw = (slot, n), draw
         return self._cached_draw
-
-    def forward(self, x, noise_slot: int | None = None) -> np.ndarray:
-        """One noisy inference; returns only the output vector."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 1 or x.shape[0] != self._arch.layer_dims[0]:
-            raise ValueError(f"input shape {x.shape}, want ({self._arch.layer_dims[0]},)")
-        slot = self.new_slot() if noise_slot is None else noise_slot
-        draw = self._draw(slot, None)
-        self.query_count += 1
-        return _forward(self._params, x, draw).activations[-1].copy()
 
     def forward_batch(self, X, noise_slot: int | None = None) -> np.ndarray:
         """n noisy inferences with independent per-row noise; counts n queries."""

@@ -29,7 +29,7 @@ from .model import (
     sample_noise_batch,
 )
 
-# Rows processed per accumulation block; fixed so results never depend on memory.
+# Rows per Monte Carlo block (mc_blocks); fixed so results never depend on memory.
 CHUNK_ROWS = 8192
 
 STOP_RULES = ("either_worse", "both_worse")
@@ -95,9 +95,9 @@ class GiftTrace:
 
 
 def noise_weight_factor(noise: NoiseDraw, s0: float):
-    """sum over the 2L noise vectors of (||N||^2 / s0^2 - d); zero-mean at level s0.
+    """Per row, the sum over the 2L noise vectors of (||N||^2 / s0^2 - d); an (n,) array.
 
-    Scalar for single draws, (n,) array for batched draws.
+    Zero-mean at level s0.
     """
     if not s0 > 0:
         raise ValueError("s0 must be positive")
@@ -107,6 +107,22 @@ def noise_weight_factor(noise: NoiseDraw, s0: float):
     for v in list(noise.act) + list(noise.weigh):
         total = total + (v**2).sum(axis=-1) / s0**2 - v.shape[-1]
     return total
+
+
+def mc_blocks(arch, model: NoiseModel, data, n_points: int, k2: int, rng: RngStream):
+    """Monte Carlo blocks (X, Y, noise) over n_points data rows drawn at rng index 0.
+
+    Each drawn row is repeated k2 times in a row. A block holds at most
+    CHUNK_ROWS rows, or one data point's k2 rows when k2 alone exceeds that;
+    block c draws its noise from model at rng index 1 + c.
+    """
+    idx = rng.generator(0).integers(0, len(data), size=n_points)
+    points_per_block = max(1, CHUNK_ROWS // k2)
+    for c, start in enumerate(range(0, n_points, points_per_block)):
+        rows = idx[start:start + points_per_block]
+        X = np.repeat(data.inputs[rows], k2, axis=0)
+        Y = np.repeat(data.targets[rows], k2, axis=0)
+        yield X, Y, sample_noise_batch(arch, model, rng, 1 + c, X.shape[0])
 
 
 def estimate_direction(params: Params, data, s0: float, k1: int, k2: int, rng: RngStream) -> Params:
@@ -121,24 +137,12 @@ def estimate_direction(params: Params, data, s0: float, k1: int, k2: int, rng: R
     if k1 < 1 or k2 < 1:
         raise ValueError("k1 and k2 must be >= 1")
     arch = params.arch
-    L = arch.n_layers
-    model = NoiseModel("gaussian_additive", s0)
-    gen = rng.generator(0)
-    data_idx = gen.integers(0, len(data), size=k1)
-
     total = Params.zeros(arch)
-    points_per_chunk = max(1, CHUNK_ROWS // k2)
-    chunk_index = 0
-    for start in range(0, k1, points_per_chunk):
-        idx = data_idx[start:start + points_per_chunk]
-        X = np.repeat(data.inputs[idx], k2, axis=0)
-        Y = np.repeat(data.targets[idx], k2, axis=0)
-        noise = sample_noise_batch(arch, model, rng, 1 + chunk_index, X.shape[0])
-        chunk_index += 1
+    for X, Y, noise in mc_blocks(arch, NoiseModel("gaussian_additive", s0), data, k1, k2, rng):
         trace = forward_noisy(params, X, noise)
         R = residual_stack(trace, Y, params)
         f = noise_weight_factor(noise, s0)
-        for l in range(L):
+        for l in range(arch.n_layers):
             Rw = R[l] * f[:, None]
             total.weights[l] += Rw.T @ trace.activations[l]
             total.biases[l] += Rw.sum(axis=0)

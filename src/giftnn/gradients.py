@@ -53,27 +53,22 @@ def residual_stack(trace: ForwardTrace, target, params: Params) -> list:
 
 
 def backward(trace: ForwardTrace, target, params: Params) -> GradSample:
-    """Gradient of (y - output)^2 holding the trace's noise fixed.
+    """Mean gradient of (y - output)^2 over the rows of a batched trace, its noise held fixed.
 
-    A 1-D trace yields the per-sample gradient; a 2-D (batched) trace yields the
-    mean gradient over rows.
+    The trace must be 2-D, (n, d) rows; a one-row batch gives the per-sample gradient.
     """
     if trace.noise.multiplicative:
         raise ValueError("backward requires a trace from an additive-noise forward pass")
-    L = params.arch.n_layers
+    if trace.activations[-1].ndim != 2:
+        raise ValueError(f"backward takes a batched (n, d) trace, got {trace.activations[-1].ndim}-D")
     R = residual_stack(trace, target, params)
-    batched = trace.activations[-1].ndim == 2
     grad = Params.empty(params.arch)
-    for l in range(L):
+    for l in range(params.arch.n_layers):
         A_prev = trace.activations[l]
-        if batched:
-            # the product lands in the gradient's own view, with no temporary
-            np.matmul(R[l].T, A_prev, out=grad.weights[l])
-            grad.weights[l] *= -2.0 / A_prev.shape[0]
-            np.multiply(R[l].mean(axis=0), -2.0, out=grad.biases[l])
-        else:
-            np.multiply(np.outer(R[l], A_prev), -2.0, out=grad.weights[l])
-            np.multiply(R[l], -2.0, out=grad.biases[l])
+        # the product lands in the gradient's own view, with no temporary
+        np.matmul(R[l].T, A_prev, out=grad.weights[l])
+        grad.weights[l] *= -2.0 / A_prev.shape[0]
+        np.multiply(R[l].mean(axis=0), -2.0, out=grad.biases[l])
     return GradSample(grad=grad, residuals=R)
 
 
@@ -90,7 +85,4 @@ def batch_gradient(params: Params, X, Y, s0: float, rng: RngStream, index: int =
 
 def batch_loss(grad: GradSample) -> float:
     """Mean squared-error loss of the batch that produced grad."""
-    R_L = grad.residuals[-1]
-    if R_L.ndim == 1:
-        return float(np.sum(R_L**2))
-    return float(np.mean(np.sum(R_L**2, axis=1)))
+    return float(np.mean(np.sum(grad.residuals[-1] ** 2, axis=1)))

@@ -35,8 +35,10 @@ STREAM_EVAL = 6
 STREAM_DEVICE = 7
 STREAM_THEORY = 8
 
-# Bumped whenever the same (seed, stream, index) starts giving different draws.
-STREAM_VERSION = 2
+# Bumped whenever a result stops being reproduced from the same seeds: the same
+# (seed, stream, index) gives other draws, or a consumer assigns its rows to other
+# stream indices (version 3: the theory oracles moved to 8,192-row blocks).
+STREAM_VERSION = 3
 
 _U64 = 2**64
 
@@ -56,8 +58,8 @@ class RngStream:
     generator(index) is an SFC64 generator seeded by a SeedSequence with entropy
     seed and spawn key (stream_id, index), so each index gets its own
     independent stream and results do not depend on scheduling or worker
-    count. This is stream version 2 (STREAM_VERSION); version 1 used a keyed
-    Philox counter, and its draws are not reproduced.
+    count. The generator has been the same since stream version 2; version 1
+    used a keyed Philox counter, and its draws are not reproduced.
     """
 
     seed: int
@@ -235,9 +237,10 @@ class NoiseDraw:
     """One realization of the 2L noise vectors.
 
     act[l] perturbs A(l) for l = 0..L-1; weigh[l] perturbs the layer-(l+1)
-    pre-activation. Arrays are (d,) or (n, d) for batched draws. Multiplicative
-    draws hold standard-normal values g applied as v -> v * (1 + level * g) at
-    the same sites; only the device simulator consumes those.
+    pre-activation. Arrays are (n, d), one row per realization; zero_noise's
+    (d,) arrays broadcast over any batch. Multiplicative draws hold
+    standard-normal values g applied as v -> v * (1 + level * g) at the same
+    sites; only the device simulator consumes those.
     """
 
     act: list
@@ -281,33 +284,27 @@ def _draw_site(gen: np.random.Generator, family: str, s: float, shape):
     raise ValueError(f"unknown noise family {family!r}")
 
 
-def _sample(arch: Architecture, model: NoiseModel, gen: np.random.Generator, n) -> NoiseDraw:
+def sample_noise_batch(
+    arch: Architecture, model: NoiseModel, rng: RngStream, index: int, n: int
+) -> NoiseDraw:
+    """Draw n independent realizations as (n, d) arrays per site, from one stream index.
+
+    Identical (seed, stream, index, n) gives identical values.
+    """
+    if n < 1:
+        raise ValueError("batch size must be >= 1")
+    gen = rng.generator(index)
     L = arch.n_layers
     act = [None] * L
     weigh = [None] * L
     for kind, l, d in _site_dims(arch):
-        shape = (d,) if n is None else (n, d)
-        v = _draw_site(gen, model.family, model.level, shape)
+        v = _draw_site(gen, model.family, model.level, (n, d))
         if kind == "a":
             act[l] = v
         else:
             weigh[l - 1] = v
     mult = model.family == "gaussian_multiplicative"
     return NoiseDraw(act=act, weigh=weigh, multiplicative=mult, level=model.level if mult else 0.0)
-
-
-def sample_noise(arch: Architecture, model: NoiseModel, rng: RngStream, index: int = 0) -> NoiseDraw:
-    """Draw one NoiseDraw; identical (seed, stream, index) gives identical values."""
-    return _sample(arch, model, rng.generator(index), None)
-
-
-def sample_noise_batch(
-    arch: Architecture, model: NoiseModel, rng: RngStream, index: int, n: int
-) -> NoiseDraw:
-    """Draw n independent realizations as (n, d) arrays per site, from one stream index."""
-    if n < 1:
-        raise ValueError("batch size must be >= 1")
-    return _sample(arch, model, rng.generator(index), n)
 
 
 def zero_noise(arch: Architecture) -> NoiseDraw:

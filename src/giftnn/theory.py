@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .device import Device
-from .gift import GiftConfig, estimate_direction, gift_run
+from .gift import GiftConfig, estimate_direction, gift_run, mc_blocks
 from .gradients import residual_stack
 from .model import (
     Architecture,
@@ -30,8 +30,6 @@ from .model import (
 )
 from .trainer import TrainConfig, TrainingDiverged, train
 
-_CHUNK = 65536
-
 
 @dataclass
 class DirEstimate:
@@ -44,10 +42,6 @@ class DirEstimate:
         return self.value.to_vector(), self.se.to_vector()
 
 
-def _scaled_draw(Z: NoiseDraw, s: float) -> NoiseDraw:
-    return NoiseDraw(act=[s * v for v in Z.act], weigh=[s * v for v in Z.weigh])
-
-
 def _fd_grad_combo(params: Params, data, s_values, coeffs, mc_samples: int, seed: int) -> DirEstimate:
     """Mean and SE over samples of sum_j coeffs[j] * grad_i(s_j), with shared draws.
 
@@ -55,27 +49,21 @@ def _fd_grad_combo(params: Params, data, s_values, coeffs, mc_samples: int, seed
     s * Z_i; Z_i and the data row are shared across all s_j.
     """
     arch = params.arch
-    L = arch.n_layers
-    unit = NoiseModel("gaussian_additive", 1.0)
-    rng = RngStream(seed, STREAM_THEORY)
-    gen = rng.generator(0)
-    idx = gen.integers(0, len(data), size=mc_samples)
-
     m = len(s_values)
     total = Params.zeros(arch)  # sums of the per-sample combination
     sq = Params.zeros(arch)  # sums of its square
 
-    for c, start in enumerate(range(0, mc_samples, _CHUNK)):
-        rows = idx[start:start + _CHUNK]
-        X = data.inputs[rows]
-        Y = data.targets[rows]
-        Z = sample_noise_batch(arch, unit, rng, 1 + c, X.shape[0])
+    unit = NoiseModel("gaussian_additive", 1.0)
+    for X, Y, Z in mc_blocks(arch, unit, data, mc_samples, 1, RngStream(seed, STREAM_THEORY)):
+        noise = NoiseDraw(act=[np.empty_like(v) for v in Z.act], weigh=[np.empty_like(v) for v in Z.weigh])
         Rs, As = [], []
         for s in s_values:
-            trace = forward_noisy(params, X, _scaled_draw(Z, s))
+            for z, v in zip(Z.act + Z.weigh, noise.act + noise.weigh):
+                np.multiply(z, s, out=v)  # s * Z, in one buffer reused for every level
+            trace = forward_noisy(params, X, noise)
             Rs.append(residual_stack(trace, Y, params))
             As.append(trace.activations)
-        for l in range(L):
+        for l in range(arch.n_layers):
             for j in range(m):
                 total.weights[l] += (-2.0 * coeffs[j]) * (Rs[j][l].T @ As[j][l])
                 total.biases[l] += (-2.0 * coeffs[j]) * Rs[j][l].sum(axis=0)
@@ -221,18 +209,10 @@ def mc_objective_pair(params_a: Params, params_b: Params, s: float, data,
                       mc_samples: int = 200_000, seed: int = 0) -> dict:
     """Monte Carlo estimates of the expected squared loss at level s for two
     parameter sets under shared draws; the difference gets a paired SE."""
-    arch = params_a.arch
     model = NoiseModel("gaussian_additive", s)
-    rng = RngStream(seed, STREAM_THEORY)
-    gen = rng.generator(0)
-    idx = gen.integers(0, len(data), size=mc_samples)
     sums = np.zeros(3)  # sum_a, sum_b, sum of squared diff
     sum_d = 0.0
-    for c, start in enumerate(range(0, mc_samples, _CHUNK)):
-        rows = idx[start:start + _CHUNK]
-        X = data.inputs[rows]
-        Y = data.targets[rows]
-        noise = sample_noise_batch(arch, model, rng, 1 + c, X.shape[0])
+    for X, Y, noise in mc_blocks(params_a.arch, model, data, mc_samples, 1, RngStream(seed, STREAM_THEORY)):
         la = ((Y - forward_noisy(params_a, X, noise).activations[-1]) ** 2).sum(axis=1)
         lb = ((Y - forward_noisy(params_b, X, noise).activations[-1]) ** 2).sum(axis=1)
         d = la - lb
@@ -390,10 +370,9 @@ def gradient_fd_check(n_cases: int, rng: RngStream, dim_caps=(5, 7, 4, 3), step:
         ws = [gen.uniform(-0.7, 0.7, (dims[l + 1], dims[l])) for l in range(arch.n_layers)]
         bs = [gen.uniform(-0.3, 0.3, dims[l + 1]) for l in range(arch.n_layers)]
         params = Params(arch, ws, bs)
-        x = 0.8 * gen.standard_normal(dims[0])
-        y = gen.standard_normal(dims[-1])
+        x = 0.8 * gen.standard_normal((1, dims[0]))
+        y = gen.standard_normal((1, dims[-1]))
         noise = sample_noise_batch(arch, NoiseModel("gaussian_additive", 0.3), noise_rng, c, 1)
-        noise = NoiseDraw(act=[v[0] for v in noise.act], weigh=[v[0] for v in noise.weigh])
 
         trace = forward_noisy(params, x, noise)
         analytic = backward(trace, y, params).grad.vector

@@ -249,6 +249,12 @@ class TestExitCodes:
         ("gift.k1=1.5", "gift.k1"),
         ("gift.k2=2.5", "gift.k2"),
         ("gift.max_steps=1.5", "gift.max_steps"),
+        ('gift.normalize_direction="false"', "gift.normalize_direction"),
+        ('gift.normalize_direction="no"', "gift.normalize_direction"),
+        ("gift.normalize_direction=0", "gift.normalize_direction"),
+        ('data.v="x"', "data.v"),
+        ("data.v=[0.3]", "data.v"),
+        ("data.v=[true,0.3]", "data.v"),
     ])
     def test_count_fields_are_validated(self, tmp_path, capsys, setting, field):
         assert main(tiny_argv("gift", tmp_path / "o", setting)) == 1

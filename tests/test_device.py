@@ -12,7 +12,6 @@ from giftnn.model import (
     _forward,
     forward_deterministic,
     forward_noisy,
-    sample_noise,
     sample_noise_batch,
 )
 
@@ -36,10 +35,10 @@ class TestForward:
         # gaussian device at slot j == forward_noisy with the device stream at index j
         p = small_params([3, 2], seed=1)
         dev = Device(p.arch, p, NoiseModel("gaussian_additive", 0.3), seed=11)
-        x = np.array([0.5, -0.2, 0.1])
-        out = dev.forward(x, noise_slot=4)
-        draw = sample_noise(p.arch, NoiseModel("gaussian_additive", 0.3),
-                            RngStream(11, STREAM_DEVICE), index=4)
+        x = np.array([[0.5, -0.2, 0.1]])
+        out = dev.forward_batch(x, noise_slot=4)
+        draw = sample_noise_batch(p.arch, NoiseModel("gaussian_additive", 0.3),
+                                  RngStream(11, STREAM_DEVICE), 4, 1)
         ref = forward_noisy(p, x, draw).activations[-1]
         assert np.array_equal(out, ref)
 
@@ -48,26 +47,26 @@ class TestForward:
         model = NoiseModel("gaussian_additive", 0.2)
         a = Device(p.arch, p, model, seed=5)
         b = Device(p.arch, p, model, seed=5)
-        x = np.array([0.1, 0.2])
-        assert np.array_equal(a.forward(x), b.forward(x))
+        x = np.array([[0.1, 0.2]])
+        assert np.array_equal(a.forward_batch(x), b.forward_batch(x))
 
     def test_fresh_calls_use_fresh_noise(self):
         dev, _ = identity_device("gaussian_additive", 0.5)
-        x = np.zeros(2)
-        assert not np.array_equal(dev.forward(x), dev.forward(x))
+        x = np.zeros((1, 2))
+        assert not np.array_equal(dev.forward_batch(x), dev.forward_batch(x))
 
     def test_shared_slot_reproduces_noise(self):
         dev, p = identity_device("gaussian_additive", 0.5)
-        x = np.array([0.3, -0.3])
+        x = np.array([[0.3, -0.3]])
         slot = dev.new_slot()
-        a = dev.forward(x, noise_slot=slot)
-        b = dev.forward(x, noise_slot=slot)
+        a = dev.forward_batch(x, noise_slot=slot)
+        b = dev.forward_batch(x, noise_slot=slot)
         assert np.array_equal(a, b)
 
     def test_shape_check(self):
         dev, _ = identity_device("gaussian_additive", 0.1)
         with pytest.raises(ValueError):
-            dev.forward(np.zeros(3))
+            dev.forward_batch(np.zeros((1, 3)))
 
     def test_batch_consistent_with_loop(self):
         dev, _ = identity_device("gaussian_additive", 0.4, seed=3)
@@ -83,7 +82,7 @@ class TestQueryCounter:
     def test_increments_per_forward(self):
         dev, _ = identity_device("gaussian_additive", 0.1)
         assert dev.query_count == 0
-        dev.forward(np.zeros(2))
+        dev.forward_batch(np.zeros((1, 2)))
         assert dev.query_count == 1
         dev.forward_batch(np.zeros((7, 2)))
         assert dev.query_count == 8
@@ -94,20 +93,20 @@ class TestQueryCounter:
         for _ in range(3):
             dev.forward_batch(np.zeros((7, 2)), noise_slot=slot)
         for _ in range(2):
-            dev.forward(np.zeros(2), noise_slot=slot)
+            dev.forward_batch(np.zeros((1, 2)), noise_slot=slot)
         assert dev.query_count == 3 * 7 + 2
 
 
-def counting_draws(monkeypatch, name="sample_noise_batch"):
-    """Record every draw the device makes through giftnn.device.<name>."""
+def counting_draws(monkeypatch):
+    """Record every draw the device makes through giftnn.device.sample_noise_batch."""
     draws = []
-    real = getattr(device_module, name)
+    real = device_module.sample_noise_batch
 
     def counting(*args, **kwargs):
         draws.append(real(*args, **kwargs))
         return draws[-1]
 
-    monkeypatch.setattr(device_module, name, counting)
+    monkeypatch.setattr(device_module, "sample_noise_batch", counting)
     return draws
 
 
@@ -141,14 +140,6 @@ class TestDrawCache:
                 v[...] = 0.0
         dev.forward_batch(np.ones((4, 2)), noise_slot=slot)  # another batch size is another draw
         assert len(draws) == 2
-
-    def test_single_row_slot_draws_once(self, monkeypatch):
-        draws = counting_draws(monkeypatch, "sample_noise")
-        dev, _ = identity_device("gaussian_additive", 0.4)
-        slot = dev.new_slot()
-        a = dev.forward(np.ones(2), noise_slot=slot)
-        b = dev.forward(np.ones(2), noise_slot=slot)
-        assert len(draws) == 1 and np.array_equal(a, b)
 
     def test_new_params_on_one_slot_keep_the_noise(self, monkeypatch):
         draws = counting_draws(monkeypatch)
@@ -214,14 +205,14 @@ class TestSetParams:
         q = p.copy()
         q.weights[0][:] = 2 * np.eye(2)
         set_device_params(dev, q)
-        x = np.array([1.0, -1.0])
-        assert np.allclose(dev.forward(x), 2 * x, atol=1e-6)
+        x = np.array([[1.0, -1.0]])
+        assert np.allclose(dev.forward_batch(x), 2 * x, atol=1e-6)
 
     def test_tiny_level_matches_deterministic(self):
         p = small_params([3, 3, 2], seed=6)
         dev = Device(p.arch, p, NoiseModel("gaussian_additive", 1e-9), seed=0)
-        x = np.array([0.2, 0.4, -0.5])
-        assert np.allclose(dev.forward(x), forward_deterministic(p, x), atol=1e-7)
+        x = np.array([[0.2, 0.4, -0.5]])
+        assert np.allclose(dev.forward_batch(x), forward_deterministic(p, x), atol=1e-7)
 
     def test_dims_mismatch_rejected(self):
         dev, _ = identity_device("gaussian_additive", 0.1, d=2)
@@ -230,7 +221,7 @@ class TestSetParams:
 
     def test_does_not_reset_counter(self):
         dev, p = identity_device("gaussian_additive", 0.1)
-        dev.forward(np.zeros(2))
+        dev.forward_batch(np.zeros((1, 2)))
         set_device_params(dev, p.copy())
         assert dev.query_count == 1
 
@@ -242,18 +233,18 @@ class TestOpacity:
         for attr in exposed:
             assert "trace" not in attr.lower()
             assert "noise_draw" not in attr.lower()
-        out = dev.forward(np.zeros(2))
-        assert isinstance(out, np.ndarray) and out.shape == (2,)
+        out = dev.forward_batch(np.zeros((1, 2)))
+        assert isinstance(out, np.ndarray) and out.shape == (1, 2)
 
     def test_output_is_a_copy(self):
         dev, _ = identity_device("gaussian_additive", 0.1)
-        out = dev.forward(np.zeros(2))
+        out = dev.forward_batch(np.zeros((1, 2)))
         out[:] = 99.0
-        again = dev.forward(np.zeros(2))
+        again = dev.forward_batch(np.zeros((1, 2)))
         assert not np.array_equal(out, again)
 
 
 def test_device_forward_helper():
     dev, _ = identity_device("gaussian_additive", 1e-9)
-    x = np.array([0.7, -0.7])
-    assert np.allclose(dev.forward(x), x, atol=1e-6)
+    x = np.array([[0.7, -0.7]])
+    assert np.allclose(dev.forward_batch(x), x, atol=1e-6)

@@ -21,7 +21,6 @@ from giftnn.model import (
     STREAM_ESTIMATE,
     STREAM_EVAL,
     forward_noisy,
-    sample_noise,
     sample_noise_batch,
     zero_noise,
 )
@@ -30,26 +29,30 @@ from test_device import counting_draws
 from test_model import small_params
 
 
+def zero_row(arch):
+    """A one-row all-zero draw."""
+    zero = zero_noise(arch)
+    return NoiseDraw(act=[v[None] for v in zero.act], weigh=[v[None] for v in zero.weigh])
+
+
 class TestNoiseWeightFactor:
     def test_zero_draw_gives_minus_total_dim(self):
         arch = Architecture((3, 5, 2), "tanh")
-        f = noise_weight_factor(zero_noise(arch), 0.2)
-        assert f == -(3 + 5 + 5 + 2)
+        f = noise_weight_factor(zero_row(arch), 0.2)
+        assert f.tolist() == [-(3 + 5 + 5 + 2)]
 
     def test_unit_scale_draw_vanishes(self):
         # every site holds exactly level-s0 entries: per-site term is 0
-        arch = Architecture((1, 1), "tanh")
         s0 = 0.4
-        draw = NoiseDraw(act=[np.array([s0])], weigh=[np.array([s0])],
+        draw = NoiseDraw(act=[np.array([[s0]])], weigh=[np.array([[s0]])],
                          multiplicative=False, level=s0)
-        assert noise_weight_factor(draw, s0) == 0.0
+        assert noise_weight_factor(draw, s0).tolist() == [0.0]
 
     def test_single_site_contribution(self):
-        arch = Architecture((1, 1), "tanh")
         s0 = 0.4
-        draw = NoiseDraw(act=[np.array([s0])], weigh=[np.array([0.0])],
+        draw = NoiseDraw(act=[np.array([[s0]])], weigh=[np.array([[0.0]])],
                          multiplicative=False, level=s0)
-        assert noise_weight_factor(draw, s0) == pytest.approx(-1.0)
+        assert noise_weight_factor(draw, s0) == pytest.approx([-1.0])
 
     def test_zero_mean_at_matching_level(self):
         arch = Architecture((2, 3), "tanh")
@@ -65,7 +68,7 @@ class TestNoiseWeightFactor:
     def test_requires_positive_s0(self):
         arch = Architecture((1, 1), "tanh")
         with pytest.raises(ValueError):
-            noise_weight_factor(zero_noise(arch), 0.0)
+            noise_weight_factor(zero_row(arch), 0.0)
 
 
 def linear_dataset(n=1024, seed=3, v=(0.3, -0.4)):
@@ -83,12 +86,9 @@ class TestEstimateDirection:
         # replay: same index stream, same noise stream
         model = NoiseModel("gaussian_additive", s0)
         draws = sample_noise_batch(p.arch, model, rng, 1, 1)
-        single = NoiseDraw(act=[v[0] for v in draws.act],
-                           weigh=[v[0] for v in draws.weigh],
-                           multiplicative=False, level=s0)
-        trace = forward_noisy(p, data.inputs[0], single)
-        g = backward(trace, data.targets[0], p)
-        f = noise_weight_factor(single, s0)
+        trace = forward_noisy(p, data.inputs, draws)
+        g = backward(trace, data.targets, p)
+        f = noise_weight_factor(draws, s0)[0]
         assert np.allclose(d.vector, f * (g.grad.vector / -2.0), rtol=1e-12)
 
     def test_affine_in_targets_with_shared_streams(self):

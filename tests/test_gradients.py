@@ -8,7 +8,7 @@ from giftnn.model import (
     Params,
     RngStream,
     forward_noisy,
-    sample_noise,
+    sample_noise_batch,
     zero_noise,
 )
 
@@ -17,8 +17,8 @@ from test_model import small_params
 
 def test_zero_residual_gives_zero_gradients():
     p = small_params([2, 3, 2], seed=1)
-    draw = sample_noise(p.arch, NoiseModel("gaussian_additive", 0.3), RngStream(2, 3))
-    trace = forward_noisy(p, np.array([0.4, -0.1]), draw)
+    draw = sample_noise_batch(p.arch, NoiseModel("gaussian_additive", 0.3), RngStream(2, 3), 0, 1)
+    trace = forward_noisy(p, np.array([[0.4, -0.1]]), draw)
     g = backward(trace, trace.activations[-1].copy(), p)
     assert np.all(g.grad.vector == 0.0)
 
@@ -29,25 +29,25 @@ def test_l1_linear_hand_expansion():
     W = np.array([[0.7, -0.2]])
     b = np.array([0.3])
     p = Params(arch, [W.copy()], [b.copy()])
-    x = np.array([1.5, -0.5])
-    y = np.array([2.0])
+    x = np.array([[1.5, -0.5]])
+    y = np.array([[2.0]])
     trace = forward_noisy(p, x, zero_noise(arch))
     g = backward(trace, y, p)
-    r = y - (W @ x + b)
+    r = y[0] - (W @ x[0] + b)
     assert np.allclose(g.grad.weights[0], -2.0 * np.outer(r, x), rtol=1e-12)
     assert np.allclose(g.grad.biases[0], -2.0 * r, rtol=1e-12)
 
 
 def test_residual_recursion_shapes_and_values():
     p = small_params([3, 4, 2], seed=4)
-    draw = sample_noise(p.arch, NoiseModel("gaussian_additive", 0.2), RngStream(5, 3))
-    x = np.array([0.2, -0.6, 1.0])
-    y = np.array([0.5, -0.5])
+    draw = sample_noise_batch(p.arch, NoiseModel("gaussian_additive", 0.2), RngStream(5, 3), 0, 1)
+    x = np.array([[0.2, -0.6, 1.0]])
+    y = np.array([[0.5, -0.5]])
     trace = forward_noisy(p, x, draw)
     g = backward(trace, y, p)
     r2 = y - trace.activations[-1]
     sig = 1.0 - np.tanh(trace.pre_activations[0]) ** 2
-    r1 = (p.weights[1].T @ r2) * sig
+    r1 = (r2 @ p.weights[1]) * sig
     assert np.allclose(g.residuals[1], r2, rtol=1e-12)
     assert np.allclose(g.residuals[0], r1, rtol=1e-12)
     assert np.allclose(g.grad.weights[0], -2.0 * np.outer(r1, trace.activations[0]), rtol=1e-12)
@@ -57,9 +57,9 @@ def test_fd_agreement_fixed_noise():
     # every component of a [3,4,2] tanh net matches central differences < 1e-5 rel
     p = small_params([3, 4, 2], seed=6)
     arch = p.arch
-    draw = sample_noise(arch, NoiseModel("gaussian_additive", 0.3), RngStream(7, 3))
-    x = RngStream(8, 3).generator(0).standard_normal(3) * 0.8
-    y = np.array([0.3, -0.7])
+    draw = sample_noise_batch(arch, NoiseModel("gaussian_additive", 0.3), RngStream(7, 3), 0, 1)
+    x = RngStream(8, 3).generator(0).standard_normal((1, 3)) * 0.8
+    y = np.array([[0.3, -0.7]])
     trace = forward_noisy(p, x, draw)
     g = backward(trace, y, p)
 
@@ -83,8 +83,8 @@ def test_ones_activation_ties_dw_rows_to_db():
     # when A^(l-1) is all ones, each dW row is constant and equals the db entry
     arch = Architecture((3, 2), "tanh")
     p = Params(arch, [np.zeros((2, 3))], [np.zeros(2)])
-    x = np.ones(3)
-    y = np.array([1.0, -2.0])
+    x = np.ones((1, 3))
+    y = np.array([[1.0, -2.0]])
     trace = forward_noisy(p, x, zero_noise(arch))
     g = backward(trace, y, p)
     for j in range(2):
@@ -93,28 +93,16 @@ def test_ones_activation_ties_dw_rows_to_db():
 
 def test_target_shape_mismatch():
     p = small_params([2, 2])
-    trace = forward_noisy(p, np.zeros(2), zero_noise(p.arch))
+    trace = forward_noisy(p, np.zeros((1, 2)), zero_noise(p.arch))
     with pytest.raises(ValueError):
-        backward(trace, np.zeros(3), p)
+        backward(trace, np.zeros((1, 3)), p)
 
 
-def test_batch_of_one_equals_single():
-    p = small_params([2, 3, 1], seed=9)
-    x = np.array([[0.1, 0.9]])
-    y = np.array([[0.4]])
-    rng = RngStream(10, 3)
-    g_batch = batch_gradient(p, x, y, 0.25, rng, index=3)
-    model = NoiseModel("gaussian_additive", 0.25)
-    from giftnn.model import sample_noise_batch
-
-    draws = sample_noise_batch(p.arch, model, rng, 3, 1)
-    single = sample_noise(p.arch, model, rng, 3)  # same index, first row
-    trace = forward_noisy(p, x[0], type(draws)(
-        act=[v[0] for v in draws.act], weigh=[v[0] for v in draws.weigh],
-        multiplicative=False, level=0.25))
-    g_one = backward(trace, y[0], p)
-    assert np.allclose(g_batch.grad.vector, g_one.grad.vector, rtol=1e-12)
-    del single
+def test_unbatched_trace_rejected():
+    p = small_params([2, 2])
+    trace = forward_noisy(p, np.zeros(2), zero_noise(p.arch))
+    with pytest.raises(ValueError, match="batched"):
+        backward(trace, np.zeros(2), p)
 
 
 def test_batch_mean_is_average_of_members():
@@ -124,15 +112,13 @@ def test_batch_mean_is_average_of_members():
     Y = gen.standard_normal((6, 2))
     g = batch_gradient(p, X, Y, 0.2, RngStream(14, 3), index=0)
 
-    from giftnn.model import sample_noise_batch
-
     draws = sample_noise_batch(p.arch, NoiseModel("gaussian_additive", 0.2), RngStream(14, 3), 0, 6)
     acc_w = np.zeros_like(p.weights[0])
     for i in range(6):
-        d = type(draws)(act=[v[i] for v in draws.act], weigh=[v[i] for v in draws.weigh],
+        d = type(draws)(act=[v[i:i + 1] for v in draws.act], weigh=[v[i:i + 1] for v in draws.weigh],
                         multiplicative=False, level=0.2)
-        trace = forward_noisy(p, X[i], d)
-        acc_w += backward(trace, Y[i], p).grad.weights[0]
+        trace = forward_noisy(p, X[i:i + 1], d)
+        acc_w += backward(trace, Y[i:i + 1], p).grad.weights[0]
     assert np.allclose(g.grad.weights[0], acc_w / 6, rtol=1e-10)
 
 

@@ -17,7 +17,6 @@ from giftnn.model import (
     forward_noisy,
     load_params,
     project,
-    sample_noise,
     sample_noise_batch,
     save_params,
     zero_noise,
@@ -117,17 +116,17 @@ class TestNoiseModel:
 class TestSampleNoise:
     def test_two_l_vectors_with_matching_dims(self):
         arch = Architecture((3, 5, 4, 2), "tanh")
-        draw = sample_noise(arch, NoiseModel("gaussian_additive", 0.5), RngStream(0, 3))
+        draw = sample_noise_batch(arch, NoiseModel("gaussian_additive", 0.5), RngStream(0, 3), 0, 1)
         assert len(draw.act) == 3       # a_0 .. a_{L-1}
         assert len(draw.weigh) == 3     # w_1 .. w_L
-        assert [v.shape[0] for v in draw.act] == [3, 5, 4]
-        assert [v.shape[0] for v in draw.weigh] == [5, 4, 2]
+        assert [v.shape for v in draw.act] == [(1, 3), (1, 5), (1, 4)]
+        assert [v.shape for v in draw.weigh] == [(1, 5), (1, 4), (1, 2)]
 
     def test_same_seed_bitwise_identical(self):
         arch = Architecture((2, 3), "tanh")
         model = NoiseModel("gaussian_additive", 1.0)
-        a = sample_noise(arch, model, RngStream(7, 3), index=5)
-        b = sample_noise(arch, model, RngStream(7, 3), index=5)
+        a = sample_noise_batch(arch, model, RngStream(7, 3), 5, 1)
+        b = sample_noise_batch(arch, model, RngStream(7, 3), 5, 1)
         for u, v in zip(a.act + a.weigh, b.act + b.weigh):
             assert np.array_equal(u, v)
 
@@ -170,28 +169,28 @@ class TestForward:
         # independent reimplementation of the noisy recursion, 1e-12 relative
         p = small_params([3, 4, 2], seed=5)
         arch = p.arch
-        draw = sample_noise(arch, NoiseModel("gaussian_additive", 0.4), RngStream(6, 3))
-        x = RngStream(7, 3).generator(0).standard_normal(3)
+        draw = sample_noise_batch(arch, NoiseModel("gaussian_additive", 0.4), RngStream(6, 3), 0, 1)
+        x = RngStream(7, 3).generator(0).standard_normal((1, 3))
         trace = forward_noisy(p, x, draw)
 
-        a = x + draw.act[0]
+        a = x[0] + draw.act[0][0]
         for l in range(arch.n_layers):
-            z = p.weights[l] @ a + p.biases[l] + draw.weigh[l]
+            z = p.weights[l] @ a + p.biases[l] + draw.weigh[l][0]
             if l < arch.n_layers - 1:
-                a = np.tanh(z) + draw.act[l + 1]
+                a = np.tanh(z) + draw.act[l + 1][0]
             else:
                 a = z
-        assert np.allclose(trace.activations[-1], a, rtol=1e-12, atol=1e-14)
+        assert np.allclose(trace.activations[-1][0], a, rtol=1e-12, atol=1e-14)
 
     def test_trace_invariants_recompute(self):
         p = small_params([2, 3, 3, 1], seed=9)
         arch = p.arch
-        draw = sample_noise(arch, NoiseModel("gaussian_additive", 0.2), RngStream(8, 3))
-        x = np.array([0.3, -0.8])
+        draw = sample_noise_batch(arch, NoiseModel("gaussian_additive", 0.2), RngStream(8, 3), 0, 1)
+        x = np.array([[0.3, -0.8]])
         trace = forward_noisy(p, x, draw)
         assert np.array_equal(trace.activations[0], x + draw.act[0])
         for l in range(arch.n_layers):
-            z = p.weights[l] @ trace.activations[l] + p.biases[l] + draw.weigh[l]
+            z = trace.activations[l] @ p.weights[l].T + p.biases[l] + draw.weigh[l]
             assert np.allclose(trace.pre_activations[l], z, rtol=1e-12)
             if l < arch.n_layers - 1:
                 assert np.allclose(trace.activations[l + 1], np.tanh(z) + draw.act[l + 1], rtol=1e-12)
@@ -220,9 +219,9 @@ class TestForward:
     def test_multiplicative_rejected_in_forward_noisy(self):
         arch = Architecture((2, 2), "tanh")
         p = small_params([2, 2])
-        draw = sample_noise(arch, NoiseModel("gaussian_multiplicative", 0.1), RngStream(0, 3))
+        draw = sample_noise_batch(arch, NoiseModel("gaussian_multiplicative", 0.1), RngStream(0, 3), 0, 1)
         with pytest.raises(ValueError):
-            forward_noisy(p, np.zeros(2), draw)
+            forward_noisy(p, np.zeros((1, 2)), draw)
 
     def test_l1_output_variance_closed_form(self):
         # out = W(x + Na0) + b + Nw: var per component = s^2 (1 + ||W row||^2)
@@ -254,13 +253,13 @@ def out_of_place_forward(params, x, noise):
 
 class TestInPlaceForward:
     @pytest.mark.parametrize("family", ["gaussian_additive", "gaussian_multiplicative", "laplace"])
-    @pytest.mark.parametrize("n", [None, 5])
+    @pytest.mark.parametrize("n", [1, 5])
     def test_matches_out_of_place_reference_and_leaves_draw_intact(self, family, n):
         p = small_params([3, 4, 4, 2], seed=13)
         model = NoiseModel(family, 0.3)
         rng = RngStream(14, 3)
-        draw = sample_noise(p.arch, model, rng) if n is None else sample_noise_batch(p.arch, model, rng, 0, n)
-        x = RngStream(15, 3).generator(0).standard_normal(3 if n is None else (n, 3))
+        draw = sample_noise_batch(p.arch, model, rng, 0, n)
+        x = RngStream(15, 3).generator(0).standard_normal((n, 3))
         before = [v.copy() for v in draw.act + draw.weigh]
         x_before = x.copy()
         trace = _forward(p, x, draw)
@@ -348,9 +347,9 @@ class TestRngStream:
         assert RngStream(3, 1).child(2) != RngStream(3, 1).child(3)
 
     def test_stream_version_fingerprint(self):
-        # stream version 2: SFC64 seeded by SeedSequence(seed, spawn_key=(stream, index));
+        # SFC64 seeded by SeedSequence(seed, spawn_key=(stream, index)) since stream version 2;
         # a change to these values is a new stream version
-        assert STREAM_VERSION == 2
+        assert STREAM_VERSION == 3
         got = RngStream(0, 1).generator(0).standard_normal(4)
         want = [-1.2540797385549642, -0.057374060490056056, 0.1831656089569397, -0.25374987556925]
         assert got.tolist() == want

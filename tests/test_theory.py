@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 
+from giftnn import gift as gift_module
 from giftnn.data import Dataset, synthetic_linear
-from giftnn.gift import GiftConfig
+from giftnn.gift import CHUNK_ROWS, GiftConfig, estimate_direction
+from giftnn.gradients import residual_stack
 from giftnn.model import (
     Architecture,
+    NoiseDraw,
     NoiseModel,
     Params,
     RngStream,
     STREAM_DATA,
+    STREAM_ESTIMATE,
     STREAM_THEORY,
     forward_noisy,
     sample_noise_batch,
@@ -29,6 +33,8 @@ from giftnn.theory import (
     product_derivative_factor,
 )
 from giftnn.trainer import TrainConfig
+
+from test_model import small_params
 
 V = np.array([[0.3, -0.4]])
 LINEAR_ARCH = Architecture((2, 1), "tanh")
@@ -94,6 +100,73 @@ class TestDsGradFd:
     def test_h_validation(self):
         with pytest.raises(ValueError):
             d_ds_grad_fd_report(linear_params(), 0.1, linear_data(64), h=0.1, mc_samples=100, seed=0)
+
+
+def reference_fd_report(params, s, data, h, mc_samples, seed):
+    """d_ds_grad_fd_report written out over CHUNK_ROWS-row blocks, with a fresh s * Z draw per level."""
+    arch = params.arch
+    s_values, coeffs = [s - h, s + h], [-0.5 / h, 0.5 / h]
+    rng = RngStream(seed, STREAM_THEORY)
+    idx = rng.generator(0).integers(0, len(data), size=mc_samples)
+    total, sq = Params.zeros(arch), Params.zeros(arch)
+    for c, start in enumerate(range(0, mc_samples, CHUNK_ROWS)):
+        rows = idx[start:start + CHUNK_ROWS]
+        X, Y = data.inputs[rows], data.targets[rows]
+        Z = sample_noise_batch(arch, NoiseModel("gaussian_additive", 1.0), rng, 1 + c, rows.size)
+        Rs, As = [], []
+        for sv in s_values:
+            fresh = NoiseDraw(act=[sv * v for v in Z.act], weigh=[sv * v for v in Z.weigh])
+            trace = forward_noisy(params, X, fresh)
+            Rs.append(residual_stack(trace, Y, params))
+            As.append(trace.activations)
+        for l in range(arch.n_layers):
+            for j in range(2):
+                total.weights[l] += (-2.0 * coeffs[j]) * (Rs[j][l].T @ As[j][l])
+                total.biases[l] += (-2.0 * coeffs[j]) * Rs[j][l].sum(axis=0)
+                for j2 in range(j, 2):
+                    w = 4.0 * coeffs[j] * coeffs[j2] * (1.0 if j2 == j else 2.0)
+                    RR = Rs[j][l] * Rs[j2][l]
+                    sq.weights[l] += w * (RR.T @ (As[j][l] * As[j2][l]))
+                    sq.biases[l] += w * RR.sum(axis=0)
+    mean = total.vector / mc_samples
+    return mean, np.sqrt(np.maximum(sq.vector / mc_samples - mean**2, 0.0) / mc_samples)
+
+
+class TestMonteCarloBlocks:
+    """Stream version 3 layout: CHUNK_ROWS-row blocks, block c drawing at index 1 + c."""
+
+    @pytest.fixture
+    def draw_calls(self, monkeypatch):
+        calls = []
+        real = gift_module.sample_noise_batch
+
+        def recording(arch, model, rng, index, n):
+            calls.append((index, n))
+            return real(arch, model, rng, index, n)
+
+        monkeypatch.setattr(gift_module, "sample_noise_batch", recording)
+        return calls
+
+    def test_oracles_draw_one_block_per_chunk_rows(self, draw_calls):
+        p, data, n = linear_params(), linear_data(256), 2 * CHUNK_ROWS + 5
+        mc_objective_pair(p, p, 0.3, data, mc_samples=n, seed=1)
+        assert draw_calls == [(1, CHUNK_ROWS), (2, CHUNK_ROWS), (3, 5)]
+        draw_calls.clear()
+        d_ds_grad_fd_report(p, 0.3, data, h=0.05, mc_samples=n, seed=1)
+        assert draw_calls == [(1, CHUNK_ROWS), (2, CHUNK_ROWS), (3, 5)]
+
+    def test_estimator_with_k2_above_chunk_rows_draws_one_block_per_point(self, draw_calls):
+        k2 = CHUNK_ROWS + 3
+        estimate_direction(linear_params(), linear_data(256), 0.2, 3, k2, RngStream(0, STREAM_ESTIMATE))
+        assert draw_calls == [(1, k2), (2, k2), (3, k2)]
+
+    def test_reused_scale_buffer_equals_fresh_scaled_draws(self):
+        p = small_params([2, 3, 1], seed=40)
+        data = linear_data(512)
+        rep = d_ds_grad_fd_report(p, 0.3, data, h=0.05, mc_samples=2 * CHUNK_ROWS + 5, seed=2)
+        mean, se = reference_fd_report(p, 0.3, data, 0.05, 2 * CHUNK_ROWS + 5, seed=2)
+        assert np.array_equal(rep.value.vector, mean)
+        assert np.array_equal(rep.se.vector, se)
 
 
 class TestLinearConditionBound:
