@@ -188,22 +188,42 @@ def resolve_config(args) -> dict:
     return cfg
 
 
-def _count_field(errors: list, path: str, value):
-    """value as an int >= 1; otherwise None, with an error naming path appended.
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, but not a boolean (which Python counts as an int)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
-    Booleans and non-integral numbers are rejected, not truncated.
+
+def _integer(value):
+    """value as an int, or None unless it is an integral JSON number.
+
+    Booleans, strings and non-integral numbers are rejected, not parsed or truncated.
     """
-    try:
-        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-            raise TypeError
-        n = int(value)
-    except (TypeError, ValueError):
+    if not _is_number(value) or (isinstance(value, float) and not value.is_integer()):
+        return None
+    return int(value)
+
+
+def _count_field(errors: list, path: str, value):
+    """value as an int >= 1; otherwise None, with an error naming path appended."""
+    n = _integer(value)
+    if n is None:
         errors.append(f"{path}: expected an integer >= 1, got {value!r}")
         return None
     if n < 1:
         errors.append(f"{path}: must be >= 1, got {n}")
         return None
     return n
+
+
+def _number(errors: list, path: str, value):
+    """value if it is a JSON number; otherwise 1.0, with an error naming path appended.
+
+    Range checks are left to the config class that takes the value.
+    """
+    if _is_number(value):
+        return value
+    errors.append(f"{path}: expected a number, got {value!r}")
+    return 1.0
 
 
 def _positive_number(errors: list, path: str, value):
@@ -280,12 +300,12 @@ class Experiment:
                 projection = Hyperrectangle(**proj)
             except (TypeError, ValueError) as e:
                 errors.append(f"train.projection: {e}")
-        # A count already reported as bad stands in as 1, so the other fields are still checked.
+        # A number already reported as bad stands in as 1, so the other fields are still checked.
         epochs = _count_field(errors, "train.epochs", tr["epochs"])
         batch_size = _count_field(errors, "train.batch_size", tr["batch_size"])
         try:
             self.train_config = TrainConfig(
-                s0=tr["s0"],
+                s0=_number(errors, "train.s0", tr["s0"]),
                 epochs=epochs or 1,
                 batch_size=batch_size or 1,
                 eps0=tr["eps0"],
@@ -300,7 +320,7 @@ class Experiment:
         k1, k2, max_steps = (_count_field(errors, f"gift.{f}", g[f]) for f in ("k1", "k2", "max_steps"))
         try:
             self.gift_config = GiftConfig(
-                eta=g["eta"],
+                eta=_number(errors, "gift.eta", g["eta"]),
                 k1=k1 or 1,
                 k2=k2 or 1,
                 max_steps=max_steps or 1,
@@ -318,7 +338,7 @@ class Experiment:
 
         dev = cfg["device"]
         try:
-            NoiseModel(dev["family"], dev["s_t"])
+            NoiseModel(dev["family"], _number(errors, "device.s_t", dev["s_t"]))
         except (ValueError, TypeError) as e:
             errors.append(f"device: {e}")
         self.device_family = dev["family"]
@@ -335,21 +355,14 @@ class Experiment:
         if data_cfg["kind"] == "synthetic_linear" and hasattr(self, "arch"):
             d = self.arch.layer_dims
             _matrix_field(errors, "data.v", data_cfg["v"], (d[-1], d[0]))
-        try:
-            int(data_cfg["seed"])
-        except (TypeError, ValueError):
+        if _integer(data_cfg["seed"]) is None:
             errors.append(f"data.seed: expected an integer, got {data_cfg['seed']!r}")
         self.data_cfg = data_cfg
 
-        seeds = cfg.get("seeds") or []
-        self.seeds = []
-        if not seeds:
-            errors.append("seeds: must be a nonempty list")
-        else:
-            try:
-                self.seeds = [int(s) for s in seeds]
-            except (TypeError, ValueError):
-                errors.append(f"seeds: expected a list of integers, got {seeds!r}")
+        seeds = cfg.get("seeds")
+        self.seeds = [_integer(v) for v in seeds] if isinstance(seeds, list) else []
+        if not self.seeds or None in self.seeds or len(set(self.seeds)) != len(self.seeds):
+            errors.append(f"seeds: must be a nonempty list of distinct integers, got {seeds!r}")
 
         sw = cfg["sweep"]
         _family_list(errors, "sweep.families", sw["families"])

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import (
+    CHUNK_ROWS,
     Architecture,
     NoiseModel,
     Params,
@@ -33,6 +34,11 @@ class Device:
     calls on one slot draws its noise once and replays it, not regenerates it.
     Only one draw is ever kept: a call on another key drops it before drawing.
     Every call still counts its rows in query_count.
+
+    A call's noise is always the whole-batch draw, but the forward pass runs over
+    consecutive CHUNK_ROWS-row tiles of the inputs and of that draw, each written
+    into one preallocated output, so its intermediates stay cache-sized. Tiled
+    outputs equal a whole-batch _forward up to BLAS rounding in the last bits.
     """
 
     def __init__(self, arch: Architecture, params: Params, noise: NoiseModel, seed: int):
@@ -75,10 +81,15 @@ class Device:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self._arch.layer_dims[0]:
             raise ValueError(f"input shape {X.shape}, want (n, {self._arch.layer_dims[0]})")
+        n = X.shape[0]
         slot = self.new_slot() if noise_slot is None else noise_slot
-        draw = self._draw(slot, X.shape[0])
-        self.query_count += X.shape[0]
-        return _forward(self._params, X, draw).activations[-1].copy()
+        draw = self._draw(slot, n)
+        self.query_count += n
+        out = np.empty((n, self._arch.layer_dims[-1]))
+        for start in range(0, n, CHUNK_ROWS):
+            stop = start + CHUNK_ROWS
+            out[start:stop] = _forward(self._params, X[start:stop], draw.rows(start, stop)).activations[-1]
+        return out
 
 
 def set_device_params(device: Device, params: Params) -> Device:

@@ -20,6 +20,7 @@ import numpy as np
 from .device import Device, set_device_params
 from .gradients import residual_stack
 from .model import (
+    CHUNK_ROWS,
     NoiseDraw,
     NoiseModel,
     Params,
@@ -28,9 +29,6 @@ from .model import (
     forward_noisy,
     sample_noise_batch,
 )
-
-# Rows per Monte Carlo block (mc_blocks); fixed so results never depend on memory.
-CHUNK_ROWS = 8192
 
 STOP_RULES = ("either_worse", "both_worse")
 

@@ -55,12 +55,11 @@ def residual_stack(trace: ForwardTrace, target, params: Params) -> list:
 def backward(trace: ForwardTrace, target, params: Params) -> GradSample:
     """Mean gradient of (y - output)^2 over the rows of a batched trace, its noise held fixed.
 
-    The trace must be 2-D, (n, d) rows; a one-row batch gives the per-sample gradient.
+    Traces hold (n, d) rows, as the forward pass requires; a one-row batch gives
+    the per-sample gradient.
     """
     if trace.noise.multiplicative:
         raise ValueError("backward requires a trace from an additive-noise forward pass")
-    if trace.activations[-1].ndim != 2:
-        raise ValueError(f"backward takes a batched (n, d) trace, got {trace.activations[-1].ndim}-D")
     R = residual_stack(trace, target, params)
     grad = Params.empty(params.arch)
     for l in range(params.arch.n_layers):

@@ -37,8 +37,18 @@ STREAM_THEORY = 8
 
 # Bumped whenever a result stops being reproduced from the same seeds: the same
 # (seed, stream, index) gives other draws, or a consumer assigns its rows to other
-# stream indices (version 3: the theory oracles moved to 8,192-row blocks).
-STREAM_VERSION = 3
+# stream indices, or a pass's outputs move in the last bits (version 4: Monte Carlo
+# blocks shrank to CHUNK_ROWS = 1,024 rows and the device runs its batch in tiles
+# of that size, whose BLAS products need not be bit-equal to one whole-batch product).
+STREAM_VERSION = 4
+
+# Rows per block of every batched noisy pass: a Monte Carlo block (gift.mc_blocks)
+# and a tile of a device call (Device.forward_batch). At 1,024 rows the widest
+# intermediate at shallow_mnist dims (784 inputs) is 6.4 MB, so each block reuses
+# memory the allocator already holds; the 51 MB arrays of 8,192-row blocks were
+# above glibc's largest mmap threshold (32 MB) and were mapped and faulted in afresh
+# on every block. Fixed, never chosen by a caller, so results never depend on memory.
+CHUNK_ROWS = 1024
 
 _U64 = 2**64
 
@@ -248,6 +258,15 @@ class NoiseDraw:
     multiplicative: bool = False
     level: float = 0.0
 
+    def rows(self, start: int, stop: int) -> "NoiseDraw":
+        """Rows start:stop of a batched draw, as views of its arrays."""
+        return NoiseDraw(
+            act=[v[start:stop] for v in self.act],
+            weigh=[v[start:stop] for v in self.weigh],
+            multiplicative=self.multiplicative,
+            level=self.level,
+        )
+
 
 @dataclass
 class ForwardTrace:
@@ -329,13 +348,13 @@ def _check_noise_dims(arch: Architecture, noise: NoiseDraw):
 
 
 def _forward(params: Params, x, noise: NoiseDraw) -> ForwardTrace:
-    """Shared noisy forward recursion; handles additive and multiplicative draws."""
+    """Shared noisy forward recursion over (n, d0) input rows; handles additive and multiplicative draws."""
     arch = params.arch
     act_fn = ACTIVATIONS[arch.activation][0]
     L = arch.n_layers
     x = np.asarray(x, dtype=float)
-    if x.shape[-1] != arch.layer_dims[0]:
-        raise ValueError(f"input last dim {x.shape[-1]}, want {arch.layer_dims[0]}")
+    if x.ndim != 2 or x.shape[1] != arch.layer_dims[0]:
+        raise ValueError(f"input shape {x.shape}, want (n, {arch.layer_dims[0]})")
     _check_noise_dims(arch, noise)
     mult = noise.multiplicative
     s = noise.level

@@ -255,6 +255,16 @@ class TestExitCodes:
         ('data.v="x"', "data.v"),
         ("data.v=[0.3]", "data.v"),
         ("data.v=[true,0.3]", "data.v"),
+        ("seeds=[1.5]", "seeds"),
+        ("seeds=[true]", "seeds"),
+        ('seeds=["3"]', "seeds"),
+        ("seeds=[1,1]", "seeds"),
+        ("data.seed=1.5", "data.seed"),
+        ("data.seed=true", "data.seed"),
+        ('data.seed="7"', "data.seed"),
+        ("train.s0=true", "train.s0"),
+        ("device.s_t=true", "device.s_t"),
+        ("gift.eta=true", "gift.eta"),
     ])
     def test_count_fields_are_validated(self, tmp_path, capsys, setting, field):
         assert main(tiny_argv("gift", tmp_path / "o", setting)) == 1

@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from giftnn import device as device_module
 from giftnn.device import Device, set_device_params
 from giftnn.model import (
+    CHUNK_ROWS,
     Architecture,
+    NOISE_FAMILIES,
     NoiseModel,
     Params,
     RngStream,
@@ -153,6 +157,56 @@ class TestDrawCache:
         out = dev.forward_batch(X, noise_slot=slot)
         assert len(draws) == 1
         assert out.tobytes() == uncached_output(q, model, 12, slot, X).tobytes()
+
+
+SHALLOW_MNIST = (784, 500, 100, 100, 10)
+MIB = 2**20
+
+
+def traced_peak(fn):
+    """Peak bytes traced by tracemalloc while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def wide_params(seed=0):
+    arch = Architecture(SHALLOW_MNIST, "tanh")
+    gen = RngStream(seed, 1).generator(0)
+    ws = [gen.uniform(-1, 1, (o, i)) / np.sqrt(i) for i, o in zip(SHALLOW_MNIST[:-1], SHALLOW_MNIST[1:])]
+    return Params(arch, ws, [np.zeros(o) for o in SHALLOW_MNIST[1:]])
+
+
+class TestTiledForward:
+    """forward_batch runs CHUNK_ROWS-row tiles over one whole-batch draw."""
+
+    @pytest.mark.parametrize("family", NOISE_FAMILIES)
+    def test_tiles_match_whole_batch_forward_on_the_cached_draw(self, family, monkeypatch):
+        draws = counting_draws(monkeypatch)
+        p = small_params([3, 5, 4, 2], seed=20)
+        model = NoiseModel(family, 0.3)
+        dev = Device(p.arch, p, model, seed=21)
+        n = 2 * CHUNK_ROWS + 5
+        X = RngStream(22, 1).generator(0).standard_normal((n, 3))
+        out = dev.forward_batch(X, noise_slot=3)
+        assert len(draws) == 1 and draws[0].act[0].shape == (n, 3)  # one draw for the whole batch
+        assert dev.query_count == n
+        ref = _forward(p, X, draws[0]).activations[-1]
+        assert np.array_equal(ref, uncached_output(p, model, 21, 3, X))
+        assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_replayed_wide_call_stays_cache_sized(self):
+        # the bound sits between an untiled pass (about 134 MiB) and 1,024-row tiles (about 18 MiB);
+        # the draw itself (140 MB) is made and cached before tracing starts
+        p = wide_params()
+        dev = Device(p.arch, p, NoiseModel("gaussian_additive", 0.1), seed=1)
+        X = RngStream(2, 1).generator(0).standard_normal((8000, SHALLOW_MNIST[0]))
+        dev.forward_batch(X, noise_slot=0)
+        peak = traced_peak(lambda: dev.forward_batch(X, noise_slot=0))
+        assert peak < 32 * MIB, f"peak traced allocation {peak / MIB:.1f} MiB"
 
 
 class TestFamilies:

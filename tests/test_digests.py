@@ -1,0 +1,95 @@
+"""Pinned result digests: the bodies a tiny desk_small run writes, per stream version.
+
+Criterion 10 compares two runs of the same code; this test compares a run with
+digests recorded when the current STREAM_VERSION was declared. It runs tiny
+desk_small `train`, `gift` and `eval` (both from the train checkpoint) and
+`sweep` configs and checks the SHA-256 of every CSV body (the file below its
+`# meta` line) and every params checkpoint (the whole .npz file).
+
+The gift and eval calls score 2,400 device rows (three CHUNK_ROWS tiles) and
+estimate over 2,000 rows (two Monte Carlo blocks), so block and tile sizes show
+in the digests.
+
+A digest moves whenever a result does. That is meant to happen only together
+with a stream-version bump, which adds a new table here. The values were
+recorded with numpy 2.4 on x86-64 with OpenBLAS; another numpy, BLAS library
+or CPU kernel may round a matrix product differently in the last bit and so
+move the digests without any change to this code. On such a platform this test
+fails and says which file moved; it is not made tolerant of that.
+"""
+
+import hashlib
+import os
+
+from giftnn.cli import main
+from giftnn.model import STREAM_VERSION
+
+SETS = [
+    "arch.preset=desk_small",
+    "data.n_train=512",
+    "data.n_test=300",
+    "data.seed=3",
+    "train.epochs=2",
+    "gift.k1=300",
+    "gift.k2=8",
+    "gift.max_steps=3",
+    "gift.est_k1=20",
+    "gift.est_k2=100",
+    "gift.fresh_eval_k2=8",
+    "sweep.s0_grid=[0.1,0.2]",
+    "sweep.st_grid=[0.2]",
+    'sweep.families=["gaussian_additive","laplace"]',
+    "seeds=[0,1]",
+]
+
+DIGESTS = {
+    4: {
+        "eval/eval.csv": "afbbf6ab09e5e4d8ea586288391993b948e27c7868003e2b6fe0d7e5a4be4ba1",
+        "gift/gift_summary.csv": "17bc07eeaf71a73fe52e0535cc79c7802ef983a6096b9e20e5e613688b8241c6",
+        "gift/seed_0/params_final.npz": "a28c508f97d5af1dae3f098db9918340b2ca9da658151efb556c83d49bef8d97",
+        "gift/seed_1/params_final.npz": "bbf737c371167b461f03a7a230a4051046c240d29ba9326e18a4feb41bdd56b4",
+        "sweep/sweep_aggregate.csv": "b8931ee6b46f693d0a41dc90d14a7d0a26a277581004caf1a64b098025a0b83c",
+        "sweep/sweep_rows.csv": "0dcdb04da9bc4a8e5bbd6e9bccc02c902cf51350ba3b8beac3e26b5194c1db90",
+        "train/seed_0/params.npz": "a1031dd1240ce2678f7bd4ac7b84a1646307d46133ca5372a9487ce7861c9d99",
+        "train/seed_0/train_log.csv": "87cea1d23d670bc7d3b3090b3ad025f9d5e066ae7d0ade3020185331663ce056",
+        "train/seed_1/params.npz": "2af2e74980ccd6bd3e07a8e2f8da009f9115a55e9743b058e67f5364b942476b",
+        "train/seed_1/train_log.csv": "6f3e378eeec77d65b43205cf793bcd71d4744c6c8579415adac98c742d71a121",
+    },
+}
+
+
+def file_digest(path: str) -> str:
+    with open(path, "rb") as f:
+        first = f.readline()
+        rest = f.read()
+    if path.endswith(".csv"):
+        assert first.startswith(b"# meta "), path
+        body = rest
+    else:
+        body = first + rest
+    return hashlib.sha256(body).hexdigest()
+
+
+def run_digests(out) -> dict:
+    """Run the four commands into out; {relative path: digest} of every CSV and .npz written."""
+    argv = lambda cmd, *extra: [cmd, "--out", str(out), *extra] + [a for s in SETS for a in ("--set", s)]
+    checkpoint = ["--checkpoint", os.path.join(str(out), "train")]
+    for args in (argv("train"), argv("gift", *checkpoint), argv("eval", *checkpoint), argv("sweep")):
+        assert main(args) == 0, args[0]
+    digests = {}
+    for root, _, names in os.walk(out):
+        for name in names:
+            if name.endswith((".csv", ".npz")):
+                path = os.path.join(root, name)
+                digests[os.path.relpath(path, out).replace(os.sep, "/")] = file_digest(path)
+    return digests
+
+
+def test_bodies_match_the_pinned_digests(tmp_path, capsys):
+    assert STREAM_VERSION in DIGESTS, f"no pinned digests for stream version {STREAM_VERSION}"
+    want = DIGESTS[STREAM_VERSION]
+    got = run_digests(tmp_path)
+    capsys.readouterr()
+    assert sorted(got) == sorted(want), f"written files {sorted(got)}, pinned {sorted(want)}"
+    moved = [f"{name}: got {got[name]}, pinned {want[name]}" for name in sorted(want) if got[name] != want[name]]
+    assert not moved, "digests moved (stream version %d):\n%s" % (STREAM_VERSION, "\n".join(moved))

@@ -25,7 +25,7 @@ from giftnn.model import (
     zero_noise,
 )
 
-from test_device import counting_draws
+from test_device import MIB, SHALLOW_MNIST, counting_draws, traced_peak, wide_params
 from test_model import small_params
 
 
@@ -115,6 +115,14 @@ class TestEstimateDirection:
         a = estimate_direction(p, data, 0.2, 32, 8, RngStream(13, STREAM_ESTIMATE))
         b = estimate_direction(p, data, 0.2, 32, 8, RngStream(13, STREAM_ESTIMATE))
         assert np.array_equal(a.vector, b.vector)
+
+    def test_wide_estimate_stays_within_block_memory(self):
+        # the bound sits between 8,192-row blocks (about 429 MiB) and 1,000-row blocks at k2 = 100 (about 82 MiB)
+        p = wide_params(seed=14)
+        X = RngStream(15, STREAM_DATA).generator(0).standard_normal((200, SHALLOW_MNIST[0]))
+        data = Dataset(X, np.tanh(X[:, :SHALLOW_MNIST[-1]]))
+        peak = traced_peak(lambda: estimate_direction(p, data, 0.1, 100, 100, RngStream(16, STREAM_ESTIMATE)))
+        assert peak < 100 * MIB, f"peak traced allocation {peak / MIB:.1f} MiB"
 
     def test_direction_norm_and_scaling(self):
         d = Params(Architecture((2, 1), "tanh"), [np.array([[3.0, 0.0]])], [np.array([4.0])])

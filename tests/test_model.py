@@ -154,16 +154,16 @@ class TestForward:
         # L=1, W=[[2]], b=[1], x=[3], zero noise -> [7]
         arch = Architecture((1, 1), "tanh")
         p = Params(arch, [np.array([[2.0]])], [np.array([1.0])])
-        trace = forward_noisy(p, np.array([3.0]), zero_noise(arch))
-        assert np.allclose(trace.activations[-1], [7.0])
-        assert np.allclose(forward_deterministic(p, np.array([3.0])), [7.0])
+        trace = forward_noisy(p, np.array([[3.0]]), zero_noise(arch))
+        assert np.allclose(trace.activations[-1], [[7.0]])
+        assert np.allclose(forward_deterministic(p, np.array([[3.0]])), [[7.0]])
 
     def test_identity_composition(self):
         # L=2 identity chain: output tanh(0.5)
         arch = Architecture((1, 1, 1), "tanh")
         p = Params(arch, [np.eye(1), np.eye(1)], [np.zeros(1), np.zeros(1)])
-        out = forward_deterministic(p, np.array([0.5]))
-        assert abs(out[0] - 0.46211715726) < 1e-10
+        out = forward_deterministic(p, np.array([[0.5]]))
+        assert abs(out[0, 0] - 0.46211715726) < 1e-10
 
     def test_straight_line_oracle(self):
         # independent reimplementation of the noisy recursion, 1e-12 relative
@@ -199,7 +199,7 @@ class TestForward:
 
     def test_zero_noise_equals_deterministic_exactly(self):
         p = small_params([4, 3, 2], seed=11)
-        x = RngStream(12, 3).generator(0).standard_normal(4)
+        x = RngStream(12, 3).generator(0).standard_normal((1, 4))
         trace = forward_noisy(p, x, zero_noise(p.arch))
         det = forward_deterministic(p, x)
         assert np.array_equal(trace.activations[-1], det)
@@ -208,13 +208,19 @@ class TestForward:
         V = np.array([[0.3, -0.2]])
         arch = Architecture((2, 1), "tanh")
         p = Params(arch, [V.copy()], [np.zeros(1)])
-        x = np.array([1.5, -2.0])
-        assert np.allclose(forward_deterministic(p, x), V @ x)
+        x = np.array([[1.5, -2.0]])
+        assert np.allclose(forward_deterministic(p, x), x @ V.T)
 
     def test_shape_mismatch(self):
         p = small_params([3, 2])
         with pytest.raises(ValueError):
-            forward_deterministic(p, np.zeros(4))
+            forward_deterministic(p, np.zeros((1, 4)))
+
+    @pytest.mark.parametrize("shape", [(2,), (1, 1, 2)])
+    def test_input_must_be_rows(self, shape):
+        p = small_params([2, 2])
+        with pytest.raises(ValueError, match=r"want \(n, 2\)"):
+            forward_noisy(p, np.zeros(shape), zero_noise(p.arch))
 
     def test_multiplicative_rejected_in_forward_noisy(self):
         arch = Architecture((2, 2), "tanh")
@@ -348,8 +354,8 @@ class TestRngStream:
 
     def test_stream_version_fingerprint(self):
         # SFC64 seeded by SeedSequence(seed, spawn_key=(stream, index)) since stream version 2;
-        # a change to these values is a new stream version
-        assert STREAM_VERSION == 3
+        # a change to these values is a new stream version (version 4 moved block sizes, not these)
+        assert STREAM_VERSION == 4
         got = RngStream(0, 1).generator(0).standard_normal(4)
         want = [-1.2540797385549642, -0.057374060490056056, 0.1831656089569397, -0.25374987556925]
         assert got.tolist() == want

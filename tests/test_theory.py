@@ -133,7 +133,11 @@ def reference_fd_report(params, s, data, h, mc_samples, seed):
 
 
 class TestMonteCarloBlocks:
-    """Stream version 3 layout: CHUNK_ROWS-row blocks, block c drawing at index 1 + c."""
+    """Stream version 4 layout: blocks of at most CHUNK_ROWS = 1,024 rows, block c drawing at index 1 + c.
+
+    The oracles (k2 = 1) fill whole blocks; the estimator keeps each data point's
+    k2 rows in one block, so k2 = 100 gives 1,000-row blocks.
+    """
 
     @pytest.fixture
     def draw_calls(self, monkeypatch):
@@ -154,6 +158,11 @@ class TestMonteCarloBlocks:
         draw_calls.clear()
         d_ds_grad_fd_report(p, 0.3, data, h=0.05, mc_samples=n, seed=1)
         assert draw_calls == [(1, CHUNK_ROWS), (2, CHUNK_ROWS), (3, 5)]
+
+    def test_estimator_blocks_hold_whole_points(self, draw_calls):
+        estimate_direction(linear_params(), linear_data(256), 0.2, 25, 100, RngStream(0, STREAM_ESTIMATE))
+        assert CHUNK_ROWS == 1024
+        assert draw_calls == [(1, 1000), (2, 1000), (3, 500)]
 
     def test_estimator_with_k2_above_chunk_rows_draws_one_block_per_point(self, draw_calls):
         k2 = CHUNK_ROWS + 3
