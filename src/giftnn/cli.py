@@ -14,10 +14,11 @@ import datetime
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -31,8 +32,9 @@ from .data import (
     synthetic_teacher,
 )
 from .device import Device
-from .gift import GiftConfig, estimate_direction, eval_in_situ, gift_run
+from .gift import STOP_RULES, GiftConfig, estimate_direction, eval_in_situ, gift_run
 from .model import (
+    ACTIVATIONS,
     Architecture,
     Hyperrectangle,
     NOISE_FAMILIES,
@@ -82,48 +84,168 @@ ARCH_PRESETS = {
     "linear_example": [2, 1],
 }
 
-DEFAULT_CONFIG = {
-    "name": "experiment",
-    "arch": {"preset": "desk_small", "layer_dims": None, "activation": "tanh"},
+
+# Leaf checks: each returns the value in the form the program uses or raises
+# ValueError with a reason. A boolean or a string is never taken for a number.
+
+def _finite(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _integer(value) -> int:
+    """An integral JSON number as an int; a fraction is rejected, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not float(value).is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _instance(kind, what: str):
+    def check(value):
+        if not isinstance(value, kind):
+            raise ValueError(f"expected {what}, got {value!r}")
+        return value
+    return check
+
+
+def _where(check, rule: str, ok):
+    """check, then ok on what it returns; rule says what ok asks."""
+    def checked(value):
+        x = check(value)
+        if not ok(x):
+            raise ValueError(f"must be {rule}, got {value!r}")
+        return x
+    return checked
+
+
+def _choice(options):
+    rule = f"one of {list(options)}"
+    return _where(_instance(str, rule), rule, lambda s: s in options)
+
+
+def _optional(check):
+    return lambda value: None if value is None else check(value)
+
+
+def _list_of(item, what: str, min_len: int = 1, distinct: bool = True):
+    """Check for a list of at least min_len values that each pass item."""
+    def check(value) -> list:
+        try:
+            if not isinstance(value, list) or len(value) < min_len:
+                raise ValueError
+            out = [item(v) for v in value]
+            if distinct and len(set(out)) != len(out):
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"expected {what}, got {value!r}") from None
+        return out
+    return check
+
+
+_row = _list_of(_finite, "a row of finite numbers", distinct=False)
+
+
+def _matrix(value) -> np.ndarray:
+    """A list of equal-length rows of finite numbers as a 2-D array; a flat list is one row."""
+    rows = value if isinstance(value, list) and all(isinstance(r, list) for r in value) else [value]
+    try:
+        m = np.array([_row(r) for r in rows])  # unequal rows raise ValueError
+        if m.ndim != 2:
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"expected a matrix of finite numbers, got {value!r}") from None
+    return m
+
+
+def _box(value) -> Hyperrectangle:
+    keys = [f.name for f in fields(Hyperrectangle)]
+    if not isinstance(value, dict) or sorted(value) != sorted(keys):
+        raise ValueError(f"expected null or an object with keys {keys}, got {value!r}")
+    return Hyperrectangle(**{k: _finite(v) for k, v in value.items()})
+
+
+_count = _where(_integer, ">= 1", lambda n: n >= 1)
+_positive = _where(_finite, "> 0", lambda x: x > 0)
+_levels = _list_of(_positive, "a nonempty list of distinct positive levels")
+
+# The config's shape: every leaf is (default, check).
+SCHEMA = {
+    "name": ("experiment", _instance(str, "a string")),
+    "arch": {
+        "preset": ("desk_small", _choice(ARCH_PRESETS)),
+        "layer_dims": (None, _optional(_list_of(_count, "null or a list of at least two integers >= 1",
+                                                min_len=2, distinct=False))),
+        "activation": ("tanh", _choice(ACTIVATIONS)),
+    },
     "data": {
-        "kind": "synthetic_teacher",
-        "dir": None,
-        "n_train": 2000,
-        "n_test": 500,
-        "sigma_x": 1.0,
-        "v": [0.3, -0.2],
-        "seed": 0,
+        "kind": ("synthetic_teacher", _choice(("mnist", "synthetic_teacher", "synthetic_linear"))),
+        "dir": (None, _optional(_instance(str, "null or a string"))),
+        "n_train": (2000, _count),
+        "n_test": (500, _count),
+        "sigma_x": (1.0, _positive),
+        "v": ([0.3, -0.2], _matrix),
+        "seed": (0, _integer),
     },
     "train": {
-        "s0": 0.2,
-        "epochs": 40,
-        "batch_size": 64,
-        "eps0": 0.1,
-        "decay_p": 0.75,
-        "tau": 300.0,
-        "projection": None,
+        "s0": (0.2, _positive),
+        "epochs": (40, _count),
+        "batch_size": (64, _count),
+        "eps0": (0.1, _positive),
+        "decay_p": (0.75, _where(_finite, "in (0.5, 1]", lambda x: 0.5 < x <= 1.0)),
+        "tau": (300.0, _positive),
+        "projection": (None, _optional(_box)),
     },
     "gift": {
-        "eta": 0.02,
-        "k1": 1000,
-        "k2": 8,
-        "max_steps": 25,
-        "stop_rule": "either_worse",
-        "est_k1": 500,
-        "est_k2": 100,
-        "normalize_direction": True,
-        "fresh_eval_k2": 8,
+        "eta": (0.02, _where(_finite, ">= 0", lambda x: x >= 0)),
+        "k1": (1000, _count),
+        "k2": (8, _count),
+        "max_steps": (25, _count),
+        "stop_rule": ("either_worse", _choice(STOP_RULES)),
+        "est_k1": (500, _count),
+        "est_k2": (100, _count),
+        "normalize_direction": (True, _instance(bool, "true or false")),
+        "fresh_eval_k2": (8, _count),
     },
-    "device": {"family": "gaussian_additive", "s_t": 0.3},
+    "device": {"family": ("gaussian_additive", _choice(NOISE_FAMILIES)), "s_t": (0.3, _positive)},
     "sweep": {
-        "s0_grid": [0.05, 0.1, 0.2, 0.3],
-        "st_grid": [0.05, 0.1, 0.2, 0.3],
-        "families": ["gaussian_additive"],
-        "workers": 1,
+        "s0_grid": ([0.05, 0.1, 0.2, 0.3], _levels),
+        "st_grid": ([0.05, 0.1, 0.2, 0.3], _levels),
+        "families": (["gaussian_additive"], _list_of(
+            _choice(NOISE_FAMILIES), f"a nonempty list of distinct noise families {list(NOISE_FAMILIES)}")),
+        "workers": (1, _count),
     },
-    "seeds": [0, 1, 2, 3, 4],
-    "out_dir": "runs/experiment",
+    "seeds": ([0, 1, 2, 3, 4], _list_of(_integer, "a nonempty list of distinct integers")),
+    "out_dir": ("runs/experiment", _instance(str, "a string")),
 }
+
+
+def _defaults(schema: dict) -> dict:
+    return {k: _defaults(v) if isinstance(v, dict) else v[0] for k, v in schema.items()}
+
+
+DEFAULT_CONFIG = _defaults(SCHEMA)
+
+
+def _check_tree(schema: dict, cfg: dict, errors: list, path: str = "") -> dict:
+    """cfg's leaves as their checks return them, with one "<path>: <reason>" per bad leaf
+    appended to errors. A bad leaf is left out; a section holding one comes back as None."""
+    out = {}
+    for key, node in schema.items():
+        here, value = path + key, cfg[key]
+        if not isinstance(node, dict):
+            try:
+                out[key] = node[1](value)
+            except (ValueError, OverflowError) as e:
+                errors.append(f"{here}: {e}")
+        elif not isinstance(value, dict):
+            errors.append(f"{here}: expected a config section (a JSON object), got {value!r}")
+            out[key] = None
+        else:
+            n_errors = len(errors)
+            section = _check_tree(node, value, errors, here + ".")
+            out[key] = section if len(errors) == n_errors else None
+    return out
 
 
 def _deep_merge(base: dict, override: dict, path="") -> dict:
@@ -188,211 +310,53 @@ def resolve_config(args) -> dict:
     return cfg
 
 
-def _is_number(value) -> bool:
-    """A JSON number: an int or a float, but not a boolean (which Python counts as an int)."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _integer(value):
-    """value as an int, or None unless it is an integral JSON number.
-
-    Booleans, strings and non-integral numbers are rejected, not parsed or truncated.
-    """
-    if not _is_number(value) or (isinstance(value, float) and not value.is_integer()):
-        return None
-    return int(value)
-
-
-def _count_field(errors: list, path: str, value):
-    """value as an int >= 1; otherwise None, with an error naming path appended."""
-    n = _integer(value)
-    if n is None:
-        errors.append(f"{path}: expected an integer >= 1, got {value!r}")
-        return None
-    if n < 1:
-        errors.append(f"{path}: must be >= 1, got {n}")
-        return None
-    return n
-
-
-def _number(errors: list, path: str, value):
-    """value if it is a JSON number; otherwise 1.0, with an error naming path appended.
-
-    Range checks are left to the config class that takes the value.
-    """
-    if _is_number(value):
-        return value
-    errors.append(f"{path}: expected a number, got {value!r}")
-    return 1.0
-
-
-def _positive_number(errors: list, path: str, value):
-    """Appends an error naming path unless value is a positive finite number."""
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        x = float("nan")
-    if not (np.isfinite(x) and x > 0):
-        errors.append(f"{path}: must be a positive finite number, got {value!r}")
-
-
-def _matrix_field(errors: list, path: str, value, shape):
-    """Appends an error naming path unless value is a shape matrix of finite numbers.
-
-    A flat list counts as one row. Booleans are not numbers here.
-    """
-    try:
-        m = np.atleast_2d(np.asarray(value))
-        ok = (m.dtype.kind in "iuf" and m.shape == tuple(shape) and bool(np.isfinite(m).all())
-              and not any(isinstance(x, bool) for x in np.ravel(np.asarray(value, dtype=object))))
-    except (TypeError, ValueError):
-        ok = False
-    if not ok:
-        errors.append(f"{path}: must be a {tuple(shape)} matrix of finite numbers, got {value!r}")
-
-
-def _level_list(errors: list, path: str, values):
-    """values as a nonempty list of distinct positive finite floats; otherwise an error naming path."""
-    try:
-        levels = [float(v) for v in values] if isinstance(values, list) else []
-    except (TypeError, ValueError):
-        levels = []
-    if (not levels or len(set(levels)) != len(levels)
-            or not all(np.isfinite(v) and v > 0 for v in levels)):
-        errors.append(f"{path}: must be a nonempty list of distinct positive levels, got {values!r}")
-
-
-def _family_list(errors: list, path: str, values):
-    """values as a nonempty list of distinct known noise family names; otherwise an error naming path."""
-    if (not isinstance(values, list) or not values
-            or not all(isinstance(f, str) and f in NOISE_FAMILIES for f in values)
-            or len(set(values)) != len(values)):
-        errors.append(f"{path}: must be a nonempty list of distinct noise families "
-                      f"(choices: {list(NOISE_FAMILIES)}), got {values!r}")
-
-
 class Experiment:
     """Typed view of a resolved config; construction validates everything."""
 
     def __init__(self, cfg: dict):
         errors = []
-        self.raw = cfg
-
-        arch_cfg = cfg["arch"]
-        dims = arch_cfg.get("layer_dims")
-        if dims is None:
-            preset = arch_cfg.get("preset")
-            if preset not in ARCH_PRESETS:
-                errors.append(f"arch.preset: unknown preset {preset!r} (choices: {sorted(ARCH_PRESETS)})")
-            else:
-                dims = ARCH_PRESETS[preset]
-        if dims is not None:
-            try:
-                self.arch = Architecture(tuple(dims), arch_cfg.get("activation", "tanh"))
-            except ValueError as e:
-                errors.append(f"arch.layer_dims: {e}")
-
-        tr = cfg["train"]
-        proj = tr.get("projection")
-        projection = None
-        if proj is not None:
-            try:
-                projection = Hyperrectangle(**proj)
-            except (TypeError, ValueError) as e:
-                errors.append(f"train.projection: {e}")
-        # A number already reported as bad stands in as 1, so the other fields are still checked.
-        epochs = _count_field(errors, "train.epochs", tr["epochs"])
-        batch_size = _count_field(errors, "train.batch_size", tr["batch_size"])
-        try:
-            self.train_config = TrainConfig(
-                s0=_number(errors, "train.s0", tr["s0"]),
-                epochs=epochs or 1,
-                batch_size=batch_size or 1,
-                eps0=tr["eps0"],
-                decay_p=tr["decay_p"],
-                tau=tr["tau"],
-                projection=projection,
-            )
-        except (ValueError, TypeError) as e:
-            errors.append(f"train: {e}")
-
-        g = cfg["gift"]
-        k1, k2, max_steps = (_count_field(errors, f"gift.{f}", g[f]) for f in ("k1", "k2", "max_steps"))
-        try:
-            self.gift_config = GiftConfig(
-                eta=_number(errors, "gift.eta", g["eta"]),
-                k1=k1 or 1,
-                k2=k2 or 1,
-                max_steps=max_steps or 1,
-                stop_rule=g["stop_rule"],
-            )
-        except (ValueError, TypeError) as e:
-            errors.append(f"gift: {e}")
-        self.est_k1 = _count_field(errors, "gift.est_k1", g.get("est_k1", g["k1"]))
-        self.est_k2 = _count_field(errors, "gift.est_k2", g.get("est_k2", g["k2"]))
-        normalize = g.get("normalize_direction", True)
-        if not isinstance(normalize, bool):
-            errors.append(f"gift.normalize_direction: expected true or false, got {normalize!r}")
-        self.normalize_direction = normalize
-        self.fresh_eval_k2 = _count_field(errors, "gift.fresh_eval_k2", g.get("fresh_eval_k2", g["k2"]))
-
-        dev = cfg["device"]
-        try:
-            NoiseModel(dev["family"], _number(errors, "device.s_t", dev["s_t"]))
-        except (ValueError, TypeError) as e:
-            errors.append(f"device: {e}")
-        self.device_family = dev["family"]
-        self.device_s_t = dev["s_t"]
-
-        data_cfg = cfg["data"]
-        if data_cfg["kind"] not in ("mnist", "synthetic_teacher", "synthetic_linear"):
-            errors.append(f"data.kind: unknown kind {data_cfg['kind']!r}")
-        if data_cfg["kind"] == "mnist" and not (data_cfg.get("dir") or os.environ.get(DATA_DIR_ENV)):
+        checked = _check_tree(SCHEMA, cfg, errors)
+        # Cross-field rules; each runs only when the sections it reads have no bad leaf.
+        arch, data = checked["arch"], checked["data"]
+        if arch is not None:
+            self.arch = Architecture(arch["layer_dims"] or ARCH_PRESETS[arch["preset"]], arch["activation"])
+        if data is not None and data["kind"] == "mnist" and not (data["dir"] or os.environ.get(DATA_DIR_ENV)):
             errors.append(f"data.dir: required for kind 'mnist' (or set {DATA_DIR_ENV})")
-        for field in ("n_train", "n_test"):
-            _count_field(errors, f"data.{field}", data_cfg[field])
-        _positive_number(errors, "data.sigma_x", data_cfg["sigma_x"])
-        if data_cfg["kind"] == "synthetic_linear" and hasattr(self, "arch"):
+        if arch is not None and data is not None and data["kind"] == "synthetic_linear":
             d = self.arch.layer_dims
-            _matrix_field(errors, "data.v", data_cfg["v"], (d[-1], d[0]))
-        if _integer(data_cfg["seed"]) is None:
-            errors.append(f"data.seed: expected an integer, got {data_cfg['seed']!r}")
-        self.data_cfg = data_cfg
-
-        seeds = cfg.get("seeds")
-        self.seeds = [_integer(v) for v in seeds] if isinstance(seeds, list) else []
-        if not self.seeds or None in self.seeds or len(set(self.seeds)) != len(self.seeds):
-            errors.append(f"seeds: must be a nonempty list of distinct integers, got {seeds!r}")
-
-        sw = cfg["sweep"]
-        _family_list(errors, "sweep.families", sw["families"])
-        for field in ("s0_grid", "st_grid"):
-            _level_list(errors, f"sweep.{field}", sw[field])
-        self.workers = _count_field(errors, "sweep.workers", sw.get("workers", 1))
-        self.sweep_cfg = sw
-
-        self.name = cfg.get("name", "experiment")
-        self.out_dir = cfg["out_dir"]
+            if data["v"].shape != (d[-1], d[0]):
+                errors.append(f"data.v: must be a {(d[-1], d[0])} matrix for layer dims {d}, "
+                              f"got {cfg['data']['v']!r}")
         if errors:
             raise ConfigError(errors)
 
+        self.raw = cfg
+        self.data, self.sweep = data, checked["sweep"]
+        self.seeds, self.out_dir = checked["seeds"], checked["out_dir"]
+        self.train_config = TrainConfig(**checked["train"])
+        g = checked["gift"]
+        self.gift_config = GiftConfig(g["eta"], g["k1"], g["k2"], g["max_steps"], g["stop_rule"])
+        self.est_k1, self.est_k2, self.fresh_eval_k2 = g["est_k1"], g["est_k2"], g["fresh_eval_k2"]
+        self.normalize_direction = g["normalize_direction"]
+        self.noise = NoiseModel(checked["device"]["family"], checked["device"]["s_t"])
+
     def datasets(self):
         """(train, test) datasets per the data block."""
-        dc = self.data_cfg
+        dc = self.data
         kind = dc["kind"]
-        n_train, n_test = int(dc["n_train"]), int(dc["n_test"])
-        rng = RngStream(int(dc.get("seed", 0)), STREAM_DATA)
+        n_train, n_test = dc["n_train"], dc["n_test"]
+        rng = RngStream(dc["seed"], STREAM_DATA)
         if kind == "mnist":
             try:
-                train_full = load_mnist(dc.get("dir"), train=True)
-                test_full = load_mnist(dc.get("dir"), train=False)
+                train_full = load_mnist(dc["dir"], train=True)
+                test_full = load_mnist(dc["dir"], train=False)
             except FileNotFoundError as e:
                 raise ConfigError(f"data.dir: {e}")
             return subset(train_full, n_train, rng), subset(test_full, n_test, rng.child(1))
         if kind == "synthetic_linear":
-            pool = synthetic_linear(np.asarray(dc["v"], dtype=float), float(dc["sigma_x"]), n_train + n_test, rng)
+            pool = synthetic_linear(dc["v"], dc["sigma_x"], n_train + n_test, rng)
         else:
-            pool = synthetic_teacher(self.arch, n_train + n_test, float(dc["sigma_x"]), rng)
+            pool = synthetic_teacher(self.arch, n_train + n_test, dc["sigma_x"], rng)
         train_ds = Dataset(pool.inputs[:n_train], pool.targets[:n_train], name=pool.name, split="train")
         test_ds = Dataset(pool.inputs[n_train:], pool.targets[n_train:], name=pool.name, split="test")
         return train_ds, test_ds
@@ -511,7 +475,7 @@ def _gift_one(exp: Experiment, w0: Params, direction: Params, test_ds,
     return trace, fresh_base, fresh_post
 
 
-def _gift_row(exp, family, s0, s_t, seed, trace, fresh_base, fresh_post) -> dict:
+def _gift_row(family, s0, s_t, seed, trace, fresh_base, fresh_post) -> dict:
     base, sel = trace.baseline, trace.improvement
     acc_eps = 1e-12
     return {
@@ -598,12 +562,12 @@ def cmd_gift(exp: Experiment, checkpoint_root: str | None) -> int:
     out = os.path.join(exp.out_dir, "gift")
     rows = []
     s0 = exp.train_config.s0
-    family, s_t = exp.device_family, exp.device_s_t
+    family, s_t = exp.noise.family, exp.noise.level
     for seed in exp.seeds:
         w0 = _load_checkpoint(exp, checkpoint_root, train_ds, seed)
         direction = _estimate_one(exp, w0, train_ds, s0, seed)
         trace, fresh_base, fresh_post = _gift_one(exp, w0, direction, test_ds, family, s_t, seed)
-        rows.append(_gift_row(exp, family, s0, s_t, seed, trace, fresh_base, fresh_post))
+        rows.append(_gift_row(family, s0, s_t, seed, trace, fresh_base, fresh_post))
         seed_dir = os.path.join(out, f"seed_{seed}")
         os.makedirs(seed_dir, exist_ok=True)
         save_params(trace.w_f, os.path.join(seed_dir, "params_final.npz"))
@@ -633,16 +597,16 @@ def cmd_eval(exp: Experiment, checkpoint_root: str | None) -> int:
     train_ds, test_ds = exp.datasets()
     meta = _meta(exp.raw)
     rows = []
+    noise = exp.noise
     for seed in exp.seeds:
         params = _load_checkpoint(exp, checkpoint_root, train_ds, seed)
-        device = Device(exp.arch, params, NoiseModel(exp.device_family, exp.device_s_t),
-                        seed=_device_seed(seed, exp.device_family, exp.device_s_t))
+        device = Device(exp.arch, params, noise, seed=_device_seed(seed, noise.family, noise.level))
         report = eval_in_situ(device, params, test_ds, exp.gift_config.k1, exp.gift_config.k2,
                               RngStream(seed, STREAM_EVAL))
         rows.append({
             "seed": seed,
-            "family": exp.device_family,
-            "s_t": exp.device_s_t,
+            "family": noise.family,
+            "s_t": noise.level,
             "loss": report.loss,
             "loss_se": report.loss_se,
             "accuracy": report.accuracy,
@@ -665,7 +629,7 @@ def _sweep_task(cfg_json: str, s0: float, seed: int):
     position in sweep.families; failure is None or a record of the exception.
     """
     exp = Experiment(json.loads(cfg_json))
-    families = exp.sweep_cfg["families"]
+    families = exp.sweep["families"]
 
     def failure(family, e):
         return {"family": family, "s0": s0, "seed": seed, "error": str(e)}
@@ -680,9 +644,9 @@ def _sweep_task(cfg_json: str, s0: float, seed: int):
     for family in families:
         try:
             rows = []
-            for s_t in exp.sweep_cfg["st_grid"]:
-                trace, fresh_base, fresh_post = _gift_one(exp, w0, direction, test_ds, family, float(s_t), seed)
-                rows.append(_gift_row(exp, family, s0, float(s_t), seed, trace, fresh_base, fresh_post))
+            for s_t in exp.sweep["st_grid"]:
+                trace, fresh_base, fresh_post = _gift_one(exp, w0, direction, test_ds, family, s_t, seed)
+                rows.append(_gift_row(family, s0, s_t, seed, trace, fresh_base, fresh_post))
             results.append((rows, None))
         except Exception as e:  # keep sweeping; record this family's failure
             results.append(([], failure(family, e)))
@@ -691,10 +655,10 @@ def _sweep_task(cfg_json: str, s0: float, seed: int):
 
 def cmd_sweep(exp: Experiment) -> int:
     meta = _meta(exp.raw)
-    sw = exp.sweep_cfg
+    sw = exp.sweep
     cfg_json = json.dumps(exp.raw)
-    tasks = [(cfg_json, float(s0), seed) for s0 in sw["s0_grid"] for seed in exp.seeds]
-    workers = min(exp.workers, len(tasks))
+    tasks = [(cfg_json, s0, seed) for s0 in sw["s0_grid"] for seed in exp.seeds]
+    workers = min(sw["workers"], len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_task, *zip(*tasks)))
@@ -709,11 +673,10 @@ def cmd_sweep(exp: Experiment) -> int:
     for family in sw["families"]:
         for s0 in sw["s0_grid"]:
             for s_t in sw["st_grid"]:
-                cell = [r for r in rows
-                        if r["family"] == family and r["s0"] == float(s0) and r["s_t"] == float(s_t)]
+                cell = [r for r in rows if r["family"] == family and r["s0"] == s0 and r["s_t"] == s_t]
                 if not cell:
                     continue
-                agg = {"family": family, "s0": float(s0), "s_t": float(s_t), "n_seeds": len(cell)}
+                agg = {"family": family, "s0": s0, "s_t": s_t, "n_seeds": len(cell)}
                 for col in ("rel_loss_improvement", "loss_improvement",
                             "fresh_rel_acc_improvement", "fresh_acc_change",
                             "fresh_baseline_acc", "fresh_post_acc",
@@ -738,8 +701,7 @@ def cmd_sweep(exp: Experiment) -> int:
     return EXIT_OK
 
 
-def cmd_check(exp_or_out) -> int:
-    out_dir = exp_or_out if isinstance(exp_or_out, str) else exp_or_out.out_dir
+def cmd_check(out_dir: str) -> int:
     checks = []
 
     worst = check_gaussian_product_cases(50, RngStream(2025, STREAM_THEORY))

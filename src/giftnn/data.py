@@ -1,4 +1,4 @@
-"""Dataset ingestion: IDX-format digit images, synthetic tasks, splits, batching."""
+"""Dataset ingestion: IDX-format digit images, synthetic tasks, subsets, batching."""
 
 from __future__ import annotations
 
@@ -197,18 +197,6 @@ def subset(ds: Dataset, n: int, rng: RngStream) -> Dataset:
         raise ValueError(f"subset of {n} from {len(ds)} rows")
     idx = rng.generator(0).choice(len(ds), size=n, replace=False)
     return Dataset(ds.inputs[idx], ds.targets[idx], name=ds.name, normalization=ds.normalization, split=ds.split)
-
-
-def train_test_split(ds: Dataset, n_test: int, rng: RngStream):
-    """Disjoint-by-index split; permutation fixed by the stream."""
-    if not 0 < n_test < len(ds):
-        raise ValueError(f"n_test must be in (0, {len(ds)})")
-    perm = rng.generator(0).permutation(len(ds))
-    test_idx, train_idx = perm[:n_test], perm[n_test:]
-    mk = lambda idx, split: Dataset(
-        ds.inputs[idx], ds.targets[idx], name=ds.name, normalization=ds.normalization, split=split
-    )
-    return mk(train_idx, "train"), mk(test_idx, "test")
 
 
 def epoch_batches(n: int, batch_size: int, rng: RngStream, epoch: int):

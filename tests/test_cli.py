@@ -57,6 +57,15 @@ def tiny_argv(command, out, *extra):
     return argv
 
 
+def leaf_paths(tree, prefix=""):
+    """(dotted path, default) of every config leaf."""
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from leaf_paths(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key, value
+
+
 def csv_body(path):
     with open(path) as f:
         lines = f.readlines()
@@ -232,7 +241,7 @@ class TestExitCodes:
         ('sweep.workers="abc"', "sweep.workers"),
         ("sweep.workers=0", "sweep.workers"),
         ('seeds=["x"]', "seeds"),
-        ("gift.eta=Infinity", "gift"),
+        ("gift.eta=Infinity", "gift.eta"),
         ('data.sigma_x="x"', "data.sigma_x"),
         ('data.seed="x"', "data.seed"),
         ("sweep.families=5", "sweep.families"),
@@ -265,12 +274,40 @@ class TestExitCodes:
         ("train.s0=true", "train.s0"),
         ("device.s_t=true", "device.s_t"),
         ("gift.eta=true", "gift.eta"),
+        ("train.eps0=true", "train.eps0"),
+        ("train.decay_p=true", "train.decay_p"),
+        ("train.tau=true", "train.tau"),
+        ("arch.layer_dims=[2,1.7]", "arch.layer_dims"),
+        ("arch.layer_dims=[2,true]", "arch.layer_dims"),
+        ('arch.layer_dims=["2","1"]', "arch.layer_dims"),
+        ("sweep.s0_grid=[true]", "sweep.s0_grid"),
+        ('sweep.st_grid=["0.2"]', "sweep.st_grid"),
+        ("data.sigma_x=true", "data.sigma_x"),
+        ('data.sigma_x="2"', "data.sigma_x"),
+        ('train.projection={"w_min":true,"w_max":2,"b_min":-1,"b_max":1}', "train.projection"),
+        ("arch.activation=5", "arch.activation"),
+        ("gift.stop_rule=5", "gift.stop_rule"),
+        ("device.family=5", "device.family"),
+        ('train.eps0="x"', "train.eps0"),
+        ("train=5", "train"),
     ])
     def test_count_fields_are_validated(self, tmp_path, capsys, setting, field):
         assert main(tiny_argv("gift", tmp_path / "o", setting)) == 1
         err = capsys.readouterr().err
         assert f"config error: {field}:" in err
         assert err.count("config error:") == 1
+
+    @pytest.mark.parametrize("path, default", [pytest.param(p, d, id=p) for p, d in leaf_paths(DEFAULT_CONFIG)])
+    def test_every_leaf_rejects_a_value_of_another_type(self, tmp_path, capsys, path, default):
+        # no string leaf takes a number, and no leaf with a null default takes one either
+        bad = 5 if default is None or isinstance(default, str) else "x"
+        argv = ["gift", "--set", f"{path}={json.dumps(bad)}"]
+        if path != "out_dir":  # --out would override the leaf under test
+            argv += ["--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("config error:") == 1
+        assert f"config error: {path}:" in err
 
     def test_checkpoint_architecture_mismatch_exits_1(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -357,6 +394,13 @@ class TestTrainGiftEval:
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(tiny_argv("gift", a)) == 0
         assert main(tiny_argv("gift", b)) == 0
+        capsys.readouterr()
+        assert csv_body(a / "gift" / "gift_summary.csv") == csv_body(b / "gift" / "gift_summary.csv")
+
+    def test_integer_level_runs_as_its_float(self, tmp_path, capsys):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(tiny_argv("gift", a, "device.s_t=1")) == 0
+        assert main(tiny_argv("gift", b, "device.s_t=1.0")) == 0
         capsys.readouterr()
         assert csv_body(a / "gift" / "gift_summary.csv") == csv_body(b / "gift" / "gift_summary.csv")
 

@@ -19,7 +19,6 @@ from giftnn.data import (
     synthetic_linear,
     synthetic_teacher,
     to_dataset,
-    train_test_split,
 )
 from giftnn.model import Architecture, RngStream, STREAM_DATA
 
@@ -190,16 +189,6 @@ class TestSynthetic:
 
 
 class TestSplitsAndBatches:
-    def test_split_disjoint_and_deterministic(self):
-        ds = synthetic_linear(np.array([[1.0]]), 1.0, 100, RngStream(5, STREAM_DATA))
-        a1, b1 = train_test_split(ds, 20, RngStream(6, STREAM_DATA))
-        a2, b2 = train_test_split(ds, 20, RngStream(6, STREAM_DATA))
-        assert len(a1) == 80 and len(b1) == 20
-        assert np.array_equal(a1.inputs, a2.inputs)
-        assert np.array_equal(b1.inputs, b2.inputs)
-        seen = np.concatenate([a1.inputs[:, 0], b1.inputs[:, 0]])
-        assert np.array_equal(np.sort(seen), np.sort(ds.inputs[:, 0]))
-
     def test_subset_size_and_determinism(self):
         ds = synthetic_linear(np.array([[1.0]]), 1.0, 50, RngStream(7, STREAM_DATA))
         s1 = subset(ds, 10, RngStream(8, STREAM_DATA))

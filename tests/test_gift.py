@@ -153,8 +153,6 @@ class TestEvalInSitu:
     def test_matches_independent_objective_estimate(self):
         # device at level s == in-silico J_s, two-estimator agreement at 3 SE
         p = small_params([2, 3, 2], seed=20)
-        data = synthetic_linear(np.array([[0.3, -0.4], [0.1, 0.2]]).T[:0], 1.0, 1, RngStream(0, STREAM_DATA)) \
-            if False else None
         gen = RngStream(21, STREAM_DATA).generator(0)
         X = gen.standard_normal((512, 2))
         Y = np.tanh(X @ gen.standard_normal((2, 2)))
