@@ -28,7 +28,7 @@ from .gift import (
     gift_run,
     noise_weight_factor,
 )
-from .device import Device, set_device_params
+from .device import Device
 from .data import Dataset, load_idx, load_mnist, synthetic_linear, synthetic_teacher, to_dataset
 
 __version__ = "0.1.0"

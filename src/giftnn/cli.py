@@ -32,7 +32,7 @@ from .data import (
     synthetic_teacher,
 )
 from .device import Device
-from .gift import STOP_RULES, GiftConfig, estimate_direction, eval_in_situ, gift_run
+from .gift import STOP_RULES, GiftConfig, estimate_direction, eval_in_situ, gift_run, mean_se
 from .model import (
     ACTIVATIONS,
     Architecture,
@@ -460,18 +460,14 @@ def _estimate_one(exp: Experiment, params, train_ds, s0: float, seed: int) -> Pa
 def _gift_one(exp: Experiment, w0: Params, direction: Params, test_ds,
               family: str, s_t: float, seed: int):
     """One fine-tuning run plus an independent paired re-evaluation on the full
-    test subset (fresh noise slot, shared between w0 and w_f)."""
-    device = Device(exp.arch, w0, NoiseModel(family, s_t), seed=_device_seed(seed, family, s_t))
+    test subset (noise slot 0, shared between w0 and w_f)."""
+    device = Device(w0, NoiseModel(family, s_t), seed=_device_seed(seed, family, s_t))
     trace = gift_run(device, w0, direction, exp.gift_config, test_ds,
                      RngStream(_device_seed(seed, family, -s_t), STREAM_EVAL))
-    n_test = len(test_ds)
-    idx = np.arange(n_test)
-    slot = device.new_slot()
-    rng = RngStream(seed, STREAM_EVAL)
-    fresh_base = eval_in_situ(device, w0, test_ds, n_test, exp.fresh_eval_k2, rng,
-                              data_indices=idx, noise_slot=slot)
-    fresh_post = eval_in_situ(device, trace.w_f, test_ds, n_test, exp.fresh_eval_k2, rng,
-                              data_indices=idx, noise_slot=slot)
+    k2 = exp.fresh_eval_k2
+    X, Y = test_ds.repeated(np.arange(len(test_ds)), k2)
+    fresh_base = eval_in_situ(device, w0, X, Y, k2, 0)
+    fresh_post = eval_in_situ(device, trace.w_f, X, Y, k2, 0)
     return trace, fresh_base, fresh_post
 
 
@@ -600,9 +596,10 @@ def cmd_eval(exp: Experiment, checkpoint_root: str | None) -> int:
     noise = exp.noise
     for seed in exp.seeds:
         params = _load_checkpoint(exp, checkpoint_root, train_ds, seed)
-        device = Device(exp.arch, params, noise, seed=_device_seed(seed, noise.family, noise.level))
-        report = eval_in_situ(device, params, test_ds, exp.gift_config.k1, exp.gift_config.k2,
-                              RngStream(seed, STREAM_EVAL))
+        device = Device(params, noise, seed=_device_seed(seed, noise.family, noise.level))
+        idx = RngStream(seed, STREAM_EVAL).generator(0).integers(0, len(test_ds), size=exp.gift_config.k1)
+        k2 = exp.gift_config.k2
+        report = eval_in_situ(device, params, *test_ds.repeated(idx, k2), k2, 0)
         rows.append({
             "seed": seed,
             "family": noise.family,
@@ -683,8 +680,7 @@ def cmd_sweep(exp: Experiment) -> int:
                             "baseline_loss", "fresh_loss_improvement"):
                     vals = np.array([float(r[col]) for r in cell])
                     agg[f"mean_{col}"] = float(vals.mean())
-                    se = vals.std(ddof=1) / np.sqrt(len(vals)) if len(vals) > 1 else 0.0
-                    agg[f"ci95_{col}"] = float(1.96 * se)
+                    agg[f"ci95_{col}"] = float(1.96 * mean_se(vals))
                 agg_rows.append(agg)
 
     out = os.path.join(exp.out_dir, "sweep")
@@ -767,10 +763,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.command == "check":
-            cfg = resolve_config(args)
-            return cmd_check(cfg["out_dir"] if (args.config or args.out) else "")
         exp = Experiment(resolve_config(args))
+        if args.command == "check":
+            return cmd_check(exp.out_dir if (args.config or args.out) else "")
         if args.command == "train":
             return cmd_train(exp)
         if args.command == "gift":

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import Device, set_device_params
+from .device import Device
 from .gradients import residual_stack
 from .model import (
     CHUNK_ROWS,
@@ -117,9 +117,7 @@ def mc_blocks(arch, model: NoiseModel, data, n_points: int, k2: int, rng: RngStr
     idx = rng.generator(0).integers(0, len(data), size=n_points)
     points_per_block = max(1, CHUNK_ROWS // k2)
     for c, start in enumerate(range(0, n_points, points_per_block)):
-        rows = idx[start:start + points_per_block]
-        X = np.repeat(data.inputs[rows], k2, axis=0)
-        Y = np.repeat(data.targets[rows], k2, axis=0)
+        X, Y = data.repeated(idx[start:start + points_per_block], k2)
         yield X, Y, sample_noise_batch(arch, model, rng, 1 + c, X.shape[0])
 
 
@@ -147,57 +145,38 @@ def estimate_direction(params: Params, data, s0: float, k1: int, k2: int, rng: R
     return Params.from_vector(arch, total.vector / (k1 * k2))
 
 
-def eval_in_situ(
-    device: Device,
-    params: Params,
-    data,
-    k1: int,
-    k2: int,
-    rng: RngStream,
-    data_indices=None,
-    noise_slot: int | None = None,
-) -> EvalReport:
-    """Mean over K1 data pairs of K2 device queries each of the squared output error.
+def mean_se(values: np.ndarray) -> float:
+    """Standard error of a sample mean, std(ddof=1) / sqrt(n); 0 for one value."""
+    return float(values.std(ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
 
-    Also reports argmax-vs-argmax accuracy. Standard errors come from the K1
-    per-data-point means. data_indices/noise_slot pin the subsample and the
-    device noise so several calls can share random numbers.
+
+def eval_in_situ(device: Device, params: Params, X, Y, k2: int, noise_slot: int) -> EvalReport:
+    """Mean squared device error of params over the rows X, Y on the given noise slot.
+
+    The rows are K1 = rows // k2 data points of k2 consecutive rows each (as
+    Dataset.repeated builds them). Also reports argmax-vs-argmax accuracy.
+    Standard errors come from the K1 per-data-point means. Calls that pass the
+    same rows and slot share their random numbers.
     """
-    if k1 < 1 or k2 < 1:
-        raise ValueError("k1 and k2 must be >= 1")
-    if len(data) < 1:
-        raise ValueError("data sampler must be nonempty")
-    set_device_params(device, params)
-    if data_indices is None:
-        data_indices = rng.generator(0).integers(0, len(data), size=k1)
-    else:
-        data_indices = np.asarray(data_indices)
-        if data_indices.shape != (k1,):
-            raise ValueError(f"data_indices shape {data_indices.shape}, want ({k1},)")
-    slot = device.new_slot() if noise_slot is None else noise_slot
+    n = X.shape[0]
+    if k2 < 1 or n == 0 or n % k2:
+        raise ValueError(f"{n} rows do not split into data points of k2 = {k2} rows")
+    k1 = n // k2
+    device.load(params)
+    out = device.forward_batch(X, noise_slot)
+    if Y.shape != out.shape:
+        raise ValueError(f"target shape {Y.shape}, output shape {out.shape}")
 
-    X = np.repeat(data.inputs[data_indices], k2, axis=0)
-    Y = np.repeat(data.targets[data_indices], k2, axis=0)
-    out = device.forward_batch(X, noise_slot=slot)
-
-    sq = ((Y - out) ** 2).sum(axis=1).reshape(k1, k2)
-    per_point = sq.mean(axis=1)
-    loss = float(per_point.mean())
-    loss_se = float(per_point.std(ddof=1) / np.sqrt(k1)) if k1 > 1 else 0.0
-
-    hits = (np.argmax(out, axis=1) == np.argmax(Y, axis=1)).reshape(k1, k2)
-    per_point_acc = hits.mean(axis=1)
-    accuracy = float(per_point_acc.mean())
-    accuracy_se = float(per_point_acc.std(ddof=1) / np.sqrt(k1)) if k1 > 1 else 0.0
-
+    per_point = ((Y - out) ** 2).sum(axis=1).reshape(k1, k2).mean(axis=1)
+    per_point_acc = (np.argmax(out, axis=1) == np.argmax(Y, axis=1)).reshape(k1, k2).mean(axis=1)
     return EvalReport(
-        loss=loss,
-        loss_se=loss_se,
-        accuracy=accuracy,
-        accuracy_se=accuracy_se,
+        loss=float(per_point.mean()),
+        loss_se=mean_se(per_point),
+        accuracy=float(per_point_acc.mean()),
+        accuracy_se=mean_se(per_point_acc),
         k1=k1,
         k2=k2,
-        noise_slot=slot,
+        noise_slot=noise_slot,
     )
 
 
@@ -211,23 +190,21 @@ def gift_run(
 ) -> GiftTrace:
     """Symmetric line search from w0 along the direction, scored on the device.
 
-    Candidates w0 +- i*eta*D share one data subsample and one device noise slot,
-    so their scores differ only through the parameters. Stops per stop_rule
-    (either_worse: one side at or above the baseline; both_worse: both sides)
-    or at max_steps; returns the argmin over everything visited, baseline
-    included.
+    Candidates w0 +- i*eta*D share one data subsample, repeated once per search,
+    and one device noise slot drawn from rng in [0, 2^62), so their scores
+    differ only through the parameters. Stops per stop_rule (either_worse: one
+    side at or above the baseline; both_worse: both sides) or at max_steps;
+    returns the argmin over everything visited, baseline included.
     """
     dn = direction.norm()
     if not np.isfinite(dn) or dn == 0.0:
         raise ValueError("direction must be finite and nonzero")
     gen = rng.generator(0)
-    data_indices = gen.integers(0, len(data), size=config.k1)
+    X, Y = data.repeated(gen.integers(0, len(data), size=config.k1), config.k2)
     slot = int(gen.integers(1 << 62))
 
     q_before = device.query_count
-    ev = lambda p: eval_in_situ(
-        device, p, data, config.k1, config.k2, rng, data_indices=data_indices, noise_slot=slot
-    )
+    ev = lambda p: eval_in_situ(device, p, X, Y, config.k2, slot)
     baseline = ev(w0)
     records = []
     stop_reason = "max_steps"

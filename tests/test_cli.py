@@ -21,6 +21,8 @@ from giftnn.cli import (
     write_json,
 )
 from giftnn.data import DATA_DIR_ENV
+from giftnn.gift import estimate_direction
+from giftnn.model import STREAM_ESTIMATE, RngStream, load_params
 
 
 def fresh_config():
@@ -324,6 +326,23 @@ class TestExitCodes:
         assert main(argv) == 2
         assert "runtime error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config, setting, field", [
+        ({"out_dir": 5}, None, "out_dir"),
+        (None, "train.epochs=abc", "train.epochs"),
+    ])
+    def test_check_validates_its_config(self, tmp_path, capsys, config, setting, field):
+        argv = ["check"]
+        if config is not None:
+            path = tmp_path / "c.json"
+            path.write_text(json.dumps(config))
+            argv += ["--config", str(path)]
+        if setting is not None:
+            argv += ["--set", setting]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("config error:") == 1
+        assert f"config error: {field}:" in err
+
     def test_check_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "check_gaussian_product_cases", lambda *a, **k: 1.0)
         monkeypatch.setattr(cli, "check_hierarchical_sampler",
@@ -425,6 +444,25 @@ class TestTrainGiftEval:
             assert int(r["gift_steps"]) == 1
             assert int(r["selected_step"]) == 0
             assert r["stop_reason"] == "either_worse"
+
+    def test_direction_norm_column_follows_normalize_direction(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(tiny_argv("train", out)) == 0
+        norms = {}
+        for flag in ("true", "false"):
+            argv = tiny_argv("gift", out / flag, f"gift.normalize_direction={flag}")
+            assert main(argv + ["--checkpoint", str(out / "train")]) == 0
+            _, rows = read_csv_body(out / flag / "gift" / "gift_summary.csv")
+            norms[flag] = {int(r["seed"]): float(r["direction_norm"]) for r in rows}
+        capsys.readouterr()
+        exp = Experiment(resolve_config(cli.build_parser().parse_args(tiny_argv("gift", out))))
+        train_ds, _ = exp.datasets()
+        for seed in exp.seeds:
+            w0 = load_params(out / "train" / f"seed_{seed}" / "params.npz")
+            raw = estimate_direction(w0, train_ds, exp.train_config.s0, exp.est_k1, exp.est_k2,
+                                     RngStream(seed, STREAM_ESTIMATE)).norm()
+            assert norms["false"][seed] == raw != 1.0
+            assert abs(norms["true"][seed] - 1.0) <= 1e-12
 
     def test_eval_reports_device_metrics(self, tmp_path, capsys):
         out = tmp_path / "run"

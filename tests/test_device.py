@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from giftnn import device as device_module
-from giftnn.device import Device, set_device_params
+from giftnn.device import Device
 from giftnn.model import (
     CHUNK_ROWS,
     Architecture,
@@ -25,20 +25,20 @@ from test_model import small_params
 def identity_device(family, s, seed=0, d=2):
     arch = Architecture((d, d), "tanh")
     p = Params(arch, [np.eye(d)], [np.zeros(d)])
-    return Device(arch, p, NoiseModel(family, s), seed=seed), p
+    return Device(p, NoiseModel(family, s), seed=seed), p
 
 
 def zero_weight_device(family, s, seed=0, d=1):
     arch = Architecture((d, d), "tanh")
     p = Params(arch, [np.zeros((d, d))], [np.zeros(d)])
-    return Device(arch, p, NoiseModel(family, s), seed=seed), p
+    return Device(p, NoiseModel(family, s), seed=seed), p
 
 
 class TestForward:
     def test_matches_in_silico_stream(self):
         # gaussian device at slot j == forward_noisy with the device stream at index j
         p = small_params([3, 2], seed=1)
-        dev = Device(p.arch, p, NoiseModel("gaussian_additive", 0.3), seed=11)
+        dev = Device(p, NoiseModel("gaussian_additive", 0.3), seed=11)
         x = np.array([[0.5, -0.2, 0.1]])
         out = dev.forward_batch(x, noise_slot=4)
         draw = sample_noise_batch(p.arch, NoiseModel("gaussian_additive", 0.3),
@@ -49,20 +49,20 @@ class TestForward:
     def test_same_seed_same_outputs(self):
         p = small_params([2, 2], seed=2)
         model = NoiseModel("gaussian_additive", 0.2)
-        a = Device(p.arch, p, model, seed=5)
-        b = Device(p.arch, p, model, seed=5)
+        a = Device(p, model, seed=5)
+        b = Device(p, model, seed=5)
         x = np.array([[0.1, 0.2]])
-        assert np.array_equal(a.forward_batch(x), b.forward_batch(x))
+        assert np.array_equal(a.forward_batch(x, 0), b.forward_batch(x, 0))
 
-    def test_fresh_calls_use_fresh_noise(self):
+    def test_named_slots_give_different_outputs(self):
         dev, _ = identity_device("gaussian_additive", 0.5)
         x = np.zeros((1, 2))
-        assert not np.array_equal(dev.forward_batch(x), dev.forward_batch(x))
+        assert not np.array_equal(dev.forward_batch(x, 0), dev.forward_batch(x, 1))
 
     def test_shared_slot_reproduces_noise(self):
         dev, p = identity_device("gaussian_additive", 0.5)
         x = np.array([[0.3, -0.3]])
-        slot = dev.new_slot()
+        slot = 0
         a = dev.forward_batch(x, noise_slot=slot)
         b = dev.forward_batch(x, noise_slot=slot)
         assert np.array_equal(a, b)
@@ -70,12 +70,12 @@ class TestForward:
     def test_shape_check(self):
         dev, _ = identity_device("gaussian_additive", 0.1)
         with pytest.raises(ValueError):
-            dev.forward_batch(np.zeros((1, 3)))
+            dev.forward_batch(np.zeros((1, 3)), 0)
 
     def test_batch_consistent_with_loop(self):
         dev, _ = identity_device("gaussian_additive", 0.4, seed=3)
         X = RngStream(4, 1).generator(0).standard_normal((5, 2))
-        slot = dev.new_slot()
+        slot = 0
         batch = dev.forward_batch(X, noise_slot=slot)
         assert batch.shape == (5, 2)
         again = dev.forward_batch(X, noise_slot=slot)
@@ -86,14 +86,14 @@ class TestQueryCounter:
     def test_increments_per_forward(self):
         dev, _ = identity_device("gaussian_additive", 0.1)
         assert dev.query_count == 0
-        dev.forward_batch(np.zeros((1, 2)))
+        dev.forward_batch(np.zeros((1, 2)), 0)
         assert dev.query_count == 1
-        dev.forward_batch(np.zeros((7, 2)))
+        dev.forward_batch(np.zeros((7, 2)), 0)
         assert dev.query_count == 8
 
     def test_replayed_slot_counts_every_row(self):
         dev, _ = identity_device("gaussian_additive", 0.1)
-        slot = dev.new_slot()
+        slot = 0
         for _ in range(3):
             dev.forward_batch(np.zeros((7, 2)), noise_slot=slot)
         for _ in range(2):
@@ -124,9 +124,9 @@ class TestDrawCache:
     def test_interleaved_slots_match_uncached_draws(self, family):
         p = small_params([3, 4, 2], seed=7)
         model = NoiseModel(family, 0.3)
-        dev = Device(p.arch, p, model, seed=8)
+        dev = Device(p, model, seed=8)
         X = RngStream(9, 1).generator(0).standard_normal((6, 3))
-        a, b = dev.new_slot(), dev.new_slot()
+        a, b = 0, 1
         for slot in (a, b, a):
             out = dev.forward_batch(X, noise_slot=slot)
             assert out.tobytes() == uncached_output(p, model, 8, slot, X).tobytes()
@@ -134,7 +134,7 @@ class TestDrawCache:
     def test_repeated_slot_draws_once_and_read_only(self, monkeypatch):
         draws = counting_draws(monkeypatch)
         dev, _ = identity_device("gaussian_additive", 0.4)
-        slot = dev.new_slot()
+        slot = 0
         for _ in range(3):
             dev.forward_batch(np.ones((5, 2)), noise_slot=slot)
         assert len(draws) == 1
@@ -149,11 +149,11 @@ class TestDrawCache:
         draws = counting_draws(monkeypatch)
         p, q = small_params([2, 3, 2], seed=10), small_params([2, 3, 2], seed=11)
         model = NoiseModel("gaussian_additive", 0.3)
-        dev = Device(p.arch, p, model, seed=12)
+        dev = Device(p, model, seed=12)
         X = RngStream(13, 1).generator(0).standard_normal((4, 2))
-        slot = dev.new_slot()
+        slot = 0
         dev.forward_batch(X, noise_slot=slot)
-        set_device_params(dev, q)
+        dev.load(q)
         out = dev.forward_batch(X, noise_slot=slot)
         assert len(draws) == 1
         assert out.tobytes() == uncached_output(q, model, 12, slot, X).tobytes()
@@ -188,7 +188,7 @@ class TestTiledForward:
         draws = counting_draws(monkeypatch)
         p = small_params([3, 5, 4, 2], seed=20)
         model = NoiseModel(family, 0.3)
-        dev = Device(p.arch, p, model, seed=21)
+        dev = Device(p, model, seed=21)
         n = 2 * CHUNK_ROWS + 5
         X = RngStream(22, 1).generator(0).standard_normal((n, 3))
         out = dev.forward_batch(X, noise_slot=3)
@@ -202,7 +202,7 @@ class TestTiledForward:
         # the bound sits between an untiled pass (about 134 MiB) and 1,024-row tiles (about 18 MiB);
         # the draw itself (140 MB) is made and cached before tracing starts
         p = wide_params()
-        dev = Device(p.arch, p, NoiseModel("gaussian_additive", 0.1), seed=1)
+        dev = Device(p, NoiseModel("gaussian_additive", 0.1), seed=1)
         X = RngStream(2, 1).generator(0).standard_normal((8000, SHALLOW_MNIST[0]))
         dev.forward_batch(X, noise_slot=0)
         peak = traced_peak(lambda: dev.forward_batch(X, noise_slot=0))
@@ -214,19 +214,19 @@ class TestFamilies:
         # W=0 isolates the output-site noise: Var = s^2/3 per component
         s = 0.6
         dev, _ = zero_weight_device("uniform", s, d=1)
-        outs = dev.forward_batch(np.zeros((10**5, 1)))
+        outs = dev.forward_batch(np.zeros((10**5, 1)), 0)
         assert abs(outs.var() / (s**2 / 3) - 1.0) < 0.05
 
     def test_uniform_identity_net_total_variance(self):
         # identity net passes input-site noise through: Var = 2 s^2/3
         s = 0.6
         dev, _ = identity_device("uniform", s, d=1)
-        outs = dev.forward_batch(np.zeros((10**5, 1)))
+        outs = dev.forward_batch(np.zeros((10**5, 1)), 0)
         assert abs(outs.var() / (2 * s**2 / 3) - 1.0) < 0.05
 
     def test_laplace_excess_kurtosis(self):
         dev, _ = zero_weight_device("laplace", 0.5, d=1)
-        outs = dev.forward_batch(np.zeros((2 * 10**5, 1))).ravel()
+        outs = dev.forward_batch(np.zeros((2 * 10**5, 1)), 0).ravel()
         m2 = (outs**2).mean()
         m4 = (outs**4).mean()
         assert abs(m4 / m2**2 - 3.0 - 3.0) < 0.4
@@ -235,20 +235,20 @@ class TestFamilies:
         # level is the Laplace scale b: Var = 2 b^2
         b = 0.3
         dev, _ = zero_weight_device("laplace", b, d=1)
-        outs = dev.forward_batch(np.zeros((2 * 10**5, 1)))
+        outs = dev.forward_batch(np.zeros((2 * 10**5, 1)), 0)
         assert abs(outs.var() / (2 * b**2) - 1.0) < 0.05
 
     def test_multiplicative_zero_input_is_biasless(self):
         # x=0 through zero weights: output = b*(1+sg) terms vanish -> exactly 0
         dev, _ = zero_weight_device("gaussian_multiplicative", 0.3, d=2)
-        outs = dev.forward_batch(np.zeros((100, 2)))
+        outs = dev.forward_batch(np.zeros((100, 2)), 0)
         assert np.allclose(outs, 0.0)
 
     def test_multiplicative_scales_with_signal(self):
         s = 0.2
         dev, _ = identity_device("gaussian_multiplicative", s, d=1)
         x = np.full((10**5, 1), 2.0)
-        outs = dev.forward_batch(x)
+        outs = dev.forward_batch(x, 0)
         assert abs(outs.mean() - 2.0) < 0.02
         assert outs.var() > 0.5 * s**2 * 4.0
 
@@ -258,25 +258,25 @@ class TestSetParams:
         dev, p = identity_device("gaussian_additive", 1e-9, d=2)
         q = p.copy()
         q.weights[0][:] = 2 * np.eye(2)
-        set_device_params(dev, q)
+        dev.load(q)
         x = np.array([[1.0, -1.0]])
-        assert np.allclose(dev.forward_batch(x), 2 * x, atol=1e-6)
+        assert np.allclose(dev.forward_batch(x, 0), 2 * x, atol=1e-6)
 
     def test_tiny_level_matches_deterministic(self):
         p = small_params([3, 3, 2], seed=6)
-        dev = Device(p.arch, p, NoiseModel("gaussian_additive", 1e-9), seed=0)
+        dev = Device(p, NoiseModel("gaussian_additive", 1e-9), seed=0)
         x = np.array([[0.2, 0.4, -0.5]])
-        assert np.allclose(dev.forward_batch(x), forward_deterministic(p, x), atol=1e-7)
+        assert np.allclose(dev.forward_batch(x, 0), forward_deterministic(p, x), atol=1e-7)
 
     def test_dims_mismatch_rejected(self):
         dev, _ = identity_device("gaussian_additive", 0.1, d=2)
         with pytest.raises(ValueError):
-            set_device_params(dev, small_params([3, 2]))
+            dev.load(small_params([3, 2]))
 
     def test_does_not_reset_counter(self):
         dev, p = identity_device("gaussian_additive", 0.1)
-        dev.forward_batch(np.zeros((1, 2)))
-        set_device_params(dev, p.copy())
+        dev.forward_batch(np.zeros((1, 2)), 0)
+        dev.load(p.copy())
         assert dev.query_count == 1
 
 
@@ -287,18 +287,18 @@ class TestOpacity:
         for attr in exposed:
             assert "trace" not in attr.lower()
             assert "noise_draw" not in attr.lower()
-        out = dev.forward_batch(np.zeros((1, 2)))
+        out = dev.forward_batch(np.zeros((1, 2)), 0)
         assert isinstance(out, np.ndarray) and out.shape == (1, 2)
 
     def test_output_is_a_copy(self):
         dev, _ = identity_device("gaussian_additive", 0.1)
-        out = dev.forward_batch(np.zeros((1, 2)))
+        out = dev.forward_batch(np.zeros((1, 2)), 0)
         out[:] = 99.0
-        again = dev.forward_batch(np.zeros((1, 2)))
+        again = dev.forward_batch(np.zeros((1, 2)), 0)
         assert not np.array_equal(out, again)
 
 
 def test_device_forward_helper():
     dev, _ = identity_device("gaussian_additive", 1e-9)
     x = np.array([[0.7, -0.7]])
-    assert np.allclose(dev.forward_batch(x), x, atol=1e-6)
+    assert np.allclose(dev.forward_batch(x, 0), x, atol=1e-6)

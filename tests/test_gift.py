@@ -72,7 +72,10 @@ class TestNoiseWeightFactor:
 
 
 def linear_dataset(n=1024, seed=3, v=(0.3, -0.4)):
-    return synthetic_linear(np.array([v]), 1.0, n, RngStream(seed, STREAM_DATA))
+    return synthetic_linear(np.atleast_2d(v), 1.0, n, RngStream(seed, STREAM_DATA))
+
+
+TWO_OUTPUTS = ((0.3, -0.4), (0.2, 0.1))  # linear_dataset's v for the [2, 2] nets
 
 
 class TestEstimateDirection:
@@ -103,11 +106,11 @@ class TestEstimateDirection:
         d1, d2, d0 = est(Y), est(2 * Y), est(0 * Y)
         assert np.allclose(d2.vector, 2 * d1.vector - d0.vector, rtol=1e-10)
 
-    def test_empty_data_rejected(self):
+    def test_zero_k1_rejected(self):
         p = small_params([2, 1])
         with pytest.raises(ValueError):
-            estimate_direction(p, Dataset(np.zeros((1, 2)), np.zeros((1, 1))).__class__(
-                np.zeros((1, 2)), np.zeros((1, 1))), 0.2, 0, 1, RngStream(0, STREAM_ESTIMATE))
+            estimate_direction(p, Dataset(np.zeros((1, 2)), np.zeros((1, 1))), 0.2, 0, 1,
+                               RngStream(0, STREAM_ESTIMATE))
 
     def test_deterministic(self):
         p = small_params([2, 1], seed=12)
@@ -130,14 +133,19 @@ class TestEstimateDirection:
         assert d.scaled(0.2).norm() == pytest.approx(1.0)
 
 
+def sample_rows(data, k1, seed):
+    """K1 row indices drawn with replacement at stream (seed, STREAM_EVAL) index 0."""
+    return RngStream(seed, STREAM_EVAL).generator(0).integers(0, len(data), size=k1)
+
+
 class TestEvalInSitu:
     def test_perfect_predictor_near_zero_loss(self):
         V = np.array([[0.3, -0.4]])
         arch = Architecture((2, 1), "tanh")
         p = Params(arch, [V.copy()], [np.zeros(1)])
         data = linear_dataset(256)
-        dev = Device(arch, p, NoiseModel("gaussian_additive", 1e-9), seed=1)
-        rep = eval_in_situ(dev, p, data, 64, 2, RngStream(2, STREAM_EVAL))
+        dev = Device(p, NoiseModel("gaussian_additive", 1e-9), seed=1)
+        rep = eval_in_situ(dev, p, *data.repeated(sample_rows(data, 64, 2), 2), 2, 0)
         assert rep.loss < 1e-12
         assert rep.accuracy == 1.0  # single output: argmax trivially matches
 
@@ -145,8 +153,8 @@ class TestEvalInSitu:
         arch = Architecture((1, 1), "tanh")
         p = Params(arch, [np.array([[1.0]])], [np.zeros(1)])
         data = Dataset(np.array([[2.0]]), np.array([[0.0]]))
-        dev = Device(arch, p, NoiseModel("gaussian_additive", 1e-12), seed=0)
-        rep = eval_in_situ(dev, p, data, 1, 1, RngStream(0, STREAM_EVAL))
+        dev = Device(p, NoiseModel("gaussian_additive", 1e-12), seed=0)
+        rep = eval_in_situ(dev, p, data.inputs, data.targets, 1, 0)
         assert rep.loss == pytest.approx(4.0, rel=1e-6)
         assert rep.loss_se == 0.0
 
@@ -158,8 +166,8 @@ class TestEvalInSitu:
         Y = np.tanh(X @ gen.standard_normal((2, 2)))
         data = Dataset(X, Y)
         s = 0.3
-        dev = Device(p.arch, p, NoiseModel("gaussian_additive", s), seed=22)
-        rep = eval_in_situ(dev, p, data, 2000, 8, RngStream(23, STREAM_EVAL))
+        dev = Device(p, NoiseModel("gaussian_additive", s), seed=22)
+        rep = eval_in_situ(dev, p, *data.repeated(sample_rows(data, 2000, 23), 8), 8, 0)
 
         model = NoiseModel("gaussian_additive", s)
         rng = RngStream(24, STREAM_EVAL)
@@ -177,12 +185,30 @@ class TestEvalInSitu:
 
     def test_pinned_indices_and_slot_reproduce(self):
         p = small_params([2, 2], seed=25)
-        data = linear_dataset(64, seed=26, v=(0.2, 0.1))
-        dev = Device(p.arch, p, NoiseModel("gaussian_additive", 0.2), seed=27)
-        idx = np.arange(32)
-        a = eval_in_situ(dev, p, data, 32, 4, RngStream(0, STREAM_EVAL), data_indices=idx, noise_slot=9)
-        b = eval_in_situ(dev, p, data, 32, 4, RngStream(1, STREAM_EVAL), data_indices=idx, noise_slot=9)
+        data = linear_dataset(64, seed=26, v=TWO_OUTPUTS)
+        dev = Device(p, NoiseModel("gaussian_additive", 0.2), seed=27)
+        X, Y = data.repeated(np.arange(32), 4)
+        a = eval_in_situ(dev, p, X, Y, 4, 9)
+        b = eval_in_situ(dev, p, X, Y, 4, 9)
         assert a.loss == b.loss and a.accuracy == b.accuracy
+        assert (a.k1, a.k2, a.noise_slot) == (32, 4, 9)
+
+    def test_rows_must_split_into_k2_row_points(self):
+        p = small_params([2, 2], seed=25)
+        data = linear_dataset(64, seed=26, v=(0.2, 0.1))
+        dev = Device(p, NoiseModel("gaussian_additive", 0.2), seed=27)
+        for k2 in (0, 3):
+            with pytest.raises(ValueError):
+                eval_in_situ(dev, p, data.inputs[:8], data.targets[:8], k2, 0)
+
+    def test_targets_must_match_the_outputs(self):
+        # a one-column target would otherwise broadcast over both outputs
+        p = small_params([2, 2], seed=25)
+        data = linear_dataset(64, seed=26, v=(0.2, 0.1))
+        dev = Device(p, NoiseModel("gaussian_additive", 0.2), seed=27)
+        assert data.targets.shape == (64, 1)
+        with pytest.raises(ValueError, match="target shape"):
+            eval_in_situ(dev, p, data.inputs, data.targets, 4, 0)
 
 
 def quadratic_device_and_data(s_t=1e-9, y=2.0):
@@ -190,7 +216,7 @@ def quadratic_device_and_data(s_t=1e-9, y=2.0):
     arch = Architecture((1, 1), "tanh")
     w0 = Params(arch, [np.array([[0.0]])], [np.zeros(1)])
     data = Dataset(np.array([[1.0]]), np.array([[y]]))
-    dev = Device(arch, w0, NoiseModel("gaussian_additive", s_t), seed=0)
+    dev = Device(w0, NoiseModel("gaussian_additive", s_t), seed=0)
     return arch, w0, data, dev
 
 
@@ -229,7 +255,7 @@ class TestGiftRun:
         arch = Architecture((1, 1), "tanh")
         w0 = Params(arch, [np.array([[2.0]])], [np.zeros(1)])
         data = Dataset(np.array([[1.0]]), np.array([[2.0]]))
-        dev = Device(arch, w0, NoiseModel("gaussian_additive", 1e-9), seed=0)
+        dev = Device(w0, NoiseModel("gaussian_additive", 1e-9), seed=0)
         d = Params(arch, [np.array([[1.0]])], [np.zeros(1)])
         cfg = GiftConfig(eta=5.0, k1=1, k2=1, max_steps=10, stop_rule="either_worse")
         trace = gift_run(dev, w0, d, cfg, data, RngStream(2, STREAM_EVAL))
@@ -258,7 +284,7 @@ class TestGiftRun:
         data = linear_dataset(256, seed=31, v=(0.3, 0.1))
         gen = RngStream(32, STREAM_DATA).generator(0)
         data = Dataset(data.inputs, np.column_stack([data.targets[:, 0], -data.targets[:, 0]]))
-        dev = Device(p.arch, p, NoiseModel("gaussian_additive", 0.25), seed=33)
+        dev = Device(p, NoiseModel("gaussian_additive", 0.25), seed=33)
         d = estimate_direction(p, data, 0.2, 64, 16, RngStream(34, STREAM_ESTIMATE))
         d = d.scaled(1.0 / d.norm())
         cfg = GiftConfig(eta=0.05, k1=128, k2=4, max_steps=6, stop_rule="either_worse")
@@ -270,12 +296,12 @@ class TestGiftRun:
 
     def test_determinism_of_trace(self):
         p = small_params([2, 2], seed=40)
-        data = linear_dataset(128, seed=41)
+        data = linear_dataset(128, seed=41, v=TWO_OUTPUTS)
         cfg = GiftConfig(eta=0.1, k1=32, k2=4, max_steps=4)
         d = Params(p.arch, [np.full((2, 2), 0.5)], [np.full(2, 0.1)])
         traces = []
         for _ in range(2):
-            dev = Device(p.arch, p, NoiseModel("laplace", 0.3), seed=42)
+            dev = Device(p, NoiseModel("laplace", 0.3), seed=42)
             traces.append(gift_run(dev, p, d, cfg, data, RngStream(43, STREAM_EVAL)))
         a, b = traces
         assert a.baseline.loss == b.baseline.loss
@@ -285,8 +311,8 @@ class TestGiftRun:
     def test_query_accounting(self):
         # (1 + 2*steps) * K1 * K2 device rows per run
         p = small_params([2, 2], seed=50)
-        data = linear_dataset(64, seed=51)
-        dev = Device(p.arch, p, NoiseModel("gaussian_additive", 0.2), seed=52)
+        data = linear_dataset(64, seed=51, v=TWO_OUTPUTS)
+        dev = Device(p, NoiseModel("gaussian_additive", 0.2), seed=52)
         cfg = GiftConfig(eta=0.05, k1=16, k2=3, max_steps=4, stop_rule="either_worse")
         d = Params(p.arch, [np.full((2, 2), 1.0)], [np.full(2, 0.5)])
         d = d.scaled(1.0 / d.norm())
@@ -302,9 +328,8 @@ class TestGiftRun:
         trace = gift_run(dev, w0, d, cfg, data, RngStream(1, STREAM_EVAL))
         assert trace.steps_taken == 3 and len(trace.records) == 6
         assert len(draws) == 1
-        fresh = dev.new_slot()
+        X, Y = data.repeated(np.zeros(1, dtype=int), 4)
         for p in (w0, trace.w_f):
-            eval_in_situ(dev, p, data, 1, 4, RngStream(2, STREAM_EVAL),
-                         data_indices=np.zeros(1, dtype=int), noise_slot=fresh)
+            eval_in_situ(dev, p, X, Y, 4, 0)
         assert len(draws) == 2
         assert dev.query_count == (1 + 6 + 2) * 4
