@@ -322,6 +322,10 @@ class Experiment:
             self.arch = Architecture(arch["layer_dims"] or ARCH_PRESETS[arch["preset"]], arch["activation"])
         if data is not None and data["kind"] == "mnist" and not (data["dir"] or os.environ.get(DATA_DIR_ENV)):
             errors.append(f"data.dir: required for kind 'mnist' (or set {DATA_DIR_ENV})")
+        if arch is not None and data is not None and data["kind"] == "mnist":
+            d = self.arch.layer_dims
+            if (d[0], d[-1]) != (784, 10):  # 28x28 pixels in, one output per digit class
+                errors.append(f"arch.layer_dims: kind 'mnist' needs 784 inputs and 10 outputs, got {list(d)}")
         if arch is not None and data is not None and data["kind"] == "synthetic_linear":
             d = self.arch.layer_dims
             if data["v"].shape != (d[-1], d[0]):
@@ -464,8 +468,7 @@ def _gift_one(exp: Experiment, w0: Params, direction: Params, test_ds,
     device = Device(w0, NoiseModel(family, s_t), seed=_device_seed(seed, family, s_t))
     trace = gift_run(device, w0, direction, exp.gift_config, test_ds,
                      RngStream(_device_seed(seed, family, -s_t), STREAM_EVAL))
-    k2 = exp.fresh_eval_k2
-    X, Y = test_ds.repeated(np.arange(len(test_ds)), k2)
+    X, Y, k2 = test_ds.inputs, test_ds.targets, exp.fresh_eval_k2
     fresh_base = eval_in_situ(device, w0, X, Y, k2, 0)
     fresh_post = eval_in_situ(device, trace.w_f, X, Y, k2, 0)
     return trace, fresh_base, fresh_post
@@ -598,8 +601,7 @@ def cmd_eval(exp: Experiment, checkpoint_root: str | None) -> int:
         params = _load_checkpoint(exp, checkpoint_root, train_ds, seed)
         device = Device(params, noise, seed=_device_seed(seed, noise.family, noise.level))
         idx = RngStream(seed, STREAM_EVAL).generator(0).integers(0, len(test_ds), size=exp.gift_config.k1)
-        k2 = exp.gift_config.k2
-        report = eval_in_situ(device, params, *test_ds.repeated(idx, k2), k2, 0)
+        report = eval_in_situ(device, params, test_ds.inputs[idx], test_ds.targets[idx], exp.gift_config.k2, 0)
         rows.append({
             "seed": seed,
             "family": noise.family,

@@ -23,8 +23,9 @@ from .model import (
 class Device:
     """Opaque noisy forward oracle with a monotone query counter.
 
-    Queries are batches: forward_batch takes (n, d0) input rows and returns
-    (n, dL) outputs. Every call names its noise slot: noise for slot j is
+    Queries are batches: forward_batch takes (k1, d0) per-point inputs and a
+    repeat count and returns (k1 * repeat, dL) outputs, row r reading input
+    X[r // repeat]. Every call names its noise slot: noise for slot j is
     exactly the batch draw an in-silico sampler would produce at stream
     (seed, STREAM_DEVICE) index j. Passing the same slot to two calls of
     identical batch size replays the same noise (common random numbers).
@@ -35,9 +36,11 @@ class Device:
     Every call still counts its rows in query_count.
 
     A call's noise is always the whole-batch draw, but the forward pass runs over
-    consecutive CHUNK_ROWS-row tiles of the inputs and of that draw, each written
-    into one preallocated output, so its intermediates stay cache-sized. Tiled
-    outputs equal a whole-batch _forward up to BLAS rounding in the last bits.
+    consecutive CHUNK_ROWS-row tiles of the repeated rows and of that draw, each
+    tile gathering its own input rows and writing into one preallocated output,
+    so no repeated input matrix is built and intermediates stay cache-sized.
+    Tiled outputs equal a whole-batch _forward up to BLAS rounding in the last
+    bits.
     """
 
     def __init__(self, params: Params, noise: NoiseModel, seed: int):
@@ -65,17 +68,25 @@ class Device:
             self._cached_key, self._cached_draw = (slot, n), draw
         return self._cached_draw
 
-    def forward_batch(self, X, noise_slot: int) -> np.ndarray:
-        """n noisy inferences with independent per-row noise; counts n queries."""
+    def forward_batch(self, X, noise_slot: int, repeat: int = 1) -> np.ndarray:
+        """n = len(X) * repeat noisy inferences with independent per-row noise; counts n queries.
+
+        Each input row is queried repeat times in a row, as Dataset.repeated would lay them out.
+        """
         X = np.asarray(X, dtype=float)
         dims = self._params.arch.layer_dims
         if X.ndim != 2 or X.shape[1] != dims[0]:
             raise ValueError(f"input shape {X.shape}, want (n, {dims[0]})")
-        n = X.shape[0]
+        if repeat < 1:
+            raise ValueError(f"repeat must be >= 1, got {repeat}")
+        n = X.shape[0] * repeat
         draw = self._draw(noise_slot, n)
         self.query_count += n
         out = np.empty((n, dims[-1]))
+        tile = np.empty((min(n, CHUNK_ROWS), dims[0]))  # every tile gathers its input rows into this buffer
         for start in range(0, n, CHUNK_ROWS):
-            stop = start + CHUNK_ROWS
-            out[start:stop] = _forward(self._params, X[start:stop], draw.rows(start, stop)).activations[-1]
+            stop = min(start + CHUNK_ROWS, n)
+            # the indices are always in range; mode="raise" would gather into a temporary, not into tile
+            rows = np.take(X, np.arange(start, stop) // repeat, axis=0, out=tile[:stop - start], mode="clip")
+            out[start:stop] = _forward(self._params, rows, draw.rows(start, stop)).activations[-1]
         return out

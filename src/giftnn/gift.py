@@ -151,24 +151,27 @@ def mean_se(values: np.ndarray) -> float:
 
 
 def eval_in_situ(device: Device, params: Params, X, Y, k2: int, noise_slot: int) -> EvalReport:
-    """Mean squared device error of params over the rows X, Y on the given noise slot.
+    """Mean squared device error of params over K1 data points X, Y, each queried k2 times, on a noise slot.
 
-    The rows are K1 = rows // k2 data points of k2 consecutive rows each (as
-    Dataset.repeated builds them). Also reports argmax-vs-argmax accuracy.
-    Standard errors come from the K1 per-data-point means. Calls that pass the
-    same rows and slot share their random numbers.
+    X is (K1, d0) and Y is (K1, dL), one row per data point; the device runs
+    each point k2 times in a row (the row order Dataset.repeated builds). Also
+    reports argmax-vs-argmax accuracy. Standard errors come from the K1
+    per-data-point means. Calls that pass the same points, k2 and slot share
+    their random numbers.
     """
-    n = X.shape[0]
-    if k2 < 1 or n == 0 or n % k2:
-        raise ValueError(f"{n} rows do not split into data points of k2 = {k2} rows")
-    k1 = n // k2
+    if k2 < 1:
+        raise ValueError(f"k2 must be >= 1, got {k2}")
+    k1 = X.shape[0]
+    if k1 == 0:
+        raise ValueError(f"input shape {X.shape} holds no data points")
+    d_out = params.arch.layer_dims[-1]
+    if Y.shape != (k1, d_out):
+        raise ValueError(f"target shape {Y.shape}, want {(k1, d_out)} for input shape {X.shape}")
     device.load(params)
-    out = device.forward_batch(X, noise_slot)
-    if Y.shape != out.shape:
-        raise ValueError(f"target shape {Y.shape}, output shape {out.shape}")
+    out = device.forward_batch(X, noise_slot, k2).reshape(k1, k2, d_out)
 
-    per_point = ((Y - out) ** 2).sum(axis=1).reshape(k1, k2).mean(axis=1)
-    per_point_acc = (np.argmax(out, axis=1) == np.argmax(Y, axis=1)).reshape(k1, k2).mean(axis=1)
+    per_point = ((Y[:, None, :] - out) ** 2).sum(axis=2).mean(axis=1)
+    per_point_acc = (np.argmax(out, axis=2) == np.argmax(Y, axis=1)[:, None]).mean(axis=1)
     return EvalReport(
         loss=float(per_point.mean()),
         loss_se=mean_se(per_point),
@@ -190,7 +193,7 @@ def gift_run(
 ) -> GiftTrace:
     """Symmetric line search from w0 along the direction, scored on the device.
 
-    Candidates w0 +- i*eta*D share one data subsample, repeated once per search,
+    Candidates w0 +- i*eta*D share one data subsample, gathered once per search,
     and one device noise slot drawn from rng in [0, 2^62), so their scores
     differ only through the parameters. Stops per stop_rule (either_worse: one
     side at or above the baseline; both_worse: both sides) or at max_steps;
@@ -200,7 +203,8 @@ def gift_run(
     if not np.isfinite(dn) or dn == 0.0:
         raise ValueError("direction must be finite and nonzero")
     gen = rng.generator(0)
-    X, Y = data.repeated(gen.integers(0, len(data), size=config.k1), config.k2)
+    idx = gen.integers(0, len(data), size=config.k1)
+    X, Y = data.inputs[idx], data.targets[idx]
     slot = int(gen.integers(1 << 62))
 
     q_before = device.query_count

@@ -318,6 +318,19 @@ class TestExitCodes:
         assert main(argv) == 1
         assert "checkpoint: params architecture" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "gift", "eval"])
+    def test_mnist_layer_dims_must_fit_the_digits(self, tmp_path, capsys, command):
+        # validation runs before any IDX file is read, so an empty data.dir is enough
+        mnist = ["data.kind=mnist", f"data.dir={json.dumps(str(tmp_path))}"]
+        assert main(tiny_argv(command, tmp_path / "o", *mnist, "arch.layer_dims=[784,8,1]")) == 1
+        err = capsys.readouterr().err
+        assert err.count("config error:") == 1
+        assert "config error: arch.layer_dims: kind 'mnist' needs 784 inputs and 10 outputs" in err
+        cfg = fresh_config()
+        cfg["data"].update(kind="mnist", dir=str(tmp_path))
+        cfg["arch"]["layer_dims"] = [784, 8, 10]
+        assert Experiment(cfg).arch.layer_dims == (784, 8, 10)
+
     def test_corrupt_checkpoint_exits_2(self, tmp_path, capsys):
         ck = tmp_path / "ck" / "seed_0"
         ck.mkdir(parents=True)

@@ -71,6 +71,9 @@ class TestForward:
         dev, _ = identity_device("gaussian_additive", 0.1)
         with pytest.raises(ValueError):
             dev.forward_batch(np.zeros((1, 3)), 0)
+        with pytest.raises(ValueError, match="repeat must be >= 1, got 0"):
+            dev.forward_batch(np.zeros((1, 2)), 0, repeat=0)
+        assert dev.query_count == 0
 
     def test_batch_consistent_with_loop(self):
         dev, _ = identity_device("gaussian_additive", 0.4, seed=3)
@@ -90,6 +93,8 @@ class TestQueryCounter:
         assert dev.query_count == 1
         dev.forward_batch(np.zeros((7, 2)), 0)
         assert dev.query_count == 8
+        assert dev.forward_batch(np.zeros((7, 2)), 0, repeat=3).shape == (21, 2)  # every repeated row is a query
+        assert dev.query_count == 29
 
     def test_replayed_slot_counts_every_row(self):
         dev, _ = identity_device("gaussian_additive", 0.1)
@@ -199,8 +204,8 @@ class TestTiledForward:
         assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_replayed_wide_call_stays_cache_sized(self):
-        # the bound sits between an untiled pass (about 134 MiB) and 1,024-row tiles (about 18 MiB);
-        # the draw itself (140 MB) is made and cached before tracing starts
+        # the bound sits between an untiled pass (about 134 MiB) and 1,024-row tiles, each gathering
+        # its own input rows (about 24 MiB); the draw itself (140 MB) is made and cached before tracing starts
         p = wide_params()
         dev = Device(p, NoiseModel("gaussian_additive", 0.1), seed=1)
         X = RngStream(2, 1).generator(0).standard_normal((8000, SHALLOW_MNIST[0]))

@@ -4,22 +4,28 @@ import pytest
 from giftnn.data import Dataset, synthetic_linear
 from giftnn.device import Device
 from giftnn.gift import (
+    EvalReport,
     GiftConfig,
     estimate_direction,
     eval_in_situ,
     gift_run,
+    mean_se,
     noise_weight_factor,
 )
 from giftnn.gradients import backward
 from giftnn.model import (
+    CHUNK_ROWS,
     Architecture,
+    NOISE_FAMILIES,
     NoiseDraw,
     NoiseModel,
     Params,
     RngStream,
     STREAM_DATA,
+    STREAM_DEVICE,
     STREAM_ESTIMATE,
     STREAM_EVAL,
+    _forward,
     forward_noisy,
     sample_noise_batch,
     zero_noise,
@@ -138,14 +144,49 @@ def sample_rows(data, k1, seed):
     return RngStream(seed, STREAM_EVAL).generator(0).integers(0, len(data), size=k1)
 
 
+def repeated_rows_reference(params, model, seed, slot, data, idx, k2):
+    """Outputs and report of scoring Dataset.repeated rows: CHUNK_ROWS-row _forward tiles over the slot's draw."""
+    X, Y = data.repeated(idx, k2)
+    n, k1 = X.shape[0], len(idx)
+    draw = sample_noise_batch(params.arch, model, RngStream(seed, STREAM_DEVICE), slot, n)
+    out = np.concatenate([_forward(params, X[s:s + CHUNK_ROWS], draw.rows(s, s + CHUNK_ROWS)).activations[-1]
+                          for s in range(0, n, CHUNK_ROWS)])
+    per_point = ((Y - out) ** 2).sum(axis=1).reshape(k1, k2).mean(axis=1)
+    per_point_acc = (np.argmax(out, axis=1) == np.argmax(Y, axis=1)).reshape(k1, k2).mean(axis=1)
+    return out, EvalReport(float(per_point.mean()), mean_se(per_point), float(per_point_acc.mean()),
+                           mean_se(per_point_acc), k1, k2, slot)
+
+
 class TestEvalInSitu:
+    @pytest.mark.parametrize("family", NOISE_FAMILIES)
+    @pytest.mark.parametrize("k1, k2", [(401, 3), (23, 100)])
+    def test_per_point_scoring_matches_repeated_rows(self, family, k1, k2):
+        # k1 * k2 is no multiple of CHUNK_ROWS, and both k2 split a data point across two tiles
+        assert (k1 * k2) % CHUNK_ROWS and CHUNK_ROWS % k2
+        p = small_params([3, 5, 4, 3], seed=30)
+        gen = RngStream(31, STREAM_DATA).generator(0)
+        X = gen.standard_normal((64, 3))
+        data = Dataset(X, np.tanh(X @ gen.standard_normal((3, 3))))
+        model = NoiseModel(family, 0.3)
+        dev = Device(p, model, seed=32)
+        idx = sample_rows(data, k1, 33)
+        slot = 5
+        ref_out, ref_report = repeated_rows_reference(p, model, 32, slot, data, idx, k2)
+        out = dev.forward_batch(data.inputs[idx], slot, k2)
+        assert dev.query_count == k1 * k2
+        assert np.array_equal(out, ref_out)
+        for calls in (2, 3):
+            assert eval_in_situ(dev, p, data.inputs[idx], data.targets[idx], k2, slot) == ref_report
+            assert dev.query_count == calls * k1 * k2
+
     def test_perfect_predictor_near_zero_loss(self):
         V = np.array([[0.3, -0.4]])
         arch = Architecture((2, 1), "tanh")
         p = Params(arch, [V.copy()], [np.zeros(1)])
         data = linear_dataset(256)
         dev = Device(p, NoiseModel("gaussian_additive", 1e-9), seed=1)
-        rep = eval_in_situ(dev, p, *data.repeated(sample_rows(data, 64, 2), 2), 2, 0)
+        idx = sample_rows(data, 64, 2)
+        rep = eval_in_situ(dev, p, data.inputs[idx], data.targets[idx], 2, 0)
         assert rep.loss < 1e-12
         assert rep.accuracy == 1.0  # single output: argmax trivially matches
 
@@ -167,7 +208,8 @@ class TestEvalInSitu:
         data = Dataset(X, Y)
         s = 0.3
         dev = Device(p, NoiseModel("gaussian_additive", s), seed=22)
-        rep = eval_in_situ(dev, p, *data.repeated(sample_rows(data, 2000, 23), 8), 8, 0)
+        idx = sample_rows(data, 2000, 23)
+        rep = eval_in_situ(dev, p, X[idx], Y[idx], 8, 0)
 
         model = NoiseModel("gaussian_additive", s)
         rng = RngStream(24, STREAM_EVAL)
@@ -187,19 +229,27 @@ class TestEvalInSitu:
         p = small_params([2, 2], seed=25)
         data = linear_dataset(64, seed=26, v=TWO_OUTPUTS)
         dev = Device(p, NoiseModel("gaussian_additive", 0.2), seed=27)
-        X, Y = data.repeated(np.arange(32), 4)
+        X, Y = data.inputs[:32], data.targets[:32]
         a = eval_in_situ(dev, p, X, Y, 4, 9)
         b = eval_in_situ(dev, p, X, Y, 4, 9)
         assert a.loss == b.loss and a.accuracy == b.accuracy
         assert (a.k1, a.k2, a.noise_slot) == (32, 4, 9)
 
-    def test_rows_must_split_into_k2_row_points(self):
+    def test_k2_must_be_positive(self):
         p = small_params([2, 2], seed=25)
-        data = linear_dataset(64, seed=26, v=(0.2, 0.1))
+        data = linear_dataset(64, seed=26, v=TWO_OUTPUTS)
         dev = Device(p, NoiseModel("gaussian_additive", 0.2), seed=27)
-        for k2 in (0, 3):
-            with pytest.raises(ValueError):
+        for k2 in (0, -1):
+            with pytest.raises(ValueError, match=f"k2 must be >= 1, got {k2}"):
                 eval_in_situ(dev, p, data.inputs[:8], data.targets[:8], k2, 0)
+        assert dev.query_count == 0
+
+    def test_inputs_must_hold_a_data_point(self):
+        p = small_params([2, 2], seed=25)
+        dev = Device(p, NoiseModel("gaussian_additive", 0.2), seed=27)
+        with pytest.raises(ValueError, match=r"input shape \(0, 2\) holds no data points"):
+            eval_in_situ(dev, p, np.zeros((0, 2)), np.zeros((0, 2)), 4, 0)
+        assert dev.query_count == 0
 
     def test_targets_must_match_the_outputs(self):
         # a one-column target would otherwise broadcast over both outputs
@@ -207,8 +257,13 @@ class TestEvalInSitu:
         data = linear_dataset(64, seed=26, v=(0.2, 0.1))
         dev = Device(p, NoiseModel("gaussian_additive", 0.2), seed=27)
         assert data.targets.shape == (64, 1)
-        with pytest.raises(ValueError, match="target shape"):
+        with pytest.raises(ValueError, match=r"target shape \(64, 1\), want \(64, 2\)"):
             eval_in_situ(dev, p, data.inputs, data.targets, 4, 0)
+        # nor do K1 x k2 repeated targets fit K1 per-point inputs
+        _, Y = linear_dataset(64, seed=26, v=TWO_OUTPUTS).repeated(np.arange(8), 4)
+        with pytest.raises(ValueError, match=r"target shape \(32, 2\), want \(8, 2\) for input shape \(8, 2\)"):
+            eval_in_situ(dev, p, data.inputs[:8], Y, 4, 0)
+        assert dev.query_count == 0
 
 
 def quadratic_device_and_data(s_t=1e-9, y=2.0):
@@ -221,6 +276,18 @@ def quadratic_device_and_data(s_t=1e-9, y=2.0):
 
 
 class TestGiftRun:
+    def test_wide_line_search_builds_no_repeated_rows(self):
+        # the bound sits between a search over a repeated 8,000 x 784 input matrix (about 207 MiB)
+        # and per-tile gathers of per-point inputs (about 171 MiB); both hold the 140 MB device draw
+        w0, d = wide_params(seed=17), wide_params(seed=18)
+        X = RngStream(19, STREAM_DATA).generator(0).standard_normal((200, SHALLOW_MNIST[0]))
+        data = Dataset(X, np.tanh(X[:, :SHALLOW_MNIST[-1]]))
+        dev = Device(w0, NoiseModel("gaussian_additive", 0.1), seed=20)
+        cfg = GiftConfig(eta=0.01, k1=1000, k2=8, max_steps=1)
+        peak = traced_peak(lambda: gift_run(dev, w0, d, cfg, data, RngStream(21, STREAM_EVAL)))
+        assert dev.query_count == 3 * 1000 * 8
+        assert peak < 190 * MIB, f"peak traced allocation {peak / MIB:.1f} MiB"
+
     def test_quadratic_line_search_finds_minimum(self):
         # (w-1.8)^2 from w0=0 with D=1, eta=0.5: both_worse keeps searching past
         # the immediately-worse minus side and lands on the nearest grid point, w=2.0
@@ -328,8 +395,7 @@ class TestGiftRun:
         trace = gift_run(dev, w0, d, cfg, data, RngStream(1, STREAM_EVAL))
         assert trace.steps_taken == 3 and len(trace.records) == 6
         assert len(draws) == 1
-        X, Y = data.repeated(np.zeros(1, dtype=int), 4)
         for p in (w0, trace.w_f):
-            eval_in_situ(dev, p, X, Y, 4, 0)
+            eval_in_situ(dev, p, data.inputs, data.targets, 4, 0)
         assert len(draws) == 2
         assert dev.query_count == (1 + 6 + 2) * 4
