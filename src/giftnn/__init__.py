@@ -18,7 +18,7 @@ from .model import (
     zero_noise,
 )
 from .gradients import GradSample, backward, batch_gradient
-from .trainer import TrainConfig, TrainingDiverged, init_params, train
+from .trainer import TrainConfig, TrainingDiverged, train
 from .gift import (
     EvalReport,
     GiftConfig,

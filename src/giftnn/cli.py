@@ -338,10 +338,7 @@ class Experiment:
         self.data, self.sweep = data, checked["sweep"]
         self.seeds, self.out_dir = checked["seeds"], checked["out_dir"]
         self.train_config = TrainConfig(**checked["train"])
-        g = checked["gift"]
-        self.gift_config = GiftConfig(g["eta"], g["k1"], g["k2"], g["max_steps"], g["stop_rule"])
-        self.est_k1, self.est_k2, self.fresh_eval_k2 = g["est_k1"], g["est_k2"], g["fresh_eval_k2"]
-        self.normalize_direction = g["normalize_direction"]
+        self.gift_config = GiftConfig(**checked["gift"])
         self.noise = NoiseModel(checked["device"]["family"], checked["device"]["s_t"])
 
     def datasets(self):
@@ -361,9 +358,8 @@ class Experiment:
             pool = synthetic_linear(dc["v"], dc["sigma_x"], n_train + n_test, rng)
         else:
             pool = synthetic_teacher(self.arch, n_train + n_test, dc["sigma_x"], rng)
-        train_ds = Dataset(pool.inputs[:n_train], pool.targets[:n_train], name=pool.name, split="train")
-        test_ds = Dataset(pool.inputs[n_train:], pool.targets[n_train:], name=pool.name, split="test")
-        return train_ds, test_ds
+        train_ds = Dataset(pool.inputs[:n_train], pool.targets[:n_train])
+        return train_ds, Dataset(pool.inputs[n_train:], pool.targets[n_train:])
 
 
 def code_hash() -> str:
@@ -451,14 +447,8 @@ def _train_one(exp: Experiment, train_ds, seed: int):
 
 
 def _estimate_one(exp: Experiment, params, train_ds, s0: float, seed: int) -> Params:
-    direction = estimate_direction(
-        params, train_ds, s0, exp.est_k1, exp.est_k2, RngStream(seed, STREAM_ESTIMATE)
-    )
-    if exp.normalize_direction:
-        n = direction.norm()
-        if n > 0:
-            direction = direction.scaled(1.0 / n)
-    return direction
+    g = exp.gift_config
+    return estimate_direction(params, train_ds, s0, g.est_k1, g.est_k2, RngStream(seed, STREAM_ESTIMATE))
 
 
 def _gift_one(exp: Experiment, w0: Params, direction: Params, test_ds,
@@ -468,7 +458,7 @@ def _gift_one(exp: Experiment, w0: Params, direction: Params, test_ds,
     device = Device(w0, NoiseModel(family, s_t), seed=_device_seed(seed, family, s_t))
     trace = gift_run(device, w0, direction, exp.gift_config, test_ds,
                      RngStream(_device_seed(seed, family, -s_t), STREAM_EVAL))
-    X, Y, k2 = test_ds.inputs, test_ds.targets, exp.fresh_eval_k2
+    X, Y, k2 = test_ds.inputs, test_ds.targets, exp.gift_config.fresh_eval_k2
     fresh_base = eval_in_situ(device, w0, X, Y, k2, 0)
     fresh_post = eval_in_situ(device, trace.w_f, X, Y, k2, 0)
     return trace, fresh_base, fresh_post

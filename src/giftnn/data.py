@@ -5,7 +5,7 @@ from __future__ import annotations
 import gzip
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,9 +39,6 @@ class Dataset:
 
     inputs: np.ndarray
     targets: np.ndarray
-    name: str = ""
-    normalization: str = ""
-    split: str = ""
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=float)
@@ -117,7 +114,7 @@ def load_idx(images_path, labels_path):
     return images, labels
 
 
-def to_dataset(images, labels, one_hot: int = 10, name: str = "mnist", split: str = "") -> Dataset:
+def to_dataset(images, labels, one_hot: int = 10) -> Dataset:
     """Pixels scaled to [0, 1], labels one-hot of length `one_hot`."""
     images = np.asarray(images)
     labels = np.asarray(labels)
@@ -126,7 +123,7 @@ def to_dataset(images, labels, one_hot: int = 10, name: str = "mnist", split: st
     inputs = images.reshape(images.shape[0], -1).astype(float) / 255.0
     targets = np.zeros((labels.shape[0], one_hot))
     targets[np.arange(labels.shape[0]), labels.astype(int)] = 1.0
-    return Dataset(inputs, targets, name=name, normalization="pixels/255", split=split)
+    return Dataset(inputs, targets)
 
 
 _MNIST_FILES = {
@@ -163,7 +160,7 @@ def load_mnist(data_dir=None, train: bool = True) -> Dataset:
     images_path = _find_idx_file(d, _MNIST_FILES[(train, "images")])
     labels_path = _find_idx_file(d, _MNIST_FILES[(train, "labels")])
     images, labels = load_idx(images_path, labels_path)
-    return to_dataset(images, labels, split="train" if train else "test")
+    return to_dataset(images, labels)
 
 
 def _check_sigma_x(sigma_x):
@@ -180,7 +177,7 @@ def synthetic_linear(V, sigma_x: float, n: int, rng: RngStream) -> Dataset:
     gen = rng.generator(0)
     X = sigma_x * gen.standard_normal((n, V.shape[1]))
     Y = X @ V.T
-    return Dataset(X, Y, name="synthetic_linear", normalization="none")
+    return Dataset(X, Y)
 
 
 def synthetic_teacher(arch: Architecture, n: int, sigma_x: float, rng: RngStream) -> Dataset:
@@ -192,7 +189,7 @@ def synthetic_teacher(arch: Architecture, n: int, sigma_x: float, rng: RngStream
     teacher = init_uniform(arch, gen)
     X = sigma_x * gen.standard_normal((n, arch.layer_dims[0]))
     Y = forward_deterministic(teacher, X)
-    return Dataset(X, Y, name="synthetic_teacher", normalization="none")
+    return Dataset(X, Y)
 
 
 def subset(ds: Dataset, n: int, rng: RngStream) -> Dataset:
@@ -200,7 +197,7 @@ def subset(ds: Dataset, n: int, rng: RngStream) -> Dataset:
     if n > len(ds):
         raise ValueError(f"subset of {n} from {len(ds)} rows")
     idx = rng.generator(0).choice(len(ds), size=n, replace=False)
-    return Dataset(ds.inputs[idx], ds.targets[idx], name=ds.name, normalization=ds.normalization, split=ds.split)
+    return Dataset(ds.inputs[idx], ds.targets[idx])
 
 
 def epoch_batches(n: int, batch_size: int, rng: RngStream, epoch: int):

@@ -35,7 +35,12 @@ STOP_RULES = ("either_worse", "both_worse")
 
 @dataclass
 class GiftConfig:
-    """Line-search settings: step scale eta, eval sample sizes K1/K2, stop rule.
+    """The config's whole gift section: the fine-tuning chain's settings.
+
+    The line search takes step scale eta, eval sample sizes K1/K2, max_steps,
+    the stop rule and normalize_direction. The direction estimate draws
+    est_k1 x est_k2 rows; the fresh re-evaluation runs each test point
+    fresh_eval_k2 times.
 
     eta = 0 is allowed and degenerates to returning the initial weights: all
     candidates coincide, shared noise makes scores exactly equal, and the
@@ -45,14 +50,18 @@ class GiftConfig:
     eta: float
     k1: int
     k2: int
-    max_steps: int = 10
+    max_steps: int = 25
     stop_rule: str = "either_worse"
+    est_k1: int = 500
+    est_k2: int = 100
+    normalize_direction: bool = True
+    fresh_eval_k2: int = 8
 
     def __post_init__(self):
         if not (np.isfinite(self.eta) and self.eta >= 0):
             raise ValueError(f"eta must be a finite number >= 0, got {self.eta!r}")
-        if self.k1 < 1 or self.k2 < 1:
-            raise ValueError("k1 and k2 must be >= 1")
+        if min(self.k1, self.k2, self.est_k1, self.est_k2, self.fresh_eval_k2) < 1:
+            raise ValueError("k1, k2, est_k1, est_k2 and fresh_eval_k2 must be >= 1")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
         if self.stop_rule not in STOP_RULES:
@@ -193,15 +202,20 @@ def gift_run(
 ) -> GiftTrace:
     """Symmetric line search from w0 along the direction, scored on the device.
 
-    Candidates w0 +- i*eta*D share one data subsample, gathered once per search,
-    and one device noise slot drawn from rng in [0, 2^62), so their scores
-    differ only through the parameters. Stops per stop_rule (either_worse: one
-    side at or above the baseline; both_worse: both sides) or at max_steps;
-    returns the argmin over everything visited, baseline included.
+    D is the direction scaled to unit norm when config.normalize_direction is
+    set, else the direction as given. Candidates w0 +- i*eta*D share one data
+    subsample, gathered once per search, and one device noise slot drawn from
+    rng in [0, 2^62), so their scores differ only through the parameters.
+    Stops per stop_rule (either_worse: one side at or above the baseline;
+    both_worse: both sides) or at max_steps; returns the argmin over
+    everything visited, baseline included.
     """
     dn = direction.norm()
     if not np.isfinite(dn) or dn == 0.0:
         raise ValueError("direction must be finite and nonzero")
+    if config.normalize_direction:
+        direction = direction.scaled(1.0 / dn)
+        dn = direction.norm()
     gen = rng.generator(0)
     idx = gen.integers(0, len(data), size=config.k1)
     X, Y = data.inputs[idx], data.targets[idx]

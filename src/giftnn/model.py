@@ -335,16 +335,17 @@ def zero_noise(arch: Architecture) -> NoiseDraw:
     )
 
 
-def _check_noise_dims(arch: Architecture, noise: NoiseDraw):
+def _check_noise_dims(arch: Architecture, noise: NoiseDraw, n: int):
+    """Each draw array must be (n, d), one row per input row, or (d,), which zero_noise broadcasts."""
     dims = arch.layer_dims
     L = arch.n_layers
     if len(noise.act) != L or len(noise.weigh) != L:
         raise ValueError(f"noise draw has {len(noise.act)}+{len(noise.weigh)} vectors, want {L}+{L}")
     for l in range(L):
-        if noise.act[l].shape[-1] != dims[l]:
-            raise ValueError(f"activation noise {l}: last dim {noise.act[l].shape[-1]}, want {dims[l]}")
-        if noise.weigh[l].shape[-1] != dims[l + 1]:
-            raise ValueError(f"weighing noise {l + 1}: last dim {noise.weigh[l].shape[-1]}, want {dims[l + 1]}")
+        if noise.act[l].shape not in ((n, dims[l]), (dims[l],)):
+            raise ValueError(f"activation noise {l}: shape {noise.act[l].shape}, want {(n, dims[l])}")
+        if noise.weigh[l].shape not in ((n, dims[l + 1]), (dims[l + 1],)):
+            raise ValueError(f"weighing noise {l + 1}: shape {noise.weigh[l].shape}, want {(n, dims[l + 1])}")
 
 
 def _forward(params: Params, x, noise: NoiseDraw) -> ForwardTrace:
@@ -355,7 +356,7 @@ def _forward(params: Params, x, noise: NoiseDraw) -> ForwardTrace:
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != arch.layer_dims[0]:
         raise ValueError(f"input shape {x.shape}, want (n, {arch.layer_dims[0]})")
-    _check_noise_dims(arch, noise)
+    _check_noise_dims(arch, noise, x.shape[0])
     mult = noise.multiplicative
     s = noise.level
 

@@ -228,22 +228,19 @@ def mc_objective_pair(params_a: Params, params_b: Params, s: float, data,
 def check_theorem1_empirically(
     arch: Architecture,
     data,
-    s0: float,
     s_t: float,
     train_config: TrainConfig,
     gift_config: GiftConfig,
     n_seeds: int,
-    est_k1: int = 200,
-    est_k2: int = 50,
     mc_samples: int = 200_000,
-    normalize_direction: bool = True,
     condition: bool = True,
     retrain_at_true_level: bool = True,
 ):
-    """Train at s0 (and optionally at s_t) across seeds, report the empirical
-    improvement condition, the objective gap at level s_t, and the fine-tuning
-    improvement measured both at the selection estimate and by an independent
-    Monte Carlo objective.
+    """Train at s0 = train_config.s0 (and optionally at s_t) across seeds, report
+    the empirical improvement condition, the objective gap at level s_t, and the
+    fine-tuning improvement measured both at the selection estimate and by an
+    independent Monte Carlo objective. gift_config sets the direction estimate's
+    size and the line search, as it does for the gift command.
 
     s_t == s0 is allowed (the well-specified case; fine-tuning stays
     non-degrading); the condition report needs an interval, so it is skipped.
@@ -254,9 +251,10 @@ def check_theorem1_empirically(
     imp_est, imp_true, imp_true_ses = [], [], []
     diverged = 0
     first_w0 = None
+    s0 = train_config.s0
     for seed in range(n_seeds):
         try:
-            w0, _ = train(arch, replace(train_config, s0=s0, seed=seed), data)
+            w0, _ = train(arch, replace(train_config, seed=seed), data)
             if retrain_at_true_level:
                 w_t, _ = train(arch, replace(train_config, s0=s_t, seed=seed), data)
         except TrainingDiverged:
@@ -269,9 +267,8 @@ def check_theorem1_empirically(
             gaps.append(pair["diff"])
             gap_ses.append(pair["diff_se"])
 
-        direction = estimate_direction(w0, data, s0, est_k1, est_k2, RngStream(seed, STREAM_ESTIMATE))
-        if normalize_direction and direction.norm() > 0:
-            direction = direction.scaled(1.0 / direction.norm())
+        direction = estimate_direction(w0, data, s0, gift_config.est_k1, gift_config.est_k2,
+                                       RngStream(seed, STREAM_ESTIMATE))
         device = Device(w0, NoiseModel("gaussian_additive", s_t), seed=mix64(seed))
         trace = gift_run(device, w0, direction, gift_config, data, RngStream(seed, STREAM_EVAL))
         imp_est.append(trace.improvement)

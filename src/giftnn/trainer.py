@@ -11,7 +11,6 @@ from .gradients import batch_gradient, batch_loss
 from .model import (
     Architecture,
     Hyperrectangle,
-    Params,
     RngStream,
     STREAM_INIT,
     STREAM_SHUFFLE,
@@ -20,6 +19,8 @@ from .model import (
     init_uniform,
     project,
 )
+
+LOSS_GUARD = 1e6  # a batch loss above this (or non-finite) aborts training
 
 
 class TrainingDiverged(RuntimeError):
@@ -42,8 +43,6 @@ class TrainConfig:
     tau: float = 1000.0
     projection: Hyperrectangle | None = None
     seed: int = 0
-    max_steps: int | None = None
-    loss_guard: float = 1e6
 
     def __post_init__(self):
         if not self.s0 > 0:
@@ -56,8 +55,6 @@ class TrainConfig:
             raise ValueError(f"decay exponent must be in (0.5, 1], got {self.decay_p}")
         if not self.tau > 0:
             raise ValueError("tau must be positive")
-        if self.max_steps is not None and self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1 when set")
 
 
 def step_size(config: TrainConfig, k: int) -> float:
@@ -81,21 +78,17 @@ class LossHistory:
         return out
 
 
-def init_params(arch: Architecture, rng: RngStream | None = None) -> Params:
-    """Weights ~ Uniform(-a, a) with a = 1/sqrt(d_in); biases exactly zero."""
-    return init_uniform(arch, (rng or RngStream(0, STREAM_INIT)).generator(0))
-
-
-def train(arch: Architecture, config: TrainConfig, data, init: Params | None = None):
+def train(arch: Architecture, config: TrainConfig, data):
     """Projected SGD on the mean squared error under fresh level-s0 noise per sample.
 
-    Returns (params, LossHistory). Aborts with TrainingDiverged when the batch
-    loss becomes non-finite or exceeds config.loss_guard.
+    Starts from init_uniform weights drawn from the seed's init stream. Returns
+    (params, LossHistory). Aborts with TrainingDiverged when the batch loss
+    becomes non-finite or exceeds LOSS_GUARD.
     """
     if len(data) < 1:
         raise ValueError("dataset must be nonempty")
     X, Y = data.inputs, data.targets
-    params = init.copy() if init is not None else init_params(arch, rng=RngStream(config.seed, STREAM_INIT))
+    params = init_uniform(arch, RngStream(config.seed, STREAM_INIT).generator(0))
 
     shuffle_rng = RngStream(config.seed, STREAM_SHUFFLE)
     noise_rng = RngStream(config.seed, STREAM_TRAIN_NOISE)
@@ -105,10 +98,8 @@ def train(arch: Architecture, config: TrainConfig, data, init: Params | None = N
         for idx in epoch_batches(len(data), config.batch_size, shuffle_rng, epoch):
             sample = batch_gradient(params, X[idx], Y[idx], config.s0, noise_rng, index=k)
             loss = batch_loss(sample)
-            if not np.isfinite(loss) or loss > config.loss_guard:
-                raise TrainingDiverged(
-                    f"loss {loss:.6g} at step {k} (epoch {epoch}); guard {config.loss_guard:g}"
-                )
+            if not np.isfinite(loss) or loss > LOSS_GUARD:
+                raise TrainingDiverged(f"loss {loss:.6g} at step {k} (epoch {epoch}); guard {LOSS_GUARD:g}")
             params = apply_step(params, -step_size(config, k), sample.grad)
             if config.projection is not None:
                 params = project(params, config.projection)
@@ -117,6 +108,4 @@ def train(arch: Architecture, config: TrainConfig, data, init: Params | None = N
             history.eps.append(step_size(config, k))
             history.losses.append(loss)
             k += 1
-            if config.max_steps is not None and k >= config.max_steps:
-                return params, history
     return params, history

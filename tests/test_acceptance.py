@@ -203,11 +203,9 @@ def test_criterion_07_mean_improvement_at_preset_defaults():
     exp = Experiment(default_config())
     train_ds, _ = exp.datasets()
     report, stats = check_theorem1_empirically(
-        exp.arch, train_ds,
-        s0=exp.train_config.s0, s_t=exp.noise.level,
+        exp.arch, train_ds, s_t=exp.noise.level,
         train_config=exp.train_config, gift_config=exp.gift_config,
-        n_seeds=20, est_k1=exp.est_k1, est_k2=exp.est_k2,
-        mc_samples=400_000, normalize_direction=exp.normalize_direction,
+        n_seeds=20, mc_samples=400_000,
         condition=False, retrain_at_true_level=False,
     )
     imp = stats["improvement_true"]

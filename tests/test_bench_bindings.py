@@ -1,6 +1,7 @@
 """The benchmark's tracer patches named functions of the package (perfbench/tracer.py
 PATCHES). A refactor that renames or unbinds one of them breaks the benchmark;
-this runs a tiny gift and eval under the tracer so that such a break fails here too.
+this runs a tiny gift, eval, sweep and theorem check under the tracer so that such a
+break fails here too, and counts the calls at the sites each path reaches.
 
 perfbench/tracer.py is imported read-only, from its file.
 """
@@ -9,8 +10,12 @@ import importlib.util
 from pathlib import Path
 
 from giftnn.cli import main
+from giftnn.gift import GiftConfig
+from giftnn.theory import check_theorem1_empirically
+from giftnn.trainer import TrainConfig
 
 from test_cli import tiny_argv
+from test_theory import LINEAR_ARCH, linear_data
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -34,3 +39,33 @@ def test_gift_and_eval_run_under_the_benchmark_tracer(tmp_path, capsys):
     # per gift seed: the baseline, at least one pair of candidates and the fresh pair; one per eval seed
     assert summary["gift.eval_in_situ"]["calls"] >= 2 * (1 + 2 + 2) + 2
     assert summary["gift.estimate_direction"]["rows"] > 0
+
+
+def traced(run):
+    tracer = load_tracer().Tracer()
+    with tracer.install():
+        result = run()
+    return result, tracer.iteration_summary(tracer.iteration)
+
+
+def test_sweep_runs_under_the_benchmark_tracer(tmp_path, capsys):
+    # 2 s0 levels x 2 seeds = 4 tasks, each training and estimating once for its 2 device levels
+    argv = tiny_argv("sweep", tmp_path, "sweep.s0_grid=[0.1,0.2]", "sweep.st_grid=[0.3,0.4]")
+    code, summary = traced(lambda: main(argv))
+    capsys.readouterr()
+    assert code == 0
+    assert summary["trainer.train"]["calls"] == 4
+    assert summary["gift.estimate_direction"]["calls"] == 4
+    assert summary["gift.gift_run"]["calls"] == 4 * 2
+
+
+def test_theorem_check_runs_under_the_benchmark_tracer():
+    # per seed: w0 at s0 and w_t at s_t, one direction estimate and one line search
+    cfg = TrainConfig(s0=0.2, epochs=2, batch_size=128, decay_p=1.0, tau=150.0)
+    gift = GiftConfig(eta=0.02, k1=16, k2=2, max_steps=2, est_k1=20, est_k2=5)
+    _, summary = traced(lambda: check_theorem1_empirically(
+        LINEAR_ARCH, linear_data(512), 0.3, cfg, gift, n_seeds=2, mc_samples=2_000, condition=False))
+    assert summary["trainer.train"]["calls"] == 2 * 2
+    assert summary["gift.estimate_direction"]["calls"] == 2
+    assert summary["gift.gift_run"]["calls"] == 2
+    assert summary["theory.mc_objective_pair"]["calls"] == 2 * 2

@@ -472,7 +472,8 @@ class TestTrainGiftEval:
         train_ds, _ = exp.datasets()
         for seed in exp.seeds:
             w0 = load_params(out / "train" / f"seed_{seed}" / "params.npz")
-            raw = estimate_direction(w0, train_ds, exp.train_config.s0, exp.est_k1, exp.est_k2,
+            g = exp.gift_config
+            raw = estimate_direction(w0, train_ds, exp.train_config.s0, g.est_k1, g.est_k2,
                                      RngStream(seed, STREAM_ESTIMATE)).norm()
             assert norms["false"][seed] == raw != 1.0
             assert abs(norms["true"][seed] - 1.0) <= 1e-12

@@ -1,6 +1,9 @@
+from dataclasses import MISSING, fields
+
 import numpy as np
 import pytest
 
+from giftnn.cli import DEFAULT_CONFIG
 from giftnn.data import Dataset, synthetic_linear
 from giftnn.device import Device
 from giftnn.gift import (
@@ -275,6 +278,19 @@ def quadratic_device_and_data(s_t=1e-9, y=2.0):
     return arch, w0, data, dev
 
 
+class TestGiftConfig:
+    def test_defaults_match_the_config_schema(self):
+        gift = DEFAULT_CONFIG["gift"]
+        assert sorted(f.name for f in fields(GiftConfig)) == sorted(gift)
+        for f in fields(GiftConfig):
+            assert f.default is MISSING or f.default == gift[f.name], f.name
+
+    @pytest.mark.parametrize("count", ["k1", "k2", "est_k1", "est_k2", "fresh_eval_k2"])
+    def test_counts_must_be_positive(self, count):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            GiftConfig(**{"eta": 0.1, "k1": 4, "k2": 2, count: 0})
+
+
 class TestGiftRun:
     def test_wide_line_search_builds_no_repeated_rows(self):
         # the bound sits between a search over a repeated 8,000 x 784 input matrix (about 207 MiB)
@@ -339,6 +355,20 @@ class TestGiftRun:
         assert trace.improvement == 0.0
         assert trace.steps_taken == 1
 
+    @pytest.mark.parametrize("normalize, scale", [(False, 2.0), (True, 1.0)])
+    def test_normalize_direction_sets_the_step_scale(self, normalize, scale):
+        # D = 2 on loss (2 - w)^2: candidates sit at sign*i*eta*D, or at sign*i*eta*D/||D|| when normalized
+        arch, w0, data, dev = quadratic_device_and_data()
+        d = Params(arch, [np.array([[2.0]])], [np.zeros(1)])
+        cfg = GiftConfig(eta=0.25, k1=1, k2=1, max_steps=3, stop_rule="both_worse", normalize_direction=normalize)
+        trace = gift_run(dev, w0, d, cfg, data, RngStream(5, STREAM_EVAL))
+        assert trace.direction_norm == scale
+        assert [(i, s) for i, s, _ in trace.records] == [(i, s) for i in (1, 2, 3) for s in (1, -1)]
+        for i, s, rep in trace.records:
+            assert rep.loss == pytest.approx((2.0 - s * i * 0.25 * scale) ** 2, abs=1e-6)
+        assert trace.selected == (3, 1)
+        assert trace.w_f.weights[0][0, 0] == 3 * 0.25 * scale
+
     def test_zero_direction_rejected(self):
         arch, w0, data, dev = quadratic_device_and_data()
         d = Params(arch, [np.array([[0.0]])], [np.zeros(1)])
@@ -353,7 +383,6 @@ class TestGiftRun:
         data = Dataset(data.inputs, np.column_stack([data.targets[:, 0], -data.targets[:, 0]]))
         dev = Device(p, NoiseModel("gaussian_additive", 0.25), seed=33)
         d = estimate_direction(p, data, 0.2, 64, 16, RngStream(34, STREAM_ESTIMATE))
-        d = d.scaled(1.0 / d.norm())
         cfg = GiftConfig(eta=0.05, k1=128, k2=4, max_steps=6, stop_rule="either_worse")
         trace = gift_run(dev, p, d, cfg, data, RngStream(35, STREAM_EVAL))
         assert trace.improvement >= 0.0
@@ -382,7 +411,6 @@ class TestGiftRun:
         dev = Device(p, NoiseModel("gaussian_additive", 0.2), seed=52)
         cfg = GiftConfig(eta=0.05, k1=16, k2=3, max_steps=4, stop_rule="either_worse")
         d = Params(p.arch, [np.full((2, 2), 1.0)], [np.full(2, 0.5)])
-        d = d.scaled(1.0 / d.norm())
         trace = gift_run(dev, p, d, cfg, data, RngStream(53, STREAM_EVAL))
         assert trace.queries == (1 + 2 * trace.steps_taken) * 16 * 3
 

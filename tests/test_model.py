@@ -222,6 +222,14 @@ class TestForward:
         with pytest.raises(ValueError, match=r"want \(n, 2\)"):
             forward_noisy(p, np.zeros(shape), zero_noise(p.arch))
 
+    @pytest.mark.parametrize("draw_rows", [1, 3])
+    def test_draw_rows_must_match_input_rows(self, draw_rows):
+        # one noise row per input row: neither a 1-row draw (which would broadcast) nor a 3-row one fits 5 inputs
+        p = small_params([4, 3, 2], seed=13)
+        draw = sample_noise_batch(p.arch, NoiseModel("gaussian_additive", 0.2), RngStream(14, 3), 0, draw_rows)
+        with pytest.raises(ValueError, match=rf"activation noise 0: shape \({draw_rows}, 4\), want \(5, 4\)"):
+            forward_noisy(p, np.zeros((5, 4)), draw)
+
     def test_multiplicative_rejected_in_forward_noisy(self):
         arch = Architecture((2, 2), "tanh")
         p = small_params([2, 2])

@@ -276,10 +276,9 @@ class TestTheorem1Empirically:
     def test_linear_gap_positive_inside_bound(self):
         cfg = TrainConfig(s0=0.2, epochs=150, batch_size=256, eps0=0.1,
                           decay_p=1.0, tau=150.0)
-        gift = GiftConfig(eta=0.02, k1=256, k2=4, max_steps=10)
+        gift = GiftConfig(eta=0.02, k1=256, k2=4, max_steps=10, est_k1=200, est_k2=50)
         report, stats = check_theorem1_empirically(
-            LINEAR_ARCH, linear_data(4096), 0.2, 0.6, cfg, gift, n_seeds=3,
-            est_k1=200, est_k2=50, mc_samples=100_000)
+            LINEAR_ARCH, linear_data(4096), 0.6, cfg, gift, n_seeds=3, mc_samples=100_000)
         gap = stats["gap"]
         assert np.all(gap["values"] > 0)
         assert gap["mean"] > 3 * max(gap["se"], np.max(stats["gap_ses"]))
@@ -287,12 +286,11 @@ class TestTheorem1Empirically:
         assert np.all(stats["improvement_estimate"]["values"] >= 0)
 
     def test_equal_levels_gap_is_zero(self):
-        cfg = TrainConfig(s0=0.2, epochs=10, batch_size=128, eps0=0.05,
+        cfg = TrainConfig(s0=0.3, epochs=10, batch_size=128, eps0=0.05,
                           decay_p=0.75, tau=500.0)
-        gift = GiftConfig(eta=0.02, k1=64, k2=2, max_steps=3)
+        gift = GiftConfig(eta=0.02, k1=64, k2=2, max_steps=3, est_k1=50, est_k2=20)
         report, stats = check_theorem1_empirically(
-            LINEAR_ARCH, linear_data(1024), 0.3, 0.3, cfg, gift, n_seeds=2,
-            est_k1=50, est_k2=20, mc_samples=20_000)
+            LINEAR_ARCH, linear_data(1024), 0.3, cfg, gift, n_seeds=2, mc_samples=20_000)
         assert report is None
         assert np.allclose(stats["gap"]["values"], 0.0)
         assert np.all(stats["improvement_estimate"]["values"] >= 0)

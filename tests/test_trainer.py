@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from giftnn.data import synthetic_linear
-from giftnn.model import Architecture, Hyperrectangle, RngStream, STREAM_DATA
+from giftnn.model import Architecture, Hyperrectangle, RngStream, STREAM_DATA, init_uniform
 from giftnn.trainer import (
     LossHistory,
     TrainConfig,
     TrainingDiverged,
-    init_params,
     step_size,
     train,
 )
@@ -48,13 +47,13 @@ class TestConfig:
 
 class TestInit:
     def test_reproducible(self):
-        a = init_params(ARCH, rng=RngStream(3, 1))
-        b = init_params(ARCH, rng=RngStream(3, 1))
+        a = init_uniform(ARCH, RngStream(3, 1).generator(0))
+        b = init_uniform(ARCH, RngStream(3, 1).generator(0))
         assert np.array_equal(a.weights[0], b.weights[0])
 
     def test_zero_biases_and_uniform_range(self):
         arch = Architecture((100, 50), "tanh")
-        p = init_params(arch, rng=RngStream(4, 1))
+        p = init_uniform(arch, RngStream(4, 1).generator(0))
         assert np.all(p.biases[0] == 0.0)
         a = 1.0 / np.sqrt(100)
         w = p.weights[0]
@@ -106,14 +105,9 @@ class TestTrain:
 
     def test_divergence_guard(self):
         cfg = TrainConfig(s0=0.2, epochs=50, batch_size=8, eps0=1e4,
-                          decay_p=0.75, tau=1e6, seed=0, loss_guard=1e6)
+                          decay_p=0.75, tau=1e6, seed=0)
         with pytest.raises(TrainingDiverged):
             train(ARCH, cfg, linear_data(256))
-
-    def test_max_steps_caps_training(self):
-        cfg = TrainConfig(s0=0.2, epochs=100, batch_size=64, seed=0, max_steps=5)
-        _, hist = train(ARCH, cfg, linear_data(512))
-        assert len(hist.losses) == 5
 
     def test_history_records_schedule(self):
         cfg = TrainConfig(s0=0.2, epochs=2, batch_size=128, eps0=0.05,
