@@ -459,8 +459,7 @@ def _gift_one(exp: Experiment, w0: Params, direction: Params, test_ds,
     trace = gift_run(device, w0, direction, exp.gift_config, test_ds,
                      RngStream(_device_seed(seed, family, -s_t), STREAM_EVAL))
     X, Y, k2 = test_ds.inputs, test_ds.targets, exp.gift_config.fresh_eval_k2
-    fresh_base = eval_in_situ(device, w0, X, Y, k2, 0)
-    fresh_post = eval_in_situ(device, trace.w_f, X, Y, k2, 0)
+    fresh_base, fresh_post = eval_in_situ(device, [w0, trace.w_f], X, Y, k2, 0)
     return trace, fresh_base, fresh_post
 
 
@@ -591,7 +590,7 @@ def cmd_eval(exp: Experiment, checkpoint_root: str | None) -> int:
         params = _load_checkpoint(exp, checkpoint_root, train_ds, seed)
         device = Device(params, noise, seed=_device_seed(seed, noise.family, noise.level))
         idx = RngStream(seed, STREAM_EVAL).generator(0).integers(0, len(test_ds), size=exp.gift_config.k1)
-        report = eval_in_situ(device, params, test_ds.inputs[idx], test_ds.targets[idx], exp.gift_config.k2, 0)
+        report, = eval_in_situ(device, [params], test_ds.inputs[idx], test_ds.targets[idx], exp.gift_config.k2, 0)
         rows.append({
             "seed": seed,
             "family": noise.family,

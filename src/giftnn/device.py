@@ -10,83 +10,97 @@ from __future__ import annotations
 import numpy as np
 
 from .model import (
-    CHUNK_ROWS,
     NoiseModel,
     Params,
     RngStream,
     STREAM_DEVICE,
     _forward,
+    _site_dims,
+    point_blocks,
     sample_noise_batch,
 )
+
+# The largest draw of one call that the device keeps for replay. Fixed, never chosen
+# by a caller: it trades CPU time against memory and never changes a result.
+REPLAY_BYTES = 32 * 2**20
 
 
 class Device:
     """Opaque noisy forward oracle with a monotone query counter.
 
-    Queries are batches: forward_batch takes (k1, d0) per-point inputs and a
-    repeat count and returns (k1 * repeat, dL) outputs, row r reading input
-    X[r // repeat]. Every call names its noise slot: noise for slot j is
-    exactly the batch draw an in-silico sampler would produce at stream
-    (seed, STREAM_DEVICE) index j. Passing the same slot to two calls of
-    identical batch size replays the same noise (common random numbers).
+    load maps one or more parameter sets onto the device. Queries are batches:
+    forward_batch takes (k1, d0) per-point inputs and a repeat count and runs
+    every loaded parameter set over each point repeat times in a row, returning
+    (m * k1 * repeat, dL) outputs for m loaded sets, set-major; within a set,
+    row r reads X[r // repeat]. Every row counts in query_count.
 
-    The last draw is kept, read-only, keyed by (slot, batch size), so a run of
-    calls on one slot draws its noise once and replays it, not regenerates it.
-    Only one draw is ever kept: a call on another key drops it before drawing.
-    Every call still counts its rows in query_count.
+    Every call names its noise slot. A call runs its points in the blocks of
+    model.point_blocks(k1, repeat), and block c draws its noise at spawn key
+    (STREAM_DEVICE, slot, c) of the device seed, so noise depends only on
+    (slot, k1, repeat): calls that pass the same slot and shapes share their
+    random numbers (common random numbers), whatever parameters are loaded.
 
-    A call's noise is always the whole-batch draw, but the forward pass runs over
-    consecutive CHUNK_ROWS-row tiles of the repeated rows and of that draw, each
-    tile gathering its own input rows and writing into one preallocated output,
-    so no repeated input matrix is built and intermediates stay cache-sized.
-    Tiled outputs equal a whole-batch _forward up to BLAS rounding in the last
-    bits.
+    Each block's draw is made once per call, and every loaded parameter set
+    runs through the block while it is live. A call whose whole draw fits in
+    REPLAY_BYTES keeps it, read-only, so the next call with the same key
+    replays it; a larger draw is made, used and dropped one block at a time.
+    Only one call's draw is kept; a call on another key drops it first.
     """
 
     def __init__(self, params: Params, noise: NoiseModel, seed: int):
-        self._params = params.copy()
+        self._params = (params.copy(),)
         self._noise = noise
         self._stream = RngStream(seed, STREAM_DEVICE)
-        self._cached_key = None
-        self._cached_draw = None
+        self._replay_key = None
+        self._replay = None
         self.query_count = 0
 
-    def load(self, params: Params) -> None:
-        """Map new parameters onto the device; the query counter is untouched."""
-        dims = self._params.arch.layer_dims
-        if params.arch.layer_dims != dims:
-            raise ValueError(f"params dims {params.arch.layer_dims} do not match device {dims}")
-        self._params = params.copy()
-
-    def _draw(self, slot: int, n: int):
-        """Noise for slot at batch size n, drawn once per run of equal keys."""
-        if self._cached_key != (slot, n):
-            self._cached_key = self._cached_draw = None  # free the old draw before the next is made
-            draw = sample_noise_batch(self._params.arch, self._noise, self._stream, slot, n)
-            for v in draw.act + draw.weigh:
-                v.flags.writeable = False
-            self._cached_key, self._cached_draw = (slot, n), draw
-        return self._cached_draw
+    def load(self, *params: Params) -> None:
+        """Map one or more parameter sets onto the device; the query counter is untouched."""
+        if not params:
+            raise ValueError("load needs at least one parameter set")
+        dims = self._params[0].arch.layer_dims
+        for p in params:
+            if p.arch.layer_dims != dims:
+                raise ValueError(f"params dims {p.arch.layer_dims} do not match device {dims}")
+        self._params = tuple(p.copy() for p in params)
 
     def forward_batch(self, X, noise_slot: int, repeat: int = 1) -> np.ndarray:
-        """n = len(X) * repeat noisy inferences with independent per-row noise; counts n queries.
+        """m * len(X) * repeat noisy inferences for m loaded parameter sets; counts every row as a query.
 
         Each input row is queried repeat times in a row, as Dataset.repeated would lay them out.
         """
         X = np.asarray(X, dtype=float)
-        dims = self._params.arch.layer_dims
+        arch = self._params[0].arch
+        dims = arch.layer_dims
         if X.ndim != 2 or X.shape[1] != dims[0]:
             raise ValueError(f"input shape {X.shape}, want (n, {dims[0]})")
         if repeat < 1:
             raise ValueError(f"repeat must be >= 1, got {repeat}")
-        n = X.shape[0] * repeat
-        draw = self._draw(noise_slot, n)
-        self.query_count += n
-        out = np.empty((n, dims[-1]))
-        tile = np.empty((min(n, CHUNK_ROWS), dims[0]))  # every tile gathers its input rows into this buffer
-        for start in range(0, n, CHUNK_ROWS):
-            stop = min(start + CHUNK_ROWS, n)
-            # the indices are always in range; mode="raise" would gather into a temporary, not into tile
-            rows = np.take(X, np.arange(start, stop) // repeat, axis=0, out=tile[:stop - start], mode="clip")
-            out[start:stop] = _forward(self._params, rows, draw.rows(start, stop)).activations[-1]
-        return out
+        k1 = X.shape[0]
+        out = np.empty((len(self._params), k1 * repeat, dims[-1]))
+        key = (noise_slot, k1, repeat)
+        replay = self._replay if self._replay_key == key else None
+        kept = None
+        if replay is None:
+            self._replay_key = self._replay = None  # free the kept draw before the next is made
+            values_per_row = sum(d for _, _, d in _site_dims(arch))
+            if 8 * out.shape[1] * values_per_row <= REPLAY_BYTES:
+                kept = []
+        stream = self._stream.substream(noise_slot)
+        for c, (start, stop) in enumerate(point_blocks(k1, repeat)):
+            if replay is not None:
+                draw = replay[c]
+            else:
+                draw = sample_noise_batch(arch, self._noise, stream, c, (stop - start) * repeat)
+                if kept is not None:
+                    for v in draw.act + draw.weigh:
+                        v.flags.writeable = False
+                    kept.append(draw)
+            for p, rows in zip(self._params, out):
+                rows[start * repeat:stop * repeat] = _forward(p, X[start:stop], draw, repeat).activations[-1]
+            del draw  # a streamed block is freed before the next one is drawn
+        if kept is not None:
+            self._replay_key, self._replay = key, kept
+        self.query_count += out.shape[0] * out.shape[1]
+        return out.reshape(-1, dims[-1])

@@ -13,6 +13,7 @@ parameters' layout, and each candidate w0 + c*D is one vector operation
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,13 +21,13 @@ import numpy as np
 from .device import Device
 from .gradients import residual_stack
 from .model import (
-    CHUNK_ROWS,
     NoiseDraw,
     NoiseModel,
     Params,
     RngStream,
     apply_step,
     forward_noisy,
+    point_blocks,
     sample_noise_batch,
 )
 
@@ -119,14 +120,13 @@ def noise_weight_factor(noise: NoiseDraw, s0: float):
 def mc_blocks(arch, model: NoiseModel, data, n_points: int, k2: int, rng: RngStream):
     """Monte Carlo blocks (X, Y, noise) over n_points data rows drawn at rng index 0.
 
-    Each drawn row is repeated k2 times in a row. A block holds at most
-    CHUNK_ROWS rows, or one data point's k2 rows when k2 alone exceeds that;
-    block c draws its noise from model at rng index 1 + c.
+    Each drawn row is repeated k2 times in a row, and the blocks are those of
+    model.point_blocks (the device's block plan too); block c draws its noise
+    from model at rng index 1 + c.
     """
     idx = rng.generator(0).integers(0, len(data), size=n_points)
-    points_per_block = max(1, CHUNK_ROWS // k2)
-    for c, start in enumerate(range(0, n_points, points_per_block)):
-        X, Y = data.repeated(idx[start:start + points_per_block], k2)
+    for c, (start, stop) in enumerate(point_blocks(n_points, k2)):
+        X, Y = data.repeated(idx[start:stop], k2)
         yield X, Y, sample_noise_batch(arch, model, rng, 1 + c, X.shape[0])
 
 
@@ -159,37 +159,45 @@ def mean_se(values: np.ndarray) -> float:
     return float(values.std(ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
 
 
-def eval_in_situ(device: Device, params: Params, X, Y, k2: int, noise_slot: int) -> EvalReport:
-    """Mean squared device error of params over K1 data points X, Y, each queried k2 times, on a noise slot.
+def eval_in_situ(device: Device, params: Sequence[Params], X, Y, k2: int, noise_slot: int) -> list[EvalReport]:
+    """Mean squared device error of each parameter set over K1 data points X, Y, each queried k2 times, on a noise slot.
 
     X is (K1, d0) and Y is (K1, dL), one row per data point; the device runs
-    each point k2 times in a row (the row order Dataset.repeated builds). Also
+    each point k2 times in a row (the row order Dataset.repeated builds).
+    Returns one EvalReport per parameter set, in order, from one device call,
+    so every set sees the same noise and each block is drawn once. Also
     reports argmax-vs-argmax accuracy. Standard errors come from the K1
     per-data-point means. Calls that pass the same points, k2 and slot share
     their random numbers.
     """
+    params = list(params)
+    if not params:
+        raise ValueError("no parameter sets to score")
     if k2 < 1:
         raise ValueError(f"k2 must be >= 1, got {k2}")
     k1 = X.shape[0]
     if k1 == 0:
         raise ValueError(f"input shape {X.shape} holds no data points")
-    d_out = params.arch.layer_dims[-1]
+    d_out = params[0].arch.layer_dims[-1]
     if Y.shape != (k1, d_out):
         raise ValueError(f"target shape {Y.shape}, want {(k1, d_out)} for input shape {X.shape}")
-    device.load(params)
-    out = device.forward_batch(X, noise_slot, k2).reshape(k1, k2, d_out)
+    device.load(*params)
+    outs = device.forward_batch(X, noise_slot, k2).reshape(len(params), k1, k2, d_out)
 
-    per_point = ((Y[:, None, :] - out) ** 2).sum(axis=2).mean(axis=1)
-    per_point_acc = (np.argmax(out, axis=2) == np.argmax(Y, axis=1)[:, None]).mean(axis=1)
-    return EvalReport(
-        loss=float(per_point.mean()),
-        loss_se=mean_se(per_point),
-        accuracy=float(per_point_acc.mean()),
-        accuracy_se=mean_se(per_point_acc),
-        k1=k1,
-        k2=k2,
-        noise_slot=noise_slot,
-    )
+    reports = []
+    for out in outs:
+        per_point = ((Y[:, None, :] - out) ** 2).sum(axis=2).mean(axis=1)
+        per_point_acc = (np.argmax(out, axis=2) == np.argmax(Y, axis=1)[:, None]).mean(axis=1)
+        reports.append(EvalReport(
+            loss=float(per_point.mean()),
+            loss_se=mean_se(per_point),
+            accuracy=float(per_point_acc.mean()),
+            accuracy_se=mean_se(per_point_acc),
+            k1=k1,
+            k2=k2,
+            noise_slot=noise_slot,
+        ))
+    return reports
 
 
 def gift_run(
@@ -205,8 +213,10 @@ def gift_run(
     D is the direction scaled to unit norm when config.normalize_direction is
     set, else the direction as given. Candidates w0 +- i*eta*D share one data
     subsample, gathered once per search, and one device noise slot drawn from
-    rng in [0, 2^62), so their scores differ only through the parameters.
-    Stops per stop_rule (either_worse: one side at or above the baseline;
+    rng in [1, 2^62) (slot 0 belongs to the fresh re-evaluation and eval), so
+    their scores differ only through the parameters. Each step scores its
+    candidates in one device call, step 1 the baseline with them. Stops per
+    stop_rule (either_worse: one side at or above the baseline;
     both_worse: both sides) or at max_steps; returns the argmin over
     everything visited, baseline included.
     """
@@ -219,18 +229,21 @@ def gift_run(
     gen = rng.generator(0)
     idx = gen.integers(0, len(data), size=config.k1)
     X, Y = data.inputs[idx], data.targets[idx]
-    slot = int(gen.integers(1 << 62))
+    slot = int(gen.integers(1, 1 << 62))
+    assert 0 < slot < 1 << 62, "the line search never takes slot 0"
 
     q_before = device.query_count
-    ev = lambda p: eval_in_situ(device, p, X, Y, config.k2, slot)
-    baseline = ev(w0)
+    baseline = None
     records = []
     stop_reason = "max_steps"
     steps_taken = 0
     for i in range(1, config.max_steps + 1):
         coef = i * config.eta
-        r_plus = ev(apply_step(w0, +coef, direction))
-        r_minus = ev(apply_step(w0, -coef, direction))
+        candidates = [apply_step(w0, +coef, direction), apply_step(w0, -coef, direction)]
+        if baseline is None:
+            baseline, r_plus, r_minus = eval_in_situ(device, [w0, *candidates], X, Y, config.k2, slot)
+        else:
+            r_plus, r_minus = eval_in_situ(device, candidates, X, Y, config.k2, slot)
         records.append((i, +1, r_plus))
         records.append((i, -1, r_minus))
         steps_taken = i

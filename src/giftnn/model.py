@@ -37,18 +37,31 @@ STREAM_THEORY = 8
 
 # Bumped whenever a result stops being reproduced from the same seeds: the same
 # (seed, stream, index) gives other draws, or a consumer assigns its rows to other
-# stream indices, or a pass's outputs move in the last bits (version 4: Monte Carlo
-# blocks shrank to CHUNK_ROWS = 1,024 rows and the device runs its batch in tiles
-# of that size, whose BLAS products need not be bit-equal to one whole-batch product).
-STREAM_VERSION = 4
+# stream indices, or a pass's outputs move in the last bits (version 5: device noise
+# is keyed by (slot, block) and drawn one block of whole points at a time, and the
+# line search draws its slot in [1, 2^62); train bodies, checkpoints and the
+# direction estimate are the same as under version 4).
+STREAM_VERSION = 5
 
 # Rows per block of every batched noisy pass: a Monte Carlo block (gift.mc_blocks)
-# and a tile of a device call (Device.forward_batch). At 1,024 rows the widest
-# intermediate at shallow_mnist dims (784 inputs) is 6.4 MB, so each block reuses
-# memory the allocator already holds; the 51 MB arrays of 8,192-row blocks were
-# above glibc's largest mmap threshold (32 MB) and were mapped and faulted in afresh
-# on every block. Fixed, never chosen by a caller, so results never depend on memory.
+# and a block of a device call (Device.forward_batch), both planned by point_blocks.
+# At 1,024 rows the widest intermediate at shallow_mnist dims (784 inputs) is 6.4 MB,
+# so each block reuses memory the allocator already holds; the 51 MB arrays of
+# 8,192-row blocks were above glibc's largest mmap threshold (32 MB) and were mapped
+# and faulted in afresh on every block. Fixed, never chosen by a caller, so results
+# never depend on memory.
 CHUNK_ROWS = 1024
+
+
+def point_blocks(n_points: int, k2: int) -> list:
+    """The block plan of a pass over n_points data points of k2 rows each: (start, stop) point ranges.
+
+    A block holds whole points, at most CHUNK_ROWS // k2 of them, or one point
+    when k2 alone exceeds CHUNK_ROWS.
+    """
+    per_block = max(1, CHUNK_ROWS // k2)
+    return [(start, min(start + per_block, n_points)) for start in range(0, n_points, per_block)]
+
 
 _U64 = 2**64
 
@@ -68,19 +81,25 @@ class RngStream:
     generator(index) is an SFC64 generator seeded by a SeedSequence with entropy
     seed and spawn key (stream_id, index), so each index gets its own
     independent stream and results do not depend on scheduling or worker
-    count. The generator has been the same since stream version 2; version 1
-    used a keyed Philox counter, and its draws are not reproduced.
+    count. substream(j).generator(i) has the longer spawn key
+    (stream_id, j, i), which no generator of the parent stream shares. The
+    generator has been the same since stream version 2; version 1 used a keyed
+    Philox counter, and its draws are not reproduced.
     """
 
     seed: int
     stream_id: int = 0
+    prefix: tuple = ()
 
     def generator(self, index: int = 0) -> np.random.Generator:
-        seq = np.random.SeedSequence(self.seed % _U64, spawn_key=(self.stream_id % _U64, index % _U64))
-        return np.random.Generator(np.random.SFC64(seq))
+        key = (self.stream_id % _U64, *self.prefix, index % _U64)
+        return np.random.Generator(np.random.SFC64(np.random.SeedSequence(self.seed % _U64, spawn_key=key)))
+
+    def substream(self, index: int) -> "RngStream":
+        return RngStream(self.seed, self.stream_id, self.prefix + (index % _U64,))
 
     def child(self, salt: int) -> "RngStream":
-        return RngStream(self.seed, mix64((self.stream_id % _U64) ^ mix64(salt)))
+        return RngStream(self.seed, mix64((self.stream_id % _U64) ^ mix64(salt)), self.prefix)
 
 
 @dataclass(frozen=True)
@@ -258,15 +277,6 @@ class NoiseDraw:
     multiplicative: bool = False
     level: float = 0.0
 
-    def rows(self, start: int, stop: int) -> "NoiseDraw":
-        """Rows start:stop of a batched draw, as views of its arrays."""
-        return NoiseDraw(
-            act=[v[start:stop] for v in self.act],
-            weigh=[v[start:stop] for v in self.weigh],
-            multiplicative=self.multiplicative,
-            level=self.level,
-        )
-
 
 @dataclass
 class ForwardTrace:
@@ -348,15 +358,23 @@ def _check_noise_dims(arch: Architecture, noise: NoiseDraw, n: int):
             raise ValueError(f"weighing noise {l + 1}: shape {noise.weigh[l].shape}, want {(n, dims[l + 1])}")
 
 
-def _forward(params: Params, x, noise: NoiseDraw) -> ForwardTrace:
-    """Shared noisy forward recursion over (n, d0) input rows; handles additive and multiplicative draws."""
+def _forward(params: Params, x, noise: NoiseDraw, repeat: int = 1) -> ForwardTrace:
+    """Shared noisy forward recursion; handles additive and multiplicative draws.
+
+    x holds (p, d0) per-point inputs, each run repeat times in a row, so the
+    draw and the outputs have p * repeat rows, row r reading x[r // repeat].
+    The input-site noise is added by broadcast; no repeated input rows are built.
+    """
     arch = params.arch
     act_fn = ACTIVATIONS[arch.activation][0]
     L = arch.n_layers
+    d0 = arch.layer_dims[0]
     x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] != arch.layer_dims[0]:
-        raise ValueError(f"input shape {x.shape}, want (n, {arch.layer_dims[0]})")
-    _check_noise_dims(arch, noise, x.shape[0])
+    if x.ndim != 2 or x.shape[1] != d0:
+        raise ValueError(f"input shape {x.shape}, want (n, {d0})")
+    _check_noise_dims(arch, noise, x.shape[0] * repeat)
+    if repeat > 1 and noise.act[0].ndim != 2:
+        raise ValueError("a repeated input needs one draw row per query")
     mult = noise.multiplicative
     s = noise.level
 
@@ -366,7 +384,10 @@ def _forward(params: Params, x, noise: NoiseDraw) -> ForwardTrace:
         else:
             v += n
 
-    a = x * (1.0 + s * noise.act[0]) if mult else x + noise.act[0]
+    n0 = noise.act[0]
+    if n0.ndim == 2:  # point p's repeat rows read x[p]
+        x, n0 = x[:, None, :], n0.reshape(-1, repeat, d0)
+    a = (x * (1.0 + s * n0) if mult else x + n0).reshape(-1, d0)
     activations = [a]
     pre_activations = []
     for l in range(1, L + 1):

@@ -7,6 +7,7 @@ perfbench/tracer.py is imported read-only, from its file.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 from giftnn.cli import main
@@ -34,10 +35,16 @@ def test_gift_and_eval_run_under_the_benchmark_tracer(tmp_path, capsys):
     capsys.readouterr()
     assert codes == [0, 0]
     summary = tracer.iteration_summary(tracer.iteration)
-    assert summary["device.forward_batch"]["rows"] > 0
     assert summary["gift.gift_run"]["calls"] == 2  # one line search per seed
-    # per gift seed: the baseline, at least one pair of candidates and the fresh pair; one per eval seed
-    assert summary["gift.eval_in_situ"]["calls"] >= 2 * (1 + 2 + 2) + 2
+    traces = [json.loads((tmp_path / "gift" / "gift" / f"seed_{seed}" / "gift_trace.json").read_text())
+              for seed in (0, 1)]
+    # per gift seed: one call per line-search step (step 1 scores the baseline too) and one for the
+    # fresh pair; one per eval seed. Every call is one device call.
+    calls = sum(t["steps_taken"] + 1 for t in traces) + 2
+    assert summary["gift.eval_in_situ"]["calls"] == summary["device.forward_batch"]["calls"] == calls
+    # a call that scores several parameter sets counts a row per set: the line searches' reported
+    # queries, 2 x 64 test points x fresh_eval_k2 = 2 per fresh pair and 32 x k2 = 2 per eval seed
+    assert summary["device.forward_batch"]["rows"] == sum(t["queries"] for t in traces) + 2 * 2 * 64 * 2 + 2 * 32 * 2
     assert summary["gift.estimate_direction"]["rows"] > 0
 
 

@@ -16,6 +16,7 @@ from giftnn.model import (
     _forward,
     forward_deterministic,
     forward_noisy,
+    point_blocks,
     sample_noise_batch,
 )
 
@@ -36,13 +37,13 @@ def zero_weight_device(family, s, seed=0, d=1):
 
 class TestForward:
     def test_matches_in_silico_stream(self):
-        # gaussian device at slot j == forward_noisy with the device stream at index j
+        # a one-block gaussian call on slot j == forward_noisy on the draw at spawn key (device, j, 0)
         p = small_params([3, 2], seed=1)
         dev = Device(p, NoiseModel("gaussian_additive", 0.3), seed=11)
         x = np.array([[0.5, -0.2, 0.1]])
         out = dev.forward_batch(x, noise_slot=4)
         draw = sample_noise_batch(p.arch, NoiseModel("gaussian_additive", 0.3),
-                                  RngStream(11, STREAM_DEVICE), 4, 1)
+                                  RngStream(11, STREAM_DEVICE).substream(4), 0, 1)
         ref = forward_noisy(p, x, draw).activations[-1]
         assert np.array_equal(out, ref)
 
@@ -119,9 +120,17 @@ def counting_draws(monkeypatch):
     return draws
 
 
-def uncached_output(params, model, seed, slot, X):
-    draw = sample_noise_batch(params.arch, model, RngStream(seed, STREAM_DEVICE), slot, X.shape[0])
-    return _forward(params, X, draw).activations[-1]
+def keyed_block_draw(params, model, seed, slot, block, rows):
+    """The draw of block `block` of a call on `slot`: spawn key (STREAM_DEVICE, slot, block)."""
+    return sample_noise_batch(params.arch, model, RngStream(seed, STREAM_DEVICE).substream(slot), block, rows)
+
+
+def uncached_output(params, model, seed, slot, X, repeat=1):
+    """A call's outputs rebuilt block by block from freshly made keyed draws."""
+    return np.concatenate([
+        _forward(params, X[start:stop], keyed_block_draw(params, model, seed, slot, c, (stop - start) * repeat),
+                 repeat).activations[-1]
+        for c, (start, stop) in enumerate(point_blocks(X.shape[0], repeat))])
 
 
 class TestDrawCache:
@@ -133,8 +142,8 @@ class TestDrawCache:
         X = RngStream(9, 1).generator(0).standard_normal((6, 3))
         a, b = 0, 1
         for slot in (a, b, a):
-            out = dev.forward_batch(X, noise_slot=slot)
-            assert out.tobytes() == uncached_output(p, model, 8, slot, X).tobytes()
+            out = dev.forward_batch(X, noise_slot=slot, repeat=300)  # two blocks
+            assert out.tobytes() == uncached_output(p, model, 8, slot, X, 300).tobytes()
 
     def test_repeated_slot_draws_once_and_read_only(self, monkeypatch):
         draws = counting_draws(monkeypatch)
@@ -163,6 +172,24 @@ class TestDrawCache:
         assert len(draws) == 1
         assert out.tobytes() == uncached_output(q, model, 12, slot, X).tobytes()
 
+    def test_draw_over_the_replay_budget_is_redrawn_per_call(self, monkeypatch):
+        # a call keeps its draw only when the whole draw fits REPLAY_BYTES; the outputs never depend on it
+        draws = counting_draws(monkeypatch)
+        p = small_params([2, 3, 2], seed=14)
+        model = NoiseModel("laplace", 0.3)
+        X = RngStream(15, 1).generator(0).standard_normal((9, 2))
+        n_blocks = len(point_blocks(9, 500))
+        assert n_blocks == 5
+        outs = {}
+        for budget in (device_module.REPLAY_BYTES, 0):
+            monkeypatch.setattr(device_module, "REPLAY_BYTES", budget)
+            dev = Device(p, model, seed=16)
+            before = len(draws)
+            outs[budget] = [dev.forward_batch(X, 0, 500) for _ in range(3)]
+            assert len(draws) - before == (n_blocks if budget else 3 * n_blocks)
+        for kept, streamed in zip(*outs.values()):
+            assert kept.tobytes() == streamed.tobytes()
+
 
 SHALLOW_MNIST = (784, 500, 100, 100, 10)
 MIB = 2**20
@@ -185,33 +212,56 @@ def wide_params(seed=0):
     return Params(arch, ws, [np.zeros(o) for o in SHALLOW_MNIST[1:]])
 
 
-class TestTiledForward:
-    """forward_batch runs CHUNK_ROWS-row tiles over one whole-batch draw."""
+class TestBlockForward:
+    """forward_batch runs whole-point blocks, each on its own (slot, block)-keyed draw."""
 
     @pytest.mark.parametrize("family", NOISE_FAMILIES)
-    def test_tiles_match_whole_batch_forward_on_the_cached_draw(self, family, monkeypatch):
+    @pytest.mark.parametrize("k1, repeat", [(700, 3), (3, CHUNK_ROWS + 5)])
+    def test_blocks_match_keyed_draws(self, family, k1, repeat, monkeypatch):
+        # 700 x 3: blocks of 341 points and a short last one; CHUNK_ROWS + 5 repeats: one point per block
         draws = counting_draws(monkeypatch)
         p = small_params([3, 5, 4, 2], seed=20)
         model = NoiseModel(family, 0.3)
         dev = Device(p, model, seed=21)
-        n = 2 * CHUNK_ROWS + 5
-        X = RngStream(22, 1).generator(0).standard_normal((n, 3))
-        out = dev.forward_batch(X, noise_slot=3)
-        assert len(draws) == 1 and draws[0].act[0].shape == (n, 3)  # one draw for the whole batch
-        assert dev.query_count == n
-        ref = _forward(p, X, draws[0]).activations[-1]
-        assert np.array_equal(ref, uncached_output(p, model, 21, 3, X))
-        assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+        X = RngStream(22, 1).generator(0).standard_normal((k1, 3))
+        out = dev.forward_batch(X, noise_slot=3, repeat=repeat)
+        assert dev.query_count == k1 * repeat and out.shape == (k1 * repeat, 2)
+        blocks = point_blocks(k1, repeat)
+        assert len(blocks) == 3 and len(draws) == 3
+        for c, (start, stop) in enumerate(blocks):
+            rows = (stop - start) * repeat
+            assert draws[c].act[0].shape == (rows, 3)  # one block's noise at a time
+            draw = keyed_block_draw(p, model, 21, 3, c, rows)
+            ref = _forward(p, X[start:stop], draw, repeat).activations[-1]
+            assert out[start * repeat:stop * repeat].tobytes() == ref.tobytes()
 
-    def test_replayed_wide_call_stays_cache_sized(self):
-        # the bound sits between an untiled pass (about 134 MiB) and 1,024-row tiles, each gathering
-        # its own input rows (about 24 MiB); the draw itself (140 MB) is made and cached before tracing starts
+    def test_loaded_sets_share_each_block(self, monkeypatch):
+        # m loaded parameter sets give m * n rows, set-major, each as if loaded alone; each block is drawn once
+        draws = counting_draws(monkeypatch)
+        monkeypatch.setattr(device_module, "REPLAY_BYTES", 0)
+        sets = [small_params([3, 4, 2], seed=s) for s in (23, 24, 25)]
+        model = NoiseModel("gaussian_multiplicative", 0.2)
+        X = RngStream(26, 1).generator(0).standard_normal((300, 3))
+        dev = Device(sets[0], model, seed=27)
+        dev.load(*sets)
+        together = dev.forward_batch(X, 1, 8)
+        assert dev.query_count == 3 * 300 * 8
+        assert len(draws) == len(point_blocks(300, 8))
+        for p, rows in zip(sets, together.reshape(3, 300 * 8, 2)):
+            dev.load(p)
+            assert rows.tobytes() == dev.forward_batch(X, 1, 8).tobytes()
+        with pytest.raises(ValueError, match="at least one"):
+            dev.load()
+
+    def test_wide_call_holds_one_block_of_noise(self):
+        # an 8,000-row shallow_mnist call: its whole draw is 140 MB (134 MiB), one 1,024-row block of it 18 MB;
+        # the bound sits between that whole draw and one block plus its forward pass (about 35 MiB)
         p = wide_params()
         dev = Device(p, NoiseModel("gaussian_additive", 0.1), seed=1)
-        X = RngStream(2, 1).generator(0).standard_normal((8000, SHALLOW_MNIST[0]))
-        dev.forward_batch(X, noise_slot=0)
-        peak = traced_peak(lambda: dev.forward_batch(X, noise_slot=0))
-        assert peak < 32 * MIB, f"peak traced allocation {peak / MIB:.1f} MiB"
+        X = RngStream(2, 1).generator(0).standard_normal((1000, SHALLOW_MNIST[0]))
+        peak = traced_peak(lambda: dev.forward_batch(X, noise_slot=0, repeat=8))
+        assert dev.query_count == 8000
+        assert peak < 64 * MIB, f"peak traced allocation {peak / MIB:.1f} MiB"
 
 
 class TestFamilies:

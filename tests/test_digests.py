@@ -6,9 +6,9 @@ desk_small `train`, `gift` and `eval` (both from the train checkpoint) and
 `sweep` configs and checks the SHA-256 of every CSV body (the file below its
 `# meta` line) and every params checkpoint (the whole .npz file).
 
-The gift and eval calls score 2,400 device rows (three CHUNK_ROWS tiles) and
-estimate over 2,000 rows (two Monte Carlo blocks), so block and tile sizes show
-in the digests.
+The gift and eval calls score 300 points x 8 = 2,400 device rows (three blocks
+of up to 128 points) and estimate over 2,000 rows (two Monte Carlo blocks), so
+the block plan shows in the digests.
 
 A digest moves whenever a result does. That is meant to happen only together
 with a stream-version bump, which adds a new table here. The values were
@@ -21,6 +21,7 @@ fails and says which file moved; it is not made tolerant of that.
 import hashlib
 import os
 
+from giftnn import device as device_module
 from giftnn.cli import main
 from giftnn.model import STREAM_VERSION
 
@@ -50,6 +51,18 @@ DIGESTS = {
         "gift/seed_1/params_final.npz": "bbf737c371167b461f03a7a230a4051046c240d29ba9326e18a4feb41bdd56b4",
         "sweep/sweep_aggregate.csv": "b8931ee6b46f693d0a41dc90d14a7d0a26a277581004caf1a64b098025a0b83c",
         "sweep/sweep_rows.csv": "0dcdb04da9bc4a8e5bbd6e9bccc02c902cf51350ba3b8beac3e26b5194c1db90",
+        "train/seed_0/params.npz": "a1031dd1240ce2678f7bd4ac7b84a1646307d46133ca5372a9487ce7861c9d99",
+        "train/seed_0/train_log.csv": "87cea1d23d670bc7d3b3090b3ad025f9d5e066ae7d0ade3020185331663ce056",
+        "train/seed_1/params.npz": "2af2e74980ccd6bd3e07a8e2f8da009f9115a55e9743b058e67f5364b942476b",
+        "train/seed_1/train_log.csv": "6f3e378eeec77d65b43205cf793bcd71d4744c6c8579415adac98c742d71a121",
+    },
+    5: {
+        "eval/eval.csv": "3037794cb2f3e263c7f41e6c08995a885f822e6e155a3de4bddfe0af1fb68a3b",
+        "gift/gift_summary.csv": "dfec0d4ce52d2c69adeab25001635627c63713184741133eaba1bed8c5c4d336",
+        "gift/seed_0/params_final.npz": "a28c508f97d5af1dae3f098db9918340b2ca9da658151efb556c83d49bef8d97",
+        "gift/seed_1/params_final.npz": "bbf737c371167b461f03a7a230a4051046c240d29ba9326e18a4feb41bdd56b4",
+        "sweep/sweep_aggregate.csv": "08ee43f3738e3c4331df0f24d676d2ce5e988610af1cfb354e121586a9d88015",
+        "sweep/sweep_rows.csv": "25a376589884b7807c5fcfacecaee40e5e6f977b3dffa83a8b64f95255064fe6",
         "train/seed_0/params.npz": "a1031dd1240ce2678f7bd4ac7b84a1646307d46133ca5372a9487ce7861c9d99",
         "train/seed_0/train_log.csv": "87cea1d23d670bc7d3b3090b3ad025f9d5e066ae7d0ade3020185331663ce056",
         "train/seed_1/params.npz": "2af2e74980ccd6bd3e07a8e2f8da009f9115a55e9743b058e67f5364b942476b",
@@ -93,3 +106,17 @@ def test_bodies_match_the_pinned_digests(tmp_path, capsys):
     assert sorted(got) == sorted(want), f"written files {sorted(got)}, pinned {sorted(want)}"
     moved = [f"{name}: got {got[name]}, pinned {want[name]}" for name in sorted(want) if got[name] != want[name]]
     assert not moved, "digests moved (stream version %d):\n%s" % (STREAM_VERSION, "\n".join(moved))
+
+
+def test_replay_budget_moves_no_digest(tmp_path, monkeypatch, capsys):
+    # with no replay every call draws its blocks afresh; the budget trades CPU for memory only
+    monkeypatch.setattr(device_module, "REPLAY_BYTES", 0)
+    got = run_digests(tmp_path)
+    capsys.readouterr()
+    assert got == DIGESTS[STREAM_VERSION]
+
+
+def test_version_5_kept_the_train_digests():
+    # version 5 changed device noise only: training makes no device call
+    train = sorted(name for name in DIGESTS[4] if name.startswith("train/"))
+    assert train and all(DIGESTS[5][name] == DIGESTS[4][name] for name in train)

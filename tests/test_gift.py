@@ -5,6 +5,7 @@ import pytest
 
 from giftnn.cli import DEFAULT_CONFIG
 from giftnn.data import Dataset, synthetic_linear
+from giftnn import device as device_module
 from giftnn.device import Device
 from giftnn.gift import (
     EvalReport,
@@ -25,16 +26,17 @@ from giftnn.model import (
     Params,
     RngStream,
     STREAM_DATA,
-    STREAM_DEVICE,
     STREAM_ESTIMATE,
     STREAM_EVAL,
     _forward,
+    apply_step,
     forward_noisy,
+    point_blocks,
     sample_noise_batch,
     zero_noise,
 )
 
-from test_device import MIB, SHALLOW_MNIST, counting_draws, traced_peak, wide_params
+from test_device import MIB, SHALLOW_MNIST, counting_draws, keyed_block_draw, traced_peak, wide_params
 from test_model import small_params
 
 
@@ -148,12 +150,13 @@ def sample_rows(data, k1, seed):
 
 
 def repeated_rows_reference(params, model, seed, slot, data, idx, k2):
-    """Outputs and report of scoring Dataset.repeated rows: CHUNK_ROWS-row _forward tiles over the slot's draw."""
+    """Outputs and report of scoring Dataset.repeated rows: one _forward per block over its keyed draw."""
     X, Y = data.repeated(idx, k2)
-    n, k1 = X.shape[0], len(idx)
-    draw = sample_noise_batch(params.arch, model, RngStream(seed, STREAM_DEVICE), slot, n)
-    out = np.concatenate([_forward(params, X[s:s + CHUNK_ROWS], draw.rows(s, s + CHUNK_ROWS)).activations[-1]
-                          for s in range(0, n, CHUNK_ROWS)])
+    k1 = len(idx)
+    out = np.concatenate([
+        _forward(params, X[start * k2:stop * k2],
+                 keyed_block_draw(params, model, seed, slot, c, (stop - start) * k2)).activations[-1]
+        for c, (start, stop) in enumerate(point_blocks(k1, k2))])
     per_point = ((Y - out) ** 2).sum(axis=1).reshape(k1, k2).mean(axis=1)
     per_point_acc = (np.argmax(out, axis=1) == np.argmax(Y, axis=1)).reshape(k1, k2).mean(axis=1)
     return out, EvalReport(float(per_point.mean()), mean_se(per_point), float(per_point_acc.mean()),
@@ -164,8 +167,8 @@ class TestEvalInSitu:
     @pytest.mark.parametrize("family", NOISE_FAMILIES)
     @pytest.mark.parametrize("k1, k2", [(401, 3), (23, 100)])
     def test_per_point_scoring_matches_repeated_rows(self, family, k1, k2):
-        # k1 * k2 is no multiple of CHUNK_ROWS, and both k2 split a data point across two tiles
-        assert (k1 * k2) % CHUNK_ROWS and CHUNK_ROWS % k2
+        # several blocks of whole points, the last one short; neither k2 divides CHUNK_ROWS
+        assert len(point_blocks(k1, k2)) > 1 and k1 % (CHUNK_ROWS // k2) and CHUNK_ROWS % k2
         p = small_params([3, 5, 4, 3], seed=30)
         gen = RngStream(31, STREAM_DATA).generator(0)
         X = gen.standard_normal((64, 3))
@@ -179,8 +182,31 @@ class TestEvalInSitu:
         assert dev.query_count == k1 * k2
         assert np.array_equal(out, ref_out)
         for calls in (2, 3):
-            assert eval_in_situ(dev, p, data.inputs[idx], data.targets[idx], k2, slot) == ref_report
+            assert eval_in_situ(dev, [p], data.inputs[idx], data.targets[idx], k2, slot) == [ref_report]
             assert dev.query_count == calls * k1 * k2
+
+    @pytest.mark.parametrize("family", NOISE_FAMILIES)
+    def test_one_call_scores_like_single_calls(self, family):
+        # [w0, w+, w-] in one call: the reports of three single calls, with as many queries
+        w0 = small_params([3, 5, 2], seed=34)
+        d = small_params([3, 5, 2], seed=35)
+        sets = [w0, apply_step(w0, 0.1, d), apply_step(w0, -0.1, d)]
+        gen = RngStream(36, STREAM_DATA).generator(0)
+        X = gen.standard_normal((300, 3))
+        Y = np.tanh(X[:, :2])
+        model = NoiseModel(family, 0.3)
+        together_dev, single_dev = Device(w0, model, seed=37), Device(w0, model, seed=37)
+        together = eval_in_situ(together_dev, sets, X, Y, 8, 6)
+        singles = [eval_in_situ(single_dev, [p], X, Y, 8, 6)[0] for p in sets]
+        assert together == singles
+        assert together_dev.query_count == single_dev.query_count == 3 * 300 * 8
+
+    def test_needs_a_parameter_set(self):
+        p = small_params([2, 2], seed=25)
+        dev = Device(p, NoiseModel("gaussian_additive", 0.2), seed=27)
+        with pytest.raises(ValueError, match="no parameter sets"):
+            eval_in_situ(dev, [], np.zeros((4, 2)), np.zeros((4, 2)), 4, 0)
+        assert dev.query_count == 0
 
     def test_perfect_predictor_near_zero_loss(self):
         V = np.array([[0.3, -0.4]])
@@ -189,7 +215,7 @@ class TestEvalInSitu:
         data = linear_dataset(256)
         dev = Device(p, NoiseModel("gaussian_additive", 1e-9), seed=1)
         idx = sample_rows(data, 64, 2)
-        rep = eval_in_situ(dev, p, data.inputs[idx], data.targets[idx], 2, 0)
+        rep, = eval_in_situ(dev, [p], data.inputs[idx], data.targets[idx], 2, 0)
         assert rep.loss < 1e-12
         assert rep.accuracy == 1.0  # single output: argmax trivially matches
 
@@ -198,7 +224,7 @@ class TestEvalInSitu:
         p = Params(arch, [np.array([[1.0]])], [np.zeros(1)])
         data = Dataset(np.array([[2.0]]), np.array([[0.0]]))
         dev = Device(p, NoiseModel("gaussian_additive", 1e-12), seed=0)
-        rep = eval_in_situ(dev, p, data.inputs, data.targets, 1, 0)
+        rep, = eval_in_situ(dev, [p], data.inputs, data.targets, 1, 0)
         assert rep.loss == pytest.approx(4.0, rel=1e-6)
         assert rep.loss_se == 0.0
 
@@ -212,7 +238,7 @@ class TestEvalInSitu:
         s = 0.3
         dev = Device(p, NoiseModel("gaussian_additive", s), seed=22)
         idx = sample_rows(data, 2000, 23)
-        rep = eval_in_situ(dev, p, X[idx], Y[idx], 8, 0)
+        rep, = eval_in_situ(dev, [p], X[idx], Y[idx], 8, 0)
 
         model = NoiseModel("gaussian_additive", s)
         rng = RngStream(24, STREAM_EVAL)
@@ -233,8 +259,8 @@ class TestEvalInSitu:
         data = linear_dataset(64, seed=26, v=TWO_OUTPUTS)
         dev = Device(p, NoiseModel("gaussian_additive", 0.2), seed=27)
         X, Y = data.inputs[:32], data.targets[:32]
-        a = eval_in_situ(dev, p, X, Y, 4, 9)
-        b = eval_in_situ(dev, p, X, Y, 4, 9)
+        a, = eval_in_situ(dev, [p], X, Y, 4, 9)
+        b, = eval_in_situ(dev, [p], X, Y, 4, 9)
         assert a.loss == b.loss and a.accuracy == b.accuracy
         assert (a.k1, a.k2, a.noise_slot) == (32, 4, 9)
 
@@ -244,14 +270,14 @@ class TestEvalInSitu:
         dev = Device(p, NoiseModel("gaussian_additive", 0.2), seed=27)
         for k2 in (0, -1):
             with pytest.raises(ValueError, match=f"k2 must be >= 1, got {k2}"):
-                eval_in_situ(dev, p, data.inputs[:8], data.targets[:8], k2, 0)
+                eval_in_situ(dev, [p], data.inputs[:8], data.targets[:8], k2, 0)
         assert dev.query_count == 0
 
     def test_inputs_must_hold_a_data_point(self):
         p = small_params([2, 2], seed=25)
         dev = Device(p, NoiseModel("gaussian_additive", 0.2), seed=27)
         with pytest.raises(ValueError, match=r"input shape \(0, 2\) holds no data points"):
-            eval_in_situ(dev, p, np.zeros((0, 2)), np.zeros((0, 2)), 4, 0)
+            eval_in_situ(dev, [p], np.zeros((0, 2)), np.zeros((0, 2)), 4, 0)
         assert dev.query_count == 0
 
     def test_targets_must_match_the_outputs(self):
@@ -261,11 +287,11 @@ class TestEvalInSitu:
         dev = Device(p, NoiseModel("gaussian_additive", 0.2), seed=27)
         assert data.targets.shape == (64, 1)
         with pytest.raises(ValueError, match=r"target shape \(64, 1\), want \(64, 2\)"):
-            eval_in_situ(dev, p, data.inputs, data.targets, 4, 0)
+            eval_in_situ(dev, [p], data.inputs, data.targets, 4, 0)
         # nor do K1 x k2 repeated targets fit K1 per-point inputs
         _, Y = linear_dataset(64, seed=26, v=TWO_OUTPUTS).repeated(np.arange(8), 4)
         with pytest.raises(ValueError, match=r"target shape \(32, 2\), want \(8, 2\) for input shape \(8, 2\)"):
-            eval_in_situ(dev, p, data.inputs[:8], Y, 4, 0)
+            eval_in_situ(dev, [p], data.inputs[:8], Y, 4, 0)
         assert dev.query_count == 0
 
 
@@ -293,8 +319,8 @@ class TestGiftConfig:
 
 class TestGiftRun:
     def test_wide_line_search_builds_no_repeated_rows(self):
-        # the bound sits between a search over a repeated 8,000 x 784 input matrix (about 207 MiB)
-        # and per-tile gathers of per-point inputs (about 171 MiB); both hold the 140 MB device draw
+        # one call scores [w0, w+, w-] block by block, never holding the search's whole 140 MB draw; the bound sits
+        # below a search that keeps that draw with per-point inputs (about 171 MiB) and above one-block draws
         w0, d = wide_params(seed=17), wide_params(seed=18)
         X = RngStream(19, STREAM_DATA).generator(0).standard_normal((200, SHALLOW_MNIST[0]))
         data = Dataset(X, np.tanh(X[:, :SHALLOW_MNIST[-1]]))
@@ -302,7 +328,7 @@ class TestGiftRun:
         cfg = GiftConfig(eta=0.01, k1=1000, k2=8, max_steps=1)
         peak = traced_peak(lambda: gift_run(dev, w0, d, cfg, data, RngStream(21, STREAM_EVAL)))
         assert dev.query_count == 3 * 1000 * 8
-        assert peak < 190 * MIB, f"peak traced allocation {peak / MIB:.1f} MiB"
+        assert peak < 100 * MIB, f"peak traced allocation {peak / MIB:.1f} MiB"
 
     def test_quadratic_line_search_finds_minimum(self):
         # (w-1.8)^2 from w0=0 with D=1, eta=0.5: both_worse keeps searching past
@@ -414,8 +440,39 @@ class TestGiftRun:
         trace = gift_run(dev, p, d, cfg, data, RngStream(53, STREAM_EVAL))
         assert trace.queries == (1 + 2 * trace.steps_taken) * 16 * 3
 
+    def test_line_search_never_takes_slot_zero(self):
+        # slot 0 belongs to the fresh pair and eval; the search draws its slot in [1, 2^62)
+        arch, w0, data, dev = quadratic_device_and_data(s_t=0.1)
+        d = Params(arch, [np.array([[1.0]])], [np.zeros(1)])
+        cfg = GiftConfig(eta=0.5, k1=1, k2=1, max_steps=1)
+        slots = {gift_run(dev, w0, d, cfg, data, RngStream(seed, STREAM_EVAL)).baseline.noise_slot
+                 for seed in range(500)}
+        assert len(slots) == 500 and min(slots) >= 1 and max(slots) < 1 << 62
+
+    def test_replay_budget_changes_no_trace(self, monkeypatch):
+        # a walk redraws each step's blocks when its draw is over REPLAY_BYTES, with the same scores
+        draws = counting_draws(monkeypatch)
+        p = small_params([2, 3, 2], seed=60)
+        data = linear_dataset(128, seed=61, v=TWO_OUTPUTS)
+        d = Params(p.arch, [np.full((3, 2), 0.2), np.full((2, 3), -0.1)], [np.full(3, 0.1), np.zeros(2)])
+        cfg = GiftConfig(eta=0.01, k1=300, k2=8, max_steps=4, stop_rule="both_worse")
+        traces, n_draws = [], []
+        for budget in (device_module.REPLAY_BYTES, 0):
+            monkeypatch.setattr(device_module, "REPLAY_BYTES", budget)
+            before = len(draws)
+            traces.append(gift_run(Device(p, NoiseModel("laplace", 0.3), seed=62), p, d, cfg, data,
+                                   RngStream(63, STREAM_EVAL)))
+            n_draws.append(len(draws) - before)
+        kept, streamed = traces
+        assert kept.steps_taken == streamed.steps_taken > 1
+        assert (kept.baseline, kept.records, kept.selected) == (streamed.baseline, streamed.records, streamed.selected)
+        assert kept.w_f.vector.tobytes() == streamed.w_f.vector.tobytes()
+        n_blocks = len(point_blocks(300, 8))
+        assert n_draws == [n_blocks, n_blocks * kept.steps_taken]
+
     def test_line_search_draws_its_noise_slot_once(self, monkeypatch):
-        # every candidate replays the shared slot; the fresh pair on a new slot adds one draw
+        # each step scores its candidates in one call, and every step replays the shared slot's kept draw;
+        # the fresh pair on slot 0 adds one draw
         draws = counting_draws(monkeypatch)
         arch, w0, data, dev = quadratic_device_and_data(s_t=0.1)
         d = Params(arch, [np.array([[1.0]])], [np.zeros(1)])
@@ -423,7 +480,6 @@ class TestGiftRun:
         trace = gift_run(dev, w0, d, cfg, data, RngStream(1, STREAM_EVAL))
         assert trace.steps_taken == 3 and len(trace.records) == 6
         assert len(draws) == 1
-        for p in (w0, trace.w_f):
-            eval_in_situ(dev, p, data.inputs, data.targets, 4, 0)
+        eval_in_situ(dev, [w0, trace.w_f], data.inputs, data.targets, 4, 0)
         assert len(draws) == 2
         assert dev.query_count == (1 + 6 + 2) * 4

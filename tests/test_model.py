@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from giftnn.model import (
+    CHUNK_ROWS,
     Architecture,
     Hyperrectangle,
     NoiseDraw,
@@ -16,6 +17,7 @@ from giftnn.model import (
     forward_deterministic,
     forward_noisy,
     load_params,
+    point_blocks,
     project,
     sample_noise_batch,
     save_params,
@@ -230,6 +232,20 @@ class TestForward:
         with pytest.raises(ValueError, match=rf"activation noise 0: shape \({draw_rows}, 4\), want \(5, 4\)"):
             forward_noisy(p, np.zeros((5, 4)), draw)
 
+    @pytest.mark.parametrize("family", ["gaussian_additive", "gaussian_multiplicative"])
+    def test_repeated_inputs_match_repeated_rows(self, family):
+        # each point broadcast over its repeat rows gives the pass over np.repeat-ed rows, bit for bit
+        p = small_params([3, 4, 2], seed=16)
+        draw = sample_noise_batch(p.arch, NoiseModel(family, 0.3), RngStream(17, 3), 0, 5 * 4)
+        x = RngStream(18, 3).generator(0).standard_normal((5, 3))
+        broadcast = _forward(p, x, draw, repeat=4)
+        rows = _forward(p, np.repeat(x, 4, axis=0), draw)
+        assert all(u.tobytes() == v.tobytes() for u, v in zip(broadcast.activations, rows.activations, strict=True))
+        with pytest.raises(ValueError, match=r"want \(15, 3\)"):
+            _forward(p, x, draw, repeat=3)
+        with pytest.raises(ValueError, match="one draw row per query"):
+            _forward(p, x, zero_noise(p.arch), repeat=4)
+
     def test_multiplicative_rejected_in_forward_noisy(self):
         arch = Architecture((2, 2), "tanh")
         p = small_params([2, 2])
@@ -263,6 +279,17 @@ def out_of_place_forward(params, x, noise):
         pres.append(z)
         acts.append(perturb(np.tanh(z), noise.act[l + 1]) if l + 1 < params.arch.n_layers else z)
     return acts, pres
+
+
+class TestPointBlocks:
+    @pytest.mark.parametrize("n_points, k2, want", [
+        (10, 100, [(0, 10)]),
+        (25, 100, [(0, 10), (10, 20), (20, 25)]),
+        (3, CHUNK_ROWS + 1, [(0, 1), (1, 2), (2, 3)]),
+        (CHUNK_ROWS + 1, 1, [(0, CHUNK_ROWS), (CHUNK_ROWS, CHUNK_ROWS + 1)]),
+    ])
+    def test_blocks_hold_whole_points(self, n_points, k2, want):
+        assert point_blocks(n_points, k2) == want
 
 
 class TestInPlaceForward:
@@ -360,10 +387,21 @@ class TestRngStream:
         assert RngStream(3, 1).child(2) == RngStream(3, 1).child(2)
         assert RngStream(3, 1).child(2) != RngStream(3, 1).child(3)
 
+    def test_substream_keys_are_longer(self):
+        # substream(j).generator(i) is spawn key (stream, j, i), apart from every index of the parent
+        sub = RngStream(3, 7).substream(5)
+        seq = np.random.SeedSequence(3, spawn_key=(7, 5, 2))
+        assert sub.generator(2).standard_normal(4).tolist() == \
+            np.random.Generator(np.random.SFC64(seq)).standard_normal(4).tolist()
+        parent = RngStream(3, 7).generator(5).standard_normal(4)
+        assert not np.allclose(sub.generator(0).standard_normal(4), parent)
+        assert not np.allclose(RngStream(3, 7).substream(6).generator(2).standard_normal(4),
+                               sub.generator(2).standard_normal(4))
+
     def test_stream_version_fingerprint(self):
         # SFC64 seeded by SeedSequence(seed, spawn_key=(stream, index)) since stream version 2;
-        # a change to these values is a new stream version (version 4 moved block sizes, not these)
-        assert STREAM_VERSION == 4
+        # a change to these values is a new stream version (versions 4 and 5 moved blocks and keys, not these)
+        assert STREAM_VERSION == 5
         got = RngStream(0, 1).generator(0).standard_normal(4)
         want = [-1.2540797385549642, -0.057374060490056056, 0.1831656089569397, -0.25374987556925]
         assert got.tolist() == want

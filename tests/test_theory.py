@@ -3,9 +3,10 @@ import pytest
 
 from giftnn import gift as gift_module
 from giftnn.data import Dataset, synthetic_linear
-from giftnn.gift import CHUNK_ROWS, GiftConfig, estimate_direction
+from giftnn.gift import GiftConfig, estimate_direction
 from giftnn.gradients import residual_stack
 from giftnn.model import (
+    CHUNK_ROWS,
     Architecture,
     NoiseDraw,
     NoiseModel,
@@ -133,7 +134,8 @@ def reference_fd_report(params, s, data, h, mc_samples, seed):
 
 
 class TestMonteCarloBlocks:
-    """Stream version 4 layout: blocks of at most CHUNK_ROWS = 1,024 rows, block c drawing at index 1 + c.
+    """The block plan since stream version 4 (model.point_blocks): at most CHUNK_ROWS = 1,024 rows,
+    block c drawing at index 1 + c.
 
     The oracles (k2 = 1) fill whole blocks; the estimator keeps each data point's
     k2 rows in one block, so k2 = 100 gives 1,000-row blocks.
