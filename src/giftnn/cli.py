@@ -397,7 +397,7 @@ def write_csv(path, fieldnames, rows, meta: dict):
     writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
     writer.writeheader()
     for row in rows:
-        writer.writerow({k: _plain(v) for k, v in row.items()})
+        writer.writerow({k: _jsonable(v) for k, v in row.items()})
     with open_atomic(path, "w") as f:
         f.write("# meta " + json.dumps(meta, sort_keys=True) + "\n")
         f.write(buf.getvalue())
@@ -412,13 +412,8 @@ def read_csv_body(path):
     return meta, rows
 
 
-def _plain(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    return v
-
-
 def _jsonable(obj):
+    """numpy scalars as Python scalars, arrays and tuples as lists: the values of CSV rows and JSON files."""
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -455,7 +450,7 @@ def _gift_one(exp: Experiment, w0: Params, direction: Params, test_ds,
               family: str, s_t: float, seed: int):
     """One fine-tuning run plus an independent paired re-evaluation on the full
     test subset (noise slot 0, shared between w0 and w_f)."""
-    device = Device(w0, NoiseModel(family, s_t), seed=_device_seed(seed, family, s_t))
+    device = Device(NoiseModel(family, s_t), seed=_device_seed(seed, family, s_t))
     trace = gift_run(device, w0, direction, exp.gift_config, test_ds,
                      RngStream(_device_seed(seed, family, -s_t), STREAM_EVAL))
     X, Y, k2 = test_ds.inputs, test_ds.targets, exp.gift_config.fresh_eval_k2
@@ -588,7 +583,7 @@ def cmd_eval(exp: Experiment, checkpoint_root: str | None) -> int:
     noise = exp.noise
     for seed in exp.seeds:
         params = _load_checkpoint(exp, checkpoint_root, train_ds, seed)
-        device = Device(params, noise, seed=_device_seed(seed, noise.family, noise.level))
+        device = Device(noise, seed=_device_seed(seed, noise.family, noise.level))
         idx = RngStream(seed, STREAM_EVAL).generator(0).integers(0, len(test_ds), size=exp.gift_config.k1)
         report, = eval_in_situ(device, [params], test_ds.inputs[idx], test_ds.targets[idx], exp.gift_config.k2, 0)
         rows.append({

@@ -7,6 +7,8 @@ else: no traces, no gradients, no noise values.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from .model import (
@@ -26,60 +28,54 @@ REPLAY_BYTES = 32 * 2**20
 
 
 class Device:
-    """Opaque noisy forward oracle with a monotone query counter.
+    """Opaque noisy forward oracle with a monotone query counter; it holds no parameters.
 
-    load maps one or more parameter sets onto the device. Queries are batches:
-    forward_batch takes (k1, d0) per-point inputs and a repeat count and runs
-    every loaded parameter set over each point repeat times in a row, returning
-    (m * k1 * repeat, dL) outputs for m loaded sets, set-major; within a set,
-    row r reads X[r // repeat]. Every row counts in query_count.
+    forward_batch takes a nonempty sequence of m parameter sets of one
+    architecture, (k1, d0) per-point inputs and a repeat count, and runs every
+    set over each point repeat times in a row, returning (m * k1 * repeat, dL)
+    outputs, set-major; within a set, row r reads X[r // repeat]. The sets are
+    only read. Every row counts in query_count.
 
     Every call names its noise slot. A call runs its points in the blocks of
     model.point_blocks(k1, repeat), and block c draws its noise at spawn key
     (STREAM_DEVICE, slot, c) of the device seed, so noise depends only on
-    (slot, k1, repeat): calls that pass the same slot and shapes share their
-    random numbers (common random numbers), whatever parameters are loaded.
+    (slot, layer dims, k1, repeat): calls that pass the same slot and shapes
+    share their random numbers (common random numbers), whatever sets they score.
 
-    Each block's draw is made once per call, and every loaded parameter set
-    runs through the block while it is live. A call whose whole draw fits in
+    Each block's draw is made once per call, and every parameter set runs
+    through the block while it is live. A call whose whole draw fits in
     REPLAY_BYTES keeps it, read-only, so the next call with the same key
     replays it; a larger draw is made, used and dropped one block at a time.
     Only one call's draw is kept; a call on another key drops it first.
     """
 
-    def __init__(self, params: Params, noise: NoiseModel, seed: int):
-        self._params = (params.copy(),)
+    def __init__(self, noise: NoiseModel, seed: int):
         self._noise = noise
         self._stream = RngStream(seed, STREAM_DEVICE)
         self._replay_key = None
         self._replay = None
         self.query_count = 0
 
-    def load(self, *params: Params) -> None:
-        """Map one or more parameter sets onto the device; the query counter is untouched."""
-        if not params:
-            raise ValueError("load needs at least one parameter set")
-        dims = self._params[0].arch.layer_dims
-        for p in params:
-            if p.arch.layer_dims != dims:
-                raise ValueError(f"params dims {p.arch.layer_dims} do not match device {dims}")
-        self._params = tuple(p.copy() for p in params)
-
-    def forward_batch(self, X, noise_slot: int, repeat: int = 1) -> np.ndarray:
-        """m * len(X) * repeat noisy inferences for m loaded parameter sets; counts every row as a query.
+    def forward_batch(self, params: Sequence[Params], X, noise_slot: int, repeat: int = 1) -> np.ndarray:
+        """m * len(X) * repeat noisy inferences for m parameter sets; counts every row as a query.
 
         Each input row is queried repeat times in a row, as Dataset.repeated would lay them out.
         """
-        X = np.asarray(X, dtype=float)
-        arch = self._params[0].arch
+        if not params:
+            raise ValueError("no parameter sets to score")
+        arch = params[0].arch
         dims = arch.layer_dims
+        for p in params:
+            if p.arch.layer_dims != dims:
+                raise ValueError(f"params dims {p.arch.layer_dims} do not match {dims}")
+        X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != dims[0]:
             raise ValueError(f"input shape {X.shape}, want (n, {dims[0]})")
         if repeat < 1:
             raise ValueError(f"repeat must be >= 1, got {repeat}")
         k1 = X.shape[0]
-        out = np.empty((len(self._params), k1 * repeat, dims[-1]))
-        key = (noise_slot, k1, repeat)
+        out = np.empty((len(params), k1 * repeat, dims[-1]))
+        key = (noise_slot, dims, k1, repeat)
         replay = self._replay if self._replay_key == key else None
         kept = None
         if replay is None:
@@ -97,7 +93,7 @@ class Device:
                     for v in draw.act + draw.weigh:
                         v.flags.writeable = False
                     kept.append(draw)
-            for p, rows in zip(self._params, out):
+            for p, rows in zip(params, out):
                 rows[start * repeat:stop * repeat] = _forward(p, X[start:stop], draw, repeat).activations[-1]
             del draw  # a streamed block is freed before the next one is drawn
         if kept is not None:

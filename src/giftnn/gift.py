@@ -164,25 +164,23 @@ def eval_in_situ(device: Device, params: Sequence[Params], X, Y, k2: int, noise_
 
     X is (K1, d0) and Y is (K1, dL), one row per data point; the device runs
     each point k2 times in a row (the row order Dataset.repeated builds).
-    Returns one EvalReport per parameter set, in order, from one device call,
-    so every set sees the same noise and each block is drawn once. Also
-    reports argmax-vs-argmax accuracy. Standard errors come from the K1
-    per-data-point means. Calls that pass the same points, k2 and slot share
-    their random numbers.
+    Returns one EvalReport per parameter set, in order, from one device call
+    on the sets as given (the device rejects an empty list), so every set sees
+    the same noise and each block is drawn once. Also reports argmax-vs-argmax
+    accuracy. Standard errors come from the K1 per-data-point means. Calls
+    that pass the same architecture, points, k2 and slot share their random
+    numbers.
     """
-    params = list(params)
-    if not params:
-        raise ValueError("no parameter sets to score")
     if k2 < 1:
         raise ValueError(f"k2 must be >= 1, got {k2}")
     k1 = X.shape[0]
     if k1 == 0:
         raise ValueError(f"input shape {X.shape} holds no data points")
-    d_out = params[0].arch.layer_dims[-1]
-    if Y.shape != (k1, d_out):
-        raise ValueError(f"target shape {Y.shape}, want {(k1, d_out)} for input shape {X.shape}")
-    device.load(*params)
-    outs = device.forward_batch(X, noise_slot, k2).reshape(len(params), k1, k2, d_out)
+    for p in params:
+        want = (k1, p.arch.layer_dims[-1])
+        if Y.shape != want:
+            raise ValueError(f"target shape {Y.shape}, want {want} for input shape {X.shape}")
+    outs = device.forward_batch(params, X, noise_slot, k2).reshape(len(params), k1, k2, -1)
 
     reports = []
     for out in outs:

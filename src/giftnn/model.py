@@ -267,15 +267,14 @@ class NoiseDraw:
 
     act[l] perturbs A(l) for l = 0..L-1; weigh[l] perturbs the layer-(l+1)
     pre-activation. Arrays are (n, d), one row per realization; zero_noise's
-    (d,) arrays broadcast over any batch. Multiplicative draws hold
-    standard-normal values g applied as v -> v * (1 + level * g) at the same
-    sites; only the device simulator consumes those.
+    (d,) arrays broadcast over any batch. Multiplicative draws hold the factors
+    1 + level * g of standard-normal values g, applied as v -> v * factor at
+    the same sites; only the device simulator consumes those.
     """
 
     act: list
     weigh: list
     multiplicative: bool = False
-    level: float = 0.0
 
 
 @dataclass
@@ -309,7 +308,10 @@ def _draw_site(gen: np.random.Generator, family: str, s: float, shape):
     if family == "laplace":
         return gen.laplace(0.0, s, shape)
     if family == "gaussian_multiplicative":
-        return gen.standard_normal(shape)
+        v = gen.standard_normal(shape)
+        v *= s
+        v += 1.0  # the factor 1 + s * g, in place
+        return v
     raise ValueError(f"unknown noise family {family!r}")
 
 
@@ -332,8 +334,7 @@ def sample_noise_batch(
             act[l] = v
         else:
             weigh[l - 1] = v
-    mult = model.family == "gaussian_multiplicative"
-    return NoiseDraw(act=act, weigh=weigh, multiplicative=mult, level=model.level if mult else 0.0)
+    return NoiseDraw(act=act, weigh=weigh, multiplicative=model.family == "gaussian_multiplicative")
 
 
 def zero_noise(arch: Architecture) -> NoiseDraw:
@@ -376,18 +377,17 @@ def _forward(params: Params, x, noise: NoiseDraw, repeat: int = 1) -> ForwardTra
     if repeat > 1 and noise.act[0].ndim != 2:
         raise ValueError("a repeated input needs one draw row per query")
     mult = noise.multiplicative
-    s = noise.level
 
     def perturb(v, n):  # v is a fresh array; the draw n is only read
         if mult:
-            v *= 1.0 + s * n
+            v *= n
         else:
             v += n
 
     n0 = noise.act[0]
     if n0.ndim == 2:  # point p's repeat rows read x[p]
         x, n0 = x[:, None, :], n0.reshape(-1, repeat, d0)
-    a = (x * (1.0 + s * n0) if mult else x + n0).reshape(-1, d0)
+    a = (x * n0 if mult else x + n0).reshape(-1, d0)
     activations = [a]
     pre_activations = []
     for l in range(1, L + 1):

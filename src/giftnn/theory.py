@@ -269,7 +269,7 @@ def check_theorem1_empirically(
 
         direction = estimate_direction(w0, data, s0, gift_config.est_k1, gift_config.est_k2,
                                        RngStream(seed, STREAM_ESTIMATE))
-        device = Device(w0, NoiseModel("gaussian_additive", s_t), seed=mix64(seed))
+        device = Device(NoiseModel("gaussian_additive", s_t), seed=mix64(seed))
         trace = gift_run(device, w0, direction, gift_config, data, RngStream(seed, STREAM_EVAL))
         imp_est.append(trace.improvement)
         pair_f = mc_objective_pair(w0, trace.w_f, s_t, data, mc_samples, seed=mix64(seed + 10_000))

@@ -36,11 +36,11 @@ class TrainConfig:
     """
 
     s0: float
-    epochs: int = 10
+    epochs: int = 40
     batch_size: int = 64
-    eps0: float = 0.05
+    eps0: float = 0.1
     decay_p: float = 0.75
-    tau: float = 1000.0
+    tau: float = 300.0
     projection: Hyperrectangle | None = None
     seed: int = 0
 

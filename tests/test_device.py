@@ -26,22 +26,22 @@ from test_model import small_params
 def identity_device(family, s, seed=0, d=2):
     arch = Architecture((d, d), "tanh")
     p = Params(arch, [np.eye(d)], [np.zeros(d)])
-    return Device(p, NoiseModel(family, s), seed=seed), p
+    return Device(NoiseModel(family, s), seed=seed), p
 
 
 def zero_weight_device(family, s, seed=0, d=1):
     arch = Architecture((d, d), "tanh")
     p = Params(arch, [np.zeros((d, d))], [np.zeros(d)])
-    return Device(p, NoiseModel(family, s), seed=seed), p
+    return Device(NoiseModel(family, s), seed=seed), p
 
 
 class TestForward:
     def test_matches_in_silico_stream(self):
         # a one-block gaussian call on slot j == forward_noisy on the draw at spawn key (device, j, 0)
         p = small_params([3, 2], seed=1)
-        dev = Device(p, NoiseModel("gaussian_additive", 0.3), seed=11)
+        dev = Device(NoiseModel("gaussian_additive", 0.3), seed=11)
         x = np.array([[0.5, -0.2, 0.1]])
-        out = dev.forward_batch(x, noise_slot=4)
+        out = dev.forward_batch([p], x, noise_slot=4)
         draw = sample_noise_batch(p.arch, NoiseModel("gaussian_additive", 0.3),
                                   RngStream(11, STREAM_DEVICE).substream(4), 0, 1)
         ref = forward_noisy(p, x, draw).activations[-1]
@@ -50,60 +50,60 @@ class TestForward:
     def test_same_seed_same_outputs(self):
         p = small_params([2, 2], seed=2)
         model = NoiseModel("gaussian_additive", 0.2)
-        a = Device(p, model, seed=5)
-        b = Device(p, model, seed=5)
+        a = Device(model, seed=5)
+        b = Device(model, seed=5)
         x = np.array([[0.1, 0.2]])
-        assert np.array_equal(a.forward_batch(x, 0), b.forward_batch(x, 0))
+        assert np.array_equal(a.forward_batch([p], x, 0), b.forward_batch([p], x, 0))
 
     def test_named_slots_give_different_outputs(self):
-        dev, _ = identity_device("gaussian_additive", 0.5)
+        dev, p = identity_device("gaussian_additive", 0.5)
         x = np.zeros((1, 2))
-        assert not np.array_equal(dev.forward_batch(x, 0), dev.forward_batch(x, 1))
+        assert not np.array_equal(dev.forward_batch([p], x, 0), dev.forward_batch([p], x, 1))
 
     def test_shared_slot_reproduces_noise(self):
         dev, p = identity_device("gaussian_additive", 0.5)
         x = np.array([[0.3, -0.3]])
         slot = 0
-        a = dev.forward_batch(x, noise_slot=slot)
-        b = dev.forward_batch(x, noise_slot=slot)
+        a = dev.forward_batch([p], x, noise_slot=slot)
+        b = dev.forward_batch([p], x, noise_slot=slot)
         assert np.array_equal(a, b)
 
     def test_shape_check(self):
-        dev, _ = identity_device("gaussian_additive", 0.1)
+        dev, p = identity_device("gaussian_additive", 0.1)
         with pytest.raises(ValueError):
-            dev.forward_batch(np.zeros((1, 3)), 0)
+            dev.forward_batch([p], np.zeros((1, 3)), 0)
         with pytest.raises(ValueError, match="repeat must be >= 1, got 0"):
-            dev.forward_batch(np.zeros((1, 2)), 0, repeat=0)
+            dev.forward_batch([p], np.zeros((1, 2)), 0, repeat=0)
         assert dev.query_count == 0
 
     def test_batch_consistent_with_loop(self):
-        dev, _ = identity_device("gaussian_additive", 0.4, seed=3)
+        dev, p = identity_device("gaussian_additive", 0.4, seed=3)
         X = RngStream(4, 1).generator(0).standard_normal((5, 2))
         slot = 0
-        batch = dev.forward_batch(X, noise_slot=slot)
+        batch = dev.forward_batch([p], X, noise_slot=slot)
         assert batch.shape == (5, 2)
-        again = dev.forward_batch(X, noise_slot=slot)
+        again = dev.forward_batch([p], X, noise_slot=slot)
         assert np.array_equal(batch, again)
 
 
 class TestQueryCounter:
     def test_increments_per_forward(self):
-        dev, _ = identity_device("gaussian_additive", 0.1)
+        dev, p = identity_device("gaussian_additive", 0.1)
         assert dev.query_count == 0
-        dev.forward_batch(np.zeros((1, 2)), 0)
+        dev.forward_batch([p], np.zeros((1, 2)), 0)
         assert dev.query_count == 1
-        dev.forward_batch(np.zeros((7, 2)), 0)
+        dev.forward_batch([p], np.zeros((7, 2)), 0)
         assert dev.query_count == 8
-        assert dev.forward_batch(np.zeros((7, 2)), 0, repeat=3).shape == (21, 2)  # every repeated row is a query
+        assert dev.forward_batch([p], np.zeros((7, 2)), 0, repeat=3).shape == (21, 2)  # every repeated row is a query
         assert dev.query_count == 29
 
     def test_replayed_slot_counts_every_row(self):
-        dev, _ = identity_device("gaussian_additive", 0.1)
+        dev, p = identity_device("gaussian_additive", 0.1)
         slot = 0
         for _ in range(3):
-            dev.forward_batch(np.zeros((7, 2)), noise_slot=slot)
+            dev.forward_batch([p], np.zeros((7, 2)), noise_slot=slot)
         for _ in range(2):
-            dev.forward_batch(np.zeros((1, 2)), noise_slot=slot)
+            dev.forward_batch([p], np.zeros((1, 2)), noise_slot=slot)
         assert dev.query_count == 3 * 7 + 2
 
 
@@ -138,39 +138,50 @@ class TestDrawCache:
     def test_interleaved_slots_match_uncached_draws(self, family):
         p = small_params([3, 4, 2], seed=7)
         model = NoiseModel(family, 0.3)
-        dev = Device(p, model, seed=8)
+        dev = Device(model, seed=8)
         X = RngStream(9, 1).generator(0).standard_normal((6, 3))
         a, b = 0, 1
         for slot in (a, b, a):
-            out = dev.forward_batch(X, noise_slot=slot, repeat=300)  # two blocks
+            out = dev.forward_batch([p], X, noise_slot=slot, repeat=300)  # two blocks
             assert out.tobytes() == uncached_output(p, model, 8, slot, X, 300).tobytes()
 
     def test_repeated_slot_draws_once_and_read_only(self, monkeypatch):
         draws = counting_draws(monkeypatch)
-        dev, _ = identity_device("gaussian_additive", 0.4)
+        dev, p = identity_device("gaussian_additive", 0.4)
         slot = 0
         for _ in range(3):
-            dev.forward_batch(np.ones((5, 2)), noise_slot=slot)
+            dev.forward_batch([p], np.ones((5, 2)), noise_slot=slot)
         assert len(draws) == 1
         for v in draws[0].act + draws[0].weigh:
             assert not v.flags.writeable
             with pytest.raises(ValueError):
                 v[...] = 0.0
-        dev.forward_batch(np.ones((4, 2)), noise_slot=slot)  # another batch size is another draw
+        dev.forward_batch([p], np.ones((4, 2)), noise_slot=slot)  # another batch size is another draw
         assert len(draws) == 2
 
     def test_new_params_on_one_slot_keep_the_noise(self, monkeypatch):
         draws = counting_draws(monkeypatch)
         p, q = small_params([2, 3, 2], seed=10), small_params([2, 3, 2], seed=11)
         model = NoiseModel("gaussian_additive", 0.3)
-        dev = Device(p, model, seed=12)
+        dev = Device(model, seed=12)
         X = RngStream(13, 1).generator(0).standard_normal((4, 2))
         slot = 0
-        dev.forward_batch(X, noise_slot=slot)
-        dev.load(q)
-        out = dev.forward_batch(X, noise_slot=slot)
+        dev.forward_batch([p], X, noise_slot=slot)
+        out = dev.forward_batch([q], X, noise_slot=slot)
         assert len(draws) == 1
         assert out.tobytes() == uncached_output(q, model, 12, slot, X).tobytes()
+
+    def test_architectures_on_one_slot_match_fresh_devices(self, monkeypatch):
+        # the replay key names the layer dims: another architecture on the same slot and shapes draws its own noise
+        draws = counting_draws(monkeypatch)
+        p, q = small_params([2, 3, 2], seed=28), small_params([2, 5, 2], seed=29)
+        model = NoiseModel("laplace", 0.3)
+        X = RngStream(30, 1).generator(0).standard_normal((4, 2))
+        dev = Device(model, seed=31)
+        for params in (p, q, p):
+            out = dev.forward_batch([params], X, noise_slot=2, repeat=3)
+            assert out.tobytes() == Device(model, seed=31).forward_batch([params], X, 2, 3).tobytes()
+        assert len(draws) == 2 * 3
 
     def test_draw_over_the_replay_budget_is_redrawn_per_call(self, monkeypatch):
         # a call keeps its draw only when the whole draw fits REPLAY_BYTES; the outputs never depend on it
@@ -183,9 +194,9 @@ class TestDrawCache:
         outs = {}
         for budget in (device_module.REPLAY_BYTES, 0):
             monkeypatch.setattr(device_module, "REPLAY_BYTES", budget)
-            dev = Device(p, model, seed=16)
+            dev = Device(model, seed=16)
             before = len(draws)
-            outs[budget] = [dev.forward_batch(X, 0, 500) for _ in range(3)]
+            outs[budget] = [dev.forward_batch([p], X, 0, 500) for _ in range(3)]
             assert len(draws) - before == (n_blocks if budget else 3 * n_blocks)
         for kept, streamed in zip(*outs.values()):
             assert kept.tobytes() == streamed.tobytes()
@@ -222,9 +233,9 @@ class TestBlockForward:
         draws = counting_draws(monkeypatch)
         p = small_params([3, 5, 4, 2], seed=20)
         model = NoiseModel(family, 0.3)
-        dev = Device(p, model, seed=21)
+        dev = Device(model, seed=21)
         X = RngStream(22, 1).generator(0).standard_normal((k1, 3))
-        out = dev.forward_batch(X, noise_slot=3, repeat=repeat)
+        out = dev.forward_batch([p], X, noise_slot=3, repeat=repeat)
         assert dev.query_count == k1 * repeat and out.shape == (k1 * repeat, 2)
         blocks = point_blocks(k1, repeat)
         assert len(blocks) == 3 and len(draws) == 3
@@ -235,31 +246,29 @@ class TestBlockForward:
             ref = _forward(p, X[start:stop], draw, repeat).activations[-1]
             assert out[start * repeat:stop * repeat].tobytes() == ref.tobytes()
 
-    def test_loaded_sets_share_each_block(self, monkeypatch):
-        # m loaded parameter sets give m * n rows, set-major, each as if loaded alone; each block is drawn once
+    def test_sets_share_each_block(self, monkeypatch):
+        # m parameter sets give m * n rows, set-major, each as if scored alone; each block is drawn once
         draws = counting_draws(monkeypatch)
         monkeypatch.setattr(device_module, "REPLAY_BYTES", 0)
         sets = [small_params([3, 4, 2], seed=s) for s in (23, 24, 25)]
         model = NoiseModel("gaussian_multiplicative", 0.2)
         X = RngStream(26, 1).generator(0).standard_normal((300, 3))
-        dev = Device(sets[0], model, seed=27)
-        dev.load(*sets)
-        together = dev.forward_batch(X, 1, 8)
+        dev = Device(model, seed=27)
+        together = dev.forward_batch(sets, X, 1, 8)
         assert dev.query_count == 3 * 300 * 8
         assert len(draws) == len(point_blocks(300, 8))
         for p, rows in zip(sets, together.reshape(3, 300 * 8, 2)):
-            dev.load(p)
-            assert rows.tobytes() == dev.forward_batch(X, 1, 8).tobytes()
-        with pytest.raises(ValueError, match="at least one"):
-            dev.load()
+            assert rows.tobytes() == dev.forward_batch([p], X, 1, 8).tobytes()
+        with pytest.raises(ValueError, match="no parameter sets"):
+            dev.forward_batch([], X, 1, 8)
 
     def test_wide_call_holds_one_block_of_noise(self):
         # an 8,000-row shallow_mnist call: its whole draw is 140 MB (134 MiB), one 1,024-row block of it 18 MB;
         # the bound sits between that whole draw and one block plus its forward pass (about 35 MiB)
         p = wide_params()
-        dev = Device(p, NoiseModel("gaussian_additive", 0.1), seed=1)
+        dev = Device(NoiseModel("gaussian_additive", 0.1), seed=1)
         X = RngStream(2, 1).generator(0).standard_normal((1000, SHALLOW_MNIST[0]))
-        peak = traced_peak(lambda: dev.forward_batch(X, noise_slot=0, repeat=8))
+        peak = traced_peak(lambda: dev.forward_batch([p], X, noise_slot=0, repeat=8))
         assert dev.query_count == 8000
         assert peak < 64 * MIB, f"peak traced allocation {peak / MIB:.1f} MiB"
 
@@ -268,20 +277,20 @@ class TestFamilies:
     def test_uniform_site_variance(self):
         # W=0 isolates the output-site noise: Var = s^2/3 per component
         s = 0.6
-        dev, _ = zero_weight_device("uniform", s, d=1)
-        outs = dev.forward_batch(np.zeros((10**5, 1)), 0)
+        dev, p = zero_weight_device("uniform", s, d=1)
+        outs = dev.forward_batch([p], np.zeros((10**5, 1)), 0)
         assert abs(outs.var() / (s**2 / 3) - 1.0) < 0.05
 
     def test_uniform_identity_net_total_variance(self):
         # identity net passes input-site noise through: Var = 2 s^2/3
         s = 0.6
-        dev, _ = identity_device("uniform", s, d=1)
-        outs = dev.forward_batch(np.zeros((10**5, 1)), 0)
+        dev, p = identity_device("uniform", s, d=1)
+        outs = dev.forward_batch([p], np.zeros((10**5, 1)), 0)
         assert abs(outs.var() / (2 * s**2 / 3) - 1.0) < 0.05
 
     def test_laplace_excess_kurtosis(self):
-        dev, _ = zero_weight_device("laplace", 0.5, d=1)
-        outs = dev.forward_batch(np.zeros((2 * 10**5, 1)), 0).ravel()
+        dev, p = zero_weight_device("laplace", 0.5, d=1)
+        outs = dev.forward_batch([p], np.zeros((2 * 10**5, 1)), 0).ravel()
         m2 = (outs**2).mean()
         m4 = (outs**4).mean()
         assert abs(m4 / m2**2 - 3.0 - 3.0) < 0.4
@@ -289,71 +298,76 @@ class TestFamilies:
     def test_laplace_scale_parameterization(self):
         # level is the Laplace scale b: Var = 2 b^2
         b = 0.3
-        dev, _ = zero_weight_device("laplace", b, d=1)
-        outs = dev.forward_batch(np.zeros((2 * 10**5, 1)), 0)
+        dev, p = zero_weight_device("laplace", b, d=1)
+        outs = dev.forward_batch([p], np.zeros((2 * 10**5, 1)), 0)
         assert abs(outs.var() / (2 * b**2) - 1.0) < 0.05
 
     def test_multiplicative_zero_input_is_biasless(self):
         # x=0 through zero weights: output = b*(1+sg) terms vanish -> exactly 0
-        dev, _ = zero_weight_device("gaussian_multiplicative", 0.3, d=2)
-        outs = dev.forward_batch(np.zeros((100, 2)), 0)
+        dev, p = zero_weight_device("gaussian_multiplicative", 0.3, d=2)
+        outs = dev.forward_batch([p], np.zeros((100, 2)), 0)
         assert np.allclose(outs, 0.0)
 
     def test_multiplicative_scales_with_signal(self):
         s = 0.2
-        dev, _ = identity_device("gaussian_multiplicative", s, d=1)
+        dev, p = identity_device("gaussian_multiplicative", s, d=1)
         x = np.full((10**5, 1), 2.0)
-        outs = dev.forward_batch(x, 0)
+        outs = dev.forward_batch([p], x, 0)
         assert abs(outs.mean() - 2.0) < 0.02
         assert outs.var() > 0.5 * s**2 * 4.0
 
 
 class TestSetParams:
     def test_replaces_params(self):
+        # each call scores the sets it is given, and only reads them
         dev, p = identity_device("gaussian_additive", 1e-9, d=2)
         q = p.copy()
         q.weights[0][:] = 2 * np.eye(2)
-        dev.load(q)
         x = np.array([[1.0, -1.0]])
-        assert np.allclose(dev.forward_batch(x, 0), 2 * x, atol=1e-6)
+        assert np.allclose(dev.forward_batch([q], x, 0), 2 * x, atol=1e-6)
+        assert np.allclose(dev.forward_batch([p], x, 0), x, atol=1e-6)
+        assert np.array_equal(q.vector, 2 * p.vector)
 
     def test_tiny_level_matches_deterministic(self):
         p = small_params([3, 3, 2], seed=6)
-        dev = Device(p, NoiseModel("gaussian_additive", 1e-9), seed=0)
+        dev = Device(NoiseModel("gaussian_additive", 1e-9), seed=0)
         x = np.array([[0.2, 0.4, -0.5]])
-        assert np.allclose(dev.forward_batch(x, 0), forward_deterministic(p, x), atol=1e-7)
+        assert np.allclose(dev.forward_batch([p], x, 0), forward_deterministic(p, x), atol=1e-7)
 
     def test_dims_mismatch_rejected(self):
-        dev, _ = identity_device("gaussian_additive", 0.1, d=2)
-        with pytest.raises(ValueError):
-            dev.load(small_params([3, 2]))
+        # the sets of one call share one architecture
+        dev, p = identity_device("gaussian_additive", 0.1, d=2)
+        for other in (small_params([3, 2]), small_params([2, 3, 2])):
+            with pytest.raises(ValueError, match="do not match"):
+                dev.forward_batch([p, other], np.zeros((1, 2)), 0)
+        assert dev.query_count == 0
 
     def test_does_not_reset_counter(self):
         dev, p = identity_device("gaussian_additive", 0.1)
-        dev.forward_batch(np.zeros((1, 2)), 0)
-        dev.load(p.copy())
-        assert dev.query_count == 1
+        dev.forward_batch([p], np.zeros((1, 2)), 0)
+        dev.forward_batch([p.copy()], np.zeros((1, 2)), 0)
+        assert dev.query_count == 2
 
 
 class TestOpacity:
     def test_no_trace_or_noise_leaks(self):
-        dev, _ = identity_device("gaussian_additive", 0.1)
+        dev, p = identity_device("gaussian_additive", 0.1)
         exposed = [a for a in dir(dev) if not a.startswith("_")]
         for attr in exposed:
             assert "trace" not in attr.lower()
             assert "noise_draw" not in attr.lower()
-        out = dev.forward_batch(np.zeros((1, 2)), 0)
+        out = dev.forward_batch([p], np.zeros((1, 2)), 0)
         assert isinstance(out, np.ndarray) and out.shape == (1, 2)
 
     def test_output_is_a_copy(self):
-        dev, _ = identity_device("gaussian_additive", 0.1)
-        out = dev.forward_batch(np.zeros((1, 2)), 0)
+        dev, p = identity_device("gaussian_additive", 0.1)
+        out = dev.forward_batch([p], np.zeros((1, 2)), 0)
         out[:] = 99.0
-        again = dev.forward_batch(np.zeros((1, 2)), 0)
+        again = dev.forward_batch([p], np.zeros((1, 2)), 0)
         assert not np.array_equal(out, again)
 
 
 def test_device_forward_helper():
-    dev, _ = identity_device("gaussian_additive", 1e-9)
+    dev, p = identity_device("gaussian_additive", 1e-9)
     x = np.array([[0.7, -0.7]])
-    assert np.allclose(dev.forward_batch(x, 0), x, atol=1e-6)
+    assert np.allclose(dev.forward_batch([p], x, 0), x, atol=1e-6)

@@ -3,8 +3,11 @@
 Criterion 10 compares two runs of the same code; this test compares a run with
 digests recorded when the current STREAM_VERSION was declared. It runs tiny
 desk_small `train`, `gift` and `eval` (both from the train checkpoint) and
-`sweep` configs and checks the SHA-256 of every CSV body (the file below its
-`# meta` line) and every params checkpoint (the whole .npz file).
+`sweep` configs, and `gift` once more on a `gaussian_multiplicative` device,
+and checks the SHA-256 of every CSV body (the file below its `# meta` line) and
+every params checkpoint (the whole .npz file). The `multiplicative/` entries
+joined the version-5 table later, recorded from unchanged version-5 results,
+so that multiplicative device noise is pinned too.
 
 The gift and eval calls score 300 points x 8 = 2,400 device rows (three blocks
 of up to 128 points) and estimate over 2,000 rows (two Monte Carlo blocks), so
@@ -61,6 +64,9 @@ DIGESTS = {
         "gift/gift_summary.csv": "dfec0d4ce52d2c69adeab25001635627c63713184741133eaba1bed8c5c4d336",
         "gift/seed_0/params_final.npz": "a28c508f97d5af1dae3f098db9918340b2ca9da658151efb556c83d49bef8d97",
         "gift/seed_1/params_final.npz": "bbf737c371167b461f03a7a230a4051046c240d29ba9326e18a4feb41bdd56b4",
+        "multiplicative/gift/gift_summary.csv": "09c8331911c3b1551d101496864b59bf8da66a75e1ca4ae80680747931e7835f",
+        "multiplicative/gift/seed_0/params_final.npz": "a28c508f97d5af1dae3f098db9918340b2ca9da658151efb556c83d49bef8d97",
+        "multiplicative/gift/seed_1/params_final.npz": "bbf737c371167b461f03a7a230a4051046c240d29ba9326e18a4feb41bdd56b4",
         "sweep/sweep_aggregate.csv": "08ee43f3738e3c4331df0f24d676d2ce5e988610af1cfb354e121586a9d88015",
         "sweep/sweep_rows.csv": "25a376589884b7807c5fcfacecaee40e5e6f977b3dffa83a8b64f95255064fe6",
         "train/seed_0/params.npz": "a1031dd1240ce2678f7bd4ac7b84a1646307d46133ca5372a9487ce7861c9d99",
@@ -84,10 +90,13 @@ def file_digest(path: str) -> str:
 
 
 def run_digests(out) -> dict:
-    """Run the four commands into out; {relative path: digest} of every CSV and .npz written."""
-    argv = lambda cmd, *extra: [cmd, "--out", str(out), *extra] + [a for s in SETS for a in ("--set", s)]
+    """Run the four commands into out, and gift once more on a multiplicative device into
+    out/multiplicative; {relative path: digest} of every CSV and .npz written."""
+    argv = lambda cmd, *extra, to=str(out): [cmd, "--out", to, *extra] + [a for s in SETS for a in ("--set", s)]
     checkpoint = ["--checkpoint", os.path.join(str(out), "train")]
-    for args in (argv("train"), argv("gift", *checkpoint), argv("eval", *checkpoint), argv("sweep")):
+    multiplicative = argv("gift", *checkpoint, "--set", "device.family=gaussian_multiplicative",
+                          to=os.path.join(str(out), "multiplicative"))
+    for args in (argv("train"), argv("gift", *checkpoint), argv("eval", *checkpoint), argv("sweep"), multiplicative):
         assert main(args) == 0, args[0]
     digests = {}
     for root, _, names in os.walk(out):

@@ -115,8 +115,7 @@ def test_batch_mean_is_average_of_members():
     draws = sample_noise_batch(p.arch, NoiseModel("gaussian_additive", 0.2), RngStream(14, 3), 0, 6)
     acc_w = np.zeros_like(p.weights[0])
     for i in range(6):
-        d = type(draws)(act=[v[i:i + 1] for v in draws.act], weigh=[v[i:i + 1] for v in draws.weigh],
-                        multiplicative=False, level=0.2)
+        d = type(draws)(act=[v[i:i + 1] for v in draws.act], weigh=[v[i:i + 1] for v in draws.weigh])
         trace = forward_noisy(p, X[i:i + 1], d)
         acc_w += backward(trace, Y[i:i + 1], p).grad.weights[0]
     assert np.allclose(g.grad.weights[0], acc_w / 6, rtol=1e-10)

@@ -270,8 +270,7 @@ class TestForward:
 
 def out_of_place_forward(params, x, noise):
     """The noisy recursion written with a new array for every operation."""
-    mult, s = noise.multiplicative, noise.level
-    perturb = (lambda v, n: v * (1.0 + s * n)) if mult else (lambda v, n: v + n)
+    perturb = (lambda v, n: v * n) if noise.multiplicative else (lambda v, n: v + n)
     a = perturb(x, noise.act[0])
     acts, pres = [a], []
     for l in range(params.arch.n_layers):

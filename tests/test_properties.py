@@ -154,7 +154,7 @@ class TestGiftTraceInvariants:
         w0 = Params(arch, [gen.uniform(-1, 1, (1, 2))], [gen.uniform(-0.5, 0.5, 1)])
         data = Dataset(gen.standard_normal((64, 2)), gen.standard_normal((64, 1)))
         direction = Params(arch, [gen.standard_normal((1, 2))], [gen.standard_normal(1)])
-        device = Device(w0, NoiseModel("gaussian_additive", 0.3), seed=seed)
+        device = Device(NoiseModel("gaussian_additive", 0.3), seed=seed)
         config = GiftConfig(eta=eta, k1=16, k2=2, max_steps=max_steps, stop_rule=rule)
         trace = gift_run(device, w0, direction, config, data, RngStream(seed, STREAM_EVAL))
 

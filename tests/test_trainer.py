@@ -1,6 +1,9 @@
+from dataclasses import MISSING, fields
+
 import numpy as np
 import pytest
 
+from giftnn.cli import DEFAULT_CONFIG
 from giftnn.data import synthetic_linear
 from giftnn.model import Architecture, Hyperrectangle, RngStream, STREAM_DATA, init_uniform
 from giftnn.trainer import (
@@ -26,6 +29,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             TrainConfig(s0=0.1, decay_p=1.2)
         TrainConfig(s0=0.1, decay_p=1.0)
+
+    def test_defaults_match_the_config_schema(self):
+        # a library caller trains as the CLI does; seed is set per run, not in the config's train section
+        train = DEFAULT_CONFIG["train"]
+        assert sorted(f.name for f in fields(TrainConfig) if f.name != "seed") == sorted(train)
+        for f in fields(TrainConfig):
+            if f.name != "seed":
+                assert f.default is MISSING or f.default == train[f.name], f.name
 
     def test_positive_s0(self):
         with pytest.raises(ValueError):
@@ -88,7 +99,7 @@ class TestTrain:
         assert np.isclose(abs(W[0, 1]), 0.05)
 
     def test_deterministic_given_seed(self):
-        cfg = TrainConfig(s0=0.3, epochs=3, batch_size=64, seed=7)
+        cfg = TrainConfig(s0=0.3, epochs=3, batch_size=64, eps0=0.05, tau=1000.0, seed=7)
         data = linear_data(512)
         a, ha = train(ARCH, cfg, data)
         b, hb = train(ARCH, cfg, data)
