@@ -241,6 +241,9 @@ def _check_tree(schema: dict, cfg: dict, errors: list, path: str = "") -> dict:
         elif not isinstance(value, dict):
             errors.append(f"{here}: expected a config section (a JSON object), got {value!r}")
             out[key] = None
+        elif missing := [k for k in node if k not in value]:
+            errors.append(f"{here}: section lacks {', '.join(missing)}")
+            out[key] = None
         else:
             n_errors = len(errors)
             section = _check_tree(node, value, errors, here + ".")
@@ -261,35 +264,18 @@ def _deep_merge(base: dict, override: dict, path="") -> dict:
     return out
 
 
-def _set_by_path(cfg: dict, dotted: str, raw: str):
-    try:
-        value = json.loads(raw)
-    except json.JSONDecodeError:
-        value = raw
-    keys = dotted.split(".")
-    node = cfg
-    for i, key in enumerate(keys[:-1]):
-        if not isinstance(node, dict) or key not in node:
-            raise ConfigError(f"{'.'.join(keys[: i + 1])}: unknown config key")
-        if not isinstance(node[key], dict):
-            raise ConfigError(f"{'.'.join(keys[: i + 1])}: not a config section")
-        node = node[key]
-    leaf = keys[-1]
-    if not isinstance(node, dict) or leaf not in node:
-        raise ConfigError(f"{dotted}: unknown config key")
-    node[leaf] = value
-
-
 def resolve_config(args) -> dict:
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))
     if getattr(args, "config", None):
         try:
-            with open(args.config) as f:
+            with open(args.config, encoding="utf-8") as f:
                 loaded = json.load(f)
         except FileNotFoundError:
             raise ConfigError(f"config: file not found: {args.config}")
         except json.JSONDecodeError as e:
             raise ConfigError(f"config: invalid JSON in {args.config}: {e}")
+        except (OSError, UnicodeDecodeError) as e:
+            raise ConfigError(f"config: cannot read {args.config}: {e}")
         if not isinstance(loaded, dict):
             raise ConfigError("config: top level must be a JSON object")
         cfg = _deep_merge(cfg, loaded)
@@ -297,7 +283,13 @@ def resolve_config(args) -> dict:
         if "=" not in item:
             raise ConfigError(f"--set {item!r}: expected dotted.path=value")
         dotted, raw = item.split("=", 1)
-        _set_by_path(cfg, dotted, raw)
+        try:
+            value = json.loads(raw)
+        except json.JSONDecodeError:
+            value = raw
+        for key in reversed(dotted.split(".")):
+            value = {key: value}
+        cfg = _deep_merge(cfg, value)  # as a config file holding only this leaf would be
     if getattr(args, "data_dir", None):
         cfg["data"]["dir"] = args.data_dir
     if getattr(args, "out", None):
@@ -652,6 +644,11 @@ def cmd_sweep(exp: Experiment) -> int:
     rows = [row for chunk, _ in per_family for row in chunk]
     failures = [failure for _, failure in per_family if failure is not None]
 
+    stats = ("rel_loss_improvement", "loss_improvement",
+             "fresh_rel_acc_improvement", "fresh_acc_change",
+             "fresh_baseline_acc", "fresh_post_acc",
+             "baseline_loss", "fresh_loss_improvement")
+    agg_fields = ["family", "s0", "s_t", "n_seeds"] + [f"{k}_{col}" for col in stats for k in ("mean", "ci95")]
     agg_rows = []
     for family in sw["families"]:
         for s0 in sw["s0_grid"]:
@@ -660,10 +657,7 @@ def cmd_sweep(exp: Experiment) -> int:
                 if not cell:
                     continue
                 agg = {"family": family, "s0": s0, "s_t": s_t, "n_seeds": len(cell)}
-                for col in ("rel_loss_improvement", "loss_improvement",
-                            "fresh_rel_acc_improvement", "fresh_acc_change",
-                            "fresh_baseline_acc", "fresh_post_acc",
-                            "baseline_loss", "fresh_loss_improvement"):
+                for col in stats:
                     vals = np.array([float(r[col]) for r in cell])
                     agg[f"mean_{col}"] = float(vals.mean())
                     agg[f"ci95_{col}"] = float(1.96 * mean_se(vals))
@@ -671,8 +665,7 @@ def cmd_sweep(exp: Experiment) -> int:
 
     out = os.path.join(exp.out_dir, "sweep")
     write_csv(os.path.join(out, "sweep_rows.csv"), GIFT_FIELDS, rows, meta)
-    if agg_rows:
-        write_csv(os.path.join(out, "sweep_aggregate.csv"), list(agg_rows[0].keys()), agg_rows, meta)
+    write_csv(os.path.join(out, "sweep_aggregate.csv"), agg_fields, agg_rows, meta)
     write_json(os.path.join(out, "sweep.json"), {
         "meta": meta,
         "n_rows": len(rows),

@@ -57,10 +57,6 @@ class Dataset:
     def __len__(self) -> int:
         return self.inputs.shape[0]
 
-    def repeated(self, indices, k: int):
-        """(X, Y): the rows at indices, each repeated k times in a row."""
-        return np.repeat(self.inputs[indices], k, axis=0), np.repeat(self.targets[indices], k, axis=0)
-
 
 def _read_bytes(path) -> bytes:
     with open(path, "rb") as f:

@@ -59,7 +59,7 @@ class Device:
     def forward_batch(self, params: Sequence[Params], X, noise_slot: int, repeat: int = 1) -> np.ndarray:
         """m * len(X) * repeat noisy inferences for m parameter sets; counts every row as a query.
 
-        Each input row is queried repeat times in a row, as Dataset.repeated would lay them out.
+        Each input row is queried repeat times in a row.
         """
         if not params:
             raise ValueError("no parameter sets to score")

@@ -120,14 +120,15 @@ def noise_weight_factor(noise: NoiseDraw, s0: float):
 def mc_blocks(arch, model: NoiseModel, data, n_points: int, k2: int, rng: RngStream):
     """Monte Carlo blocks (X, Y, noise) over n_points data rows drawn at rng index 0.
 
-    Each drawn row is repeated k2 times in a row, and the blocks are those of
+    X and Y hold one row per drawn point; the draw holds k2 rows per point, in
+    a row, for a pass that repeats each point k2 times. The blocks are those of
     model.point_blocks (the device's block plan too); block c draws its noise
     from model at rng index 1 + c.
     """
     idx = rng.generator(0).integers(0, len(data), size=n_points)
     for c, (start, stop) in enumerate(point_blocks(n_points, k2)):
-        X, Y = data.repeated(idx[start:stop], k2)
-        yield X, Y, sample_noise_batch(arch, model, rng, 1 + c, X.shape[0])
+        rows = idx[start:stop]
+        yield data.inputs[rows], data.targets[rows], sample_noise_batch(arch, model, rng, 1 + c, len(rows) * k2)
 
 
 def estimate_direction(params: Params, data, s0: float, k1: int, k2: int, rng: RngStream) -> Params:
@@ -144,8 +145,8 @@ def estimate_direction(params: Params, data, s0: float, k1: int, k2: int, rng: R
     arch = params.arch
     total = Params.zeros(arch)
     for X, Y, noise in mc_blocks(arch, NoiseModel("gaussian_additive", s0), data, k1, k2, rng):
-        trace = forward_noisy(params, X, noise)
-        R = residual_stack(trace, Y, params)
+        trace = forward_noisy(params, X, noise, k2)
+        R = residual_stack(trace, np.repeat(Y, k2, axis=0), params)
         f = noise_weight_factor(noise, s0)
         for l in range(arch.n_layers):
             Rw = R[l] * f[:, None]
@@ -163,7 +164,7 @@ def eval_in_situ(device: Device, params: Sequence[Params], X, Y, k2: int, noise_
     """Mean squared device error of each parameter set over K1 data points X, Y, each queried k2 times, on a noise slot.
 
     X is (K1, d0) and Y is (K1, dL), one row per data point; the device runs
-    each point k2 times in a row (the row order Dataset.repeated builds).
+    each point k2 times in a row.
     Returns one EvalReport per parameter set, in order, from one device call
     on the sets as given (the device rejects an empty list), so every set sees
     the same noise and each block is drawn once. Also reports argmax-vs-argmax

@@ -405,14 +405,15 @@ def _forward(params: Params, x, noise: NoiseDraw, repeat: int = 1) -> ForwardTra
     return ForwardTrace(activations=activations, pre_activations=pre_activations, noise=noise)
 
 
-def forward_noisy(params: Params, x, noise: NoiseDraw) -> ForwardTrace:
+def forward_noisy(params: Params, x, noise: NoiseDraw, repeat: int = 1) -> ForwardTrace:
     """One noisy forward pass under an additive-family draw; returns the full trace.
 
+    x holds per-point inputs, each run repeat times in a row, as in _forward.
     Multiplicative draws are rejected here; only the device simulator applies them.
     """
     if noise.multiplicative:
         raise ValueError("forward_noisy takes additive draws; the device applies multiplicative noise")
-    return _forward(params, x, noise)
+    return _forward(params, x, noise, repeat)
 
 
 def forward_deterministic(params: Params, x) -> np.ndarray:

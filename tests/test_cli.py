@@ -12,7 +12,6 @@ from giftnn.cli import (
     Experiment,
     _deep_merge,
     _device_seed,
-    _set_by_path,
     code_hash,
     main,
     read_csv_body,
@@ -87,25 +86,52 @@ class TestConfigMachinery:
             _deep_merge(fresh_config(), {"train": {"bogus": 1}})
         assert "train.bogus" in str(e.value)
 
-    def test_set_by_path_parses_json_values(self):
-        cfg = fresh_config()
-        _set_by_path(cfg, "train.epochs", "3")
-        _set_by_path(cfg, "sweep.s0_grid", "[0.1, 0.2]")
-        _set_by_path(cfg, "device.family", "laplace_additive")
-        _set_by_path(cfg, "gift.normalize_direction", "false")
+    def test_set_parses_json_values(self):
+        cfg = resolve_config(SimpleNamespace(set=[
+            "train.epochs=3", "sweep.s0_grid=[0.1, 0.2]", "device.family=laplace_additive",
+            "gift.normalize_direction=false"]))
         assert cfg["train"]["epochs"] == 3
         assert cfg["sweep"]["s0_grid"] == [0.1, 0.2]
         assert cfg["device"]["family"] == "laplace_additive"  # non-JSON falls back to raw string
         assert cfg["gift"]["normalize_direction"] is False
 
-    def test_set_by_path_rejects_unknown_and_non_sections(self):
-        cfg = fresh_config()
+    def test_set_rejects_unknown_keys_and_leaves_used_as_sections(self, capsys):
         with pytest.raises(ConfigError, match="nope: unknown config key"):
-            _set_by_path(cfg, "nope.x", "1")
+            resolve_config(SimpleNamespace(set=["nope.x=1"]))
         with pytest.raises(ConfigError, match="train.nope: unknown config key"):
-            _set_by_path(cfg, "train.nope", "1")
-        with pytest.raises(ConfigError, match="train.epochs: not a config section"):
-            _set_by_path(cfg, "train.epochs.deep", "1")
+            resolve_config(SimpleNamespace(set=["train.nope=1"]))
+        assert main(["check", "--set", "train.epochs.deep=1"]) == 1
+        assert capsys.readouterr().err.startswith("config error: train.epochs: ")
+
+    def test_whole_section_set_merges_over_defaults(self, tmp_path):
+        # a section-valued --set is merged like a config file holding it, not put in place
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"train": {"epochs": 3}}))
+        by_set = resolve_config(SimpleNamespace(set=['train={"epochs": 3}']))
+        assert by_set == resolve_config(SimpleNamespace(config=str(path)))
+        assert by_set["train"] == {**DEFAULT_CONFIG["train"], "epochs": 3}
+        Experiment(by_set)
+
+    def test_leaf_set_into_a_non_section_exits_1(self, tmp_path, capsys):
+        # the file replaces the train section by 5; the --set then leaves a section lacking leaves
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"train": 5}))
+        assert main(["check", "--config", str(path), "--set", "train.epochs=3"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: train: "), err
+
+    @pytest.mark.parametrize("content", [None, b'{"name": "\xff"}'], ids=["directory", "non_utf8"])
+    def test_unreadable_config_exits_1(self, tmp_path, capsys, content):
+        path = tmp_path / "cfg.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        with pytest.raises(ConfigError, match="config: cannot read"):
+            resolve_config(SimpleNamespace(config=str(path)))
+        assert main(["check", "--config", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: config: "), err
 
     def test_resolve_config_file_and_flags(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -539,6 +565,7 @@ class TestSweep:
                              TWO_FAMILIES, f"sweep.workers={workers}")
             assert main(argv) == 0
             assert (out / "sweep_rows.csv").exists()
+            assert read_csv_body(out / "sweep_aggregate.csv")[1] == []  # written, header only
             failures[workers] = json.loads((out / "sweep.json").read_text())["failures"]
         capsys.readouterr()
         assert [(f["family"], f["s0"], f["seed"]) for f in failures[1]] == [

@@ -240,7 +240,11 @@ class TestForward:
         x = RngStream(18, 3).generator(0).standard_normal((5, 3))
         broadcast = _forward(p, x, draw, repeat=4)
         rows = _forward(p, np.repeat(x, 4, axis=0), draw)
-        assert all(u.tobytes() == v.tobytes() for u, v in zip(broadcast.activations, rows.activations, strict=True))
+        passes = [broadcast]
+        if family == "gaussian_additive":  # forward_noisy passes repeat on; it takes additive draws only
+            passes.append(forward_noisy(p, x, draw, repeat=4))
+        for trace in passes:
+            assert all(u.tobytes() == v.tobytes() for u, v in zip(trace.activations, rows.activations, strict=True))
         with pytest.raises(ValueError, match=r"want \(15, 3\)"):
             _forward(p, x, draw, repeat=3)
         with pytest.raises(ValueError, match="one draw row per query"):
