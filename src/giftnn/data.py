@@ -171,7 +171,8 @@ def synthetic_linear(V, sigma_x: float, n: int, rng: RngStream) -> Dataset:
     _check_sigma_x(sigma_x)
     V = np.atleast_2d(np.asarray(V, dtype=float))
     gen = rng.generator(0)
-    X = sigma_x * gen.standard_normal((n, V.shape[1]))
+    X = gen.standard_normal((n, V.shape[1]))
+    X *= sigma_x  # in place: the same values as sigma_x * X, without a second array
     Y = X @ V.T
     return Dataset(X, Y)
 
@@ -183,7 +184,8 @@ def synthetic_teacher(arch: Architecture, n: int, sigma_x: float, rng: RngStream
     _check_sigma_x(sigma_x)
     gen = rng.generator(0)
     teacher = init_uniform(arch, gen)
-    X = sigma_x * gen.standard_normal((n, arch.layer_dims[0]))
+    X = gen.standard_normal((n, arch.layer_dims[0]))
+    X *= sigma_x  # in place: the same values as sigma_x * X, without a second array
     Y = forward_deterministic(teacher, X)
     return Dataset(X, Y)
 

@@ -12,12 +12,15 @@ from collections.abc import Sequence
 import numpy as np
 
 from .model import (
+    ForwardTrace,
+    NoiseDraw,
     NoiseModel,
     Params,
     RngStream,
     STREAM_DEVICE,
     _forward,
     _site_dims,
+    block_rows,
     point_blocks,
     sample_noise_batch,
 )
@@ -45,8 +48,12 @@ class Device:
     Each block's draw is made once per call, and every parameter set runs
     through the block while it is live. A call whose whole draw fits in
     REPLAY_BYTES keeps it, read-only, so the next call with the same key
-    replays it; a larger draw is made, used and dropped one block at a time.
-    Only one call's draw is kept; a call on another key drops it first.
+    replays it; a larger draw is made into one block's arrays, block after
+    block. Only one call's draw is kept; a call on another key drops it first.
+
+    The passes keep no trace: each writes into one block's arrays, which the
+    device keeps for its next call with the same dims and block size, so the
+    calls of a line search allocate (and fault in) them once.
     """
 
     def __init__(self, noise: NoiseModel, seed: int):
@@ -54,6 +61,8 @@ class Device:
         self._stream = RngStream(seed, STREAM_DEVICE)
         self._replay_key = None
         self._replay = None
+        self._outputs_key = None
+        self._outputs = None
         self.query_count = 0
 
     def forward_batch(self, params: Sequence[Params], X, noise_slot: int, repeat: int = 1) -> np.ndarray:
@@ -78,24 +87,30 @@ class Device:
         key = (noise_slot, dims, k1, repeat)
         replay = self._replay if self._replay_key == key else None
         kept = None
+        rows = block_rows(k1, repeat)
+        draw_buf = None  # a streamed draw is written into one block's arrays
         if replay is None:
             self._replay_key = self._replay = None  # free the kept draw before the next is made
             values_per_row = sum(d for _, _, d in _site_dims(arch))
             if 8 * out.shape[1] * values_per_row <= REPLAY_BYTES:
                 kept = []
+            else:
+                draw_buf = NoiseDraw.empty(arch, rows)
+        if self._outputs_key != (dims, rows):
+            self._outputs_key, self._outputs = (dims, rows), ForwardTrace.empty(arch, rows, keep=False)
         stream = self._stream.substream(noise_slot)
         for c, (start, stop) in enumerate(point_blocks(k1, repeat)):
             if replay is not None:
                 draw = replay[c]
             else:
-                draw = sample_noise_batch(arch, self._noise, stream, c, (stop - start) * repeat)
+                draw = sample_noise_batch(arch, self._noise, stream, c, (stop - start) * repeat, out=draw_buf)
                 if kept is not None:
                     for v in draw.act + draw.weigh:
                         v.flags.writeable = False
                     kept.append(draw)
-            for p, rows in zip(params, out):
-                rows[start * repeat:stop * repeat] = _forward(p, X[start:stop], draw, repeat).activations[-1]
-            del draw  # a streamed block is freed before the next one is drawn
+            for p, set_out in zip(params, out):
+                trace = _forward(p, X[start:stop], draw, repeat, self._outputs)
+                set_out[start * repeat:stop * repeat] = trace.activations[-1]
         if kept is not None:
             self._replay_key, self._replay = key, kept
         self.query_count += out.shape[0] * out.shape[1]

@@ -19,13 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .device import Device
-from .gradients import residual_stack
+from .gradients import ResidualBuffers, residual_stack
 from .model import (
+    ForwardTrace,
     NoiseDraw,
     NoiseModel,
     Params,
     RngStream,
     apply_step,
+    block_rows,
     forward_noisy,
     point_blocks,
     sample_noise_batch,
@@ -102,18 +104,24 @@ class GiftTrace:
     direction_norm: float
 
 
-def noise_weight_factor(noise: NoiseDraw, s0: float):
+def noise_weight_factor(noise: NoiseDraw, s0: float, scratch: np.ndarray | None = None):
     """Per row, the sum over the 2L noise vectors of (||N||^2 / s0^2 - d); an (n,) array.
 
-    Zero-mean at level s0.
+    Zero-mean at level s0. The squares go to scratch, a flat array with room
+    for the widest site's (n, d) values, or to a fresh array without it.
     """
     if not s0 > 0:
         raise ValueError("s0 must be positive")
     if noise.multiplicative:
         raise ValueError("factor is defined for additive draws")
+    sites = list(noise.act) + list(noise.weigh)
+    if scratch is None:
+        scratch = np.empty(max(v.size for v in sites))
     total = 0.0
-    for v in list(noise.act) + list(noise.weigh):
-        total = total + (v**2).sum(axis=-1) / s0**2 - v.shape[-1]
+    for v in sites:
+        sq = np.square(v, out=scratch[:v.size].reshape(v.shape)).sum(axis=-1)
+        sq /= s0**2
+        total = total + sq - v.shape[-1]
     return total
 
 
@@ -123,12 +131,16 @@ def mc_blocks(arch, model: NoiseModel, data, n_points: int, k2: int, rng: RngStr
     X and Y hold one row per drawn point; the draw holds k2 rows per point, in
     a row, for a pass that repeats each point k2 times. The blocks are those of
     model.point_blocks (the device's block plan too); block c draws its noise
-    from model at rng index 1 + c.
+    from model at rng index 1 + c. Every block's draw is written into one set
+    of arrays of block_rows(n_points, k2) rows, so a yielded block is valid
+    until the next one is drawn.
     """
     idx = rng.generator(0).integers(0, len(data), size=n_points)
+    draw = NoiseDraw.empty(arch, block_rows(n_points, k2))
     for c, (start, stop) in enumerate(point_blocks(n_points, k2)):
         rows = idx[start:stop]
-        yield data.inputs[rows], data.targets[rows], sample_noise_batch(arch, model, rng, 1 + c, len(rows) * k2)
+        noise = sample_noise_batch(arch, model, rng, 1 + c, len(rows) * k2, out=draw)
+        yield data.inputs[rows], data.targets[rows], noise
 
 
 def estimate_direction(params: Params, data, s0: float, k1: int, k2: int, rng: RngStream) -> Params:
@@ -136,23 +148,31 @@ def estimate_direction(params: Params, data, s0: float, k1: int, k2: int, rng: R
 
     Per draw the contribution is factor(N) * R(l) A(l-1)^T for weights and
     factor(N) * R(l) for biases. See the module docstring for the scale
-    convention relative to the s-derivative of the gradient.
+    convention relative to the s-derivative of the gradient. One set of
+    arrays, sized for the largest block, holds every block's trace and
+    residuals in turn, so one block is live at a time.
     """
     if len(data) < 1:
         raise ValueError("data sampler must be nonempty")
     if k1 < 1 or k2 < 1:
         raise ValueError("k1 and k2 must be >= 1")
     arch = params.arch
+    rows = block_rows(k1, k2)
+    trace_buf = ForwardTrace.empty(arch, rows)
+    residual_buf = ResidualBuffers.empty(arch, rows)
     total = Params.zeros(arch)
+    term = Params.empty(arch)  # one block's sums, added to the total layer by layer
     for X, Y, noise in mc_blocks(arch, NoiseModel("gaussian_additive", s0), data, k1, k2, rng):
-        trace = forward_noisy(params, X, noise, k2)
-        R = residual_stack(trace, np.repeat(Y, k2, axis=0), params)
-        f = noise_weight_factor(noise, s0)
+        trace = forward_noisy(params, X, noise, k2, trace_buf)
+        R = residual_stack(trace, np.repeat(Y, k2, axis=0), params, residual_buf)
+        f = noise_weight_factor(noise, s0, residual_buf.scratch)  # the squares fit the widest layer's room
         for l in range(arch.n_layers):
-            Rw = R[l] * f[:, None]
-            total.weights[l] += Rw.T @ trace.activations[l]
-            total.biases[l] += Rw.sum(axis=0)
-    return Params.from_vector(arch, total.vector / (k1 * k2))
+            R[l] *= f[:, None]  # R(l) is not read again: weight it in place
+            np.matmul(R[l].T, trace.activations[l], out=term.weights[l])
+            total.weights[l] += term.weights[l]
+            total.biases[l] += R[l].sum(axis=0)
+    total.vector /= k1 * k2  # in place: the same values as a new quotient
+    return Params.from_vector(arch, total.vector)
 
 
 def mean_se(values: np.ndarray) -> float:

@@ -18,6 +18,7 @@ from .model import (
     Params,
     RngStream,
     forward_noisy,
+    head,
     sample_noise_batch,
 )
 
@@ -36,19 +37,43 @@ class GradSample:
     residuals: list
 
 
-def residual_stack(trace: ForwardTrace, target, params: Params) -> list:
-    """Backprop vectors R(1)..R(L) for a trace; rows are samples when batched."""
+@dataclass
+class ResidualBuffers:
+    """Arrays residual_stack(out=) writes into: R(1)..R(L), (rows, d_l) each, and a
+    flat scratch with room for (rows, d) values of the widest layer, where
+    residual_stack puts each hidden layer's activation derivative."""
+
+    residuals: list
+    scratch: np.ndarray
+
+    @classmethod
+    def empty(cls, arch, rows: int) -> "ResidualBuffers":
+        dims = arch.layer_dims
+        return cls([np.empty((rows, d)) for d in dims[1:]], np.empty(rows * max(dims)))
+
+
+def residual_stack(trace: ForwardTrace, target, params: Params, out: ResidualBuffers | None = None) -> list:
+    """Backprop vectors R(1)..R(L) for a trace; rows are samples when batched.
+
+    With out (at least as many rows as the trace) R is written into its first
+    rows and returned as views; without it the arrays are fresh.
+    """
     act_deriv = ACTIVATIONS[params.arch.activation][1]
     L = params.arch.n_layers
     y = np.asarray(target, dtype=float)
-    out = trace.activations[-1]
-    if y.shape != out.shape:
-        raise ValueError(f"target shape {y.shape}, output shape {out.shape}")
-    R = [None] * L
-    R[L - 1] = y - out
+    outputs = trace.activations[-1]
+    if y.shape != outputs.shape:
+        raise ValueError(f"target shape {y.shape}, output shape {outputs.shape}")
+    n = outputs.shape[0]
+    if out is None:
+        out = ResidualBuffers.empty(params.arch, n)
+    R = head(out.residuals, n)
+    np.subtract(y, outputs, out=R[L - 1])
     for l in range(L - 1, 0, -1):
         # R(l) = (W(l+1)^T R(l+1)) .* act'(z(l)); row form: R(l+1) @ W(l+1)
-        R[l - 1] = (R[l] @ params.weights[l]) * act_deriv(trace.pre_activations[l - 1])
+        np.matmul(R[l], params.weights[l], out=R[l - 1])
+        d = R[l - 1].shape[1]
+        R[l - 1] *= act_deriv(trace.pre_activations[l - 1], out=out.scratch[:n * d].reshape(n, d))
     return R
 
 

@@ -19,8 +19,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+
+def _tanh_deriv(z, out=None):
+    """1 - tanh(z)^2, written into out when it is given."""
+    t = np.tanh(z, out=out)
+    np.square(t, out=t)
+    return np.subtract(1.0, t, out=t)
+
+
+# Each activation and its derivative take an optional out array, as ufuncs do.
 ACTIVATIONS = {
-    "tanh": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2),
+    "tanh": (np.tanh, _tanh_deriv),
 }
 
 NOISE_FAMILIES = ("gaussian_additive", "uniform", "gaussian_multiplicative", "laplace")
@@ -45,11 +54,11 @@ STREAM_VERSION = 5
 
 # Rows per block of every batched noisy pass: a Monte Carlo block (gift.mc_blocks)
 # and a block of a device call (Device.forward_batch), both planned by point_blocks.
-# At 1,024 rows the widest intermediate at shallow_mnist dims (784 inputs) is 6.4 MB,
-# so each block reuses memory the allocator already holds; the 51 MB arrays of
-# 8,192-row blocks were above glibc's largest mmap threshold (32 MB) and were mapped
-# and faulted in afresh on every block. Fixed, never chosen by a caller, so results
-# never depend on memory.
+# A pass allocates one block's arrays (a draw, a trace, residuals) once, sized by
+# block_rows, and every block writes into their leading rows, so one block is live
+# and no block is allocated and faulted in afresh. At 1,024 rows a shallow_mnist
+# block's draw is 18 MB. Fixed, never chosen by a caller, so results never depend
+# on memory.
 CHUNK_ROWS = 1024
 
 
@@ -61,6 +70,16 @@ def point_blocks(n_points: int, k2: int) -> list:
     """
     per_block = max(1, CHUNK_ROWS // k2)
     return [(start, min(start + per_block, n_points)) for start in range(0, n_points, per_block)]
+
+
+def block_rows(n_points: int, k2: int) -> int:
+    """Rows of the largest block of point_blocks(n_points, k2), its first: what a pass's arrays hold."""
+    return min(n_points, max(1, CHUNK_ROWS // k2)) * k2
+
+
+def head(arrays, n: int) -> list:
+    """Views of the first n rows of each array."""
+    return [a[:n] for a in arrays]
 
 
 _U64 = 2**64
@@ -276,14 +295,38 @@ class NoiseDraw:
     weigh: list
     multiplicative: bool = False
 
+    @classmethod
+    def empty(cls, arch: Architecture, rows: int) -> "NoiseDraw":
+        """Uninitialized (rows, d) arrays per site, for sample_noise_batch(out=) to fill."""
+        dims = arch.layer_dims
+        return cls(act=[np.empty((rows, d)) for d in dims[:-1]], weigh=[np.empty((rows, d)) for d in dims[1:]])
+
 
 @dataclass
 class ForwardTrace:
-    """Activations A(0..L), pre-activations z(1..L), and the noise used."""
+    """Activations A(0..L), pre-activations z(1..L), and the noise used.
+
+    A pass that keeps no trace has pre_activations None: each layer's
+    activation overwrote its pre-activation, and only activations[-1] is
+    its output.
+    """
 
     activations: list
-    pre_activations: list
-    noise: NoiseDraw
+    pre_activations: list | None
+    noise: NoiseDraw | None
+
+    @classmethod
+    def empty(cls, arch: Architecture, rows: int, keep: bool = True) -> "ForwardTrace":
+        """Uninitialized (rows, d) arrays for _forward(out=) to fill; keep=False holds no pre-activations.
+
+        With keep=True, A(L) and z(L) are one array, as in every trace.
+        """
+        dims = arch.layer_dims
+        acts = [np.empty((rows, d)) for d in dims[:-1]]
+        if not keep:
+            return cls(acts + [np.empty((rows, dims[-1]))], None, None)
+        pres = [np.empty((rows, d)) for d in dims[1:]]
+        return cls(acts + [pres[-1]], pres, None)
 
 
 def _site_dims(arch: Architecture):
@@ -298,42 +341,42 @@ def _site_dims(arch: Architecture):
     return order
 
 
-def _draw_site(gen: np.random.Generator, family: str, s: float, shape):
+def _draw_site(gen: np.random.Generator, family: str, s: float, v: np.ndarray):
+    """Fill v with one site's draw; Gaussian families draw in place, the others copy in."""
     if family == "gaussian_additive":
-        v = gen.standard_normal(shape)
+        gen.standard_normal(out=v)
         v *= s  # in place: the same values as s * v, without a second array
-        return v
-    if family == "uniform":
-        return gen.uniform(-s, s, shape)
-    if family == "laplace":
-        return gen.laplace(0.0, s, shape)
-    if family == "gaussian_multiplicative":
-        v = gen.standard_normal(shape)
+    elif family == "uniform":
+        v[...] = gen.uniform(-s, s, v.shape)
+    elif family == "laplace":
+        v[...] = gen.laplace(0.0, s, v.shape)
+    elif family == "gaussian_multiplicative":
+        gen.standard_normal(out=v)
         v *= s
         v += 1.0  # the factor 1 + s * g, in place
-        return v
-    raise ValueError(f"unknown noise family {family!r}")
+    else:
+        raise ValueError(f"unknown noise family {family!r}")
 
 
 def sample_noise_batch(
-    arch: Architecture, model: NoiseModel, rng: RngStream, index: int, n: int
+    arch: Architecture, model: NoiseModel, rng: RngStream, index: int, n: int, out: NoiseDraw | None = None
 ) -> NoiseDraw:
     """Draw n independent realizations as (n, d) arrays per site, from one stream index.
 
-    Identical (seed, stream, index, n) gives identical values.
+    Identical (seed, stream, index, n) gives identical values. With out (from
+    NoiseDraw.empty, at least n rows) the draw fills its first n rows and the
+    returned arrays are views of them; without it they are fresh.
     """
     if n < 1:
         raise ValueError("batch size must be >= 1")
+    if out is None:
+        out = NoiseDraw.empty(arch, n)
+    elif out.act[0].shape[0] < n:
+        raise ValueError(f"draw buffers hold {out.act[0].shape[0]} rows, need {n}")
+    act, weigh = head(out.act, n), head(out.weigh, n)
     gen = rng.generator(index)
-    L = arch.n_layers
-    act = [None] * L
-    weigh = [None] * L
-    for kind, l, d in _site_dims(arch):
-        v = _draw_site(gen, model.family, model.level, (n, d))
-        if kind == "a":
-            act[l] = v
-        else:
-            weigh[l - 1] = v
+    for kind, l, _ in _site_dims(arch):
+        _draw_site(gen, model.family, model.level, act[l] if kind == "a" else weigh[l - 1])
     return NoiseDraw(act=act, weigh=weigh, multiplicative=model.family == "gaussian_multiplicative")
 
 
@@ -359,12 +402,15 @@ def _check_noise_dims(arch: Architecture, noise: NoiseDraw, n: int):
             raise ValueError(f"weighing noise {l + 1}: shape {noise.weigh[l].shape}, want {(n, dims[l + 1])}")
 
 
-def _forward(params: Params, x, noise: NoiseDraw, repeat: int = 1) -> ForwardTrace:
+def _forward(params: Params, x, noise: NoiseDraw, repeat: int = 1, out: ForwardTrace | None = None) -> ForwardTrace:
     """Shared noisy forward recursion; handles additive and multiplicative draws.
 
     x holds (p, d0) per-point inputs, each run repeat times in a row, so the
     draw and the outputs have p * repeat rows, row r reading x[r // repeat].
     The input-site noise is added by broadcast; no repeated input rows are built.
+    The pass writes into the first rows of out (from ForwardTrace.empty) and
+    returns views of them, or into fresh arrays without it; when out keeps no
+    pre-activations, neither does the returned trace.
     """
     arch = params.arch
     act_fn = ACTIVATIONS[arch.activation][0]
@@ -373,52 +419,53 @@ def _forward(params: Params, x, noise: NoiseDraw, repeat: int = 1) -> ForwardTra
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != d0:
         raise ValueError(f"input shape {x.shape}, want (n, {d0})")
-    _check_noise_dims(arch, noise, x.shape[0] * repeat)
+    n = x.shape[0] * repeat
+    _check_noise_dims(arch, noise, n)
     if repeat > 1 and noise.act[0].ndim != 2:
         raise ValueError("a repeated input needs one draw row per query")
-    mult = noise.multiplicative
-
-    def perturb(v, n):  # v is a fresh array; the draw n is only read
-        if mult:
-            v *= n
-        else:
-            v += n
+    if out is None:
+        out = ForwardTrace.empty(arch, n)
+    elif out.activations[0].shape[0] < n:
+        raise ValueError(f"trace buffers hold {out.activations[0].shape[0]} rows, need {n}")
+    acts = head(out.activations, n)
+    pres = None if out.pre_activations is None else head(out.pre_activations, n)
+    perturb = np.multiply if noise.multiplicative else np.add
 
     n0 = noise.act[0]
     if n0.ndim == 2:  # point p's repeat rows read x[p]
-        x, n0 = x[:, None, :], n0.reshape(-1, repeat, d0)
-    a = (x * n0 if mult else x + n0).reshape(-1, d0)
-    activations = [a]
-    pre_activations = []
+        perturb(x[:, None, :], n0.reshape(-1, repeat, d0), out=acts[0].reshape(-1, repeat, d0))
+    else:
+        perturb(x, n0, out=acts[0])
     for l in range(1, L + 1):
-        # in place, in the order of W a + b + n: the same values with fewer temporaries
-        z = activations[-1] @ params.weights[l - 1].T
+        # in place, in the order of W a + b + n: the same values as fresh arrays give
+        z = acts[l] if pres is None else pres[l - 1]  # without a trace A(l) overwrites z(l)
+        np.matmul(acts[l - 1], params.weights[l - 1].T, out=z)
         z += params.biases[l - 1]
-        perturb(z, noise.weigh[l - 1])
-        pre_activations.append(z)
+        perturb(z, noise.weigh[l - 1], out=z)
         if l < L:
-            a = act_fn(z)
-            perturb(a, noise.act[l])
-        else:
-            a = z
-        activations.append(a)
-    return ForwardTrace(activations=activations, pre_activations=pre_activations, noise=noise)
+            act_fn(z, out=acts[l])
+            perturb(acts[l], noise.act[l], out=acts[l])
+    return ForwardTrace(activations=acts, pre_activations=pres, noise=noise)
 
 
-def forward_noisy(params: Params, x, noise: NoiseDraw, repeat: int = 1) -> ForwardTrace:
-    """One noisy forward pass under an additive-family draw; returns the full trace.
+def forward_noisy(params: Params, x, noise: NoiseDraw, repeat: int = 1,
+                  out: ForwardTrace | None = None) -> ForwardTrace:
+    """One noisy forward pass under an additive-family draw; returns its trace.
 
-    x holds per-point inputs, each run repeat times in a row, as in _forward.
-    Multiplicative draws are rejected here; only the device simulator applies them.
+    x holds per-point inputs, each run repeat times in a row, and out holds
+    the arrays to write, as in _forward. Multiplicative draws are rejected
+    here; only the device simulator applies them.
     """
     if noise.multiplicative:
         raise ValueError("forward_noisy takes additive draws; the device applies multiplicative noise")
-    return _forward(params, x, noise, repeat)
+    return _forward(params, x, noise, repeat, out)
 
 
 def forward_deterministic(params: Params, x) -> np.ndarray:
-    """Noise-free output; equals forward_noisy with an all-zero draw."""
-    return _forward(params, x, zero_noise(params.arch)).activations[-1]
+    """Noise-free output; equals forward_noisy with an all-zero draw. Keeps no trace."""
+    x = np.asarray(x, dtype=float)
+    out = ForwardTrace.empty(params.arch, x.shape[0], keep=False) if x.ndim == 2 else None
+    return _forward(params, x, zero_noise(params.arch), out=out).activations[-1]
 
 
 def project(params: Params, h: Hyperrectangle) -> Params:

@@ -14,9 +14,10 @@ import numpy as np
 
 from .device import Device
 from .gift import GiftConfig, estimate_direction, gift_run, mc_blocks, mean_se
-from .gradients import residual_stack
+from .gradients import ResidualBuffers, residual_stack
 from .model import (
     Architecture,
+    ForwardTrace,
     NoiseDraw,
     NoiseModel,
     Params,
@@ -24,7 +25,9 @@ from .model import (
     STREAM_ESTIMATE,
     STREAM_EVAL,
     STREAM_THEORY,
+    block_rows,
     forward_noisy,
+    head,
     mix64,
     sample_noise_batch,
 )
@@ -54,14 +57,18 @@ def _fd_grad_combo(params: Params, data, s_values, coeffs, mc_samples: int, seed
     sq = Params.zeros(arch)  # sums of its square
 
     unit = NoiseModel("gaussian_additive", 1.0)
+    rows = block_rows(mc_samples, 1)
+    # s * Z is written into one draw's arrays for every level, and each level keeps its own trace and residuals
+    level_noise = NoiseDraw.empty(arch, rows)
+    buffers = [(ForwardTrace.empty(arch, rows), ResidualBuffers.empty(arch, rows)) for _ in s_values]
     for X, Y, Z in mc_blocks(arch, unit, data, mc_samples, 1, RngStream(seed, STREAM_THEORY)):
-        noise = NoiseDraw(act=[np.empty_like(v) for v in Z.act], weigh=[np.empty_like(v) for v in Z.weigh])
+        noise = NoiseDraw(act=head(level_noise.act, len(X)), weigh=head(level_noise.weigh, len(X)))
         Rs, As = [], []
-        for s in s_values:
+        for s, (trace_buf, residual_buf) in zip(s_values, buffers):
             for z, v in zip(Z.act + Z.weigh, noise.act + noise.weigh):
-                np.multiply(z, s, out=v)  # s * Z, in one buffer reused for every level
-            trace = forward_noisy(params, X, noise)
-            Rs.append(residual_stack(trace, Y, params))
+                np.multiply(z, s, out=v)
+            trace = forward_noisy(params, X, noise, out=trace_buf)
+            Rs.append(residual_stack(trace, Y, params, residual_buf))
             As.append(trace.activations)
         for l in range(arch.n_layers):
             for j in range(m):
@@ -210,11 +217,13 @@ def mc_objective_pair(params_a: Params, params_b: Params, s: float, data,
     """Monte Carlo estimates of the expected squared loss at level s for two
     parameter sets under shared draws; the difference gets a paired SE."""
     model = NoiseModel("gaussian_additive", s)
+    arch = params_a.arch
+    outputs = ForwardTrace.empty(arch, block_rows(mc_samples, 1), keep=False)  # both sets' passes, in turn
     sums = np.zeros(3)  # sum_a, sum_b, sum of squared diff
     sum_d = 0.0
-    for X, Y, noise in mc_blocks(params_a.arch, model, data, mc_samples, 1, RngStream(seed, STREAM_THEORY)):
-        la = ((Y - forward_noisy(params_a, X, noise).activations[-1]) ** 2).sum(axis=1)
-        lb = ((Y - forward_noisy(params_b, X, noise).activations[-1]) ** 2).sum(axis=1)
+    for X, Y, noise in mc_blocks(arch, model, data, mc_samples, 1, RngStream(seed, STREAM_THEORY)):
+        la = ((Y - forward_noisy(params_a, X, noise, out=outputs).activations[-1]) ** 2).sum(axis=1)
+        lb = ((Y - forward_noisy(params_b, X, noise, out=outputs).activations[-1]) ** 2).sum(axis=1)
         d = la - lb
         sums += [la.sum(), lb.sum(), (d**2).sum()]
         sum_d += d.sum()

@@ -21,7 +21,9 @@ from giftnn.cli import (
 )
 from giftnn.data import DATA_DIR_ENV
 from giftnn.gift import estimate_direction
-from giftnn.model import STREAM_ESTIMATE, RngStream, load_params
+from giftnn.model import STREAM_ESTIMATE, RngStream, load_params, point_blocks
+
+from test_device import MIB, traced_peak
 
 
 def fresh_config():
@@ -213,6 +215,14 @@ class TestExperimentValidation:
         # pool slicing: no row appears in both splits
         joined = np.vstack([train_ds.inputs, test_ds.inputs])
         assert len(np.unique(joined, axis=0)) == 130
+
+    def test_wide_datasets_stay_within_memory(self):
+        # the 2,500-row shallow_mnist teacher pool (15 MiB of inputs), scaled in place and labelled by a pass that
+        # keeps no trace, peaks at about 47.0 MiB; a scaled copy of the inputs and a traced pass took it to 60.3 MiB
+        cfg = fresh_config()
+        cfg["arch"]["preset"] = "shallow_mnist"
+        peak = traced_peak(Experiment(cfg).datasets)
+        assert peak < 50 * MIB, f"peak traced allocation {peak / MIB:.1f} MiB"
 
 
 class TestArtifacts:
@@ -519,6 +529,23 @@ class TestTrainGiftEval:
 
 
 TWO_FAMILIES = 'sweep.families=["gaussian_additive","laplace"]'
+
+
+class TestCommandMemory:
+    def test_wide_gift_command_stays_within_memory(self, tmp_path, capsys):
+        # the whole command at shallow_mnist dims: datasets, training, a 20 x 100 estimate (two 1,000-row blocks),
+        # a one-step line search and the fresh pair, in about a second. It peaks at about 58.8 MiB, set by the
+        # estimate's one live block; holding two blocks at once took it to 82.6 MiB.
+        argv = ["gift", "--out", str(tmp_path / "run"), "--set", "seeds=[0]"]
+        for item in ["arch.preset=shallow_mnist", "data.n_train=256", "data.n_test=128", "train.epochs=1",
+                     "gift.est_k1=20", "gift.est_k2=100", "gift.k1=128", "gift.k2=8", "gift.max_steps=1"]:
+            argv += ["--set", item]
+        assert len(point_blocks(20, 100)) == 2
+        codes = []
+        peak = traced_peak(lambda: codes.append(main(argv)))
+        capsys.readouterr()
+        assert codes == [0]
+        assert peak < 62 * MIB, f"peak traced allocation {peak / MIB:.1f} MiB"
 
 
 class TestSweep:

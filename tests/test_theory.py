@@ -103,10 +103,11 @@ class TestDsGradFd:
             d_ds_grad_fd_report(linear_params(), 0.1, linear_data(64), h=0.1, mc_samples=100, seed=0)
 
 
-def reference_fd_report(params, s, data, h, mc_samples, seed):
-    """d_ds_grad_fd_report written out over CHUNK_ROWS-row blocks, with a fresh s * Z draw per level."""
+def reference_fd_report(params, s_values, coeffs, data, mc_samples, seed):
+    """The finite-difference oracle written out over CHUNK_ROWS-row blocks, with a fresh s * Z draw,
+    trace and residuals per level and block."""
     arch = params.arch
-    s_values, coeffs = [s - h, s + h], [-0.5 / h, 0.5 / h]
+    m = len(s_values)
     rng = RngStream(seed, STREAM_THEORY)
     idx = rng.generator(0).integers(0, len(data), size=mc_samples)
     total, sq = Params.zeros(arch), Params.zeros(arch)
@@ -121,10 +122,10 @@ def reference_fd_report(params, s, data, h, mc_samples, seed):
             Rs.append(residual_stack(trace, Y, params))
             As.append(trace.activations)
         for l in range(arch.n_layers):
-            for j in range(2):
+            for j in range(m):
                 total.weights[l] += (-2.0 * coeffs[j]) * (Rs[j][l].T @ As[j][l])
                 total.biases[l] += (-2.0 * coeffs[j]) * Rs[j][l].sum(axis=0)
-                for j2 in range(j, 2):
+                for j2 in range(j, m):
                     w = 4.0 * coeffs[j] * coeffs[j2] * (1.0 if j2 == j else 2.0)
                     RR = Rs[j][l] * Rs[j2][l]
                     sq.weights[l] += w * (RR.T @ (As[j][l] * As[j2][l]))
@@ -146,9 +147,9 @@ class TestMonteCarloBlocks:
         calls = []
         real = gift_module.sample_noise_batch
 
-        def recording(arch, model, rng, index, n):
+        def recording(arch, model, rng, index, n, out=None):
             calls.append((index, n))
-            return real(arch, model, rng, index, n)
+            return real(arch, model, rng, index, n, out=out)
 
         monkeypatch.setattr(gift_module, "sample_noise_batch", recording)
         return calls
@@ -175,9 +176,21 @@ class TestMonteCarloBlocks:
         p = small_params([2, 3, 1], seed=40)
         data = linear_data(512)
         rep = d_ds_grad_fd_report(p, 0.3, data, h=0.05, mc_samples=2 * CHUNK_ROWS + 5, seed=2)
-        mean, se = reference_fd_report(p, 0.3, data, 0.05, 2 * CHUNK_ROWS + 5, seed=2)
+        h = 0.05
+        mean, se = reference_fd_report(p, [0.3 - h, 0.3 + h], [-0.5 / h, 0.5 / h], data, 2 * CHUNK_ROWS + 5, seed=2)
         assert np.array_equal(rep.value.vector, mean)
         assert np.array_equal(rep.se.vector, se)
+
+    def test_three_levels_keep_their_own_traces(self):
+        # the three-point stencil holds three levels' traces and residuals at once, each in its own arrays
+        p = small_params([2, 5, 3, 1], seed=41)
+        data = linear_data(512)
+        n, h = 2 * CHUNK_ROWS + 5, 0.05
+        rep = d2_ds2_grad_fd_report(p, 0.3, data, h=h, mc_samples=n, seed=3)
+        hh = h * h
+        mean, se = reference_fd_report(p, [0.3 - h, 0.3, 0.3 + h], [1.0 / hh, -2.0 / hh, 1.0 / hh], data, n, seed=3)
+        assert rep.value.vector.tobytes() == mean.tobytes()
+        assert rep.se.vector.tobytes() == se.tobytes()
 
 
 class TestLinearConditionBound:
