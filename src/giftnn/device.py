@@ -19,7 +19,6 @@ from .model import (
     RngStream,
     STREAM_DEVICE,
     _forward,
-    _site_dims,
     block_rows,
     point_blocks,
     sample_noise_batch,
@@ -49,7 +48,9 @@ class Device:
     through the block while it is live. A call whose whole draw fits in
     REPLAY_BYTES keeps it, read-only, so the next call with the same key
     replays it; a larger draw is made into one block's arrays, block after
-    block. Only one call's draw is kept; a call on another key drops it first.
+    block. Only one call's draw is kept, in one vector the device owns: a
+    call on another key overwrites it in place when its draw fits, and
+    allocates a larger vector when it does not. A streamed call frees it.
 
     The passes keep no trace: each writes into one block's arrays, which the
     device keeps for its next call with the same dims and block size, so the
@@ -61,6 +62,7 @@ class Device:
         self._stream = RngStream(seed, STREAM_DEVICE)
         self._replay_key = None
         self._replay = None
+        self._replay_vector = None
         self._outputs_key = None
         self._outputs = None
         self.query_count = 0
@@ -89,25 +91,33 @@ class Device:
         kept = None
         rows = block_rows(k1, repeat)
         draw_buf = None  # a streamed draw is written into one block's arrays
+        width = arch.noise_values_per_row
         if replay is None:
-            self._replay_key = self._replay = None  # free the kept draw before the next is made
-            values_per_row = sum(d for _, _, d in _site_dims(arch))
-            if 8 * out.shape[1] * values_per_row <= REPLAY_BYTES:
+            self._replay_key = self._replay = None  # the kept draw is overwritten or freed below
+            values = out.shape[1] * width
+            if 8 * values <= REPLAY_BYTES:
+                if self._replay_vector is None or self._replay_vector.size < values:
+                    self._replay_vector = None  # free the smaller vector before the larger is made
+                    self._replay_vector = np.empty(values)
                 kept = []
             else:
+                self._replay_vector = None
                 draw_buf = NoiseDraw.empty(arch, rows)
         if self._outputs_key != (dims, rows):
             self._outputs_key, self._outputs = (dims, rows), ForwardTrace.empty(arch, rows, keep=False)
         stream = self._stream.substream(noise_slot)
         for c, (start, stop) in enumerate(point_blocks(k1, repeat)):
+            n = (stop - start) * repeat
             if replay is not None:
                 draw = replay[c]
+            elif kept is None:
+                draw = sample_noise_batch(arch, self._noise, stream, c, n, out=draw_buf)
             else:
-                draw = sample_noise_batch(arch, self._noise, stream, c, (stop - start) * repeat, out=draw_buf)
-                if kept is not None:
-                    for v in draw.act + draw.weigh:
-                        v.flags.writeable = False
-                    kept.append(draw)
+                block = NoiseDraw.over(arch, self._replay_vector[start * repeat * width:stop * repeat * width])
+                draw = sample_noise_batch(arch, self._noise, stream, c, n, out=block)
+                for v in [draw.vector, *draw.act, *draw.weigh]:
+                    v.flags.writeable = False
+                kept.append(draw)
             for p, set_out in zip(params, out):
                 trace = _forward(p, X[start:stop], draw, repeat, self._outputs)
                 set_out[start * repeat:stop * repeat] = trace.activations[-1]

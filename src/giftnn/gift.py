@@ -131,9 +131,9 @@ def mc_blocks(arch, model: NoiseModel, data, n_points: int, k2: int, rng: RngStr
     X and Y hold one row per drawn point; the draw holds k2 rows per point, in
     a row, for a pass that repeats each point k2 times. The blocks are those of
     model.point_blocks (the device's block plan too); block c draws its noise
-    from model at rng index 1 + c. Every block's draw is written into one set
-    of arrays of block_rows(n_points, k2) rows, so a yielded block is valid
-    until the next one is drawn.
+    from model at rng index 1 + c. Every block's draw is written into the
+    front of one draw of block_rows(n_points, k2) rows, so a yielded block is
+    valid until the next one is drawn.
     """
     idx = rng.generator(0).integers(0, len(data), size=n_points)
     draw = NoiseDraw.empty(arch, block_rows(n_points, k2))

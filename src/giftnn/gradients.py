@@ -14,6 +14,7 @@ import numpy as np
 from .model import (
     ACTIVATIONS,
     ForwardTrace,
+    NoiseDraw,
     NoiseModel,
     Params,
     RngStream,
@@ -77,16 +78,34 @@ def residual_stack(trace: ForwardTrace, target, params: Params, out: ResidualBuf
     return R
 
 
-def backward(trace: ForwardTrace, target, params: Params) -> GradSample:
+@dataclass
+class GradBuffers:
+    """Arrays batch_gradient(out=) writes into, for batches of at most `rows` rows:
+    a draw, a trace, residual buffers and a gradient. A shorter batch uses
+    their leading rows, so one set serves every step of a training run."""
+
+    noise: NoiseDraw
+    trace: ForwardTrace
+    residuals: ResidualBuffers
+    grad: Params
+
+    @classmethod
+    def empty(cls, arch, rows: int) -> "GradBuffers":
+        return cls(NoiseDraw.empty(arch, rows), ForwardTrace.empty(arch, rows),
+                   ResidualBuffers.empty(arch, rows), Params.empty(arch))
+
+
+def backward(trace: ForwardTrace, target, params: Params, out: GradBuffers | None = None) -> GradSample:
     """Mean gradient of (y - output)^2 over the rows of a batched trace, its noise held fixed.
 
     Traces hold (n, d) rows, as the forward pass requires; a one-row batch gives
-    the per-sample gradient.
+    the per-sample gradient. With out, R and the gradient are written into its
+    residual buffers and gradient; without it they are fresh.
     """
     if trace.noise.multiplicative:
         raise ValueError("backward requires a trace from an additive-noise forward pass")
-    R = residual_stack(trace, target, params)
-    grad = Params.empty(params.arch)
+    R = residual_stack(trace, target, params, None if out is None else out.residuals)
+    grad = Params.empty(params.arch) if out is None else out.grad
     for l in range(params.arch.n_layers):
         A_prev = trace.activations[l]
         # the product lands in the gradient's own view, with no temporary
@@ -96,15 +115,22 @@ def backward(trace: ForwardTrace, target, params: Params) -> GradSample:
     return GradSample(grad=grad, residuals=R)
 
 
-def batch_gradient(params: Params, X, Y, s0: float, rng: RngStream, index: int = 0) -> GradSample:
-    """Mean gradient over the rows of X, Y, each row under an independent level-s0 Gaussian draw."""
+def batch_gradient(params: Params, X, Y, s0: float, rng: RngStream, index: int = 0,
+                   out: GradBuffers | None = None) -> GradSample:
+    """Mean gradient over the rows of X, Y, each row under an independent level-s0 Gaussian draw.
+
+    The draw, trace, residuals and gradient are written into out (from
+    GradBuffers.empty, at least len(X) rows), or into fresh arrays without it.
+    """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if X.ndim != 2 or Y.ndim != 2 or X.shape[0] == 0:
         raise ValueError(f"batch needs nonempty 2-D inputs and targets, got {X.shape} and {Y.shape}")
-    noise = sample_noise_batch(params.arch, NoiseModel("gaussian_additive", s0), rng, index, X.shape[0])
-    trace = forward_noisy(params, X, noise)
-    return backward(trace, Y, params)
+    if out is None:
+        out = GradBuffers.empty(params.arch, X.shape[0])
+    noise = sample_noise_batch(params.arch, NoiseModel("gaussian_additive", s0), rng, index, X.shape[0], out.noise)
+    trace = forward_noisy(params, X, noise, out=out.trace)
+    return backward(trace, Y, params, out)
 
 
 def batch_loss(grad: GradSample) -> float:

@@ -151,6 +151,12 @@ class Architecture:
     def n_params(self) -> int:
         return self.n_weights + sum(self.layer_dims[1:])
 
+    @property
+    def noise_values_per_row(self) -> int:
+        """Noise values of one realization: d0 + 2 * (d1 + ... + d(L-1)) + dL."""
+        d = self.layer_dims
+        return d[0] + 2 * sum(d[1:-1]) + d[-1]
+
 
 class Params:
     """Tunable weights of an architecture, stored as one contiguous float64 vector.
@@ -289,17 +295,47 @@ class NoiseDraw:
     (d,) arrays broadcast over any batch. Multiplicative draws hold the factors
     1 + level * g of standard-normal values g, applied as v -> v * factor at
     the same sites; only the device simulator consumes those.
+
+    A drawn or empty draw is backed by one flat vector, as Params is: its sites
+    are consecutive (n, d) views of `vector` in _site_dims order, (a,0), (w,1),
+    (a,1), ..., (w,L), so the whole draw is n * noise_values_per_row values
+    that one generator call fills. A draw built from site arrays has no vector.
     """
 
     act: list
     weigh: list
     multiplicative: bool = False
+    vector: np.ndarray | None = None
+
+    @classmethod
+    def over(cls, arch: Architecture, vector: np.ndarray) -> "NoiseDraw":
+        """The draw whose sites are views of vector, len(vector) // noise_values_per_row rows each."""
+        rows = vector.size // arch.noise_values_per_row
+        act, weigh, k = [None] * arch.n_layers, [None] * arch.n_layers, 0
+        for kind, l, d in _site_dims(arch):
+            site = vector[k:k + rows * d].reshape(rows, d)
+            k += rows * d
+            if kind == "a":
+                act[l] = site
+            else:
+                weigh[l - 1] = site
+        return cls(act, weigh, vector=vector[:k])
 
     @classmethod
     def empty(cls, arch: Architecture, rows: int) -> "NoiseDraw":
-        """Uninitialized (rows, d) arrays per site, for sample_noise_batch(out=) to fill."""
-        dims = arch.layer_dims
-        return cls(act=[np.empty((rows, d)) for d in dims[:-1]], weigh=[np.empty((rows, d)) for d in dims[1:]])
+        """An uninitialized draw of rows rows, for sample_noise_batch(out=) to fill."""
+        return cls.over(arch, np.empty(rows * arch.noise_values_per_row))
+
+    def leading(self, arch: Architecture, n: int) -> "NoiseDraw":
+        """An additive draw of n rows carved from the front of this draw's vector.
+
+        Its sites are not the first rows of this draw's sites: those rows are
+        not contiguous, and a draw of n rows is.
+        """
+        rows = self.vector.size // arch.noise_values_per_row
+        if rows < n:
+            raise ValueError(f"draw buffers hold {rows} rows, need {n}")
+        return NoiseDraw.over(arch, self.vector[:n * arch.noise_values_per_row])
 
 
 @dataclass
@@ -341,8 +377,8 @@ def _site_dims(arch: Architecture):
     return order
 
 
-def _draw_site(gen: np.random.Generator, family: str, s: float, v: np.ndarray):
-    """Fill v with one site's draw; Gaussian families draw in place, the others copy in."""
+def _draw_values(gen: np.random.Generator, family: str, s: float, v: np.ndarray):
+    """Fill v with draws of the family at level s; Gaussian families draw in place, the others copy in."""
     if family == "gaussian_additive":
         gen.standard_normal(out=v)
         v *= s  # in place: the same values as s * v, without a second array
@@ -363,21 +399,18 @@ def sample_noise_batch(
 ) -> NoiseDraw:
     """Draw n independent realizations as (n, d) arrays per site, from one stream index.
 
-    Identical (seed, stream, index, n) gives identical values. With out (from
-    NoiseDraw.empty, at least n rows) the draw fills its first n rows and the
-    returned arrays are views of them; without it they are fresh.
+    Identical (seed, stream, index, n) gives identical values. One generator
+    call fills the draw's vector, site after site in _site_dims order; the
+    families draw each value on its own, so this equals one call per site.
+    With out (from NoiseDraw.empty, at least n rows) the draw fills the front
+    of out's vector and its sites are views of it; without it they are fresh.
     """
     if n < 1:
         raise ValueError("batch size must be >= 1")
-    if out is None:
-        out = NoiseDraw.empty(arch, n)
-    elif out.act[0].shape[0] < n:
-        raise ValueError(f"draw buffers hold {out.act[0].shape[0]} rows, need {n}")
-    act, weigh = head(out.act, n), head(out.weigh, n)
-    gen = rng.generator(index)
-    for kind, l, _ in _site_dims(arch):
-        _draw_site(gen, model.family, model.level, act[l] if kind == "a" else weigh[l - 1])
-    return NoiseDraw(act=act, weigh=weigh, multiplicative=model.family == "gaussian_multiplicative")
+    draw = NoiseDraw.empty(arch, n) if out is None else out.leading(arch, n)
+    draw.multiplicative = model.family == "gaussian_multiplicative"
+    _draw_values(rng.generator(index), model.family, model.level, draw.vector)
+    return draw
 
 
 def zero_noise(arch: Architecture) -> NoiseDraw:
@@ -468,18 +501,30 @@ def forward_deterministic(params: Params, x) -> np.ndarray:
     return _forward(params, x, zero_noise(params.arch), out=out).activations[-1]
 
 
-def project(params: Params, h: Hyperrectangle) -> Params:
-    """Euclidean projection onto the box: componentwise clamp (exact for a box)."""
+def project(params: Params, h: Hyperrectangle, out: Params | None = None) -> Params:
+    """Euclidean projection onto the box: componentwise clamp (exact for a box).
+
+    The clamped values go to out, which may be params itself, or to a new Params.
+    """
     v, nw = params.vector, params.arch.n_weights
-    clamped = np.concatenate([np.clip(v[:nw], h.w_min, h.w_max), np.clip(v[nw:], h.b_min, h.b_max)])
-    return Params.from_vector(params.arch, clamped)
+    if out is None:
+        out = Params.empty(params.arch)
+    np.clip(v[:nw], h.w_min, h.w_max, out=out.vector[:nw])
+    np.clip(v[nw:], h.b_min, h.b_max, out=out.vector[nw:])
+    _finite(out.vector)
+    return out
 
 
-def apply_step(params: Params, coef: float, direction: Params) -> Params:
-    """params + coef * direction, as a new Params."""
-    v = coef * direction.vector
-    v += params.vector  # in place: one temporary per step, and the same sum as params + coef * direction
-    return Params.from_vector(params.arch, v)
+def apply_step(params: Params, coef: float, direction: Params, out: Params | None = None) -> Params:
+    """params + coef * direction, into out (neither params nor direction) or a new Params."""
+    if out is None:
+        out = Params.empty(params.arch)
+    elif out is params or out is direction:
+        raise ValueError("apply_step writes into a third Params")
+    np.multiply(direction.vector, coef, out=out.vector)
+    out.vector += params.vector  # in place: the same sum as params + coef * direction
+    _finite(out.vector)
+    return out
 
 
 PARAMS_FORMAT_VERSION = 1

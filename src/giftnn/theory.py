@@ -27,7 +27,6 @@ from .model import (
     STREAM_THEORY,
     block_rows,
     forward_noisy,
-    head,
     mix64,
     sample_noise_batch,
 )
@@ -62,11 +61,10 @@ def _fd_grad_combo(params: Params, data, s_values, coeffs, mc_samples: int, seed
     level_noise = NoiseDraw.empty(arch, rows)
     buffers = [(ForwardTrace.empty(arch, rows), ResidualBuffers.empty(arch, rows)) for _ in s_values]
     for X, Y, Z in mc_blocks(arch, unit, data, mc_samples, 1, RngStream(seed, STREAM_THEORY)):
-        noise = NoiseDraw(act=head(level_noise.act, len(X)), weigh=head(level_noise.weigh, len(X)))
+        noise = level_noise.leading(arch, len(X))
         Rs, As = [], []
         for s, (trace_buf, residual_buf) in zip(s_values, buffers):
-            for z, v in zip(Z.act + Z.weigh, noise.act + noise.weigh):
-                np.multiply(z, s, out=v)
+            np.multiply(Z.vector, s, out=noise.vector)
             trace = forward_noisy(params, X, noise, out=trace_buf)
             Rs.append(residual_stack(trace, Y, params, residual_buf))
             As.append(trace.activations)

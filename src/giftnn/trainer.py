@@ -7,10 +7,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import epoch_batches
-from .gradients import batch_gradient, batch_loss
+from .gradients import GradBuffers, batch_gradient, batch_loss
 from .model import (
     Architecture,
     Hyperrectangle,
+    Params,
     RngStream,
     STREAM_INIT,
     STREAM_SHUFFLE,
@@ -84,11 +85,18 @@ def train(arch: Architecture, config: TrainConfig, data):
     Starts from init_uniform weights drawn from the seed's init stream. Returns
     (params, LossHistory). Aborts with TrainingDiverged when the batch loss
     becomes non-finite or exceeds LOSS_GUARD.
+
+    One workspace serves every step: the gradient's buffers, sized for a full
+    batch (a short last batch uses their leading rows), and two parameter
+    vectors that take turns holding the current parameters and the next step.
     """
     if len(data) < 1:
         raise ValueError("dataset must be nonempty")
     X, Y = data.inputs, data.targets
     params = init_uniform(arch, RngStream(config.seed, STREAM_INIT).generator(0))
+    rows = min(config.batch_size, len(data))
+    buffers = GradBuffers.empty(arch, rows)
+    spare = Params.empty(arch)
 
     shuffle_rng = RngStream(config.seed, STREAM_SHUFFLE)
     noise_rng = RngStream(config.seed, STREAM_TRAIN_NOISE)
@@ -96,16 +104,17 @@ def train(arch: Architecture, config: TrainConfig, data):
     k = 0
     for epoch in range(config.epochs):
         for idx in epoch_batches(len(data), config.batch_size, shuffle_rng, epoch):
-            sample = batch_gradient(params, X[idx], Y[idx], config.s0, noise_rng, index=k)
+            sample = batch_gradient(params, X[idx], Y[idx], config.s0, noise_rng, index=k, out=buffers)
             loss = batch_loss(sample)
             if not np.isfinite(loss) or loss > LOSS_GUARD:
                 raise TrainingDiverged(f"loss {loss:.6g} at step {k} (epoch {epoch}); guard {LOSS_GUARD:g}")
-            params = apply_step(params, -step_size(config, k), sample.grad)
+            eps = step_size(config, k)
+            params, spare = apply_step(params, -eps, sample.grad, out=spare), params
             if config.projection is not None:
-                params = project(params, config.projection)
+                project(params, config.projection, out=params)
             history.steps.append(k)
             history.epochs.append(epoch)
-            history.eps.append(step_size(config, k))
+            history.eps.append(eps)
             history.losses.append(loss)
             k += 1
     return params, history

@@ -64,6 +64,11 @@ def test_sweep_runs_under_the_benchmark_tracer(tmp_path, capsys):
     assert summary["trainer.train"]["calls"] == 4
     assert summary["gift.estimate_direction"]["calls"] == 4
     assert summary["gift.gift_run"]["calls"] == 4 * 2
+    # every SGD step goes through the traced names, workspace or not (the line searches add apply_step calls)
+    steps = summary["trainer.train"]["steps"]
+    assert steps > 0
+    assert summary["gradients.batch_gradient"]["calls"] == steps
+    assert summary["model.apply_step"]["calls"] >= steps
 
 
 def test_theorem_check_runs_under_the_benchmark_tracer():

@@ -152,12 +152,42 @@ class TestDrawCache:
         for _ in range(3):
             dev.forward_batch([p], np.ones((5, 2)), noise_slot=slot)
         assert len(draws) == 1
-        for v in draws[0].act + draws[0].weigh:
+        for v in [draws[0].vector, *draws[0].act, *draws[0].weigh]:
             assert not v.flags.writeable
             with pytest.raises(ValueError):
                 v[...] = 0.0
         dev.forward_batch([p], np.ones((4, 2)), noise_slot=slot)  # another batch size is another draw
         assert len(draws) == 2
+
+    @pytest.mark.parametrize("family", ["gaussian_additive", "uniform", "gaussian_multiplicative"])
+    def test_overwritten_replay_is_never_stale(self, family, monkeypatch):
+        # slot B's draw overwrites slot A's kept draw in place; A again redraws and equals its first call
+        draws = counting_draws(monkeypatch)
+        p = small_params([3, 4, 2], seed=17)
+        dev = Device(NoiseModel(family, 0.3), seed=18)
+        X = RngStream(19, 1).generator(0).standard_normal((5, 3))
+        first = dev.forward_batch([p], X, noise_slot=1, repeat=4)
+        a_draw = draws[0].vector.copy()
+        other = dev.forward_batch([p], X, noise_slot=2, repeat=4)
+        assert np.shares_memory(draws[0].vector, draws[1].vector)  # one vector holds the kept draw
+        assert draws[0].vector.tobytes() != a_draw.tobytes()
+        again = dev.forward_batch([p], X, noise_slot=1, repeat=4)
+        assert len(draws) == 3
+        assert again.tobytes() == first.tobytes()
+        assert other.tobytes() != first.tobytes()
+        for draw in draws:
+            for v in [draw.vector, *draw.act, *draw.weigh]:
+                assert not v.flags.writeable
+
+    def test_calls_of_other_sizes_share_one_slot_correctly(self):
+        # a larger draw than the kept vector holds gets a larger vector; a smaller one reuses its front
+        model = NoiseModel("laplace", 0.3)
+        p = small_params([3, 4, 2], seed=20)
+        dev = Device(model, seed=21)
+        X = RngStream(22, 1).generator(0).standard_normal((700, 3))
+        for k1, repeat in [(4, 1), (700, 3), (9, 2), (700, 3), (4, 1)]:
+            out = dev.forward_batch([p], X[:k1], noise_slot=0, repeat=repeat)
+            assert out.tobytes() == uncached_output(p, model, 21, 0, X[:k1], repeat).tobytes()
 
     def test_new_params_on_one_slot_keep_the_noise(self, monkeypatch):
         draws = counting_draws(monkeypatch)

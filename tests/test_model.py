@@ -7,12 +7,15 @@ from giftnn.model import (
     CHUNK_ROWS,
     Architecture,
     Hyperrectangle,
+    NOISE_FAMILIES,
     NoiseDraw,
     NoiseModel,
     Params,
     RngStream,
     STREAM_VERSION,
+    _draw_values,
     _forward,
+    _site_dims,
     apply_step,
     forward_deterministic,
     forward_noisy,
@@ -149,6 +152,55 @@ class TestSampleNoise:
         batch = sample_noise_batch(arch, model, RngStream(2, 3), 0, 10_000)
         assert np.all(np.abs(batch.act[0]) <= 0.3)
         assert abs(batch.act[0].var() - 0.3**2 / 3) < 0.002
+
+
+def per_site_draw(arch, model, rng, index, n):
+    """A draw made one generator call per site, in _site_dims order: the reference layout."""
+    gen = rng.generator(index)
+    act, weigh = [None] * arch.n_layers, [None] * arch.n_layers
+    for kind, l, d in _site_dims(arch):
+        site = np.empty((n, d))
+        _draw_values(gen, model.family, model.level, site)
+        if kind == "a":
+            act[l] = site
+        else:
+            weigh[l - 1] = site
+    return act, weigh
+
+
+class TestOneVectorDraw:
+    """A draw is one generator call over one vector; each family draws every value on
+    its own, so that call gives the values one call per site gives."""
+
+    @pytest.mark.parametrize("family", NOISE_FAMILIES)
+    @pytest.mark.parametrize("dims", [(16, 32, 16, 4), (784, 500, 100, 100, 10), (3, 1)])
+    @pytest.mark.parametrize("n, rows", [(1, None), (5, 16), (16, 16)])
+    def test_one_call_equals_per_site_calls(self, family, dims, n, rows):
+        arch = Architecture(dims, "tanh")
+        model = NoiseModel(family, 0.3)
+        rng = RngStream(41, 3)
+        out = None if rows is None else NoiseDraw.empty(arch, rows)
+        draw = sample_noise_batch(arch, model, rng, 7, n, out=out)
+        act, weigh = per_site_draw(arch, model, rng, 7, n)
+        for u, v in zip(draw.act + draw.weigh, act + weigh, strict=True):
+            assert u.shape == v.shape and u.tobytes() == v.tobytes()
+        assert draw.multiplicative == (family == "gaussian_multiplicative")
+
+    def test_sites_are_consecutive_views_of_the_vector(self):
+        arch = Architecture((3, 5, 4, 2), "tanh")
+        assert arch.noise_values_per_row == 3 + 5 + 5 + 4 + 4 + 2
+        buf = NoiseDraw.empty(arch, 8)
+        draw = sample_noise_batch(arch, NoiseModel("laplace", 0.2), RngStream(42, 3), 0, 3, out=buf)
+        assert draw.vector.size == 3 * arch.noise_values_per_row
+        assert np.shares_memory(draw.vector, buf.vector[:draw.vector.size])
+        order = [draw.act[l] if kind == "a" else draw.weigh[l - 1] for kind, l, _ in _site_dims(arch)]
+        assert np.concatenate([v.ravel() for v in order]).tobytes() == draw.vector.tobytes()
+
+    def test_too_small_buffer_raises(self):
+        arch = Architecture((3, 5, 2), "tanh")
+        buf = NoiseDraw.empty(arch, 4)
+        with pytest.raises(ValueError, match="draw buffers hold 4 rows, need 5"):
+            sample_noise_batch(arch, NoiseModel("gaussian_additive", 0.2), RngStream(43, 3), 0, 5, out=buf)
 
 
 class TestForward:
@@ -332,6 +384,13 @@ class TestProject:
         with pytest.raises(ValueError):
             Hyperrectangle(1.0, -1.0, 0.0, 1.0)
 
+    def test_in_place_equals_a_new_params(self):
+        p = small_params([3, 4, 2], seed=9)
+        box = Hyperrectangle(-0.2, 0.2, -0.1, 0.1)
+        want = project(p, box).vector.tobytes()
+        assert project(p, box, out=p) is p
+        assert p.vector.tobytes() == want
+
 
 class TestApplyStep:
     def test_linear_combination(self):
@@ -340,6 +399,17 @@ class TestApplyStep:
         q = apply_step(p, -0.5, d)
         assert np.allclose(q.weights[0], p.weights[0] - 0.5)
         assert np.allclose(q.biases[0], p.biases[0] - 0.5)
+
+    def test_into_a_third_params(self):
+        p, d = small_params([3, 4, 2], seed=7), small_params([3, 4, 2], seed=8)
+        out = Params.empty(p.arch)
+        assert apply_step(p, -0.3, d, out=out) is out
+        assert out.vector.tobytes() == apply_step(p, -0.3, d).vector.tobytes()
+        for alias in (p, d):
+            with pytest.raises(ValueError, match="third Params"):
+                apply_step(p, -0.3, d, out=alias)
+        with pytest.raises(ValueError, match="non-finite"):
+            apply_step(p, np.inf, d, out=out)
 
     def test_results_never_alias_the_start(self):
         # the line search builds every candidate from the same w0

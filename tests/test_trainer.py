@@ -4,9 +4,22 @@ import numpy as np
 import pytest
 
 from giftnn.cli import DEFAULT_CONFIG
-from giftnn.data import synthetic_linear
-from giftnn.model import Architecture, Hyperrectangle, RngStream, STREAM_DATA, init_uniform
+from giftnn.data import Dataset, epoch_batches, synthetic_linear
+from giftnn.gradients import batch_gradient, batch_loss
+from giftnn.model import (
+    Architecture,
+    Hyperrectangle,
+    RngStream,
+    STREAM_DATA,
+    STREAM_INIT,
+    STREAM_SHUFFLE,
+    STREAM_TRAIN_NOISE,
+    apply_step,
+    init_uniform,
+    project,
+)
 from giftnn.trainer import (
+    LOSS_GUARD,
     LossHistory,
     TrainConfig,
     TrainingDiverged,
@@ -127,6 +140,75 @@ class TestTrain:
         assert hist.eps[0] == 0.05
         assert hist.eps == sorted(hist.eps, reverse=True)
         assert hist.steps == list(range(len(hist.steps)))
+
+
+DESK_SMALL = Architecture((16, 32, 16, 4), "tanh")
+
+
+def desk_data(n, seed=2):
+    gen = RngStream(seed, STREAM_DATA).generator(0)
+    return Dataset(gen.standard_normal((n, 16)), 0.5 * gen.standard_normal((n, 4)))
+
+
+def fresh_arrays_train(arch, config, data):
+    """The training loop with a fresh gradient, step and projection per step: the reference for train()."""
+    params = init_uniform(arch, RngStream(config.seed, STREAM_INIT).generator(0))
+    shuffle_rng = RngStream(config.seed, STREAM_SHUFFLE)
+    noise_rng = RngStream(config.seed, STREAM_TRAIN_NOISE)
+    losses, k = [], 0
+    for epoch in range(config.epochs):
+        for idx in epoch_batches(len(data), config.batch_size, shuffle_rng, epoch):
+            sample = batch_gradient(params, data.inputs[idx], data.targets[idx], config.s0, noise_rng, index=k)
+            loss = batch_loss(sample)
+            if not np.isfinite(loss) or loss > LOSS_GUARD:
+                raise TrainingDiverged(f"loss {loss:.6g} at step {k} (epoch {epoch}); guard {LOSS_GUARD:g}")
+            params = apply_step(params, -step_size(config, k), sample.grad)
+            if config.projection is not None:
+                params = project(params, config.projection)
+            losses.append(loss)
+            k += 1
+    return params, losses
+
+
+class TestWorkspace:
+    """train() steps on one set of arrays; its results equal fresh arrays per step, bit for bit."""
+
+    @pytest.mark.parametrize("config, n", [
+        (TrainConfig(s0=0.1, seed=3), 2000),  # the default schedule: 2000 = 31 x 64 + 16, a short last batch
+        (TrainConfig(s0=0.2, epochs=5, batch_size=100, seed=4), 40),  # one batch, smaller than batch_size
+        (TrainConfig(s0=0.1, epochs=3, eps0=0.5, projection=Hyperrectangle(-0.05, 0.05, -0.02, 0.02),
+                     seed=5), 500),
+    ])
+    def test_matches_fresh_arrays_per_step(self, config, n):
+        data = desk_data(n)
+        params, history = train(DESK_SMALL, config, data)
+        ref, ref_losses = fresh_arrays_train(DESK_SMALL, config, data)
+        assert params.vector.tobytes() == ref.vector.tobytes()
+        assert history.losses == ref_losses
+        if config.projection is not None:
+            box = config.projection
+            nw = DESK_SMALL.n_weights
+            assert np.abs(params.vector[:nw]).max() == box.w_max  # the box binds
+            assert np.abs(params.vector[nw:]).max() == box.b_max
+
+    def test_divergence_fires_at_the_same_step(self):
+        config = TrainConfig(s0=0.2, epochs=50, batch_size=8, eps0=1e4, decay_p=0.75, tau=1e6, seed=0)
+        data = linear_data(256)
+        with pytest.raises(TrainingDiverged) as ref:
+            fresh_arrays_train(ARCH, config, data)
+        with pytest.raises(TrainingDiverged) as got:
+            train(ARCH, config, data)
+        assert str(got.value) == str(ref.value)
+
+    def test_non_finite_parameters_raise(self):
+        # a loss under the guard and a step that overflows: the parameters leave the reals at step 0
+        data = desk_data(200)
+        data = Dataset(data.inputs, 100 * data.targets)
+        config = TrainConfig(s0=0.1, epochs=1, eps0=1e308, seed=1)
+        with pytest.raises(ValueError, match="non-finite"), np.errstate(over="ignore"):
+            fresh_arrays_train(DESK_SMALL, config, data)
+        with pytest.raises(ValueError, match="non-finite"), np.errstate(over="ignore"):
+            train(DESK_SMALL, config, data)
 
 
 def test_loss_history_smoothing_constant_series():
