@@ -15,7 +15,6 @@ from .model import (
     project,
     sample_noise_batch,
     save_params,
-    zero_noise,
 )
 from .gradients import GradSample, backward, batch_gradient
 from .trainer import TrainConfig, TrainingDiverged, train

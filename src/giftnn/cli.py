@@ -345,6 +345,9 @@ class Experiment:
                 test_full = load_mnist(dc["dir"], train=False)
             except FileNotFoundError as e:
                 raise ConfigError(f"data.dir: {e}")
+            for leaf, n, split in (("n_train", n_train, train_full), ("n_test", n_test, test_full)):
+                if n > len(split):
+                    raise ConfigError(f"data.{leaf}: {n} rows requested, the IDX split holds {len(split)}")
             return subset(train_full, n_train, rng), subset(test_full, n_test, rng.child(1))
         if kind == "synthetic_linear":
             pool = synthetic_linear(dc["v"], dc["sigma_x"], n_train + n_test, rng)
@@ -613,6 +616,8 @@ def _sweep_task(cfg_json: str, s0: float, seed: int):
         train_ds, test_ds = exp.datasets()
         w0, _ = train(exp.arch, replace(exp.train_config, s0=s0, seed=seed), train_ds)
         direction = _estimate_one(exp, w0, train_ds, s0, seed)
+    except ConfigError:  # the data block is wrong for every task: stop, naming its leaf
+        raise
     except Exception as e:  # keep sweeping; every family's cells needed w0 and D
         return [([], failure(family, e)) for family in families]
     results = []

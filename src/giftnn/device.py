@@ -45,12 +45,12 @@ class Device:
     share their random numbers (common random numbers), whatever sets they score.
 
     Each block's draw is made once per call, and every parameter set runs
-    through the block while it is live. A call whose whole draw fits in
-    REPLAY_BYTES keeps it, read-only, so the next call with the same key
-    replays it; a larger draw is made into one block's arrays, block after
-    block. Only one call's draw is kept, in one vector the device owns: a
-    call on another key overwrites it in place when its draw fits, and
-    allocates a larger vector when it does not. A streamed call frees it.
+    through the block while it is live. Every draw is made into one vector the
+    device owns, which grows when a call needs more and is never freed. A call
+    whose whole draw fits in REPLAY_BYTES draws each block at its offset and
+    keeps the draw, read-only, so the next call with the same key replays it;
+    a larger call draws block after block into the vector's front. Only one
+    call's draw is kept: a call on another key overwrites it in place.
 
     The passes keep no trace: each writes into one block's arrays, which the
     device keeps for its next call with the same dims and block size, so the
@@ -62,7 +62,7 @@ class Device:
         self._stream = RngStream(seed, STREAM_DEVICE)
         self._replay_key = None
         self._replay = None
-        self._replay_vector = None
+        self._draw_vector = None
         self._outputs_key = None
         self._outputs = None
         self.query_count = 0
@@ -90,19 +90,17 @@ class Device:
         replay = self._replay if self._replay_key == key else None
         kept = None
         rows = block_rows(k1, repeat)
-        draw_buf = None  # a streamed draw is written into one block's arrays
         width = arch.noise_values_per_row
         if replay is None:
-            self._replay_key = self._replay = None  # the kept draw is overwritten or freed below
+            self._replay_key = self._replay = None  # the kept draw is overwritten below
             values = out.shape[1] * width
             if 8 * values <= REPLAY_BYTES:
-                if self._replay_vector is None or self._replay_vector.size < values:
-                    self._replay_vector = None  # free the smaller vector before the larger is made
-                    self._replay_vector = np.empty(values)
                 kept = []
             else:
-                self._replay_vector = None
-                draw_buf = NoiseDraw.empty(arch, rows)
+                values = rows * width  # a streamed call draws each block into the vector's front
+            if self._draw_vector is None or self._draw_vector.size < values:
+                self._draw_vector = None  # free the smaller vector before the larger is made
+                self._draw_vector = np.empty(values)
         if self._outputs_key != (dims, rows):
             self._outputs_key, self._outputs = (dims, rows), ForwardTrace.empty(arch, rows, keep=False)
         stream = self._stream.substream(noise_slot)
@@ -110,14 +108,14 @@ class Device:
             n = (stop - start) * repeat
             if replay is not None:
                 draw = replay[c]
-            elif kept is None:
-                draw = sample_noise_batch(arch, self._noise, stream, c, n, out=draw_buf)
             else:
-                block = NoiseDraw.over(arch, self._replay_vector[start * repeat * width:stop * repeat * width])
+                at = 0 if kept is None else start * repeat * width
+                block = NoiseDraw.over(arch, self._draw_vector[at:at + n * width])
                 draw = sample_noise_batch(arch, self._noise, stream, c, n, out=block)
-                for v in [draw.vector, *draw.act, *draw.weigh]:
-                    v.flags.writeable = False
-                kept.append(draw)
+                if kept is not None:
+                    for v in [draw.vector, *draw.act, *draw.weigh]:
+                        v.flags.writeable = False
+                    kept.append(draw)
             for p, set_out in zip(params, out):
                 trace = _forward(p, X[start:stop], draw, repeat, self._outputs)
                 set_out[start * repeat:stop * repeat] = trace.activations[-1]

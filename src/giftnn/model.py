@@ -288,24 +288,21 @@ class NoiseModel:
 
 @dataclass
 class NoiseDraw:
-    """One realization of the 2L noise vectors.
+    """One realization of the 2L noise vectors, backed by one flat vector as Params is.
 
     act[l] perturbs A(l) for l = 0..L-1; weigh[l] perturbs the layer-(l+1)
-    pre-activation. Arrays are (n, d), one row per realization; zero_noise's
-    (d,) arrays broadcast over any batch. Multiplicative draws hold the factors
+    pre-activation. The sites are consecutive (n, d) views of `vector`, one
+    row per realization, in _site_dims order, (a,0), (w,1), (a,1), ..., (w,L),
+    so the whole draw is n * noise_values_per_row values that one generator
+    call fills; NoiseDraw.over builds one. Multiplicative draws hold the factors
     1 + level * g of standard-normal values g, applied as v -> v * factor at
     the same sites; only the device simulator consumes those.
-
-    A drawn or empty draw is backed by one flat vector, as Params is: its sites
-    are consecutive (n, d) views of `vector` in _site_dims order, (a,0), (w,1),
-    (a,1), ..., (w,L), so the whole draw is n * noise_values_per_row values
-    that one generator call fills. A draw built from site arrays has no vector.
     """
 
     act: list
     weigh: list
+    vector: np.ndarray
     multiplicative: bool = False
-    vector: np.ndarray | None = None
 
     @classmethod
     def over(cls, arch: Architecture, vector: np.ndarray) -> "NoiseDraw":
@@ -319,7 +316,7 @@ class NoiseDraw:
                 act[l] = site
             else:
                 weigh[l - 1] = site
-        return cls(act, weigh, vector=vector[:k])
+        return cls(act, weigh, vector[:k])
 
     @classmethod
     def empty(cls, arch: Architecture, rows: int) -> "NoiseDraw":
@@ -340,7 +337,7 @@ class NoiseDraw:
 
 @dataclass
 class ForwardTrace:
-    """Activations A(0..L), pre-activations z(1..L), and the noise used.
+    """Activations A(0..L), pre-activations z(1..L), and the noise used (None in a noise-free pass).
 
     A pass that keeps no trace has pre_activations None: each layer's
     activation overwrote its pre-activation, and only activations[-1] is
@@ -413,71 +410,64 @@ def sample_noise_batch(
     return draw
 
 
-def zero_noise(arch: Architecture) -> NoiseDraw:
-    dims = arch.layer_dims
-    L = arch.n_layers
-    return NoiseDraw(
-        act=[np.zeros(dims[l]) for l in range(L)],
-        weigh=[np.zeros(dims[l]) for l in range(1, L + 1)],
-    )
-
-
 def _check_noise_dims(arch: Architecture, noise: NoiseDraw, n: int):
-    """Each draw array must be (n, d), one row per input row, or (d,), which zero_noise broadcasts."""
+    """Each draw site must be (n, d), one row per row of the pass."""
     dims = arch.layer_dims
     L = arch.n_layers
     if len(noise.act) != L or len(noise.weigh) != L:
         raise ValueError(f"noise draw has {len(noise.act)}+{len(noise.weigh)} vectors, want {L}+{L}")
     for l in range(L):
-        if noise.act[l].shape not in ((n, dims[l]), (dims[l],)):
+        if noise.act[l].shape != (n, dims[l]):
             raise ValueError(f"activation noise {l}: shape {noise.act[l].shape}, want {(n, dims[l])}")
-        if noise.weigh[l].shape not in ((n, dims[l + 1]), (dims[l + 1],)):
+        if noise.weigh[l].shape != (n, dims[l + 1]):
             raise ValueError(f"weighing noise {l + 1}: shape {noise.weigh[l].shape}, want {(n, dims[l + 1])}")
 
 
-def _forward(params: Params, x, noise: NoiseDraw, repeat: int = 1, out: ForwardTrace | None = None) -> ForwardTrace:
-    """Shared noisy forward recursion; handles additive and multiplicative draws.
+def _forward(params: Params, x, noise: NoiseDraw | None = None, repeat: int = 1,
+             out: ForwardTrace | None = None) -> ForwardTrace:
+    """Shared forward recursion; handles additive and multiplicative draws, or none.
 
     x holds (p, d0) per-point inputs, each run repeat times in a row, so the
     draw and the outputs have p * repeat rows, row r reading x[r // repeat].
     The input-site noise is added by broadcast; no repeated input rows are built.
     The pass writes into the first rows of out (from ForwardTrace.empty) and
     returns views of them, or into fresh arrays without it; when out keeps no
-    pre-activations, neither does the returned trace.
+    pre-activations, neither does the returned trace. With no draw nothing is
+    perturbed: each input runs once, A(0) is x itself, and the pass keeps no
+    trace and writes fresh arrays.
     """
     arch = params.arch
     act_fn = ACTIVATIONS[arch.activation][0]
+    dims = arch.layer_dims
     L = arch.n_layers
-    d0 = arch.layer_dims[0]
     x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] != d0:
-        raise ValueError(f"input shape {x.shape}, want (n, {d0})")
+    if x.ndim != 2 or x.shape[1] != dims[0]:
+        raise ValueError(f"input shape {x.shape}, want (n, {dims[0]})")
     n = x.shape[0] * repeat
-    _check_noise_dims(arch, noise, n)
-    if repeat > 1 and noise.act[0].ndim != 2:
-        raise ValueError("a repeated input needs one draw row per query")
-    if out is None:
-        out = ForwardTrace.empty(arch, n)
-    elif out.activations[0].shape[0] < n:
-        raise ValueError(f"trace buffers hold {out.activations[0].shape[0]} rows, need {n}")
-    acts = head(out.activations, n)
-    pres = None if out.pre_activations is None else head(out.pre_activations, n)
-    perturb = np.multiply if noise.multiplicative else np.add
-
-    n0 = noise.act[0]
-    if n0.ndim == 2:  # point p's repeat rows read x[p]
-        perturb(x[:, None, :], n0.reshape(-1, repeat, d0), out=acts[0].reshape(-1, repeat, d0))
+    if noise is None:
+        acts, pres = [x] + [np.empty((n, d)) for d in dims[1:]], None
     else:
-        perturb(x, n0, out=acts[0])
+        _check_noise_dims(arch, noise, n)
+        if out is None:
+            out = ForwardTrace.empty(arch, n)
+        elif out.activations[0].shape[0] < n:
+            raise ValueError(f"trace buffers hold {out.activations[0].shape[0]} rows, need {n}")
+        acts = head(out.activations, n)
+        pres = None if out.pre_activations is None else head(out.pre_activations, n)
+        perturb = np.multiply if noise.multiplicative else np.add
+        # point p's repeat rows read x[p]
+        perturb(x[:, None, :], noise.act[0].reshape(-1, repeat, dims[0]), out=acts[0].reshape(-1, repeat, dims[0]))
     for l in range(1, L + 1):
         # in place, in the order of W a + b + n: the same values as fresh arrays give
         z = acts[l] if pres is None else pres[l - 1]  # without a trace A(l) overwrites z(l)
         np.matmul(acts[l - 1], params.weights[l - 1].T, out=z)
         z += params.biases[l - 1]
-        perturb(z, noise.weigh[l - 1], out=z)
+        if noise is not None:
+            perturb(z, noise.weigh[l - 1], out=z)
         if l < L:
             act_fn(z, out=acts[l])
-            perturb(acts[l], noise.act[l], out=acts[l])
+            if noise is not None:
+                perturb(acts[l], noise.act[l], out=acts[l])
     return ForwardTrace(activations=acts, pre_activations=pres, noise=noise)
 
 
@@ -495,10 +485,8 @@ def forward_noisy(params: Params, x, noise: NoiseDraw, repeat: int = 1,
 
 
 def forward_deterministic(params: Params, x) -> np.ndarray:
-    """Noise-free output; equals forward_noisy with an all-zero draw. Keeps no trace."""
-    x = np.asarray(x, dtype=float)
-    out = ForwardTrace.empty(params.arch, x.shape[0], keep=False) if x.ndim == 2 else None
-    return _forward(params, x, zero_noise(params.arch), out=out).activations[-1]
+    """Noise-free output: the recursion with no draw, its first product reading x. Keeps no trace."""
+    return _forward(params, x).activations[-1]
 
 
 def project(params: Params, h: Hyperrectangle, out: Params | None = None) -> Params:

@@ -23,6 +23,7 @@ from giftnn.data import DATA_DIR_ENV
 from giftnn.gift import estimate_direction
 from giftnn.model import STREAM_ESTIMATE, RngStream, load_params, point_blocks
 
+from test_data import write_idx
 from test_device import MIB, traced_peak
 
 
@@ -217,12 +218,13 @@ class TestExperimentValidation:
         assert len(np.unique(joined, axis=0)) == 130
 
     def test_wide_datasets_stay_within_memory(self):
-        # the 2,500-row shallow_mnist teacher pool (15 MiB of inputs), scaled in place and labelled by a pass that
-        # keeps no trace, peaks at about 47.0 MiB; a scaled copy of the inputs and a traced pass took it to 60.3 MiB
+        # the 2,500-row shallow_mnist teacher pool (15 MiB of inputs), scaled in place and labelled by a noise-free
+        # pass that reads the inputs themselves and keeps no trace, peaks at about 32.0 MiB; the pass's copy of the
+        # inputs took it to 47.0 MiB, and a scaled copy of the inputs and a traced pass to 60.3 MiB
         cfg = fresh_config()
         cfg["arch"]["preset"] = "shallow_mnist"
         peak = traced_peak(Experiment(cfg).datasets)
-        assert peak < 50 * MIB, f"peak traced allocation {peak / MIB:.1f} MiB"
+        assert peak < 35 * MIB, f"peak traced allocation {peak / MIB:.1f} MiB"
 
 
 class TestArtifacts:
@@ -366,6 +368,23 @@ class TestExitCodes:
         cfg["data"].update(kind="mnist", dir=str(tmp_path))
         cfg["arch"]["layer_dims"] = [784, 8, 10]
         assert Experiment(cfg).arch.layer_dims == (784, 8, 10)
+
+    @pytest.mark.parametrize("command", ["train", "gift", "eval", "sweep"])
+    @pytest.mark.parametrize("leaf, n", [("n_train", 100), ("n_test", 30)])
+    def test_mnist_sizes_must_fit_the_idx_splits(self, tmp_path, capsys, command, leaf, n):
+        # 50 training and 20 test digits: a larger subset is a config error naming its leaf, not a runtime one
+        gen = RngStream(0, 1).generator(0)
+        for rows, names in ((50, ("train-images-idx3-ubyte", "train-labels-idx1-ubyte")),
+                            (20, ("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"))):
+            write_idx(tmp_path, gen.integers(0, 256, (rows, 784)), gen.integers(0, 10, rows), False, *names)
+        sizes = {"n_train": 40, "n_test": 10, leaf: n}
+        argv = tiny_argv(command, tmp_path / "o", "data.kind=mnist", f"data.dir={json.dumps(str(tmp_path))}",
+                         "arch.layer_dims=[784,8,10]", *(f"data.{k}={v}" for k, v in sizes.items()))
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("config error:") == 1 and "runtime error" not in err
+        split = 50 if leaf == "n_train" else 20
+        assert f"config error: data.{leaf}: {n} rows requested, the IDX split holds {split}" in err
 
     def test_corrupt_checkpoint_exits_2(self, tmp_path, capsys):
         ck = tmp_path / "ck" / "seed_0"

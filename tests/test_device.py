@@ -303,6 +303,18 @@ class TestBlockForward:
         assert dev.query_count == 8000
         assert peak < 32 * MIB, f"peak traced allocation {peak / MIB:.1f} MiB"
 
+    def test_streamed_calls_share_the_device_vector(self):
+        # a streamed call draws each block into the front of the device's one draw vector, which outlives the
+        # call, so a second 8,000-row shallow_mnist call allocates no block draw (18 MB) of its own
+        p = wide_params()
+        dev = Device(NoiseModel("gaussian_additive", 0.1), seed=1)
+        X = RngStream(2, 1).generator(0).standard_normal((1000, SHALLOW_MNIST[0]))
+        first = dev.forward_batch([p], X, noise_slot=0, repeat=8)
+        peak = traced_peak(lambda: dev.forward_batch([p], X, noise_slot=1, repeat=8))
+        block_draw = CHUNK_ROWS * p.arch.noise_values_per_row * 8
+        assert 8 * first.size * p.arch.noise_values_per_row > device_module.REPLAY_BYTES  # streamed, not kept
+        assert peak < block_draw, f"peak traced allocation {peak / MIB:.1f} MiB"
+
 
 class TestFamilies:
     def test_uniform_site_variance(self):

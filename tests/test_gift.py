@@ -34,34 +34,27 @@ from giftnn.model import (
     forward_noisy,
     point_blocks,
     sample_noise_batch,
-    zero_noise,
 )
 
 from test_device import MIB, SHALLOW_MNIST, counting_draws, keyed_block_draw, traced_peak, wide_params
-from test_model import small_params
-
-
-def zero_row(arch):
-    """A one-row all-zero draw."""
-    zero = zero_noise(arch)
-    return NoiseDraw(act=[v[None] for v in zero.act], weigh=[v[None] for v in zero.weigh])
+from test_model import small_params, zero_draw
 
 
 class TestNoiseWeightFactor:
     def test_zero_draw_gives_minus_total_dim(self):
         arch = Architecture((3, 5, 2), "tanh")
-        f = noise_weight_factor(zero_row(arch), 0.2)
+        f = noise_weight_factor(zero_draw(arch, 1), 0.2)
         assert f.tolist() == [-(3 + 5 + 5 + 2)]
 
     def test_unit_scale_draw_vanishes(self):
         # every site holds exactly level-s0 entries: per-site term is 0
         s0 = 0.4
-        draw = NoiseDraw(act=[np.array([[s0]])], weigh=[np.array([[s0]])])
+        draw = NoiseDraw.over(Architecture((1, 1), "tanh"), np.array([s0, s0]))
         assert noise_weight_factor(draw, s0).tolist() == [0.0]
 
     def test_single_site_contribution(self):
         s0 = 0.4
-        draw = NoiseDraw(act=[np.array([[s0]])], weigh=[np.array([[0.0]])])
+        draw = NoiseDraw.over(Architecture((1, 1), "tanh"), np.array([s0, 0.0]))
         assert noise_weight_factor(draw, s0) == pytest.approx([-1.0])
 
     def test_zero_mean_at_matching_level(self):
@@ -78,7 +71,7 @@ class TestNoiseWeightFactor:
     def test_requires_positive_s0(self):
         arch = Architecture((1, 1), "tanh")
         with pytest.raises(ValueError):
-            noise_weight_factor(zero_row(arch), 0.0)
+            noise_weight_factor(zero_draw(arch, 1), 0.0)
 
 
 @pytest.mark.parametrize("use, message", [

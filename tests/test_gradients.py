@@ -9,10 +9,9 @@ from giftnn.model import (
     RngStream,
     forward_noisy,
     sample_noise_batch,
-    zero_noise,
 )
 
-from test_model import small_params
+from test_model import small_params, zero_draw
 
 
 def test_zero_residual_gives_zero_gradients():
@@ -31,7 +30,7 @@ def test_l1_linear_hand_expansion():
     p = Params(arch, [W.copy()], [b.copy()])
     x = np.array([[1.5, -0.5]])
     y = np.array([[2.0]])
-    trace = forward_noisy(p, x, zero_noise(arch))
+    trace = forward_noisy(p, x, zero_draw(arch, 1))
     g = backward(trace, y, p)
     r = y[0] - (W @ x[0] + b)
     assert np.allclose(g.grad.weights[0], -2.0 * np.outer(r, x), rtol=1e-12)
@@ -85,7 +84,7 @@ def test_ones_activation_ties_dw_rows_to_db():
     p = Params(arch, [np.zeros((2, 3))], [np.zeros(2)])
     x = np.ones((1, 3))
     y = np.array([[1.0, -2.0]])
-    trace = forward_noisy(p, x, zero_noise(arch))
+    trace = forward_noisy(p, x, zero_draw(arch, 1))
     g = backward(trace, y, p)
     for j in range(2):
         assert np.allclose(g.grad.weights[0][j], g.grad.biases[0][j])
@@ -93,7 +92,7 @@ def test_ones_activation_ties_dw_rows_to_db():
 
 def test_target_shape_mismatch():
     p = small_params([2, 2])
-    trace = forward_noisy(p, np.zeros((1, 2)), zero_noise(p.arch))
+    trace = forward_noisy(p, np.zeros((1, 2)), zero_draw(p.arch, 1))
     with pytest.raises(ValueError):
         backward(trace, np.zeros((1, 3)), p)
 
@@ -102,7 +101,7 @@ def test_unbatched_trace_rejected():
     # a 1-D input builds no trace, so backward only ever sees (n, d) rows
     p = small_params([2, 2])
     with pytest.raises(ValueError, match=r"want \(n, 2\)"):
-        forward_noisy(p, np.zeros(2), zero_noise(p.arch))
+        forward_noisy(p, np.zeros(2), zero_draw(p.arch, 1))
 
 
 def test_batch_mean_is_average_of_members():
@@ -115,7 +114,9 @@ def test_batch_mean_is_average_of_members():
     draws = sample_noise_batch(p.arch, NoiseModel("gaussian_additive", 0.2), RngStream(14, 3), 0, 6)
     acc_w = np.zeros_like(p.weights[0])
     for i in range(6):
-        d = type(draws)(act=[v[i:i + 1] for v in draws.act], weigh=[v[i:i + 1] for v in draws.weigh])
+        d = zero_draw(p.arch, 1)
+        for site, drawn in zip(d.act + d.weigh, draws.act + draws.weigh):
+            site[...] = drawn[i:i + 1]
         trace = forward_noisy(p, X[i:i + 1], d)
         acc_w += backward(trace, Y[i:i + 1], p).grad.weights[0]
     assert np.allclose(g.grad.weights[0], acc_w / 6, rtol=1e-10)

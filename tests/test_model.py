@@ -3,6 +3,7 @@ import pickle
 import numpy as np
 import pytest
 
+from giftnn.cli import ARCH_PRESETS
 from giftnn.model import (
     CHUNK_ROWS,
     Architecture,
@@ -24,7 +25,6 @@ from giftnn.model import (
     project,
     sample_noise_batch,
     save_params,
-    zero_noise,
 )
 
 
@@ -34,6 +34,11 @@ def small_params(dims, seed=0, scale=0.7):
     ws = [gen.uniform(-scale, scale, (dims[i + 1], dims[i])) for i in range(len(dims) - 1)]
     bs = [gen.uniform(-0.3, 0.3, dims[i + 1]) for i in range(len(dims) - 1)]
     return Params(arch, ws, bs)
+
+
+def zero_draw(arch, n):
+    """An all-zero additive draw of n rows."""
+    return NoiseDraw.over(arch, np.zeros(n * arch.noise_values_per_row))
 
 
 class TestArchitecture:
@@ -208,7 +213,7 @@ class TestForward:
         # L=1, W=[[2]], b=[1], x=[3], zero noise -> [7]
         arch = Architecture((1, 1), "tanh")
         p = Params(arch, [np.array([[2.0]])], [np.array([1.0])])
-        trace = forward_noisy(p, np.array([[3.0]]), zero_noise(arch))
+        trace = forward_noisy(p, np.array([[3.0]]), zero_draw(arch, 1))
         assert np.allclose(trace.activations[-1], [[7.0]])
         assert np.allclose(forward_deterministic(p, np.array([[3.0]])), [[7.0]])
 
@@ -251,12 +256,17 @@ class TestForward:
             else:
                 assert np.array_equal(trace.activations[l + 1], trace.pre_activations[l])
 
-    def test_zero_noise_equals_deterministic_exactly(self):
-        p = small_params([4, 3, 2], seed=11)
-        x = RngStream(12, 3).generator(0).standard_normal((1, 4))
-        trace = forward_noisy(p, x, zero_noise(p.arch))
+    @pytest.mark.parametrize("preset", ["desk_small", "shallow_mnist"])
+    def test_zero_draw_equals_deterministic_exactly(self, preset):
+        # the pass with no draw skips every addition of zero, bit for bit, and never writes x
+        dims = ARCH_PRESETS[preset]
+        p = small_params(dims, seed=11)
+        x = RngStream(12, 3).generator(0).standard_normal((2500, dims[0]))
+        before = x.copy()
         det = forward_deterministic(p, x)
-        assert np.array_equal(trace.activations[-1], det)
+        assert x.tobytes() == before.tobytes()
+        noisy = forward_noisy(p, x, zero_draw(p.arch, 2500)).activations[-1]
+        assert det.shape == (2500, dims[-1]) and det.tobytes() == noisy.tobytes()
 
     def test_linear_net_reproduces_vx(self):
         V = np.array([[0.3, -0.2]])
@@ -274,14 +284,20 @@ class TestForward:
     def test_input_must_be_rows(self, shape):
         p = small_params([2, 2])
         with pytest.raises(ValueError, match=r"want \(n, 2\)"):
-            forward_noisy(p, np.zeros(shape), zero_noise(p.arch))
+            forward_noisy(p, np.zeros(shape), zero_draw(p.arch, 1))
+        with pytest.raises(ValueError, match=r"want \(n, 2\)"):
+            forward_deterministic(p, np.zeros(shape))
 
-    @pytest.mark.parametrize("draw_rows", [1, 3])
-    def test_draw_rows_must_match_input_rows(self, draw_rows):
-        # one noise row per input row: neither a 1-row draw (which would broadcast) nor a 3-row one fits 5 inputs
+    @pytest.mark.parametrize("rows", [1, 3, None])
+    def test_draw_rows_must_match_input_rows(self, rows):
+        # one noise row per input row: neither a 1-row draw (which would broadcast), a 3-row one, nor a draw of
+        # (d,) sites (rows None) fits 5 inputs
         p = small_params([4, 3, 2], seed=13)
-        draw = sample_noise_batch(p.arch, NoiseModel("gaussian_additive", 0.2), RngStream(14, 3), 0, draw_rows)
-        with pytest.raises(ValueError, match=rf"activation noise 0: shape \({draw_rows}, 4\), want \(5, 4\)"):
+        draw = sample_noise_batch(p.arch, NoiseModel("gaussian_additive", 0.2), RngStream(14, 3), 0, rows or 1)
+        if rows is None:
+            draw = NoiseDraw([v[0] for v in draw.act], [v[0] for v in draw.weigh], draw.vector)
+        shape = "4," if rows is None else f"{rows}, 4"
+        with pytest.raises(ValueError, match=rf"activation noise 0: shape \({shape}\), want \(5, 4\)"):
             forward_noisy(p, np.zeros((5, 4)), draw)
 
     @pytest.mark.parametrize("family", ["gaussian_additive", "gaussian_multiplicative"])
@@ -299,8 +315,6 @@ class TestForward:
             assert all(u.tobytes() == v.tobytes() for u, v in zip(trace.activations, rows.activations, strict=True))
         with pytest.raises(ValueError, match=r"want \(15, 3\)"):
             _forward(p, x, draw, repeat=3)
-        with pytest.raises(ValueError, match="one draw row per query"):
-            _forward(p, x, zero_noise(p.arch), repeat=4)
 
     def test_multiplicative_rejected_in_forward_noisy(self):
         arch = Architecture((2, 2), "tanh")

@@ -117,7 +117,7 @@ def reference_fd_report(params, s_values, coeffs, data, mc_samples, seed):
         Z = sample_noise_batch(arch, NoiseModel("gaussian_additive", 1.0), rng, 1 + c, rows.size)
         Rs, As = [], []
         for sv in s_values:
-            fresh = NoiseDraw(act=[sv * v for v in Z.act], weigh=[sv * v for v in Z.weigh])
+            fresh = NoiseDraw.over(arch, sv * Z.vector)
             trace = forward_noisy(params, X, fresh)
             Rs.append(residual_stack(trace, Y, params))
             As.append(trace.activations)
