@@ -14,15 +14,17 @@ import datetime
 import hashlib
 import io
 import json
-import math
 import os
 import sys
+import zipfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
+from .checks import (_choice, _count, _instance, _integer, _levels, _list_of, _matrix, _optional, _positive,
+                     checked, leaves)
 from .data import (
     DATA_DIR_ENV,
     Dataset,
@@ -32,11 +34,10 @@ from .data import (
     synthetic_teacher,
 )
 from .device import Device
-from .gift import STOP_RULES, GiftConfig, estimate_direction, eval_in_situ, gift_run, mean_se
+from .gift import GiftConfig, estimate_direction, eval_in_situ, gift_run, mean_se
 from .model import (
     ACTIVATIONS,
     Architecture,
-    Hyperrectangle,
     NOISE_FAMILIES,
     NoiseModel,
     Params,
@@ -85,91 +86,7 @@ ARCH_PRESETS = {
 }
 
 
-# Leaf checks: each returns the value in the form the program uses or raises
-# ValueError with a reason. A boolean or a string is never taken for a number.
-
-def _finite(value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ValueError(f"expected a finite number, got {value!r}")
-    return float(value)
-
-
-def _integer(value) -> int:
-    """An integral JSON number as an int; a fraction is rejected, not truncated."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not float(value).is_integer():
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
-def _instance(kind, what: str):
-    def check(value):
-        if not isinstance(value, kind):
-            raise ValueError(f"expected {what}, got {value!r}")
-        return value
-    return check
-
-
-def _where(check, rule: str, ok):
-    """check, then ok on what it returns; rule says what ok asks."""
-    def checked(value):
-        x = check(value)
-        if not ok(x):
-            raise ValueError(f"must be {rule}, got {value!r}")
-        return x
-    return checked
-
-
-def _choice(options):
-    rule = f"one of {list(options)}"
-    return _where(_instance(str, rule), rule, lambda s: s in options)
-
-
-def _optional(check):
-    return lambda value: None if value is None else check(value)
-
-
-def _list_of(item, what: str, min_len: int = 1, distinct: bool = True):
-    """Check for a list of at least min_len values that each pass item."""
-    def check(value) -> list:
-        try:
-            if not isinstance(value, list) or len(value) < min_len:
-                raise ValueError
-            out = [item(v) for v in value]
-            if distinct and len(set(out)) != len(out):
-                raise ValueError
-        except ValueError:
-            raise ValueError(f"expected {what}, got {value!r}") from None
-        return out
-    return check
-
-
-_row = _list_of(_finite, "a row of finite numbers", distinct=False)
-
-
-def _matrix(value) -> np.ndarray:
-    """A list of equal-length rows of finite numbers as a 2-D array; a flat list is one row."""
-    rows = value if isinstance(value, list) and all(isinstance(r, list) for r in value) else [value]
-    try:
-        m = np.array([_row(r) for r in rows])  # unequal rows raise ValueError
-        if m.ndim != 2:
-            raise ValueError
-    except ValueError:
-        raise ValueError(f"expected a matrix of finite numbers, got {value!r}") from None
-    return m
-
-
-def _box(value) -> Hyperrectangle:
-    keys = [f.name for f in fields(Hyperrectangle)]
-    if not isinstance(value, dict) or sorted(value) != sorted(keys):
-        raise ValueError(f"expected null or an object with keys {keys}, got {value!r}")
-    return Hyperrectangle(**{k: _finite(v) for k, v in value.items()})
-
-
-_count = _where(_integer, ">= 1", lambda n: n >= 1)
-_positive = _where(_finite, "> 0", lambda x: x > 0)
-_levels = _list_of(_positive, "a nonempty list of distinct positive levels")
-
-# The config's shape: every leaf is (default, check).
+# The config's shape: every leaf is (default, check). TrainConfig and GiftConfig declare theirs.
 SCHEMA = {
     "name": ("experiment", _instance(str, "a string")),
     "arch": {
@@ -187,26 +104,8 @@ SCHEMA = {
         "v": ([0.3, -0.2], _matrix),
         "seed": (0, _integer),
     },
-    "train": {
-        "s0": (0.2, _positive),
-        "epochs": (40, _count),
-        "batch_size": (64, _count),
-        "eps0": (0.1, _positive),
-        "decay_p": (0.75, _where(_finite, "in (0.5, 1]", lambda x: 0.5 < x <= 1.0)),
-        "tau": (300.0, _positive),
-        "projection": (None, _optional(_box)),
-    },
-    "gift": {
-        "eta": (0.02, _where(_finite, ">= 0", lambda x: x >= 0)),
-        "k1": (1000, _count),
-        "k2": (8, _count),
-        "max_steps": (25, _count),
-        "stop_rule": ("either_worse", _choice(STOP_RULES)),
-        "est_k1": (500, _count),
-        "est_k2": (100, _count),
-        "normalize_direction": (True, _instance(bool, "true or false")),
-        "fresh_eval_k2": (8, _count),
-    },
+    "train": leaves(TrainConfig),
+    "gift": leaves(GiftConfig),
     "device": {"family": ("gaussian_additive", _choice(NOISE_FAMILIES)), "s_t": (0.3, _positive)},
     "sweep": {
         "s0_grid": ([0.05, 0.1, 0.2, 0.3], _levels),
@@ -235,9 +134,9 @@ def _check_tree(schema: dict, cfg: dict, errors: list, path: str = "") -> dict:
         here, value = path + key, cfg[key]
         if not isinstance(node, dict):
             try:
-                out[key] = node[1](value)
-            except (ValueError, OverflowError) as e:
-                errors.append(f"{here}: {e}")
+                out[key] = checked(here, node[1], value)
+            except ValueError as e:
+                errors.append(str(e))
         elif not isinstance(value, dict):
             errors.append(f"{here}: expected a config section (a JSON object), got {value!r}")
             out[key] = None
@@ -526,9 +425,12 @@ def _load_checkpoint(exp: Experiment, checkpoint_root: str | None, train_ds, see
         params, _ = _train_one(exp, train_ds, seed)
         return params
     path = os.path.join(checkpoint_root, f"seed_{seed}", "params.npz")
-    if not os.path.exists(path):
+    try:
+        params = load_params(path)
+    except FileNotFoundError:
         raise ConfigError(f"checkpoint: missing params for seed {seed}: {path}")
-    params = load_params(path)
+    except (OSError, KeyError, ValueError, zipfile.BadZipFile) as e:  # a directory, a cut or foreign file
+        raise ConfigError(f"checkpoint: cannot read {path}: {e}")
     if params.arch != exp.arch:
         raise ConfigError(f"checkpoint: params architecture {params.arch} does not match the config's {exp.arch}")
     return params

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import _count, _positive, checked
 from .model import Architecture, RngStream, forward_deterministic, init_uniform
 
 DATA_DIR_ENV = "GIFTNN_DATA_DIR"
@@ -159,16 +160,10 @@ def load_mnist(data_dir=None, train: bool = True) -> Dataset:
     return to_dataset(images, labels)
 
 
-def _check_sigma_x(sigma_x):
-    if not (np.isfinite(sigma_x) and sigma_x > 0):
-        raise ValueError(f"sigma_x must be a positive finite number, got {sigma_x!r}")
-
-
 def synthetic_linear(V, sigma_x: float, n: int, rng: RngStream) -> Dataset:
     """x ~ N(0, sigma_x^2 I) per component, y = V x (noiseless linear targets)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _check_sigma_x(sigma_x)
+    n = checked("n", _count, n)
+    sigma_x = checked("sigma_x", _positive, sigma_x)
     V = np.atleast_2d(np.asarray(V, dtype=float))
     gen = rng.generator(0)
     X = gen.standard_normal((n, V.shape[1]))
@@ -179,9 +174,8 @@ def synthetic_linear(V, sigma_x: float, n: int, rng: RngStream) -> Dataset:
 
 def synthetic_teacher(arch: Architecture, n: int, sigma_x: float, rng: RngStream) -> Dataset:
     """x ~ N(0, sigma_x^2 I), y = teacher(x) for a fixed random noise-free teacher net."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _check_sigma_x(sigma_x)
+    n = checked("n", _count, n)
+    sigma_x = checked("sigma_x", _positive, sigma_x)
     gen = rng.generator(0)
     teacher = init_uniform(arch, gen)
     X = gen.standard_normal((n, arch.layer_dims[0]))
@@ -200,7 +194,6 @@ def subset(ds: Dataset, n: int, rng: RngStream) -> Dataset:
 
 def epoch_batches(n: int, batch_size: int, rng: RngStream, epoch: int):
     """Index batches covering each of 0..n-1 exactly once, in a seed-determined order."""
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
+    batch_size = checked("batch_size", _count, batch_size)
     perm = rng.generator(epoch).permutation(n)
     return [perm[i:i + batch_size] for i in range(0, n, batch_size)]

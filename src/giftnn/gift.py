@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import _choice, _count, _finite, _instance, _where, check_leaves, leaf
 from .device import Device
 from .gradients import ResidualBuffers, residual_stack
 from .model import (
@@ -38,37 +39,29 @@ STOP_RULES = ("either_worse", "both_worse")
 
 @dataclass
 class GiftConfig:
-    """The config's whole gift section: the fine-tuning chain's settings.
+    """The config's gift section: the fine-tuning chain's settings.
 
     The line search takes step scale eta, eval sample sizes K1/K2, max_steps,
     the stop rule and normalize_direction. The direction estimate draws
     est_k1 x est_k2 rows; the fresh re-evaluation runs each test point
-    fresh_eval_k2 times.
+    fresh_eval_k2 times. Each field states its leaf's default and check once.
 
     eta = 0 is allowed and degenerates to returning the initial weights: all
     candidates coincide, shared noise makes scores exactly equal, and the
     baseline wins the tie.
     """
 
-    eta: float
-    k1: int
-    k2: int
-    max_steps: int = 25
-    stop_rule: str = "either_worse"
-    est_k1: int = 500
-    est_k2: int = 100
-    normalize_direction: bool = True
-    fresh_eval_k2: int = 8
+    eta: float = leaf(0.02, _where(_finite, ">= 0", lambda x: x >= 0))
+    k1: int = leaf(1000, _count)
+    k2: int = leaf(8, _count)
+    max_steps: int = leaf(25, _count)
+    stop_rule: str = leaf("either_worse", _choice(STOP_RULES))
+    est_k1: int = leaf(500, _count)
+    est_k2: int = leaf(100, _count)
+    normalize_direction: bool = leaf(True, _instance(bool, "true or false"))
+    fresh_eval_k2: int = leaf(8, _count)
 
-    def __post_init__(self):
-        if not (np.isfinite(self.eta) and self.eta >= 0):
-            raise ValueError(f"eta must be a finite number >= 0, got {self.eta!r}")
-        if min(self.k1, self.k2, self.est_k1, self.est_k2, self.fresh_eval_k2) < 1:
-            raise ValueError("k1, k2, est_k1, est_k2 and fresh_eval_k2 must be >= 1")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
-        if self.stop_rule not in STOP_RULES:
-            raise ValueError(f"stop_rule must be one of {STOP_RULES}")
+    __post_init__ = check_leaves
 
 
 @dataclass

@@ -551,7 +551,7 @@ def save_params(params: Params, path):
 
 
 def load_params(path) -> Params:
-    with np.load(path, allow_pickle=False) as data:
+    with open(path, "rb") as f, np.lib.npyio.NpzFile(f) as data:  # np.load would read a non-zip file as a pickle
         version = int(data["format_version"])
         if version != PARAMS_FORMAT_VERSION:
             raise ValueError(f"params format version {version}, supported {PARAMS_FORMAT_VERSION}")

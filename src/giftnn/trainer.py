@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .checks import _count, _finite, _optional, _positive, _where, check_leaves, leaf
 from .data import epoch_batches
 from .gradients import GradBuffers, batch_gradient, batch_loss
 from .model import (
@@ -28,34 +29,33 @@ class TrainingDiverged(RuntimeError):
     """Raised when the running loss leaves the finite/bounded regime."""
 
 
+def _box(value) -> Hyperrectangle:
+    if isinstance(value, Hyperrectangle):
+        return value
+    keys = [f.name for f in fields(Hyperrectangle)]
+    if not isinstance(value, dict) or sorted(value) != sorted(keys):
+        raise ValueError(f"expected null or an object with keys {keys}, got {value!r}")
+    return Hyperrectangle(**{k: _finite(v) for k, v in value.items()})
+
+
 @dataclass
 class TrainConfig:
-    """SGD schedule eps_k = eps0 / (1 + k/tau)^p with p in (0.5, 1].
+    """The config's train section: SGD schedule eps_k = eps0 / (1 + k/tau)^p with p in (0.5, 1].
 
     That exponent range keeps sum(eps_k) divergent and sum(eps_k^2) finite.
-    Projection is optional and off by default.
+    Projection is optional and off by default; seed is set per run.
     """
 
-    s0: float
-    epochs: int = 40
-    batch_size: int = 64
-    eps0: float = 0.1
-    decay_p: float = 0.75
-    tau: float = 300.0
-    projection: Hyperrectangle | None = None
+    s0: float = leaf(0.2, _positive)
+    epochs: int = leaf(40, _count)
+    batch_size: int = leaf(64, _count)
+    eps0: float = leaf(0.1, _positive)
+    decay_p: float = leaf(0.75, _where(_finite, "in (0.5, 1]", lambda x: 0.5 < x <= 1.0))
+    tau: float = leaf(300.0, _positive)
+    projection: Hyperrectangle | None = leaf(None, _optional(_box))
     seed: int = 0
 
-    def __post_init__(self):
-        if not self.s0 > 0:
-            raise ValueError("s0 must be positive")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
-        if not self.eps0 > 0:
-            raise ValueError("eps0 must be positive")
-        if not 0.5 < self.decay_p <= 1.0:
-            raise ValueError(f"decay exponent must be in (0.5, 1], got {self.decay_p}")
-        if not self.tau > 0:
-            raise ValueError("tau must be positive")
+    __post_init__ = check_leaves
 
 
 def step_size(config: TrainConfig, k: int) -> float:

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 from types import SimpleNamespace
@@ -386,13 +387,26 @@ class TestExitCodes:
         split = 50 if leaf == "n_train" else 20
         assert f"config error: data.{leaf}: {n} rows requested, the IDX split holds {split}" in err
 
-    def test_corrupt_checkpoint_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["gift", "eval"])
+    @pytest.mark.parametrize("case", ["truncated", "not_npz", "directory"])
+    def test_unreadable_checkpoint_exits_1(self, tmp_path, capsys, command, case):
         ck = tmp_path / "ck" / "seed_0"
         ck.mkdir(parents=True)
-        (ck / "params.npz").write_bytes(b"not an npz archive")
-        argv = tiny_argv("gift", tmp_path / "o") + ["--checkpoint", str(tmp_path / "ck"), "--seeds", "0"]
-        assert main(argv) == 2
-        assert "runtime error" in capsys.readouterr().err
+        path = ck / "params.npz"
+        if case == "truncated":  # half of a real archive: the zip directory at its end is cut off
+            buf = io.BytesIO()
+            np.savez(buf, format_version=np.array(1), W1=np.zeros((1, 2)))
+            path.write_bytes(buf.getvalue()[:len(buf.getvalue()) // 2])
+        elif case == "not_npz":
+            path.write_bytes(b"not an npz archive")
+        else:
+            path.mkdir()
+        argv = tiny_argv(command, tmp_path / "o") + ["--checkpoint", str(tmp_path / "ck"), "--seeds", "0"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("config error:") == 1 and "runtime error" not in err
+        assert f"config error: checkpoint: cannot read {path}: " in err
+        assert "pickle" not in err
 
     @pytest.mark.parametrize("config, setting, field", [
         ({"out_dir": 5}, None, "out_dir"),
