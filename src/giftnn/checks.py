@@ -1,6 +1,6 @@
-"""Config leaf checks. Each returns the value in the form the program uses or raises ValueError
-with a reason; a boolean or a string is never taken for a number. A config dataclass states each
-leaf's default and check once, as a leaf() field; the CLI's schema reads both from the class.
+"""Config leaf checks. Each returns the value in the form the program uses, a numpy number as a Python
+one, or raises ValueError with a reason; no boolean (numpy's too) or string is taken for a number. A
+config dataclass states each leaf's default and check once, as a leaf() field the CLI's schema reads.
 """
 
 from __future__ import annotations
@@ -11,15 +11,18 @@ from dataclasses import field, fields
 import numpy as np
 
 
+_NUMBER = (int, float, np.integer, np.floating)
+
+
 def _finite(value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    if isinstance(value, bool) or not isinstance(value, _NUMBER) or not math.isfinite(value):
         raise ValueError(f"expected a finite number, got {value!r}")
     return float(value)
 
 
 def _integer(value) -> int:
-    """An integral JSON number as an int; a fraction is rejected, not truncated."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not float(value).is_integer():
+    """An integral number as a Python int; a fraction is rejected, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, _NUMBER) or not float(value).is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
 

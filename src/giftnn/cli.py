@@ -36,7 +36,6 @@ from .data import (
 from .device import Device
 from .gift import GiftConfig, estimate_direction, eval_in_situ, gift_run, mean_se
 from .model import (
-    ACTIVATIONS,
     Architecture,
     NOISE_FAMILIES,
     NoiseModel,
@@ -93,7 +92,6 @@ SCHEMA = {
         "preset": ("desk_small", _choice(ARCH_PRESETS)),
         "layer_dims": (None, _optional(_list_of(_count, "null or a list of at least two integers >= 1",
                                                 min_len=2, distinct=False))),
-        "activation": ("tanh", _choice(ACTIVATIONS)),
     },
     "data": {
         "kind": ("synthetic_teacher", _choice(("mnist", "synthetic_teacher", "synthetic_linear"))),
@@ -163,6 +161,14 @@ def _deep_merge(base: dict, override: dict, path="") -> dict:
     return out
 
 
+def _flag_value(raw: str):
+    """A --set value or a --seeds item: its JSON value, else the raw string."""
+    try:
+        return json.loads(raw)
+    except json.JSONDecodeError:
+        return raw
+
+
 def resolve_config(args) -> dict:
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))
     if getattr(args, "config", None):
@@ -182,10 +188,7 @@ def resolve_config(args) -> dict:
         if "=" not in item:
             raise ConfigError(f"--set {item!r}: expected dotted.path=value")
         dotted, raw = item.split("=", 1)
-        try:
-            value = json.loads(raw)
-        except json.JSONDecodeError:
-            value = raw
+        value = _flag_value(raw)
         for key in reversed(dotted.split(".")):
             value = {key: value}
         cfg = _deep_merge(cfg, value)  # as a config file holding only this leaf would be
@@ -193,11 +196,8 @@ def resolve_config(args) -> dict:
         cfg["data"]["dir"] = args.data_dir
     if getattr(args, "out", None):
         cfg["out_dir"] = args.out
-    if getattr(args, "seeds", None):
-        try:
-            cfg["seeds"] = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
-        except ValueError:
-            raise ConfigError(f"seeds: expected a comma-separated integer list, got {args.seeds!r}")
+    if getattr(args, "seeds", None):  # the seeds check judges the items, as it does a --set list
+        cfg["seeds"] = [_flag_value(s) for s in args.seeds.split(",") if s.strip() != ""]
     return cfg
 
 
@@ -210,7 +210,7 @@ class Experiment:
         # Cross-field rules; each runs only when the sections it reads have no bad leaf.
         arch, data = checked["arch"], checked["data"]
         if arch is not None:
-            self.arch = Architecture(arch["layer_dims"] or ARCH_PRESETS[arch["preset"]], arch["activation"])
+            self.arch = Architecture(arch["layer_dims"] or ARCH_PRESETS[arch["preset"]])
         if data is not None and data["kind"] == "mnist" and not (data["dir"] or os.environ.get(DATA_DIR_ENV)):
             errors.append(f"data.dir: required for kind 'mnist' (or set {DATA_DIR_ENV})")
         if arch is not None and data is not None and data["kind"] == "mnist":

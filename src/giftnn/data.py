@@ -61,10 +61,8 @@ class Dataset:
 
 def _read_bytes(path) -> bytes:
     with open(path, "rb") as f:
-        head = f.read(2)
-        rest = f.read()
-    raw = head + rest
-    if head == b"\x1f\x8b":
+        raw = f.read()
+    if raw[:2] == b"\x1f\x8b":  # gzip magic
         return gzip.decompress(raw)
     return raw
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
-    ACTIVATIONS,
     ForwardTrace,
     NoiseDraw,
     NoiseModel,
@@ -21,6 +20,7 @@ from .model import (
     forward_noisy,
     head,
     sample_noise_batch,
+    tanh_deriv,
 )
 
 
@@ -59,7 +59,6 @@ def residual_stack(trace: ForwardTrace, target, params: Params, out: ResidualBuf
     With out (at least as many rows as the trace) R is written into its first
     rows and returned as views; without it the arrays are fresh.
     """
-    act_deriv = ACTIVATIONS[params.arch.activation][1]
     L = params.arch.n_layers
     y = np.asarray(target, dtype=float)
     outputs = trace.activations[-1]
@@ -71,10 +70,10 @@ def residual_stack(trace: ForwardTrace, target, params: Params, out: ResidualBuf
     R = head(out.residuals, n)
     np.subtract(y, outputs, out=R[L - 1])
     for l in range(L - 1, 0, -1):
-        # R(l) = (W(l+1)^T R(l+1)) .* act'(z(l)); row form: R(l+1) @ W(l+1)
+        # R(l) = (W(l+1)^T R(l+1)) .* tanh'(z(l)); row form: R(l+1) @ W(l+1)
         np.matmul(R[l], params.weights[l], out=R[l - 1])
         d = R[l - 1].shape[1]
-        R[l - 1] *= act_deriv(trace.pre_activations[l - 1], out=out.scratch[:n * d].reshape(n, d))
+        R[l - 1] *= tanh_deriv(trace.pre_activations[l - 1], out=out.scratch[:n * d].reshape(n, d))
     return R
 
 

@@ -4,7 +4,7 @@ The model computes, for L weight layers,
 
     A0 = x + Na0
     zl = W(l) A(l-1) + b(l) + Nw(l)          l = 1..L
-    Al = act(zl) + Na(l)                     l = 1..L-1
+    Al = tanh(zl) + Na(l)                    l = 1..L-1
     AL = zL
 
 with every noise vector drawn i.i.d. per component at level s. Exactly 2L noise
@@ -20,17 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _tanh_deriv(z, out=None):
-    """1 - tanh(z)^2, written into out when it is given."""
+def tanh_deriv(z, out=None):
+    """1 - tanh(z)^2, the derivative of the hidden activation, written into out when it is given."""
     t = np.tanh(z, out=out)
     np.square(t, out=t)
     return np.subtract(1.0, t, out=t)
-
-
-# Each activation and its derivative take an optional out array, as ufuncs do.
-ACTIVATIONS = {
-    "tanh": (np.tanh, _tanh_deriv),
-}
 
 NOISE_FAMILIES = ("gaussian_additive", "uniform", "gaussian_multiplicative", "laplace")
 
@@ -123,10 +117,9 @@ class RngStream:
 
 @dataclass(frozen=True)
 class Architecture:
-    """Layer dimensions [d0, ..., dL] and the hidden activation."""
+    """Layer dimensions [d0, ..., dL]; every hidden layer applies tanh."""
 
     layer_dims: tuple
-    activation: str = "tanh"
 
     def __post_init__(self):
         object.__setattr__(self, "layer_dims", tuple(int(d) for d in self.layer_dims))
@@ -134,8 +127,6 @@ class Architecture:
             raise ValueError("layer_dims needs at least [d0, d1] (one weight layer)")
         if any(d < 1 for d in self.layer_dims):
             raise ValueError(f"layer dims must be >= 1, got {self.layer_dims}")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
 
     @property
     def n_layers(self) -> int:
@@ -437,7 +428,6 @@ def _forward(params: Params, x, noise: NoiseDraw | None = None, repeat: int = 1,
     trace and writes fresh arrays.
     """
     arch = params.arch
-    act_fn = ACTIVATIONS[arch.activation][0]
     dims = arch.layer_dims
     L = arch.n_layers
     x = np.asarray(x, dtype=float)
@@ -465,7 +455,7 @@ def _forward(params: Params, x, noise: NoiseDraw | None = None, repeat: int = 1,
         if noise is not None:
             perturb(z, noise.weigh[l - 1], out=z)
         if l < L:
-            act_fn(z, out=acts[l])
+            np.tanh(z, out=acts[l])
             if noise is not None:
                 perturb(acts[l], noise.act[l], out=acts[l])
     return ForwardTrace(activations=acts, pre_activations=pres, noise=noise)
@@ -479,6 +469,8 @@ def forward_noisy(params: Params, x, noise: NoiseDraw, repeat: int = 1,
     the arrays to write, as in _forward. Multiplicative draws are rejected
     here; only the device simulator applies them.
     """
+    if noise is None:
+        raise ValueError("forward_noisy needs a noise draw; forward_deterministic runs the noise-free pass")
     if noise.multiplicative:
         raise ValueError("forward_noisy takes additive draws; the device applies multiplicative noise")
     return _forward(params, x, noise, repeat, out)
@@ -541,7 +533,7 @@ def save_params(params: Params, path):
     arrays = {
         "format_version": np.array(PARAMS_FORMAT_VERSION, dtype=np.int64),
         "layer_dims": np.array(params.arch.layer_dims, dtype=np.int64),
-        "activation": np.array(params.arch.activation),
+        "activation": np.array("tanh"),
     }
     for l, (W, b) in enumerate(zip(params.weights, params.biases), start=1):
         arrays[f"W{l}"] = W
@@ -555,7 +547,9 @@ def load_params(path) -> Params:
         version = int(data["format_version"])
         if version != PARAMS_FORMAT_VERSION:
             raise ValueError(f"params format version {version}, supported {PARAMS_FORMAT_VERSION}")
-        arch = Architecture(tuple(int(d) for d in data["layer_dims"]), str(data["activation"]))
+        if (activation := str(data["activation"])) != "tanh":
+            raise ValueError(f"params activation {activation!r}, supported 'tanh'")
+        arch = Architecture(tuple(int(d) for d in data["layer_dims"]))
         ws = [data[f"W{l}"] for l in range(1, arch.n_layers + 1)]
         bs = [data[f"b{l}"] for l in range(1, arch.n_layers + 1)]
     return Params(arch, ws, bs)

@@ -114,11 +114,12 @@ def product_derivative_factor(dims, points, s: float) -> float:
     return total / s
 
 
-def check_gaussian_product_derivative(dims, points, s: float, h: float = 1e-4) -> float:
+def check_gaussian_product_derivative(dims, points, s: float) -> float:
     """Relative error between the analytic product-derivative identity and a
     fourth-order central finite difference in s, evaluated in log space for
     stability (the truncation of 3-point stencils overwhelms cases where the
     analytic value happens to be near zero)."""
+    h = 1e-4
     analytic = product_derivative_factor(dims, points, s)
 
     def log_prod(sv: float) -> float:
@@ -132,7 +133,7 @@ def check_gaussian_product_derivative(dims, points, s: float, h: float = 1e-4) -
     return abs(fd - analytic) / max(abs(analytic), 1e-12)
 
 
-def check_gaussian_product_cases(n_cases: int, rng: RngStream, h: float = 1e-4) -> float:
+def check_gaussian_product_cases(n_cases: int, rng: RngStream) -> float:
     """Worst relative error over random (dims, points, s) cases."""
     worst = 0.0
     for c in range(n_cases):
@@ -141,7 +142,7 @@ def check_gaussian_product_cases(n_cases: int, rng: RngStream, h: float = 1e-4) 
         dims = [int(gen.integers(1, 5)) for _ in range(n_blocks)]
         s = float(gen.uniform(0.3, 1.5))
         points = [s * gen.standard_normal(d) for d in dims]
-        worst = max(worst, check_gaussian_product_derivative(dims, points, s, h))
+        worst = max(worst, check_gaussian_product_derivative(dims, points, s))
     return worst
 
 
@@ -179,8 +180,9 @@ class ConditionReport:
     caveat: str = "condition sampled on a finite zeta grid; values between grid points are not certified"
 
 
-def condition_report(params: Params, data, s0: float, s_t: float, h: float = 0.05,
-                     mc_samples: int = 200_000, seed: int = 0, n_zeta: int = 9) -> ConditionReport:
+def condition_report(params: Params, data, s0: float, s_t: float,
+                     mc_samples: int = 200_000, seed: int = 0) -> ConditionReport:
+    h, n_zeta = 0.05, 9  # the largest finite-difference step in s; zetas inside (s0, s_t)
     if s0 == s_t:
         raise ValueError("s0 and s_t must differ")
     g1 = d_ds_grad_fd_report(params, s0, data, h=min(h, 0.45 * s0), mc_samples=mc_samples, seed=seed)
@@ -359,11 +361,12 @@ def check_hierarchical_sampler(k1: int, k2: int, n_reps: int, rng: RngStream,
     }
 
 
-def gradient_fd_check(n_cases: int, rng: RngStream, dim_caps=(5, 7, 4, 3), step: float = 1e-6) -> float:
+def gradient_fd_check(n_cases: int, rng: RngStream) -> float:
     """Worst relative error between backprop and central finite differences of
     the fixed-noise squared loss, over random small networks."""
     from .gradients import backward
 
+    dim_caps, step = (5, 7, 4, 3), 1e-6
     worst = 0.0
     dims_rng = rng.child(1)
     noise_rng = rng.child(2)

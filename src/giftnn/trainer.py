@@ -6,7 +6,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .checks import _count, _finite, _optional, _positive, _where, check_leaves, leaf
+from .checks import _count, _finite, _integer, _optional, _positive, _where, check_leaves, checked, leaf
 from .data import epoch_batches
 from .gradients import GradBuffers, batch_gradient, batch_loss
 from .model import (
@@ -43,7 +43,7 @@ class TrainConfig:
     """The config's train section: SGD schedule eps_k = eps0 / (1 + k/tau)^p with p in (0.5, 1].
 
     That exponent range keeps sum(eps_k) divergent and sum(eps_k^2) finite.
-    Projection is optional and off by default; seed is set per run.
+    Projection is optional and off by default; seed is set per run, checked but no config leaf.
     """
 
     s0: float = leaf(0.2, _positive)
@@ -55,7 +55,9 @@ class TrainConfig:
     projection: Hyperrectangle | None = leaf(None, _optional(_box))
     seed: int = 0
 
-    __post_init__ = check_leaves
+    def __post_init__(self):
+        check_leaves(self)
+        self.seed = checked("seed", _integer, self.seed)
 
 
 def step_size(config: TrainConfig, k: int) -> float:
@@ -69,12 +71,12 @@ class LossHistory:
     eps: list = field(default_factory=list)
     losses: list = field(default_factory=list)
 
-    def smoothed(self, alpha: float = 0.05) -> np.ndarray:
-        """Exponentially smoothed running loss."""
+    def smoothed(self) -> np.ndarray:
+        """Exponentially smoothed running loss, weight 0.05 on each new loss."""
         out = np.empty(len(self.losses))
         acc = self.losses[0] if self.losses else 0.0
         for i, v in enumerate(self.losses):
-            acc = (1 - alpha) * acc + alpha * v
+            acc = 0.95 * acc + 0.05 * v
             out[i] = acc
         return out
 

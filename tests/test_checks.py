@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from giftnn.checks import leaves
@@ -35,6 +36,9 @@ def test_every_leaf_rejects_a_value_of_another_type(cls, name, default):
     (lambda: GiftConfig(normalize_direction="false"), "normalize_direction"),
     (lambda: GiftConfig(eta=-0.1), "eta"),
     (lambda: TrainConfig(projection={"w_min": 1.0}), "projection"),
+    (lambda: TrainConfig(epochs=1, seed=2.5), "seed"),
+    (lambda: TrainConfig(epochs=1, seed="x"), "seed"),
+    (lambda: TrainConfig(epochs=1, seed=True), "seed"),
 ])
 def test_values_the_cli_rejects_are_rejected_by_the_constructors(build, name):
     with pytest.raises(ValueError, match=f"^{name}: "):
@@ -49,4 +53,16 @@ def test_leaves_come_back_in_the_form_the_program_uses():
     box = Hyperrectangle(-0.1, 0.1, -0.2, 0.2)
     assert TrainConfig(projection=box).projection is box
     assert type(GiftConfig(k1=4.0).k1) is int
+
+
+def test_numpy_numbers_come_back_as_python_numbers():
+    cfg = TrainConfig(epochs=np.int64(3), s0=np.float32(0.25), seed=np.uint32(7))
+    assert (cfg.epochs, cfg.s0, cfg.seed) == (3, 0.25, 7)
+    assert type(cfg.epochs) is int and type(cfg.s0) is float and type(cfg.seed) is int
+    assert type(GiftConfig(k1=np.int64(5)).k1) is int
+    assert type(GiftConfig(eta=np.float16(0.5)).eta) is float
+    for build in (lambda: TrainConfig(epochs=np.bool_(True)), lambda: TrainConfig(s0=np.bool_(True)),
+                  lambda: TrainConfig(epochs=np.float32(2.5)), lambda: GiftConfig(eta=np.float64("nan"))):
+        with pytest.raises(ValueError, match="^(epochs|s0|eta): "):
+            build()
 

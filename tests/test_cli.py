@@ -106,6 +106,8 @@ class TestConfigMachinery:
             resolve_config(SimpleNamespace(set=["train.nope=1"]))
         assert main(["check", "--set", "train.epochs.deep=1"]) == 1
         assert capsys.readouterr().err.startswith("config error: train.epochs: ")
+        assert main(["check", "--set", "arch.activation=tanh"]) == 1  # every hidden layer is tanh; no leaf
+        assert capsys.readouterr().err == "config error: arch.activation: unknown config key\n"
 
     def test_whole_section_set_merges_over_defaults(self, tmp_path):
         # a section-valued --set is merged like a config file holding it, not put in place
@@ -163,9 +165,22 @@ class TestConfigMachinery:
         with pytest.raises(ConfigError, match="top level"):
             resolve_config(ns(config=str(top)))
         with pytest.raises(ConfigError, match="seeds"):
-            resolve_config(ns(seeds="a,b"))
+            Experiment(resolve_config(ns(seeds="a,b")))
         with pytest.raises(ConfigError, match="expected dotted.path=value"):
             resolve_config(ns(set=["train.epochs"]))
+
+    @pytest.mark.parametrize("items", ["0, 2,5", "1e3", "1.0", "1_000", "1.5", "true", '"3"', "x", "1,1"])
+    def test_seeds_flag_reads_its_items_as_set_reads_a_list(self, items):
+        def seeds(args):
+            try:
+                return Experiment(resolve_config(args)).seeds
+            except ConfigError as e:
+                assert [m.split(":")[0] for m in e.errors] == ["seeds"]
+                return "exit 1"
+
+        by_flag = seeds(SimpleNamespace(seeds=items))
+        assert by_flag == seeds(SimpleNamespace(set=[f"seeds=[{items}]"]))
+        assert by_flag == {"0, 2,5": [0, 2, 5], "1e3": [1000], "1.0": [1]}.get(items, "exit 1")
 
 
 class TestExperimentValidation:
@@ -388,7 +403,7 @@ class TestExitCodes:
         assert f"config error: data.{leaf}: {n} rows requested, the IDX split holds {split}" in err
 
     @pytest.mark.parametrize("command", ["gift", "eval"])
-    @pytest.mark.parametrize("case", ["truncated", "not_npz", "directory"])
+    @pytest.mark.parametrize("case", ["truncated", "not_npz", "directory", "other_activation"])
     def test_unreadable_checkpoint_exits_1(self, tmp_path, capsys, command, case):
         ck = tmp_path / "ck" / "seed_0"
         ck.mkdir(parents=True)
@@ -399,6 +414,9 @@ class TestExitCodes:
             path.write_bytes(buf.getvalue()[:len(buf.getvalue()) // 2])
         elif case == "not_npz":
             path.write_bytes(b"not an npz archive")
+        elif case == "other_activation":  # a whole version-1 archive for the config's dims, but not tanh
+            np.savez(path, format_version=np.array(1), layer_dims=np.array([2, 1]), activation=np.array("relu"),
+                     W1=np.zeros((1, 2)), b1=np.zeros(1))
         else:
             path.mkdir()
         argv = tiny_argv(command, tmp_path / "o") + ["--checkpoint", str(tmp_path / "ck"), "--seeds", "0"]
@@ -407,6 +425,7 @@ class TestExitCodes:
         assert err.count("config error:") == 1 and "runtime error" not in err
         assert f"config error: checkpoint: cannot read {path}: " in err
         assert "pickle" not in err
+        assert ("params activation 'relu'" in err) == (case == "other_activation")
 
     @pytest.mark.parametrize("config, setting, field", [
         ({"out_dir": 5}, None, "out_dir"),

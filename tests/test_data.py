@@ -166,14 +166,14 @@ class TestSynthetic:
         assert np.allclose(coef.T, V, atol=1e-3)
 
     def test_teacher_targets_are_network_outputs(self):
-        arch = Architecture((4, 3, 2), "tanh")
+        arch = Architecture((4, 3, 2))
         ds = synthetic_teacher(arch, 50, 1.0, RngStream(3, STREAM_DATA))
         assert ds.inputs.shape == (50, 4)
         assert ds.targets.shape == (50, 2)
         assert np.all(np.isfinite(ds.targets))
 
     def test_sigma_x_must_be_positive_finite(self):
-        arch = Architecture((2, 1), "tanh")
+        arch = Architecture((2, 1))
         for sigma in (0.0, -1.0, np.inf, np.nan):
             with pytest.raises(ValueError, match="sigma_x"):
                 synthetic_linear(np.ones((1, 2)), sigma, 10, RngStream(5, STREAM_DATA))
@@ -181,7 +181,7 @@ class TestSynthetic:
                 synthetic_teacher(arch, 10, sigma, RngStream(5, STREAM_DATA))
 
     def test_teacher_deterministic(self):
-        arch = Architecture((3, 2), "tanh")
+        arch = Architecture((3, 2))
         a = synthetic_teacher(arch, 20, 1.0, RngStream(4, STREAM_DATA))
         b = synthetic_teacher(arch, 20, 1.0, RngStream(4, STREAM_DATA))
         assert np.array_equal(a.inputs, b.inputs)

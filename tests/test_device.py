@@ -24,13 +24,13 @@ from test_model import small_params
 
 
 def identity_device(family, s, seed=0, d=2):
-    arch = Architecture((d, d), "tanh")
+    arch = Architecture((d, d))
     p = Params(arch, [np.eye(d)], [np.zeros(d)])
     return Device(NoiseModel(family, s), seed=seed), p
 
 
 def zero_weight_device(family, s, seed=0, d=1):
-    arch = Architecture((d, d), "tanh")
+    arch = Architecture((d, d))
     p = Params(arch, [np.zeros((d, d))], [np.zeros(d)])
     return Device(NoiseModel(family, s), seed=seed), p
 
@@ -247,7 +247,7 @@ def traced_peak(fn):
 
 
 def wide_params(seed=0):
-    arch = Architecture(SHALLOW_MNIST, "tanh")
+    arch = Architecture(SHALLOW_MNIST)
     gen = RngStream(seed, 1).generator(0)
     ws = [gen.uniform(-1, 1, (o, i)) / np.sqrt(i) for i, o in zip(SHALLOW_MNIST[:-1], SHALLOW_MNIST[1:])]
     return Params(arch, ws, [np.zeros(o) for o in SHALLOW_MNIST[1:]])

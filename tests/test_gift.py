@@ -42,23 +42,23 @@ from test_model import small_params, zero_draw
 
 class TestNoiseWeightFactor:
     def test_zero_draw_gives_minus_total_dim(self):
-        arch = Architecture((3, 5, 2), "tanh")
+        arch = Architecture((3, 5, 2))
         f = noise_weight_factor(zero_draw(arch, 1), 0.2)
         assert f.tolist() == [-(3 + 5 + 5 + 2)]
 
     def test_unit_scale_draw_vanishes(self):
         # every site holds exactly level-s0 entries: per-site term is 0
         s0 = 0.4
-        draw = NoiseDraw.over(Architecture((1, 1), "tanh"), np.array([s0, s0]))
+        draw = NoiseDraw.over(Architecture((1, 1)), np.array([s0, s0]))
         assert noise_weight_factor(draw, s0).tolist() == [0.0]
 
     def test_single_site_contribution(self):
         s0 = 0.4
-        draw = NoiseDraw.over(Architecture((1, 1), "tanh"), np.array([s0, 0.0]))
+        draw = NoiseDraw.over(Architecture((1, 1)), np.array([s0, 0.0]))
         assert noise_weight_factor(draw, s0) == pytest.approx([-1.0])
 
     def test_zero_mean_at_matching_level(self):
-        arch = Architecture((2, 3), "tanh")
+        arch = Architecture((2, 3))
         s0 = 0.7
         n = 10**5
         batch = sample_noise_batch(arch, NoiseModel("gaussian_additive", s0),
@@ -69,7 +69,7 @@ class TestNoiseWeightFactor:
         assert abs(f.mean()) < 4.0 * np.sqrt(2 * 5 / n)
 
     def test_requires_positive_s0(self):
-        arch = Architecture((1, 1), "tanh")
+        arch = Architecture((1, 1))
         with pytest.raises(ValueError):
             noise_weight_factor(zero_draw(arch, 1), 0.0)
 
@@ -88,6 +88,12 @@ def test_additive_only_guards_reject_multiplicative_draws(use, message):
     draw = sample_noise_batch(p.arch, NoiseModel("gaussian_multiplicative", 0.1), RngStream(8, STREAM_EVAL), 0, 1)
     with pytest.raises(ValueError, match=message):
         use(p, np.zeros((1, 2)), draw)
+
+
+def test_forward_noisy_without_a_draw_points_to_the_noise_free_pass():
+    p = small_params([2, 3, 2], seed=7)
+    with pytest.raises(ValueError, match="needs a noise draw; forward_deterministic"):
+        forward_noisy(p, np.zeros((1, 2)), None)
 
 
 def fresh_block_estimate(params, data, s0, k1, k2, rng):
@@ -134,7 +140,7 @@ class TestEstimateDirection:
     def test_affine_in_targets_with_shared_streams(self):
         # the estimate is affine in Y under fixed noise: D(2Y) = 2 D(Y) - D(0);
         # the noise offset in the residual is why plain doubling is off by D(0)
-        arch = Architecture((2, 1), "tanh")
+        arch = Architecture((2, 1))
         p = Params(arch, [np.zeros((1, 2))], [np.zeros(1)])
         X = RngStream(10, STREAM_DATA).generator(0).standard_normal((64, 2))
         Y = X @ np.array([[0.3], [-0.4]])
@@ -182,7 +188,7 @@ class TestEstimateDirection:
         assert got.vector.tobytes() == want.vector.tobytes()
 
     def test_direction_norm_and_scaling(self):
-        d = Params(Architecture((2, 1), "tanh"), [np.array([[3.0, 0.0]])], [np.array([4.0])])
+        d = Params(Architecture((2, 1)), [np.array([[3.0, 0.0]])], [np.array([4.0])])
         assert d.norm() == pytest.approx(5.0)
         assert d.scaled(0.2).norm() == pytest.approx(1.0)
 
@@ -252,7 +258,7 @@ class TestEvalInSitu:
 
     def test_perfect_predictor_near_zero_loss(self):
         V = np.array([[0.3, -0.4]])
-        arch = Architecture((2, 1), "tanh")
+        arch = Architecture((2, 1))
         p = Params(arch, [V.copy()], [np.zeros(1)])
         data = linear_dataset(256)
         dev = Device(NoiseModel("gaussian_additive", 1e-9), seed=1)
@@ -262,7 +268,7 @@ class TestEvalInSitu:
         assert rep.accuracy == 1.0  # single output: argmax trivially matches
 
     def test_single_term(self):
-        arch = Architecture((1, 1), "tanh")
+        arch = Architecture((1, 1))
         p = Params(arch, [np.array([[1.0]])], [np.zeros(1)])
         data = Dataset(np.array([[2.0]]), np.array([[0.0]]))
         dev = Device(NoiseModel("gaussian_additive", 1e-12), seed=0)
@@ -339,7 +345,7 @@ class TestEvalInSitu:
 
 def quadratic_device_and_data(s_t=1e-9, y=2.0):
     # one data point (x=1, y) on a [1,1] net: loss(w) = (y - w)^2 up to s_t noise
-    arch = Architecture((1, 1), "tanh")
+    arch = Architecture((1, 1))
     w0 = Params(arch, [np.array([[0.0]])], [np.zeros(1)])
     data = Dataset(np.array([[1.0]]), np.array([[y]]))
     dev = Device(NoiseModel("gaussian_additive", s_t), seed=0)
@@ -404,7 +410,7 @@ class TestGiftRun:
 
     def test_uphill_direction_keeps_baseline(self):
         # start at the minimum: any step along D is worse, so w_f == w0
-        arch = Architecture((1, 1), "tanh")
+        arch = Architecture((1, 1))
         w0 = Params(arch, [np.array([[2.0]])], [np.zeros(1)])
         data = Dataset(np.array([[1.0]]), np.array([[2.0]]))
         dev = Device(NoiseModel("gaussian_additive", 1e-9), seed=0)

@@ -24,7 +24,7 @@ def test_zero_residual_gives_zero_gradients():
 
 def test_l1_linear_hand_expansion():
     # dW = -2 (y - Wx - b) x^T, db = -2 (y - Wx - b) at zero noise
-    arch = Architecture((2, 1), "tanh")
+    arch = Architecture((2, 1))
     W = np.array([[0.7, -0.2]])
     b = np.array([0.3])
     p = Params(arch, [W.copy()], [b.copy()])
@@ -80,7 +80,7 @@ def test_fd_agreement_fixed_noise():
 
 def test_ones_activation_ties_dw_rows_to_db():
     # when A^(l-1) is all ones, each dW row is constant and equals the db entry
-    arch = Architecture((3, 2), "tanh")
+    arch = Architecture((3, 2))
     p = Params(arch, [np.zeros((2, 3))], [np.zeros(2)])
     x = np.ones((1, 3))
     y = np.array([[1.0, -2.0]])
@@ -130,7 +130,7 @@ def test_empty_batch_rejected():
 
 def test_mean_gradient_matches_fd_of_mc_objective():
     # E[batch_gradient] ~ grad of J_s0 on a 3-parameter net, within 3 SE
-    arch = Architecture((2, 1), "tanh")
+    arch = Architecture((2, 1))
     V = np.array([[0.3, -0.2]])
     p = Params(arch, [np.array([[0.2, -0.1]])], [np.array([0.05])])
     s0 = 0.4

@@ -29,7 +29,7 @@ from giftnn.model import (
 
 
 def small_params(dims, seed=0, scale=0.7):
-    arch = Architecture(tuple(dims), "tanh")
+    arch = Architecture(tuple(dims))
     gen = RngStream(seed, 1).generator(0)
     ws = [gen.uniform(-scale, scale, (dims[i + 1], dims[i])) for i in range(len(dims) - 1)]
     bs = [gen.uniform(-0.3, 0.3, dims[i + 1]) for i in range(len(dims) - 1)]
@@ -44,28 +44,24 @@ def zero_draw(arch, n):
 class TestArchitecture:
     def test_requires_two_dims(self):
         with pytest.raises(ValueError):
-            Architecture((4,), "tanh")
+            Architecture((4,))
 
     def test_requires_positive_dims(self):
         with pytest.raises(ValueError):
-            Architecture((4, 0, 2), "tanh")
-
-    def test_unknown_activation(self):
-        with pytest.raises(ValueError):
-            Architecture((2, 2), "relu")
+            Architecture((4, 0, 2))
 
     def test_n_layers(self):
-        assert Architecture((3, 4, 2), "tanh").n_layers == 2
+        assert Architecture((3, 4, 2)).n_layers == 2
 
 
 class TestParams:
     def test_shape_mismatch_rejected(self):
-        arch = Architecture((2, 3), "tanh")
+        arch = Architecture((2, 3))
         with pytest.raises(ValueError):
             Params(arch, [np.zeros((3, 3))], [np.zeros(3)])
 
     def test_nonfinite_rejected(self):
-        arch = Architecture((2, 1), "tanh")
+        arch = Architecture((2, 1))
         with pytest.raises(ValueError):
             Params(arch, [np.array([[np.inf, 0.0]])], [np.zeros(1)])
         with pytest.raises(ValueError):
@@ -95,7 +91,7 @@ class TestParams:
         gen = RngStream(1, 9).generator(0)
         ws = [gen.standard_normal((dims[l + 1], dims[l])) for l in range(6)]
         bs = [gen.standard_normal(dims[l + 1]) for l in range(6)]
-        p = Params(Architecture(dims, "tanh"), ws, bs)
+        p = Params(Architecture(dims), ws, bs)
         sq = sum(float((W**2).sum()) for W in ws)
         sq += sum(float((b**2).sum()) for b in bs)
         assert np.sqrt((p.vector**2).sum()) != np.sqrt(sq)
@@ -125,7 +121,7 @@ class TestNoiseModel:
 
 class TestSampleNoise:
     def test_two_l_vectors_with_matching_dims(self):
-        arch = Architecture((3, 5, 4, 2), "tanh")
+        arch = Architecture((3, 5, 4, 2))
         draw = sample_noise_batch(arch, NoiseModel("gaussian_additive", 0.5), RngStream(0, 3), 0, 1)
         assert len(draw.act) == 3       # a_0 .. a_{L-1}
         assert len(draw.weigh) == 3     # w_1 .. w_L
@@ -133,7 +129,7 @@ class TestSampleNoise:
         assert [v.shape for v in draw.weigh] == [(1, 5), (1, 4), (1, 2)]
 
     def test_same_seed_bitwise_identical(self):
-        arch = Architecture((2, 3), "tanh")
+        arch = Architecture((2, 3))
         model = NoiseModel("gaussian_additive", 1.0)
         a = sample_noise_batch(arch, model, RngStream(7, 3), 5, 1)
         b = sample_noise_batch(arch, model, RngStream(7, 3), 5, 1)
@@ -142,7 +138,7 @@ class TestSampleNoise:
 
     def test_gaussian_moments(self):
         # law of large numbers on one site: mean within 4 sigma/sqrt(n), var within 5%
-        arch = Architecture((2, 4), "tanh")
+        arch = Architecture((2, 4))
         model = NoiseModel("gaussian_additive", 1.0)
         n = 10**5
         batch = sample_noise_batch(arch, model, RngStream(1, 3), 0, n)
@@ -152,7 +148,7 @@ class TestSampleNoise:
         assert abs(site.var() - 1.0) < 0.05
 
     def test_batch_matches_sequence_distribution(self):
-        arch = Architecture((2, 2), "tanh")
+        arch = Architecture((2, 2))
         model = NoiseModel("uniform", 0.3)
         batch = sample_noise_batch(arch, model, RngStream(2, 3), 0, 10_000)
         assert np.all(np.abs(batch.act[0]) <= 0.3)
@@ -181,7 +177,7 @@ class TestOneVectorDraw:
     @pytest.mark.parametrize("dims", [(16, 32, 16, 4), (784, 500, 100, 100, 10), (3, 1)])
     @pytest.mark.parametrize("n, rows", [(1, None), (5, 16), (16, 16)])
     def test_one_call_equals_per_site_calls(self, family, dims, n, rows):
-        arch = Architecture(dims, "tanh")
+        arch = Architecture(dims)
         model = NoiseModel(family, 0.3)
         rng = RngStream(41, 3)
         out = None if rows is None else NoiseDraw.empty(arch, rows)
@@ -192,7 +188,7 @@ class TestOneVectorDraw:
         assert draw.multiplicative == (family == "gaussian_multiplicative")
 
     def test_sites_are_consecutive_views_of_the_vector(self):
-        arch = Architecture((3, 5, 4, 2), "tanh")
+        arch = Architecture((3, 5, 4, 2))
         assert arch.noise_values_per_row == 3 + 5 + 5 + 4 + 4 + 2
         buf = NoiseDraw.empty(arch, 8)
         draw = sample_noise_batch(arch, NoiseModel("laplace", 0.2), RngStream(42, 3), 0, 3, out=buf)
@@ -202,7 +198,7 @@ class TestOneVectorDraw:
         assert np.concatenate([v.ravel() for v in order]).tobytes() == draw.vector.tobytes()
 
     def test_too_small_buffer_raises(self):
-        arch = Architecture((3, 5, 2), "tanh")
+        arch = Architecture((3, 5, 2))
         buf = NoiseDraw.empty(arch, 4)
         with pytest.raises(ValueError, match="draw buffers hold 4 rows, need 5"):
             sample_noise_batch(arch, NoiseModel("gaussian_additive", 0.2), RngStream(43, 3), 0, 5, out=buf)
@@ -211,7 +207,7 @@ class TestOneVectorDraw:
 class TestForward:
     def test_affine_example(self):
         # L=1, W=[[2]], b=[1], x=[3], zero noise -> [7]
-        arch = Architecture((1, 1), "tanh")
+        arch = Architecture((1, 1))
         p = Params(arch, [np.array([[2.0]])], [np.array([1.0])])
         trace = forward_noisy(p, np.array([[3.0]]), zero_draw(arch, 1))
         assert np.allclose(trace.activations[-1], [[7.0]])
@@ -219,7 +215,7 @@ class TestForward:
 
     def test_identity_composition(self):
         # L=2 identity chain: output tanh(0.5)
-        arch = Architecture((1, 1, 1), "tanh")
+        arch = Architecture((1, 1, 1))
         p = Params(arch, [np.eye(1), np.eye(1)], [np.zeros(1), np.zeros(1)])
         out = forward_deterministic(p, np.array([[0.5]]))
         assert abs(out[0, 0] - 0.46211715726) < 1e-10
@@ -270,7 +266,7 @@ class TestForward:
 
     def test_linear_net_reproduces_vx(self):
         V = np.array([[0.3, -0.2]])
-        arch = Architecture((2, 1), "tanh")
+        arch = Architecture((2, 1))
         p = Params(arch, [V.copy()], [np.zeros(1)])
         x = np.array([[1.5, -2.0]])
         assert np.allclose(forward_deterministic(p, x), x @ V.T)
@@ -317,7 +313,7 @@ class TestForward:
             _forward(p, x, draw, repeat=3)
 
     def test_multiplicative_rejected_in_forward_noisy(self):
-        arch = Architecture((2, 2), "tanh")
+        arch = Architecture((2, 2))
         p = small_params([2, 2])
         draw = sample_noise_batch(arch, NoiseModel("gaussian_multiplicative", 0.1), RngStream(0, 3), 0, 1)
         with pytest.raises(ValueError):
@@ -325,7 +321,7 @@ class TestForward:
 
     def test_l1_output_variance_closed_form(self):
         # out = W(x + Na0) + b + Nw: var per component = s^2 (1 + ||W row||^2)
-        arch = Architecture((3, 2), "tanh")
+        arch = Architecture((3, 2))
         W = np.array([[0.5, -1.0, 0.25], [2.0, 0.0, -0.5]])
         p = Params(arch, [W], [np.zeros(2)])
         s = 0.3
@@ -389,7 +385,7 @@ class TestProject:
             assert np.array_equal(a, b)
 
     def test_clamps_weight(self):
-        arch = Architecture((1, 1), "tanh")
+        arch = Architecture((1, 1))
         p = Params(arch, [np.array([[5.0]])], [np.array([0.0])])
         q = project(p, Hyperrectangle(-1.0, 1.0, -1.0, 1.0))
         assert q.weights[0][0, 0] == 1.0

@@ -38,7 +38,7 @@ from giftnn.trainer import TrainConfig
 from test_model import small_params
 
 V = np.array([[0.3, -0.4]])
-LINEAR_ARCH = Architecture((2, 1), "tanh")
+LINEAR_ARCH = Architecture((2, 1))
 
 
 def linear_params(W=None, b=0.0):

@@ -28,7 +28,7 @@ from giftnn.trainer import (
 )
 
 V = np.array([[0.3, -0.2]])
-ARCH = Architecture((2, 1), "tanh")
+ARCH = Architecture((2, 1))
 
 
 def linear_data(n=4096, seed=1):
@@ -76,7 +76,7 @@ class TestInit:
         assert np.array_equal(a.weights[0], b.weights[0])
 
     def test_zero_biases_and_uniform_range(self):
-        arch = Architecture((100, 50), "tanh")
+        arch = Architecture((100, 50))
         p = init_uniform(arch, RngStream(4, 1).generator(0))
         assert np.all(p.biases[0] == 0.0)
         a = 1.0 / np.sqrt(100)
@@ -142,7 +142,7 @@ class TestTrain:
         assert hist.steps == list(range(len(hist.steps)))
 
 
-DESK_SMALL = Architecture((16, 32, 16, 4), "tanh")
+DESK_SMALL = Architecture((16, 32, 16, 4))
 
 
 def desk_data(n, seed=2):
