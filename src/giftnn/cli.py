@@ -196,7 +196,7 @@ def resolve_config(args) -> dict:
         cfg["data"]["dir"] = args.data_dir
     if getattr(args, "out", None):
         cfg["out_dir"] = args.out
-    if getattr(args, "seeds", None):  # the seeds check judges the items, as it does a --set list
+    if getattr(args, "seeds", None) is not None:  # the seeds check judges the items, as it does a --set list
         cfg["seeds"] = [_flag_value(s) for s in args.seeds.split(",") if s.strip() != ""]
     return cfg
 
@@ -242,7 +242,7 @@ class Experiment:
             try:
                 train_full = load_mnist(dc["dir"], train=True)
                 test_full = load_mnist(dc["dir"], train=False)
-            except FileNotFoundError as e:
+            except (OSError, ValueError) as e:  # missing, a directory, an IdxError or a label >= 10
                 raise ConfigError(f"data.dir: {e}")
             for leaf, n, split in (("n_train", n_train, train_full), ("n_test", n_test, test_full)):
                 if n > len(split):
@@ -347,7 +347,7 @@ def _gift_one(exp: Experiment, w0: Params, direction: Params, test_ds,
     device = Device(NoiseModel(family, s_t), seed=_device_seed(seed, family, s_t))
     trace = gift_run(device, w0, direction, exp.gift_config, test_ds,
                      RngStream(_device_seed(seed, family, -s_t), STREAM_EVAL))
-    X, Y, k2 = test_ds.inputs, test_ds.targets, exp.gift_config.fresh_eval_k2
+    X, Y, k2 = test_ds.inputs, test_ds.targets, exp.gift_config.k2
     fresh_base, fresh_post = eval_in_situ(device, [w0, trace.w_f], X, Y, k2, 0)
     return trace, fresh_base, fresh_post
 
@@ -501,14 +501,13 @@ def cmd_eval(exp: Experiment, checkpoint_root: str | None) -> int:
     return EXIT_OK
 
 
-def _sweep_task(cfg_json: str, s0: float, seed: int):
-    """All (family, s_t) cells for one (s0, seed); self-contained for worker pools.
+def _sweep_task(exp: Experiment, s0: float, seed: int):
+    """All (family, s_t) cells for one (s0, seed); its arguments pickle for worker pools.
 
     w0 and the direction depend on (s0, seed) alone, so they are computed once
     and shared by every family. Returns one (rows, failure) per family, by
     position in sweep.families; failure is None or a record of the exception.
     """
-    exp = Experiment(json.loads(cfg_json))
     families = exp.sweep["families"]
 
     def failure(family, e):
@@ -538,8 +537,7 @@ def _sweep_task(cfg_json: str, s0: float, seed: int):
 def cmd_sweep(exp: Experiment) -> int:
     meta = _meta(exp.raw)
     sw = exp.sweep
-    cfg_json = json.dumps(exp.raw)
-    tasks = [(cfg_json, s0, seed) for s0 in sw["s0_grid"] for seed in exp.seeds]
+    tasks = [(exp, s0, seed) for s0 in sw["s0_grid"] for seed in exp.seeds]
     workers = min(sw["workers"], len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

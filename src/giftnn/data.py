@@ -5,6 +5,7 @@ from __future__ import annotations
 import gzip
 import os
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +64,10 @@ def _read_bytes(path) -> bytes:
     with open(path, "rb") as f:
         raw = f.read()
     if raw[:2] == b"\x1f\x8b":  # gzip magic
-        return gzip.decompress(raw)
+        try:
+            return gzip.decompress(raw)
+        except (EOFError, zlib.error, gzip.BadGzipFile) as e:  # cut short or corrupt
+            raise IdxError(f"{path}: cannot decompress: {e}") from e
     return raw
 
 
@@ -78,7 +82,8 @@ def load_idx(images_path, labels_path):
     """Parse big-endian IDX image/label files (plain or gzipped).
 
     Returns (images uint8 (n, 28, 28), labels uint8 (n,)). Wrong magic numbers,
-    truncation, and image/label count mismatch raise distinct errors.
+    truncation, and image/label count mismatch raise distinct errors; every
+    parse failure is an IdxError.
     """
     img_buf = _read_bytes(images_path)
     magic, count, rows, cols = _unpack_header(img_buf, ">iiii", images_path)
@@ -86,6 +91,8 @@ def load_idx(images_path, labels_path):
         raise IdxMagicError(f"{images_path}: image magic 0x{magic:08x}, want 0x{IDX_IMAGE_MAGIC:08x}")
     if (rows, cols) != (28, 28):
         raise IdxError(f"{images_path}: image dims {rows}x{cols}, want 28x28")
+    if count < 0:
+        raise IdxError(f"{images_path}: negative image count {count}")
     need = 16 + count * rows * cols
     if len(img_buf) < need:
         raise IdxTruncatedError(
@@ -98,6 +105,8 @@ def load_idx(images_path, labels_path):
     magic, lab_count = _unpack_header(lab_buf, ">ii", labels_path)
     if magic != IDX_LABEL_MAGIC:
         raise IdxMagicError(f"{labels_path}: label magic 0x{magic:08x}, want 0x{IDX_LABEL_MAGIC:08x}")
+    if lab_count < 0:
+        raise IdxError(f"{labels_path}: negative label count {lab_count}")
     need = 8 + lab_count
     if len(lab_buf) < need:
         raise IdxTruncatedError(

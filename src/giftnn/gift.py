@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import _choice, _count, _finite, _instance, _where, check_leaves, leaf
+from .checks import _choice, _count, _finite, _where, check_leaves, leaf
 from .device import Device
 from .gradients import ResidualBuffers, residual_stack
 from .model import (
@@ -41,10 +41,11 @@ STOP_RULES = ("either_worse", "both_worse")
 class GiftConfig:
     """The config's gift section: the fine-tuning chain's settings.
 
-    The line search takes step scale eta, eval sample sizes K1/K2, max_steps,
-    the stop rule and normalize_direction. The direction estimate draws
-    est_k1 x est_k2 rows; the fresh re-evaluation runs each test point
-    fresh_eval_k2 times. Each field states its leaf's default and check once.
+    The line search takes step scale eta, eval sample sizes K1/K2, max_steps
+    and the stop rule. The direction estimate draws est_k1 x est_k2 rows.
+    Every in-situ score queries each point k2 times: the line search, the
+    fresh re-evaluation and eval. Each field states its leaf's default and
+    check once.
 
     eta = 0 is allowed and degenerates to returning the initial weights: all
     candidates coincide, shared noise makes scores exactly equal, and the
@@ -58,8 +59,6 @@ class GiftConfig:
     stop_rule: str = leaf("either_worse", _choice(STOP_RULES))
     est_k1: int = leaf(500, _count)
     est_k2: int = leaf(100, _count)
-    normalize_direction: bool = leaf(True, _instance(bool, "true or false"))
-    fresh_eval_k2: int = leaf(8, _count)
 
     __post_init__ = check_leaves
 
@@ -222,22 +221,22 @@ def gift_run(
 ) -> GiftTrace:
     """Symmetric line search from w0 along the direction, scored on the device.
 
-    D is the direction scaled to unit norm when config.normalize_direction is
-    set, else the direction as given. Candidates w0 +- i*eta*D share one data
-    subsample, gathered once per search, and one device noise slot drawn from
-    rng in [1, 2^62) (slot 0 belongs to the fresh re-evaluation and eval), so
-    their scores differ only through the parameters. Each step scores its
-    candidates in one device call, step 1 the baseline with them. Stops per
-    stop_rule (either_worse: one side at or above the baseline;
-    both_worse: both sides) or at max_steps; returns the argmin over
-    everything visited, baseline included.
+    D is the direction scaled to unit norm, so eta is the step length in
+    parameter space; direction_norm reports D's norm (1 up to rounding).
+    Candidates w0 +- i*eta*D share one data subsample, gathered once per
+    search, and one device noise slot drawn from rng in [1, 2^62) (slot 0
+    belongs to the fresh re-evaluation and eval), so their scores differ
+    only through the parameters. Each step scores its candidates in one
+    device call, step 1 the baseline with them. Stops per stop_rule
+    (either_worse: one side at or above the baseline; both_worse: both
+    sides) or at max_steps; returns the argmin over everything visited,
+    baseline included.
     """
     dn = direction.norm()
     if not np.isfinite(dn) or dn == 0.0:
         raise ValueError("direction must be finite and nonzero")
-    if config.normalize_direction:
-        direction = direction.scaled(1.0 / dn)
-        dn = direction.norm()
+    direction = direction.scaled(1.0 / dn)
+    dn = direction.norm()
     gen = rng.generator(0)
     idx = gen.integers(0, len(data), size=config.k1)
     X, Y = data.inputs[idx], data.targets[idx]

@@ -238,7 +238,6 @@ def test_criterion_08_digit_benchmark_trends(tmp_path):
         "gift.est_k1=300",
         "gift.est_k2=50",
         "gift.max_steps=12",
-        "gift.fresh_eval_k2=4",
     ]
     results = {}
     for preset in ("shallow_mnist", "deep_mnist"):
@@ -282,7 +281,6 @@ def test_criterion_08_trend_machinery_structural_twin(tmp_path):
         "gift.est_k1=50",
         "gift.est_k2=10",
         "gift.max_steps=5",
-        "gift.fresh_eval_k2=2",
         "data.n_train=256",
         "data.n_test=64",
     )
@@ -331,7 +329,6 @@ def test_criterion_10_reruns_are_byte_identical(tmp_path):
         "gift.est_k1=20",
         "gift.est_k2=5",
         "gift.max_steps=3",
-        "gift.fresh_eval_k2=2",
         "sweep.s0_grid=[0.1,0.2]",
         "sweep.st_grid=[0.1,0.3]",
     ]

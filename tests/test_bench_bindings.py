@@ -43,9 +43,22 @@ def test_gift_and_eval_run_under_the_benchmark_tracer(tmp_path, capsys):
     calls = sum(t["steps_taken"] + 1 for t in traces) + 2
     assert summary["gift.eval_in_situ"]["calls"] == summary["device.forward_batch"]["calls"] == calls
     # a call that scores several parameter sets counts a row per set: the line searches' reported
-    # queries, 2 x 64 test points x fresh_eval_k2 = 2 per fresh pair and 32 x k2 = 2 per eval seed
+    # queries, 2 x 64 test points x k2 = 2 per fresh pair and 32 x k2 = 2 per eval seed
     assert summary["device.forward_batch"]["rows"] == sum(t["queries"] for t in traces) + 2 * 2 * 64 * 2 + 2 * 32 * 2
     assert summary["gift.estimate_direction"]["rows"] > 0
+
+
+def test_fresh_pair_queries_each_test_point_k2_times_under_the_benchmark_tracer(tmp_path, capsys):
+    # every device row beyond the line searches' reported queries is the fresh pair's: 2 sets x 64 test points x k2
+    tracer = load_tracer().Tracer()
+    with tracer.install():
+        assert main(tiny_argv("gift", tmp_path, "gift.k2=3")) == 0
+    capsys.readouterr()
+    summary = tracer.iteration_summary(tracer.iteration)
+    traces = [json.loads((tmp_path / "gift" / f"seed_{seed}" / "gift_trace.json").read_text()) for seed in (0, 1)]
+    assert all(c["k2"] == 3 for t in traces for c in t["candidates"])
+    fresh_rows = summary["device.forward_batch"]["rows"] - sum(t["queries"] for t in traces)
+    assert fresh_rows == 2 * (2 * 64 * 3)  # two seeds
 
 
 def traced(run):

@@ -33,7 +33,6 @@ def test_every_leaf_rejects_a_value_of_another_type(cls, name, default):
     (lambda: TrainConfig(s0=0.2, tau=math.inf), "tau"),
     (lambda: TrainConfig(s0=0.2, epochs=2.5), "epochs"),
     (lambda: GiftConfig(eta=0.02, k1=True, k2=2), "k1"),
-    (lambda: GiftConfig(normalize_direction="false"), "normalize_direction"),
     (lambda: GiftConfig(eta=-0.1), "eta"),
     (lambda: TrainConfig(projection={"w_min": 1.0}), "projection"),
     (lambda: TrainConfig(epochs=1, seed=2.5), "seed"),

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -48,7 +49,6 @@ TINY_SETS = [
     "gift.max_steps=3",
     "gift.est_k1=20",
     "gift.est_k2=5",
-    "gift.fresh_eval_k2=2",
 ]
 
 
@@ -93,11 +93,11 @@ class TestConfigMachinery:
     def test_set_parses_json_values(self):
         cfg = resolve_config(SimpleNamespace(set=[
             "train.epochs=3", "sweep.s0_grid=[0.1, 0.2]", "device.family=laplace_additive",
-            "gift.normalize_direction=false"]))
+            "data.dir=null"]))
         assert cfg["train"]["epochs"] == 3
         assert cfg["sweep"]["s0_grid"] == [0.1, 0.2]
         assert cfg["device"]["family"] == "laplace_additive"  # non-JSON falls back to raw string
-        assert cfg["gift"]["normalize_direction"] is False
+        assert cfg["data"]["dir"] is None
 
     def test_set_rejects_unknown_keys_and_leaves_used_as_sections(self, capsys):
         with pytest.raises(ConfigError, match="nope: unknown config key"):
@@ -108,6 +108,10 @@ class TestConfigMachinery:
         assert capsys.readouterr().err.startswith("config error: train.epochs: ")
         assert main(["check", "--set", "arch.activation=tanh"]) == 1  # every hidden layer is tanh; no leaf
         assert capsys.readouterr().err == "config error: arch.activation: unknown config key\n"
+        # the fresh pair queries each point gift.k2 times, and the line search always steps along the unit direction
+        for setting in ("gift.fresh_eval_k2=8", "gift.normalize_direction=true"):
+            assert main(["check", "--set", setting]) == 1
+            assert capsys.readouterr().err == f"config error: {setting.split('=')[0]}: unknown config key\n"
 
     def test_whole_section_set_merges_over_defaults(self, tmp_path):
         # a section-valued --set is merged like a config file holding it, not put in place
@@ -169,7 +173,7 @@ class TestConfigMachinery:
         with pytest.raises(ConfigError, match="expected dotted.path=value"):
             resolve_config(ns(set=["train.epochs"]))
 
-    @pytest.mark.parametrize("items", ["0, 2,5", "1e3", "1.0", "1_000", "1.5", "true", '"3"', "x", "1,1"])
+    @pytest.mark.parametrize("items", ["0, 2,5", "1e3", "1.0", "1_000", "1.5", "true", '"3"', "x", "1,1", ""])
     def test_seeds_flag_reads_its_items_as_set_reads_a_list(self, items):
         def seeds(args):
             try:
@@ -292,7 +296,6 @@ class TestExitCodes:
         assert "missing params for seed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("setting, field", [
-        ("gift.fresh_eval_k2=0", "gift.fresh_eval_k2"),
         ("data.n_train=abc", "data.n_train"),
         ('sweep.workers="abc"', "sweep.workers"),
         ("sweep.workers=0", "sweep.workers"),
@@ -308,15 +311,11 @@ class TestExitCodes:
         ("gift.est_k1=1.5", "gift.est_k1"),
         ("data.n_train=50.7", "data.n_train"),
         ("sweep.workers=1.5", "sweep.workers"),
-        ("gift.fresh_eval_k2=true", "gift.fresh_eval_k2"),
         ("train.epochs=2.5", "train.epochs"),
         ("train.batch_size=1.5", "train.batch_size"),
         ("gift.k1=1.5", "gift.k1"),
         ("gift.k2=2.5", "gift.k2"),
         ("gift.max_steps=1.5", "gift.max_steps"),
-        ('gift.normalize_direction="false"', "gift.normalize_direction"),
-        ('gift.normalize_direction="no"', "gift.normalize_direction"),
-        ("gift.normalize_direction=0", "gift.normalize_direction"),
         ('data.v="x"', "data.v"),
         ("data.v=[0.3]", "data.v"),
         ("data.v=[true,0.3]", "data.v"),
@@ -386,21 +385,43 @@ class TestExitCodes:
         assert Experiment(cfg).arch.layer_dims == (784, 8, 10)
 
     @pytest.mark.parametrize("command", ["train", "gift", "eval", "sweep"])
-    @pytest.mark.parametrize("leaf, n", [("n_train", 100), ("n_test", 30)])
+    @pytest.mark.parametrize("leaf, n", [("n_train", 100), ("n_test", 30), ("dir", "truncated"),
+                                         ("dir", "truncated_gz"), ("dir", "directory"), ("dir", "label_10"),
+                                         ("dir", "negative_count")])
     def test_mnist_sizes_must_fit_the_idx_splits(self, tmp_path, capsys, command, leaf, n):
-        # 50 training and 20 test digits: a larger subset is a config error naming its leaf, not a runtime one
+        # 50 training and 20 test digits: a larger subset, or a training images or labels file that cannot
+        # be read (n says how it is spoilt), is one config error naming its leaf, not a runtime one, and
+        # not a sweep that exits 0 with every task failed
         gen = RngStream(0, 1).generator(0)
-        for rows, names in ((50, ("train-images-idx3-ubyte", "train-labels-idx1-ubyte")),
-                            (20, ("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"))):
-            write_idx(tmp_path, gen.integers(0, 256, (rows, 784)), gen.integers(0, 10, rows), False, *names)
-        sizes = {"n_train": 40, "n_test": 10, leaf: n}
+        images, labels = gen.integers(0, 256, (50, 784)), gen.integers(0, 10, 50)
+        if n == "label_10":
+            labels[7] = 10
+        ipath, _ = write_idx(tmp_path, images, labels, n == "truncated_gz")
+        write_idx(tmp_path, gen.integers(0, 256, (20, 784)), gen.integers(0, 10, 20), False,
+                  "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte")
+        blob = open(ipath, "rb").read()
+        if n in ("truncated", "truncated_gz"):
+            open(ipath, "wb").write(blob[:len(blob) // 2])
+        elif n == "negative_count":
+            open(ipath, "wb").write(blob[:4] + struct.pack(">i", -1) + blob[8:])
+        elif n == "directory":
+            os.remove(ipath)
+            os.mkdir(ipath)
+        sizes = {"n_train": 40, "n_test": 10, **({} if leaf == "dir" else {leaf: n})}
         argv = tiny_argv(command, tmp_path / "o", "data.kind=mnist", f"data.dir={json.dumps(str(tmp_path))}",
                          "arch.layer_dims=[784,8,10]", *(f"data.{k}={v}" for k, v in sizes.items()))
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.count("config error:") == 1 and "runtime error" not in err
-        split = 50 if leaf == "n_train" else 20
-        assert f"config error: data.{leaf}: {n} rows requested, the IDX split holds {split}" in err
+        assert "config error: data." + {
+            "n_train": "n_train: 100 rows requested, the IDX split holds 50",
+            "n_test": "n_test: 30 rows requested, the IDX split holds 20",
+            "truncated": f"dir: {ipath}: truncated at byte ",
+            "truncated_gz": f"dir: {ipath}: cannot decompress: ",
+            "directory": f"dir: [Errno 21] Is a directory: {ipath!r}",
+            "label_10": "dir: label 10 out of range for 10 classes",
+            "negative_count": f"dir: {ipath}: negative image count -1",
+        }[leaf if leaf != "dir" else n] in err
 
     @pytest.mark.parametrize("command", ["gift", "eval"])
     @pytest.mark.parametrize("case", ["truncated", "not_npz", "directory", "other_activation"])
@@ -546,25 +567,23 @@ class TestTrainGiftEval:
             assert int(r["selected_step"]) == 0
             assert r["stop_reason"] == "either_worse"
 
-    def test_direction_norm_column_follows_normalize_direction(self, tmp_path, capsys):
+    def test_direction_norm_column_reads_the_unit_direction(self, tmp_path, capsys):
+        # the estimate's own norm is not 1, so a column of ones shows the line search stepped along D / ||D||
         out = tmp_path / "run"
         assert main(tiny_argv("train", out)) == 0
-        norms = {}
-        for flag in ("true", "false"):
-            argv = tiny_argv("gift", out / flag, f"gift.normalize_direction={flag}")
-            assert main(argv + ["--checkpoint", str(out / "train")]) == 0
-            _, rows = read_csv_body(out / flag / "gift" / "gift_summary.csv")
-            norms[flag] = {int(r["seed"]): float(r["direction_norm"]) for r in rows}
+        assert main(tiny_argv("gift", out) + ["--checkpoint", str(out / "train")]) == 0
         capsys.readouterr()
+        _, rows = read_csv_body(out / "gift" / "gift_summary.csv")
         exp = Experiment(resolve_config(cli.build_parser().parse_args(tiny_argv("gift", out))))
         train_ds, _ = exp.datasets()
-        for seed in exp.seeds:
-            w0 = load_params(out / "train" / f"seed_{seed}" / "params.npz")
+        assert [int(r["seed"]) for r in rows] == exp.seeds
+        for r in rows:
+            w0 = load_params(out / "train" / f"seed_{r['seed']}" / "params.npz")
             g = exp.gift_config
             raw = estimate_direction(w0, train_ds, exp.train_config.s0, g.est_k1, g.est_k2,
-                                     RngStream(seed, STREAM_ESTIMATE)).norm()
-            assert norms["false"][seed] == raw != 1.0
-            assert abs(norms["true"][seed] - 1.0) <= 1e-12
+                                     RngStream(int(r["seed"]), STREAM_ESTIMATE)).norm()
+            assert abs(raw - 1.0) > 1e-3
+            assert abs(float(r["direction_norm"]) - 1.0) <= 1e-12
 
     def test_eval_reports_device_metrics(self, tmp_path, capsys):
         out = tmp_path / "run"

@@ -9,6 +9,7 @@ from giftnn.data import (
     DATA_DIR_ENV,
     Dataset,
     IdxCountMismatchError,
+    IdxError,
     IdxMagicError,
     IdxTruncatedError,
     epoch_batches,
@@ -79,6 +80,23 @@ class TestLoadIdx:
         with pytest.raises(IdxTruncatedError) as exc:
             load_idx(ipath, lpath)
         assert str(16 + 2 * 784) in str(exc.value)  # expected end offset
+
+    @pytest.mark.parametrize("kind", ["image", "label"])
+    @pytest.mark.parametrize("count", [-1, -2])
+    def test_negative_count(self, tmp_path, kind, count):
+        # both headers read the count as signed; two digits' bytes follow, enough for any count <= 2
+        paths = dict(zip(("image", "label"), write_idx(tmp_path, fake_images(2, seed=5), [1, 2])))
+        blob = open(paths[kind], "rb").read()
+        open(paths[kind], "wb").write(blob[:4] + struct.pack(">i", count) + blob[8:])
+        with pytest.raises(IdxError, match=f"negative {kind} count {count}$"):
+            load_idx(paths["image"], paths["label"])
+
+    def test_truncated_gzip(self, tmp_path):
+        ipath, lpath = write_idx(tmp_path, fake_images(2, seed=6), [3, 4], gz=True)
+        blob = open(ipath, "rb").read()
+        open(ipath, "wb").write(blob[:len(blob) // 2])
+        with pytest.raises(IdxError, match="cannot decompress"):
+            load_idx(ipath, lpath)
 
     def test_count_mismatch(self, tmp_path):
         imgs = fake_images(3, seed=3)

@@ -39,7 +39,6 @@ SETS = [
     "gift.max_steps=3",
     "gift.est_k1=20",
     "gift.est_k2=100",
-    "gift.fresh_eval_k2=8",
     "sweep.s0_grid=[0.1,0.2]",
     "sweep.st_grid=[0.2]",
     'sweep.families=["gaussian_additive","laplace"]',

@@ -359,7 +359,7 @@ class TestGiftConfig:
         for f in fields(GiftConfig):
             assert f.default is MISSING or f.default == gift[f.name], f.name
 
-    @pytest.mark.parametrize("count", ["k1", "k2", "est_k1", "est_k2", "fresh_eval_k2"])
+    @pytest.mark.parametrize("count", ["k1", "k2", "est_k1", "est_k2"])
     def test_counts_must_be_positive(self, count):
         with pytest.raises(ValueError, match="must be >= 1"):
             GiftConfig(**{"eta": 0.1, "k1": 4, "k2": 2, count: 0})
@@ -430,19 +430,18 @@ class TestGiftRun:
         assert trace.improvement == 0.0
         assert trace.steps_taken == 1
 
-    @pytest.mark.parametrize("normalize, scale", [(False, 2.0), (True, 1.0)])
-    def test_normalize_direction_sets_the_step_scale(self, normalize, scale):
-        # D = 2 on loss (2 - w)^2: candidates sit at sign*i*eta*D, or at sign*i*eta*D/||D|| when normalized
+    def test_line_search_steps_along_the_unit_direction(self):
+        # D = 2 on loss (2 - w)^2: candidates sit at sign*i*eta*D/||D||, so eta is the step length
         arch, w0, data, dev = quadratic_device_and_data()
         d = Params(arch, [np.array([[2.0]])], [np.zeros(1)])
-        cfg = GiftConfig(eta=0.25, k1=1, k2=1, max_steps=3, stop_rule="both_worse", normalize_direction=normalize)
+        cfg = GiftConfig(eta=0.25, k1=1, k2=1, max_steps=3, stop_rule="both_worse")
         trace = gift_run(dev, w0, d, cfg, data, RngStream(5, STREAM_EVAL))
-        assert trace.direction_norm == scale
+        assert trace.direction_norm == 1.0
         assert [(i, s) for i, s, _ in trace.records] == [(i, s) for i in (1, 2, 3) for s in (1, -1)]
         for i, s, rep in trace.records:
-            assert rep.loss == pytest.approx((2.0 - s * i * 0.25 * scale) ** 2, abs=1e-6)
+            assert rep.loss == pytest.approx((2.0 - s * i * 0.25) ** 2, abs=1e-6)
         assert trace.selected == (3, 1)
-        assert trace.w_f.weights[0][0, 0] == 3 * 0.25 * scale
+        assert trace.w_f.weights[0][0, 0] == 3 * 0.25
 
     def test_zero_direction_rejected(self):
         arch, w0, data, dev = quadratic_device_and_data()
