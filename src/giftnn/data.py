@@ -118,12 +118,16 @@ def load_idx(images_path, labels_path):
     return images, labels
 
 
-def to_dataset(images, labels, one_hot: int = 10) -> Dataset:
-    """Pixels scaled to [0, 1], labels one-hot of length `one_hot`."""
+def to_dataset(images, labels, one_hot: int = 10, labels_path=None) -> Dataset:
+    """Pixels scaled to [0, 1], labels one-hot of length `one_hot`.
+
+    A label out of range raises ValueError, naming labels_path when it is given.
+    """
     images = np.asarray(images)
     labels = np.asarray(labels)
     if labels.size and int(labels.max()) >= one_hot:
-        raise ValueError(f"label {int(labels.max())} out of range for {one_hot} classes")
+        where = "" if labels_path is None else f"{labels_path}: "
+        raise ValueError(f"{where}label {int(labels.max())} out of range for {one_hot} classes")
     inputs = images.reshape(images.shape[0], -1).astype(float) / 255.0
     targets = np.zeros((labels.shape[0], one_hot))
     targets[np.arange(labels.shape[0]), labels.astype(int)] = 1.0
@@ -164,7 +168,7 @@ def load_mnist(data_dir=None, train: bool = True) -> Dataset:
     images_path = _find_idx_file(d, _MNIST_FILES[(train, "images")])
     labels_path = _find_idx_file(d, _MNIST_FILES[(train, "labels")])
     images, labels = load_idx(images_path, labels_path)
-    return to_dataset(images, labels)
+    return to_dataset(images, labels, labels_path=labels_path)
 
 
 def synthetic_linear(V, sigma_x: float, n: int, rng: RngStream) -> Dataset:

@@ -1,13 +1,13 @@
 """Backpropagation of the squared loss through a stored noisy forward pass.
 
 The backward recursion reuses the exact forward realization: derivatives of the
-activation are taken at the stored pre-activations z(l), which already contain
-the weighing noise of that pass.
+activation are 1 - t(l)^2 at the stored t(l) = tanh(z(l)), whose z(l) already
+contain the weighing noise of that pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,11 +16,9 @@ from .model import (
     NoiseDraw,
     NoiseModel,
     Params,
-    RngStream,
     forward_noisy,
     head,
     sample_noise_batch,
-    tanh_deriv,
 )
 
 
@@ -70,10 +68,12 @@ def residual_stack(trace: ForwardTrace, target, params: Params, out: ResidualBuf
     R = head(out.residuals, n)
     np.subtract(y, outputs, out=R[L - 1])
     for l in range(L - 1, 0, -1):
-        # R(l) = (W(l+1)^T R(l+1)) .* tanh'(z(l)); row form: R(l+1) @ W(l+1)
+        # R(l) = (W(l+1)^T R(l+1)) .* (1 - t(l)^2); row form: R(l+1) @ W(l+1)
         np.matmul(R[l], params.weights[l], out=R[l - 1])
-        d = R[l - 1].shape[1]
-        R[l - 1] *= tanh_deriv(trace.pre_activations[l - 1], out=out.scratch[:n * d].reshape(n, d))
+        t = trace.hidden_tanh[l - 1]
+        deriv = np.square(t, out=out.scratch[:t.size].reshape(t.shape))
+        np.subtract(1.0, deriv, out=deriv)
+        R[l - 1] *= deriv
     return R
 
 
@@ -87,11 +87,23 @@ class GradBuffers:
     trace: ForwardTrace
     residuals: ResidualBuffers
     grad: Params
+    _views: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def empty(cls, arch, rows: int) -> "GradBuffers":
         return cls(NoiseDraw.empty(arch, rows), ForwardTrace.empty(arch, rows),
                    ResidualBuffers.empty(arch, rows), Params.empty(arch))
+
+    def leading(self, arch, n: int) -> "GradBuffers":
+        """Buffers of exactly n rows over these arrays' leading rows, built on the first call for n."""
+        views = self._views.get(n)
+        if views is None:
+            trace, res = self.trace, self.residuals
+            views = self._views[n] = GradBuffers(
+                self.noise.leading(arch, n),
+                ForwardTrace(head(trace.activations, n), head(trace.hidden_tanh, n), None),
+                ResidualBuffers(head(res.residuals, n), res.scratch), self.grad)
+        return views
 
 
 def backward(trace: ForwardTrace, target, params: Params, out: GradBuffers | None = None) -> GradSample:
@@ -106,32 +118,44 @@ def backward(trace: ForwardTrace, target, params: Params, out: GradBuffers | Non
     R = residual_stack(trace, target, params, None if out is None else out.residuals)
     grad = Params.empty(params.arch) if out is None else out.grad
     for l in range(params.arch.n_layers):
-        A_prev = trace.activations[l]
-        # the product lands in the gradient's own view, with no temporary
-        np.matmul(R[l].T, A_prev, out=grad.weights[l])
-        grad.weights[l] *= -2.0 / A_prev.shape[0]
-        np.multiply(R[l].mean(axis=0), -2.0, out=grad.biases[l])
+        # each sum lands in the gradient's own view, with no temporary
+        np.matmul(R[l].T, trace.activations[l], out=grad.weights[l])
+        np.add.reduce(R[l], axis=0, out=grad.biases[l])
+    # then every layer's scaling at once, entry by entry as per layer: weight sums times -2/n, and
+    # bias sums divided by n, the mean as np.mean forms it, then times -2
+    n, nw = R[0].shape[0], params.arch.n_weights
+    grad.vector[:nw] *= -2.0 / n
+    biases = grad.vector[nw:]
+    biases /= n
+    biases *= -2.0
     return GradSample(grad=grad, residuals=R)
 
 
-def batch_gradient(params: Params, X, Y, s0: float, rng: RngStream, index: int = 0,
+def batch_gradient(params: Params, X, Y, s0: float, rng, index: int | None = 0,
                    out: GradBuffers | None = None) -> GradSample:
     """Mean gradient over the rows of X, Y, each row under an independent level-s0 Gaussian draw.
 
-    The draw, trace, residuals and gradient are written into out (from
-    GradBuffers.empty, at least len(X) rows), or into fresh arrays without it.
+    The draw comes from rng at index, or from the Generator rng's next values
+    when index is None (sample_noise_batch). The draw, trace, residuals and
+    gradient are written into out (from GradBuffers.empty, at least len(X)
+    rows), or into fresh arrays without it.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if X.ndim != 2 or Y.ndim != 2 or X.shape[0] == 0:
         raise ValueError(f"batch needs nonempty 2-D inputs and targets, got {X.shape} and {Y.shape}")
-    if out is None:
-        out = GradBuffers.empty(params.arch, X.shape[0])
-    noise = sample_noise_batch(params.arch, NoiseModel("gaussian_additive", s0), rng, index, X.shape[0], out.noise)
+    n = X.shape[0]
+    out = GradBuffers.empty(params.arch, n) if out is None else out.leading(params.arch, n)
+    noise = sample_noise_batch(params.arch, NoiseModel("gaussian_additive", s0), rng, index, n, out.noise)
     trace = forward_noisy(params, X, noise, out=out.trace)
     return backward(trace, Y, params, out)
 
 
 def batch_loss(grad: GradSample) -> float:
-    """Mean squared-error loss of the batch that produced grad."""
-    return float(np.mean(np.sum(grad.residuals[-1] ** 2, axis=1)))
+    """Mean squared-error loss of the batch that produced grad.
+
+    The per-row sums and their mean are the reductions np.sum and np.mean
+    make, called without their wrappers.
+    """
+    R = grad.residuals[-1]
+    return float(np.add.reduce(np.add.reduce(np.square(R), axis=1))) / R.shape[0]

@@ -14,17 +14,13 @@ vectors exist: activation noise a_0..a_{L-1} and weighing noise w_1..w_L.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-
-def tanh_deriv(z, out=None):
-    """1 - tanh(z)^2, the derivative of the hidden activation, written into out when it is given."""
-    t = np.tanh(z, out=out)
-    np.square(t, out=t)
-    return np.subtract(1.0, t, out=t)
 
 NOISE_FAMILIES = ("gaussian_additive", "uniform", "gaussian_multiplicative", "laplace")
 
@@ -42,9 +38,11 @@ STREAM_THEORY = 8
 # (seed, stream, index) gives other draws, or a consumer assigns its rows to other
 # stream indices, or a pass's outputs move in the last bits (version 5: device noise
 # is keyed by (slot, block) and drawn one block of whole points at a time, and the
-# line search draws its slot in [1, 2^62); train bodies, checkpoints and the
-# direction estimate are the same as under version 4).
-STREAM_VERSION = 5
+# line search draws its slot in [1, 2^62); version 6: training draws its noise from
+# one generator per epoch, keyed (STREAM_TRAIN_NOISE, epoch), each step taking the
+# next rows, so train bodies and checkpoints move; device noise, the direction
+# estimate and the oracles are the same as under version 5).
+STREAM_VERSION = 6
 
 # Rows per block of every batched noisy pass: a Monte Carlo block (gift.mc_blocks)
 # and a block of a device call (Device.forward_batch), both planned by point_blocks.
@@ -72,8 +70,10 @@ def block_rows(n_points: int, k2: int) -> int:
 
 
 def head(arrays, n: int) -> list:
-    """Views of the first n rows of each array."""
-    return [a[:n] for a in arrays]
+    """Views of the first n rows of each array; the arrays themselves when they hold n rows."""
+    if arrays and arrays[0].shape[0] != n:
+        return [a[:n] for a in arrays]
+    return arrays
 
 
 _U64 = 2**64
@@ -128,21 +128,23 @@ class Architecture:
         if any(d < 1 for d in self.layer_dims):
             raise ValueError(f"layer dims must be >= 1, got {self.layer_dims}")
 
-    @property
+    # the counts are worked out once per architecture: every training step reads them
+
+    @cached_property
     def n_layers(self) -> int:
         return len(self.layer_dims) - 1
 
-    @property
+    @cached_property
     def n_weights(self) -> int:
         """Entries of W(1)..W(L); in a parameter vector the biases start here."""
         d = self.layer_dims
         return sum(a * b for a, b in zip(d[:-1], d[1:]))
 
-    @property
+    @cached_property
     def n_params(self) -> int:
         return self.n_weights + sum(self.layer_dims[1:])
 
-    @property
+    @cached_property
     def noise_values_per_row(self) -> int:
         """Noise values of one realization: d0 + 2 * (d1 + ... + d(L-1)) + dL."""
         d = self.layer_dims
@@ -273,7 +275,7 @@ class NoiseModel:
     def __post_init__(self):
         if self.family not in NOISE_FAMILIES:
             raise ValueError(f"unknown noise family {self.family!r}")
-        if not (self.level > 0.0 and np.isfinite(self.level)):
+        if not (self.level > 0.0 and math.isfinite(self.level)):
             raise ValueError(f"noise level must be positive, got {self.level}")
 
 
@@ -318,39 +320,37 @@ class NoiseDraw:
         """An additive draw of n rows carved from the front of this draw's vector.
 
         Its sites are not the first rows of this draw's sites: those rows are
-        not contiguous, and a draw of n rows is.
+        not contiguous, and a draw of n rows is. A draw of n rows is its own
+        leading draw.
         """
         rows = self.vector.size // arch.noise_values_per_row
         if rows < n:
             raise ValueError(f"draw buffers hold {rows} rows, need {n}")
+        if rows == n:
+            return self
         return NoiseDraw.over(arch, self.vector[:n * arch.noise_values_per_row])
 
 
 @dataclass
 class ForwardTrace:
-    """Activations A(0..L), pre-activations z(1..L), and the noise used (None in a noise-free pass).
+    """Activations A(0..L), the hidden layers' t(l) = tanh(z(l)), and the noise used (None in a noise-free pass).
 
-    A pass that keeps no trace has pre_activations None: each layer's
-    activation overwrote its pre-activation, and only activations[-1] is
-    its output.
+    hidden_tanh[l-1] holds t(l) for l = 1..L-1, before the activation noise
+    is added; backprop's derivative 1 - t(l)^2 reads it. A pass that keeps
+    no trace has hidden_tanh None: each layer's activation overwrote its
+    pre-activation, and only activations[-1] is its output.
     """
 
     activations: list
-    pre_activations: list | None
+    hidden_tanh: list | None
     noise: NoiseDraw | None
 
     @classmethod
     def empty(cls, arch: Architecture, rows: int, keep: bool = True) -> "ForwardTrace":
-        """Uninitialized (rows, d) arrays for _forward(out=) to fill; keep=False holds no pre-activations.
-
-        With keep=True, A(L) and z(L) are one array, as in every trace.
-        """
+        """Uninitialized (rows, d) arrays for _forward(out=) to fill; keep=False holds no hidden_tanh."""
         dims = arch.layer_dims
-        acts = [np.empty((rows, d)) for d in dims[:-1]]
-        if not keep:
-            return cls(acts + [np.empty((rows, dims[-1]))], None, None)
-        pres = [np.empty((rows, d)) for d in dims[1:]]
-        return cls(acts + [pres[-1]], pres, None)
+        acts = [np.empty((rows, d)) for d in dims]
+        return cls(acts, [np.empty((rows, d)) for d in dims[1:-1]] if keep else None, None)
 
 
 def _site_dims(arch: Architecture):
@@ -383,21 +383,23 @@ def _draw_values(gen: np.random.Generator, family: str, s: float, v: np.ndarray)
 
 
 def sample_noise_batch(
-    arch: Architecture, model: NoiseModel, rng: RngStream, index: int, n: int, out: NoiseDraw | None = None
+    arch: Architecture, model: NoiseModel, rng, index: int | None, n: int, out: NoiseDraw | None = None
 ) -> NoiseDraw:
     """Draw n independent realizations as (n, d) arrays per site, from one stream index.
 
-    Identical (seed, stream, index, n) gives identical values. One generator
-    call fills the draw's vector, site after site in _site_dims order; the
-    families draw each value on its own, so this equals one call per site.
-    With out (from NoiseDraw.empty, at least n rows) the draw fills the front
-    of out's vector and its sites are views of it; without it they are fresh.
+    rng is an RngStream, drawn from at its generator(index), or, with index
+    None, a Generator whose next values are drawn. Identical (seed, stream,
+    index, n) gives identical values. One generator call fills the draw's
+    vector, site after site in _site_dims order; the families draw each value
+    on its own, so this equals one call per site. With out (from
+    NoiseDraw.empty, at least n rows) the draw fills the front of out's
+    vector and its sites are views of it; without it they are fresh.
     """
     if n < 1:
         raise ValueError("batch size must be >= 1")
     draw = NoiseDraw.empty(arch, n) if out is None else out.leading(arch, n)
     draw.multiplicative = model.family == "gaussian_multiplicative"
-    _draw_values(rng.generator(index), model.family, model.level, draw.vector)
+    _draw_values(rng if index is None else rng.generator(index), model.family, model.level, draw.vector)
     return draw
 
 
@@ -423,7 +425,7 @@ def _forward(params: Params, x, noise: NoiseDraw | None = None, repeat: int = 1,
     The input-site noise is added by broadcast; no repeated input rows are built.
     The pass writes into the first rows of out (from ForwardTrace.empty) and
     returns views of them, or into fresh arrays without it; when out keeps no
-    pre-activations, neither does the returned trace. With no draw nothing is
+    hidden_tanh, neither does the returned trace. With no draw nothing is
     perturbed: each input runs once, A(0) is x itself, and the pass keeps no
     trace and writes fresh arrays.
     """
@@ -435,7 +437,7 @@ def _forward(params: Params, x, noise: NoiseDraw | None = None, repeat: int = 1,
         raise ValueError(f"input shape {x.shape}, want (n, {dims[0]})")
     n = x.shape[0] * repeat
     if noise is None:
-        acts, pres = [x] + [np.empty((n, d)) for d in dims[1:]], None
+        acts, kept = [x] + [np.empty((n, d)) for d in dims[1:]], None
     else:
         _check_noise_dims(arch, noise, n)
         if out is None:
@@ -443,22 +445,25 @@ def _forward(params: Params, x, noise: NoiseDraw | None = None, repeat: int = 1,
         elif out.activations[0].shape[0] < n:
             raise ValueError(f"trace buffers hold {out.activations[0].shape[0]} rows, need {n}")
         acts = head(out.activations, n)
-        pres = None if out.pre_activations is None else head(out.pre_activations, n)
+        kept = None if out.hidden_tanh is None else head(out.hidden_tanh, n)
         perturb = np.multiply if noise.multiplicative else np.add
-        # point p's repeat rows read x[p]
-        perturb(x[:, None, :], noise.act[0].reshape(-1, repeat, dims[0]), out=acts[0].reshape(-1, repeat, dims[0]))
+        if repeat == 1:
+            perturb(x, noise.act[0], out=acts[0])
+        else:  # point p's repeat rows read x[p]
+            perturb(x[:, None, :], noise.act[0].reshape(-1, repeat, dims[0]), out=acts[0].reshape(-1, repeat, dims[0]))
     for l in range(1, L + 1):
-        # in place, in the order of W a + b + n: the same values as fresh arrays give
-        z = acts[l] if pres is None else pres[l - 1]  # without a trace A(l) overwrites z(l)
+        # in place, in the order of W a + b + n: the same values as fresh arrays give. A kept hidden
+        # layer forms z(l) and then t(l) in its hidden_tanh array; otherwise A(l) overwrites z(l)
+        z = acts[l] if kept is None or l == L else kept[l - 1]
         np.matmul(acts[l - 1], params.weights[l - 1].T, out=z)
         z += params.biases[l - 1]
         if noise is not None:
             perturb(z, noise.weigh[l - 1], out=z)
         if l < L:
-            np.tanh(z, out=acts[l])
+            np.tanh(z, out=z)
             if noise is not None:
-                perturb(acts[l], noise.act[l], out=acts[l])
-    return ForwardTrace(activations=acts, pre_activations=pres, noise=noise)
+                perturb(z, noise.act[l], out=acts[l])
+    return ForwardTrace(activations=acts, hidden_tanh=kept, noise=noise)
 
 
 def forward_noisy(params: Params, x, noise: NoiseDraw, repeat: int = 1,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -84,13 +85,16 @@ class LossHistory:
 def train(arch: Architecture, config: TrainConfig, data):
     """Projected SGD on the mean squared error under fresh level-s0 noise per sample.
 
-    Starts from init_uniform weights drawn from the seed's init stream. Returns
-    (params, LossHistory). Aborts with TrainingDiverged when the batch loss
-    becomes non-finite or exceeds LOSS_GUARD.
+    Starts from init_uniform weights drawn from the seed's init stream. Each
+    epoch draws its noise from one generator, keyed (STREAM_TRAIN_NOISE, epoch)
+    as the shuffle is keyed by epoch, and each step takes that generator's next
+    rows. Returns (params, LossHistory). Aborts with TrainingDiverged when the
+    batch loss becomes non-finite or exceeds LOSS_GUARD.
 
     One workspace serves every step: the gradient's buffers, sized for a full
-    batch (a short last batch uses their leading rows), and two parameter
-    vectors that take turns holding the current parameters and the next step.
+    batch (a short last batch uses views of their leading rows, built once),
+    and two parameter vectors that take turns holding the current parameters
+    and the next step.
     """
     if len(data) < 1:
         raise ValueError("dataset must be nonempty")
@@ -105,10 +109,11 @@ def train(arch: Architecture, config: TrainConfig, data):
     history = LossHistory()
     k = 0
     for epoch in range(config.epochs):
+        noise_gen = noise_rng.generator(epoch)
         for idx in epoch_batches(len(data), config.batch_size, shuffle_rng, epoch):
-            sample = batch_gradient(params, X[idx], Y[idx], config.s0, noise_rng, index=k, out=buffers)
+            sample = batch_gradient(params, X[idx], Y[idx], config.s0, noise_gen, index=None, out=buffers)
             loss = batch_loss(sample)
-            if not np.isfinite(loss) or loss > LOSS_GUARD:
+            if not math.isfinite(loss) or loss > LOSS_GUARD:
                 raise TrainingDiverged(f"loss {loss:.6g} at step {k} (epoch {epoch}); guard {LOSS_GUARD:g}")
             eps = step_size(config, k)
             params, spare = apply_step(params, -eps, sample.grad, out=spare), params

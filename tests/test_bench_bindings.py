@@ -84,6 +84,38 @@ def test_sweep_runs_under_the_benchmark_tracer(tmp_path, capsys):
     assert summary["model.apply_step"]["calls"] >= steps
 
 
+def test_every_training_step_is_traced_through_the_call_chain(tmp_path, capsys):
+    # train -> batch_gradient -> sample_noise_batch / forward_noisy / backward -> residual_stack, and
+    # train -> apply_step: a step inlined out of these names would vanish from the benchmark's layers
+    tracer = load_tracer().Tracer()
+    with tracer.install():
+        assert main(tiny_argv("train", tmp_path)) == 0
+    capsys.readouterr()
+    summary = tracer.iteration_summary(tracer.iteration)
+    steps = summary["trainer.train"]["steps"]
+    assert summary["trainer.train"]["calls"] == 2 and steps > 2  # two seeds
+    names = [span[0] for span in tracer.spans]
+
+    def calls(name, *parents):
+        # spans of name whose parent, grandparent, ... are the given spans, nearest first
+        found = 0
+        for name_i, _, _, parent, _, _ in tracer.spans:
+            chain = []
+            while len(chain) < len(parents) and parent >= 0:
+                chain.append(names[parent])
+                parent = tracer.spans[parent][3]
+            found += name_i == name and tuple(chain) == parents
+        return found
+
+    assert calls("gradients.batch_gradient", "trainer.train") == steps
+    assert calls("model.sample_noise_batch", "gradients.batch_gradient") == steps
+    assert calls("model.forward_noisy", "gradients.batch_gradient") == steps
+    assert calls("gradients.backward", "gradients.batch_gradient") == steps
+    assert calls("gradients.residual_stack", "gradients.backward", "gradients.batch_gradient") == steps
+    assert calls("model.apply_step", "trainer.train") == steps
+    assert summary["model.sample_noise_batch"]["calls"] == summary["gradients.residual_stack"]["calls"] == steps
+
+
 def test_theorem_check_runs_under_the_benchmark_tracer():
     # per seed: w0 at s0 and w_t at s_t, one direction estimate and one line search
     cfg = TrainConfig(s0=0.2, epochs=2, batch_size=128, eps0=0.05, decay_p=1.0, tau=150.0)

@@ -396,7 +396,7 @@ class TestExitCodes:
         images, labels = gen.integers(0, 256, (50, 784)), gen.integers(0, 10, 50)
         if n == "label_10":
             labels[7] = 10
-        ipath, _ = write_idx(tmp_path, images, labels, n == "truncated_gz")
+        ipath, lpath = write_idx(tmp_path, images, labels, n == "truncated_gz")
         write_idx(tmp_path, gen.integers(0, 256, (20, 784)), gen.integers(0, 10, 20), False,
                   "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte")
         blob = open(ipath, "rb").read()
@@ -419,7 +419,7 @@ class TestExitCodes:
             "truncated": f"dir: {ipath}: truncated at byte ",
             "truncated_gz": f"dir: {ipath}: cannot decompress: ",
             "directory": f"dir: [Errno 21] Is a directory: {ipath!r}",
-            "label_10": "dir: label 10 out of range for 10 classes",
+            "label_10": f"dir: {lpath}: label 10 out of range for 10 classes",
             "negative_count": f"dir: {ipath}: negative image count -1",
         }[leaf if leaf != "dir" else n] in err
 

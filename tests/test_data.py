@@ -1,5 +1,6 @@
 import gzip
 import os
+import re
 import struct
 
 import numpy as np
@@ -144,6 +145,14 @@ class TestLoadMnist:
     def test_missing_dir(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_mnist(tmp_path / "nope", train=True)
+
+    def test_label_out_of_range_names_the_split_file(self, tmp_path):
+        write_idx(tmp_path, fake_images(2), [1, 2])
+        _, lpath = write_idx(tmp_path, fake_images(2, seed=9), [5, 10],
+                             image_name="t10k-images-idx3-ubyte", label_name="t10k-labels-idx1-ubyte")
+        assert len(load_mnist(tmp_path, train=True)) == 2
+        with pytest.raises(ValueError, match=f"^{re.escape(lpath)}: label 10 out of range for 10 classes$"):
+            load_mnist(tmp_path, train=False)
 
     def test_env_var_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path))

@@ -14,7 +14,9 @@ of up to 128 points) and estimate over 2,000 rows (two Monte Carlo blocks), so
 the block plan shows in the digests.
 
 A digest moves whenever a result does. That is meant to happen only together
-with a stream-version bump, which adds a new table here. The values were
+with a stream-version bump, which adds a new table here. Version 6 moved the
+training stream, so every body downstream of a checkpoint moved with it; gift
+and eval bodies from one fixed checkpoint are those of version 5. The values were
 recorded with numpy 2.4 on x86-64 with OpenBLAS; another numpy, BLAS library
 or CPU kernel may round a matrix product differently in the last bit and so
 move the digests without any change to this code. On such a platform this test
@@ -72,6 +74,21 @@ DIGESTS = {
         "train/seed_0/train_log.csv": "87cea1d23d670bc7d3b3090b3ad025f9d5e066ae7d0ade3020185331663ce056",
         "train/seed_1/params.npz": "2af2e74980ccd6bd3e07a8e2f8da009f9115a55e9743b058e67f5364b942476b",
         "train/seed_1/train_log.csv": "6f3e378eeec77d65b43205cf793bcd71d4744c6c8579415adac98c742d71a121",
+    },
+    6: {
+        "eval/eval.csv": "eab32f76fca3fdd0f6b1c619d3bc4ffb15a8b72b0e96e9bb71c2ce982995545d",
+        "gift/gift_summary.csv": "3313b9e695082c0cfba07e1ffc948c758c3dee8ec26f6a1e229b41f94244bedf",
+        "gift/seed_0/params_final.npz": "684b4970df4e96176b034fcdc56afa573918002fd7266ffb41f11908c45d7135",
+        "gift/seed_1/params_final.npz": "f9a9853f2a67ee7e670d7116ac9d4a476def99657cc782d0035ba19018afcd16",
+        "multiplicative/gift/gift_summary.csv": "5f1ae48e74e1b0d83512cd776258c70cec6078884ad3ccec51225d0e0c619a26",
+        "multiplicative/gift/seed_0/params_final.npz": "f3592847a58f580986c90094e456f58eeaf009b8b7df832b05679ee6608291bc",
+        "multiplicative/gift/seed_1/params_final.npz": "f9a9853f2a67ee7e670d7116ac9d4a476def99657cc782d0035ba19018afcd16",
+        "sweep/sweep_aggregate.csv": "d1a22dddd9d5e149b0a6b301cd51b239ae50347f084fc1414dbb699d5627e838",
+        "sweep/sweep_rows.csv": "5528f47eea752a5c05090476e16c1f2bffd25002859a60fb5db9281943fa3460",
+        "train/seed_0/params.npz": "f3592847a58f580986c90094e456f58eeaf009b8b7df832b05679ee6608291bc",
+        "train/seed_0/train_log.csv": "f96bf4fe8c5531e215df845c65ae1981ae16565d3109c390558bee5e551bade1",
+        "train/seed_1/params.npz": "6ef345042fd450d2a7cefbee623e7f5406d3cce1d9ab080a9e1e6f54d0eb81d0",
+        "train/seed_1/train_log.csv": "ce85c42f1841ef82d40ef642e5d36e07128d8d00fcb60c9b2d61eee9556678eb",
     },
 }
 

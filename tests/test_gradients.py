@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from giftnn.gradients import backward, batch_gradient, batch_loss
+from giftnn.gradients import GradBuffers, backward, batch_gradient, batch_loss
 from giftnn.model import (
     Architecture,
     NoiseModel,
@@ -45,7 +45,9 @@ def test_residual_recursion_shapes_and_values():
     trace = forward_noisy(p, x, draw)
     g = backward(trace, y, p)
     r2 = y - trace.activations[-1]
-    sig = 1.0 - np.tanh(trace.pre_activations[0]) ** 2
+    z = trace.activations[0] @ p.weights[0].T + p.biases[0] + draw.weigh[0]
+    assert np.array_equal(trace.hidden_tanh[0], np.tanh(z))  # the kept t(1), bit for bit
+    sig = 1.0 - np.tanh(z) ** 2
     r1 = (r2 @ p.weights[1]) * sig
     assert np.allclose(g.residuals[1], r2, rtol=1e-12)
     assert np.allclose(g.residuals[0], r1, rtol=1e-12)
@@ -120,6 +122,38 @@ def test_batch_mean_is_average_of_members():
         trace = forward_noisy(p, X[i:i + 1], d)
         acc_w += backward(trace, Y[i:i + 1], p).grad.weights[0]
     assert np.allclose(g.grad.weights[0], acc_w / 6, rtol=1e-10)
+
+
+def test_generator_steps_draw_its_next_rows():
+    # with index None each call draws the generator's next values: two 3-row steps from one generator take
+    # the rows a fresh generator gives two 3-row draws in turn, and the workspace gives the fresh arrays' values
+    p = small_params([2, 3, 2], seed=12)
+    gen = RngStream(13, 3).generator(0)
+    X = gen.standard_normal((6, 2))
+    Y = gen.standard_normal((6, 2))
+    model = NoiseModel("gaussian_additive", 0.2)
+    steps, ref = RngStream(14, 3).generator(0), RngStream(14, 3).generator(0)
+    buffers = GradBuffers.empty(p.arch, 4)
+    for rows in (slice(0, 3), slice(3, 6)):
+        g = batch_gradient(p, X[rows], Y[rows], 0.2, steps, index=None, out=buffers)
+        draw = sample_noise_batch(p.arch, model, ref, None, 3)
+        want = backward(forward_noisy(p, X[rows], draw), Y[rows], p)
+        assert g.grad.vector.tobytes() == want.grad.vector.tobytes()
+        assert batch_loss(g) == batch_loss(want)
+
+
+def test_workspace_views_are_built_once_per_batch_size():
+    p = small_params([2, 3, 2], seed=15)
+    buffers = GradBuffers.empty(p.arch, 8)
+    short = buffers.leading(p.arch, 5)
+    assert buffers.leading(p.arch, 5) is short
+    assert buffers.leading(p.arch, 8).noise is buffers.noise  # the full size is the workspace's own draw
+    assert short.noise.vector.base is buffers.noise.vector.base and short.grad is buffers.grad
+    assert all(a.shape[0] == 5 and np.shares_memory(a, b)
+               for a, b in zip(short.trace.activations + short.residuals.residuals,
+                               buffers.trace.activations + buffers.residuals.residuals, strict=True))
+    with pytest.raises(ValueError, match="hold 8 rows, need 9"):
+        buffers.leading(p.arch, 9)
 
 
 def test_empty_batch_rejected():

@@ -151,14 +151,18 @@ def desk_data(n, seed=2):
 
 
 def fresh_arrays_train(arch, config, data):
-    """The training loop with a fresh gradient, step and projection per step: the reference for train()."""
+    """The training loop with a fresh gradient, step and projection per step: the reference for train().
+
+    Each epoch's steps draw their noise rows in turn from the epoch's generator, (STREAM_TRAIN_NOISE, epoch).
+    """
     params = init_uniform(arch, RngStream(config.seed, STREAM_INIT).generator(0))
     shuffle_rng = RngStream(config.seed, STREAM_SHUFFLE)
     noise_rng = RngStream(config.seed, STREAM_TRAIN_NOISE)
     losses, k = [], 0
     for epoch in range(config.epochs):
+        noise_gen = noise_rng.generator(epoch)
         for idx in epoch_batches(len(data), config.batch_size, shuffle_rng, epoch):
-            sample = batch_gradient(params, data.inputs[idx], data.targets[idx], config.s0, noise_rng, index=k)
+            sample = batch_gradient(params, data.inputs[idx], data.targets[idx], config.s0, noise_gen, index=None)
             loss = batch_loss(sample)
             if not np.isfinite(loss) or loss > LOSS_GUARD:
                 raise TrainingDiverged(f"loss {loss:.6g} at step {k} (epoch {epoch}); guard {LOSS_GUARD:g}")
