@@ -192,12 +192,13 @@ def resolve_config(args) -> dict:
         for key in reversed(dotted.split(".")):
             value = {key: value}
         cfg = _deep_merge(cfg, value)  # as a config file holding only this leaf would be
+    # the flags merge as their --set spellings would, after every --set
     if getattr(args, "data_dir", None):
-        cfg["data"]["dir"] = args.data_dir
+        cfg = _deep_merge(cfg, {"data": {"dir": args.data_dir}})
     if getattr(args, "out", None):
-        cfg["out_dir"] = args.out
+        cfg = _deep_merge(cfg, {"out_dir": args.out})
     if getattr(args, "seeds", None) is not None:  # the seeds check judges the items, as it does a --set list
-        cfg["seeds"] = [_flag_value(s) for s in args.seeds.split(",") if s.strip() != ""]
+        cfg = _deep_merge(cfg, {"seeds": [_flag_value(s) for s in args.seeds.split(",") if s.strip() != ""]})
     return cfg
 
 
@@ -463,7 +464,7 @@ def cmd_gift(exp: Experiment, checkpoint_root: str | None) -> int:
             "steps_taken": trace.steps_taken,
             "queries": trace.queries,
             "stop_reason": trace.stop_reason,
-            "eta": trace.eta,
+            "eta": exp.gift_config.eta,
             "direction_norm": trace.direction_norm,
         })
         print(f"gift seed {seed}: loss {trace.baseline.loss:.5f} -> "

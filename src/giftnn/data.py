@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gzip
+import math
 import os
 import struct
 import zlib
@@ -78,6 +79,22 @@ def _unpack_header(buf: bytes, fmt: str, path) -> tuple:
     return struct.unpack_from(fmt, buf, 0)
 
 
+def _read_idx(path, kind: str, magic: int, dims: tuple = ()) -> np.ndarray:
+    """One IDX file's uint8 items, (count, *dims); kind ("image" or "label") names them in errors."""
+    buf = _read_bytes(path)
+    got, count, *got_dims = _unpack_header(buf, ">ii" + "i" * len(dims), path)
+    if got != magic:
+        raise IdxMagicError(f"{path}: {kind} magic 0x{got:08x}, want 0x{magic:08x}")
+    if tuple(got_dims) != dims:
+        raise IdxError(f"{path}: {kind} dims {'x'.join(map(str, got_dims))}, want {'x'.join(map(str, dims))}")
+    if count < 0:
+        raise IdxError(f"{path}: negative {kind} count {count}")
+    offset, size = 8 + 4 * len(dims), count * math.prod(dims)
+    if len(buf) < offset + size:
+        raise IdxTruncatedError(f"{path}: truncated at byte {len(buf)}, need {offset + size} for {count} {kind}s")
+    return np.frombuffer(buf, dtype=np.uint8, count=size, offset=offset).reshape(count, *dims)
+
+
 def load_idx(images_path, labels_path):
     """Parse big-endian IDX image/label files (plain or gzipped).
 
@@ -85,36 +102,10 @@ def load_idx(images_path, labels_path):
     truncation, and image/label count mismatch raise distinct errors; every
     parse failure is an IdxError.
     """
-    img_buf = _read_bytes(images_path)
-    magic, count, rows, cols = _unpack_header(img_buf, ">iiii", images_path)
-    if magic != IDX_IMAGE_MAGIC:
-        raise IdxMagicError(f"{images_path}: image magic 0x{magic:08x}, want 0x{IDX_IMAGE_MAGIC:08x}")
-    if (rows, cols) != (28, 28):
-        raise IdxError(f"{images_path}: image dims {rows}x{cols}, want 28x28")
-    if count < 0:
-        raise IdxError(f"{images_path}: negative image count {count}")
-    need = 16 + count * rows * cols
-    if len(img_buf) < need:
-        raise IdxTruncatedError(
-            f"{images_path}: truncated at byte {len(img_buf)}, need {need} for {count} images"
-        )
-    images = np.frombuffer(img_buf, dtype=np.uint8, count=count * rows * cols, offset=16)
-    images = images.reshape(count, rows, cols)
-
-    lab_buf = _read_bytes(labels_path)
-    magic, lab_count = _unpack_header(lab_buf, ">ii", labels_path)
-    if magic != IDX_LABEL_MAGIC:
-        raise IdxMagicError(f"{labels_path}: label magic 0x{magic:08x}, want 0x{IDX_LABEL_MAGIC:08x}")
-    if lab_count < 0:
-        raise IdxError(f"{labels_path}: negative label count {lab_count}")
-    need = 8 + lab_count
-    if len(lab_buf) < need:
-        raise IdxTruncatedError(
-            f"{labels_path}: truncated at byte {len(lab_buf)}, need {need} for {lab_count} labels"
-        )
-    labels = np.frombuffer(lab_buf, dtype=np.uint8, count=lab_count, offset=8)
-    if lab_count != count:
-        raise IdxCountMismatchError(f"{count} images but {lab_count} labels")
+    images = _read_idx(images_path, "image", IDX_IMAGE_MAGIC, (28, 28))
+    labels = _read_idx(labels_path, "label", IDX_LABEL_MAGIC)
+    if len(labels) != len(images):
+        raise IdxCountMismatchError(f"{len(images)} images but {len(labels)} labels")
     return images, labels
 
 

@@ -34,7 +34,8 @@ from .model import (
     sample_noise_batch,
 )
 
-STOP_RULES = ("either_worse", "both_worse")
+# A step stops the search when this rule over its two losses is at or above the baseline's.
+STOP_RULES = {"either_worse": max, "both_worse": min}
 
 
 @dataclass
@@ -92,7 +93,6 @@ class GiftTrace:
     steps_taken: int
     queries: int
     stop_reason: str
-    eta: float
     direction_norm: float
 
 
@@ -229,8 +229,9 @@ def gift_run(
     only through the parameters. Each step scores its candidates in one
     device call, step 1 the baseline with them. Stops per stop_rule
     (either_worse: one side at or above the baseline; both_worse: both
-    sides) or at max_steps; returns the argmin over everything visited,
-    baseline included.
+    sides) or at max_steps. The argmin over everything visited, baseline
+    included, is kept as the search runs; w_f is that candidate itself, or a
+    copy of w0 when the baseline wins.
     """
     dn = direction.norm()
     if not np.isfinite(dn) or dn == 0.0:
@@ -244,49 +245,31 @@ def gift_run(
     assert 0 < slot < 1 << 62, "the line search never takes slot 0"
 
     q_before = device.query_count
-    baseline = None
-    records = []
-    stop_reason = "max_steps"
-    steps_taken = 0
+    stop = STOP_RULES[config.stop_rule]
+    records, stop_reason = [], "max_steps"
+    selected, w_f = (0, 0), None
     for i in range(1, config.max_steps + 1):
         coef = i * config.eta
         candidates = [apply_step(w0, +coef, direction), apply_step(w0, -coef, direction)]
-        if baseline is None:
-            baseline, r_plus, r_minus = eval_in_situ(device, [w0, *candidates], X, Y, config.k2, slot)
-        else:
-            r_plus, r_minus = eval_in_situ(device, candidates, X, Y, config.k2, slot)
-        records.append((i, +1, r_plus))
-        records.append((i, -1, r_minus))
-        steps_taken = i
-        if config.stop_rule == "either_worse":
-            if max(r_plus.loss, r_minus.loss) >= baseline.loss:
-                stop_reason = "either_worse"
-                break
-        else:
-            if min(r_plus.loss, r_minus.loss) >= baseline.loss:
-                stop_reason = "both_worse"
-                break
-
-    selected = (0, 0)
-    best_loss = baseline.loss
-    for i, sign, rep in records:
-        if rep.loss < best_loss:
-            best_loss = rep.loss
-            selected = (i, sign)
-    if selected == (0, 0):
-        w_f = w0.copy()
-    else:
-        w_f = apply_step(w0, selected[0] * selected[1] * config.eta, direction)
+        reports = eval_in_situ(device, [w0, *candidates] if i == 1 else candidates, X, Y, config.k2, slot)
+        if i == 1:
+            baseline = best = reports.pop(0)
+        for sign, w, rep in zip((+1, -1), candidates, reports):
+            records.append((i, sign, rep))
+            if rep.loss < best.loss:
+                best, selected, w_f = rep, (i, sign), w
+        if stop(reports[0].loss, reports[1].loss) >= baseline.loss:
+            stop_reason = config.stop_rule
+            break
 
     return GiftTrace(
         baseline=baseline,
         records=records,
         selected=selected,
-        w_f=w_f,
-        improvement=baseline.loss - best_loss,
-        steps_taken=steps_taken,
+        w_f=w0.copy() if w_f is None else w_f,
+        improvement=baseline.loss - best.loss,
+        steps_taken=i,
         queries=device.query_count - q_before,
         stop_reason=stop_reason,
-        eta=config.eta,
         direction_norm=dn,
     )

@@ -7,7 +7,7 @@ contain the weighing noise of that pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,23 +87,11 @@ class GradBuffers:
     trace: ForwardTrace
     residuals: ResidualBuffers
     grad: Params
-    _views: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def empty(cls, arch, rows: int) -> "GradBuffers":
         return cls(NoiseDraw.empty(arch, rows), ForwardTrace.empty(arch, rows),
                    ResidualBuffers.empty(arch, rows), Params.empty(arch))
-
-    def leading(self, arch, n: int) -> "GradBuffers":
-        """Buffers of exactly n rows over these arrays' leading rows, built on the first call for n."""
-        views = self._views.get(n)
-        if views is None:
-            trace, res = self.trace, self.residuals
-            views = self._views[n] = GradBuffers(
-                self.noise.leading(arch, n),
-                ForwardTrace(head(trace.activations, n), head(trace.hidden_tanh, n), None),
-                ResidualBuffers(head(res.residuals, n), res.scratch), self.grad)
-        return views
 
 
 def backward(trace: ForwardTrace, target, params: Params, out: GradBuffers | None = None) -> GradSample:
@@ -145,7 +133,8 @@ def batch_gradient(params: Params, X, Y, s0: float, rng, index: int | None = 0,
     if X.ndim != 2 or Y.ndim != 2 or X.shape[0] == 0:
         raise ValueError(f"batch needs nonempty 2-D inputs and targets, got {X.shape} and {Y.shape}")
     n = X.shape[0]
-    out = GradBuffers.empty(params.arch, n) if out is None else out.leading(params.arch, n)
+    if out is None:
+        out = GradBuffers.empty(params.arch, n)
     noise = sample_noise_batch(params.arch, NoiseModel("gaussian_additive", s0), rng, index, n, out.noise)
     trace = forward_noisy(params, X, noise, out=out.trace)
     return backward(trace, Y, params, out)

@@ -92,9 +92,8 @@ def train(arch: Architecture, config: TrainConfig, data):
     batch loss becomes non-finite or exceeds LOSS_GUARD.
 
     One workspace serves every step: the gradient's buffers, sized for a full
-    batch (a short last batch uses views of their leading rows, built once),
-    and two parameter vectors that take turns holding the current parameters
-    and the next step.
+    batch (a short last batch uses their leading rows), and two parameter
+    vectors that take turns holding the current parameters and the next step.
     """
     if len(data) < 1:
         raise ValueError("dataset must be nonempty")

@@ -202,11 +202,10 @@ def test_criterion_07_mean_improvement_at_preset_defaults():
     t0 = time.monotonic()
     exp = Experiment(default_config())
     train_ds, _ = exp.datasets()
-    report, stats = check_theorem1_empirically(
+    stats = check_theorem1_empirically(
         exp.arch, train_ds, s_t=exp.noise.level,
         train_config=exp.train_config, gift_config=exp.gift_config,
         n_seeds=20, mc_samples=400_000,
-        condition=False, retrain_at_true_level=False,
     )
     imp = stats["improvement_true"]
     assert stats["n_diverged"] == 0

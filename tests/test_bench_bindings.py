@@ -117,12 +117,12 @@ def test_every_training_step_is_traced_through_the_call_chain(tmp_path, capsys):
 
 
 def test_theorem_check_runs_under_the_benchmark_tracer():
-    # per seed: w0 at s0 and w_t at s_t, one direction estimate and one line search
+    # per seed: w0 at s0, one direction estimate, one line search and one objective pair
     cfg = TrainConfig(s0=0.2, epochs=2, batch_size=128, eps0=0.05, decay_p=1.0, tau=150.0)
     gift = GiftConfig(eta=0.02, k1=16, k2=2, max_steps=2, est_k1=20, est_k2=5)
     _, summary = traced(lambda: check_theorem1_empirically(
-        LINEAR_ARCH, linear_data(512), 0.3, cfg, gift, n_seeds=2, mc_samples=2_000, condition=False))
-    assert summary["trainer.train"]["calls"] == 2 * 2
+        LINEAR_ARCH, linear_data(512), 0.3, cfg, gift, n_seeds=2, mc_samples=2_000))
+    assert summary["trainer.train"]["calls"] == 2
     assert summary["gift.estimate_direction"]["calls"] == 2
     assert summary["gift.gift_run"]["calls"] == 2
-    assert summary["theory.mc_objective_pair"]["calls"] == 2 * 2
+    assert summary["theory.mc_objective_pair"]["calls"] == 2

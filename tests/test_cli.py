@@ -295,6 +295,15 @@ class TestExitCodes:
         assert main(argv) == 1
         assert "missing params for seed" in capsys.readouterr().err
 
+    def test_data_dir_flag_into_a_non_section_exits_1(self, tmp_path, capsys):
+        # --data-dir merges as its --set spelling does: into the file's data 5 it leaves a section lacking leaves
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"data": 5}))
+        for flags in (["--data-dir", str(tmp_path)], ["--set", f"data.dir={tmp_path}"]):
+            assert main(["train", "--config", str(path), *flags]) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("config error: data: "), err
+
     @pytest.mark.parametrize("setting, field", [
         ("data.n_train=abc", "data.n_train"),
         ('sweep.workers="abc"', "sweep.workers"),

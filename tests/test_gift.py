@@ -397,6 +397,22 @@ class TestGiftRun:
         # the loss at w=2.0 is (1.8 - 2.0)^2 = 0.04
         assert trace.improvement == pytest.approx(trace.baseline.loss - 0.04, rel=1e-6)
 
+    def test_both_worse_walk_returns_the_selected_minus_candidate(self):
+        # output w + b along D = (2, 1)/sqrt(5) toward y = -1.8: the plus side is worse from step 1, the minus
+        # side passes the minimum near c = -1.34 and is worse than the baseline from step 11 (c = -2.75) on
+        arch, w0, data, dev = quadratic_device_and_data(y=-1.8)
+        d = Params(arch, [np.array([[2.0]])], [np.array([1.0])])
+        cfg = GiftConfig(eta=0.25, k1=1, k2=1, max_steps=15, stop_rule="both_worse")
+        trace = gift_run(dev, w0, d, cfg, data, RngStream(6, STREAM_EVAL))
+        assert trace.stop_reason == "both_worse"
+        assert trace.steps_taken == 11
+        assert trace.selected == (5, -1)
+        i, sign = trace.selected
+        want = apply_step(w0, i * sign * cfg.eta, d.scaled(1.0 / d.norm()))
+        assert trace.w_f.vector.tobytes() == want.vector.tobytes()
+        assert not np.shares_memory(trace.w_f.vector, w0.vector)
+        assert not np.shares_memory(trace.w_f.vector, d.vector)
+
     def test_quadratic_under_paper_literal_rule_stops_early(self):
         # either_worse stops at i=1 because the minus side is already worse
         arch, w0, data, dev = quadratic_device_and_data()

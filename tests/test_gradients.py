@@ -142,18 +142,20 @@ def test_generator_steps_draw_its_next_rows():
         assert batch_loss(g) == batch_loss(want)
 
 
-def test_workspace_views_are_built_once_per_batch_size():
+def test_short_batches_write_into_the_workspace_leading_rows():
+    # a 5-row batch in an 8-row workspace gives the fresh arrays' values, its residuals in the workspace's rows
     p = small_params([2, 3, 2], seed=15)
+    gen = RngStream(16, 3).generator(0)
+    X, Y = gen.standard_normal((9, 2)), gen.standard_normal((9, 2))
     buffers = GradBuffers.empty(p.arch, 8)
-    short = buffers.leading(p.arch, 5)
-    assert buffers.leading(p.arch, 5) is short
-    assert buffers.leading(p.arch, 8).noise is buffers.noise  # the full size is the workspace's own draw
-    assert short.noise.vector.base is buffers.noise.vector.base and short.grad is buffers.grad
-    assert all(a.shape[0] == 5 and np.shares_memory(a, b)
-               for a, b in zip(short.trace.activations + short.residuals.residuals,
-                               buffers.trace.activations + buffers.residuals.residuals, strict=True))
+    g = batch_gradient(p, X[:5], Y[:5], 0.2, RngStream(17, 3), out=buffers)
+    want = batch_gradient(p, X[:5], Y[:5], 0.2, RngStream(17, 3))
+    assert g.grad is buffers.grad and g.grad.vector.tobytes() == want.grad.vector.tobytes()
+    assert batch_loss(g) == batch_loss(want)
+    for r, r_want, room in zip(g.residuals, want.residuals, buffers.residuals.residuals, strict=True):
+        assert r.shape[0] == 5 and np.shares_memory(r, room) and r.tobytes() == r_want.tobytes()
     with pytest.raises(ValueError, match="hold 8 rows, need 9"):
-        buffers.leading(p.arch, 9)
+        batch_gradient(p, X, Y, 0.2, RngStream(17, 3), out=buffers)
 
 
 def test_empty_batch_rejected():

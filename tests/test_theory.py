@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from giftnn import gift as gift_module
 from giftnn.data import Dataset, synthetic_linear
-from giftnn.gift import GiftConfig, estimate_direction
+from giftnn.gift import GiftConfig, estimate_direction, mean_se
 from giftnn.gradients import residual_stack
 from giftnn.model import (
     CHUNK_ROWS,
@@ -16,6 +18,7 @@ from giftnn.model import (
     STREAM_ESTIMATE,
     STREAM_THEORY,
     forward_noisy,
+    mix64,
     sample_noise_batch,
 )
 from giftnn.theory import (
@@ -33,7 +36,7 @@ from giftnn.theory import (
     mc_objective_pair,
     product_derivative_factor,
 )
-from giftnn.trainer import TrainConfig
+from giftnn.trainer import TrainConfig, train
 
 from test_model import small_params
 
@@ -287,27 +290,42 @@ class TestGradientFdCheck:
         assert gradient_fd_check(10, RngStream(5, STREAM_THEORY)) < 1e-5
 
 
+def objective_gaps(data, s_t, cfg, n_seeds, mc_samples):
+    """Per seed, w0 trained at cfg.s0 and the paired Monte Carlo gap J(w0) - J(w_t) at s_t, w_t trained at s_t.
+
+    Returns (w0s, gaps, gap SEs); the gap at seed k draws on mix64(k).
+    """
+    w0s, pairs = [], []
+    for seed in range(n_seeds):
+        w0s.append(train(LINEAR_ARCH, replace(cfg, seed=seed), data)[0])
+        w_t, _ = train(LINEAR_ARCH, replace(cfg, s0=s_t, seed=seed), data)
+        pairs.append(mc_objective_pair(w0s[-1], w_t, s_t, data, mc_samples, seed=mix64(seed)))
+    return w0s, np.array([p["diff"] for p in pairs]), np.array([p["diff_se"] for p in pairs])
+
+
 class TestTheorem1Empirically:
     def test_linear_gap_positive_inside_bound(self):
         cfg = TrainConfig(s0=0.2, epochs=150, batch_size=256, eps0=0.1,
                           decay_p=1.0, tau=150.0)
         gift = GiftConfig(eta=0.02, k1=256, k2=4, max_steps=10, est_k1=200, est_k2=50)
-        report, stats = check_theorem1_empirically(
-            LINEAR_ARCH, linear_data(4096), 0.6, cfg, gift, n_seeds=3, mc_samples=100_000)
-        gap = stats["gap"]
-        assert np.all(gap["values"] > 0)
-        assert gap["mean"] > 3 * max(gap["se"], np.max(stats["gap_ses"]))
-        assert report is not None and report.satisfied
+        data = linear_data(4096)
+        stats = check_theorem1_empirically(LINEAR_ARCH, data, 0.6, cfg, gift, n_seeds=3, mc_samples=100_000)
+        w0s, gaps, gap_ses = objective_gaps(data, 0.6, cfg, 3, 100_000)
+        assert np.all(gaps > 0)
+        assert gaps.mean() > 3 * max(mean_se(gaps), np.max(gap_ses))
+        assert condition_report(w0s[0], data, cfg.s0, 0.6, mc_samples=100_000).satisfied
         assert np.all(stats["improvement_estimate"]["values"] >= 0)
 
     def test_equal_levels_gap_is_zero(self):
         cfg = TrainConfig(s0=0.3, epochs=10, batch_size=128, eps0=0.05,
                           decay_p=0.75, tau=500.0)
         gift = GiftConfig(eta=0.02, k1=64, k2=2, max_steps=3, est_k1=50, est_k2=20)
-        report, stats = check_theorem1_empirically(
-            LINEAR_ARCH, linear_data(1024), 0.3, cfg, gift, n_seeds=2, mc_samples=20_000)
-        assert report is None
-        assert np.allclose(stats["gap"]["values"], 0.0)
+        data = linear_data(1024)
+        stats = check_theorem1_empirically(LINEAR_ARCH, data, 0.3, cfg, gift, n_seeds=2, mc_samples=20_000)
+        w0s, gaps, _ = objective_gaps(data, 0.3, cfg, 2, 20_000)
+        with pytest.raises(ValueError, match="s0 and s_t must differ"):  # the condition needs an interval
+            condition_report(w0s[0], data, cfg.s0, 0.3)
+        assert np.allclose(gaps, 0.0)
         assert np.all(stats["improvement_estimate"]["values"] >= 0)
 
 
