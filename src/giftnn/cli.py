@@ -333,7 +333,7 @@ def _device_seed(seed: int, family: str, s_t: float) -> int:
 
 
 def _train_one(exp: Experiment, train_ds, seed: int):
-    return train(exp.arch, replace(exp.train_config, seed=seed), train_ds)
+    return train(exp.arch, exp.train_config, train_ds, seed)
 
 
 def _estimate_one(exp: Experiment, params, train_ds, s0: float, seed: int) -> Params:
@@ -366,7 +366,7 @@ def _gift_row(family, s0, s_t, seed, trace, fresh_base, fresh_post) -> dict:
         "loss_improvement": sel,
         "rel_loss_improvement": sel / base.loss if base.loss > 0 else 0.0,
         "baseline_acc": base.accuracy,
-        "post_acc": next((r.accuracy for i, s, r in trace.records if (i, s) == trace.selected), base.accuracy),
+        "post_acc": trace.best.accuracy,
         "fresh_baseline_loss": fresh_base.loss,
         "fresh_post_loss": fresh_post.loss,
         "fresh_loss_improvement": fresh_base.loss - fresh_post.loss,
@@ -516,7 +516,7 @@ def _sweep_task(exp: Experiment, s0: float, seed: int):
 
     try:
         train_ds, test_ds = exp.datasets()
-        w0, _ = train(exp.arch, replace(exp.train_config, s0=s0, seed=seed), train_ds)
+        w0, _ = train(exp.arch, replace(exp.train_config, s0=s0), train_ds, seed)
         direction = _estimate_one(exp, w0, train_ds, s0, seed)
     except ConfigError:  # the data block is wrong for every task: stop, naming its leaf
         raise
@@ -583,6 +583,7 @@ def cmd_sweep(exp: Experiment) -> int:
 
 
 def cmd_check(out_dir: str) -> int:
+    """Run the numeric verification suite and write <out_dir>/check/checks.json."""
     checks = []
 
     worst = check_gaussian_product_cases(50, RngStream(2025, STREAM_THEORY))
@@ -609,8 +610,7 @@ def cmd_check(out_dir: str) -> int:
                    "worst_rel_error": worst, "tolerance": 1e-5})
 
     payload = {"checks": checks, "all_passed": bool(all(c["passed"] for c in checks))}
-    if out_dir:
-        write_json(os.path.join(out_dir, "check", "checks.json"), payload)
+    write_json(os.path.join(out_dir, "check", "checks.json"), payload)
     for c in checks:
         print(f"check {c['name']}: {'pass' if c['passed'] else 'FAIL'}")
     if not payload["all_passed"]:
@@ -650,7 +650,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         exp = Experiment(resolve_config(args))
         if args.command == "check":
-            return cmd_check(exp.out_dir if (args.config or args.out) else "")
+            return cmd_check(exp.out_dir)
         if args.command == "train":
             return cmd_train(exp)
         if args.command == "gift":

@@ -111,7 +111,7 @@ class Device:
             else:
                 at = 0 if kept is None else start * repeat * width
                 block = NoiseDraw.over(arch, self._draw_vector[at:at + n * width])
-                draw = sample_noise_batch(arch, self._noise, stream, c, n, out=block)
+                draw = sample_noise_batch(arch, self._noise, stream.generator(c), n, out=block)
                 if kept is not None:
                     for v in [draw.vector, *draw.act, *draw.weigh]:
                         v.flags.writeable = False

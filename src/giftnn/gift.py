@@ -83,9 +83,11 @@ class GiftTrace:
 
     Candidate i,sign has params w0 + sign*i*eta*D; w_f is the argmin over all
     recorded scores including the baseline, so improvement is never negative.
+    best is w_f's report: the baseline's when selected == (0, 0).
     """
 
     baseline: EvalReport
+    best: EvalReport
     records: list
     selected: tuple
     w_f: Params
@@ -131,7 +133,7 @@ def mc_blocks(arch, model: NoiseModel, data, n_points: int, k2: int, rng: RngStr
     draw = NoiseDraw.empty(arch, block_rows(n_points, k2))
     for c, (start, stop) in enumerate(point_blocks(n_points, k2)):
         rows = idx[start:stop]
-        noise = sample_noise_batch(arch, model, rng, 1 + c, len(rows) * k2, out=draw)
+        noise = sample_noise_batch(arch, model, rng.generator(1 + c), len(rows) * k2, out=draw)
         yield data.inputs[rows], data.targets[rows], noise
 
 
@@ -264,6 +266,7 @@ def gift_run(
 
     return GiftTrace(
         baseline=baseline,
+        best=best,
         records=records,
         selected=selected,
         w_f=w0.copy() if w_f is None else w_f,

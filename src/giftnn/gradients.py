@@ -119,14 +119,13 @@ def backward(trace: ForwardTrace, target, params: Params, out: GradBuffers | Non
     return GradSample(grad=grad, residuals=R)
 
 
-def batch_gradient(params: Params, X, Y, s0: float, rng, index: int | None = 0,
+def batch_gradient(params: Params, X, Y, s0: float, gen: np.random.Generator,
                    out: GradBuffers | None = None) -> GradSample:
     """Mean gradient over the rows of X, Y, each row under an independent level-s0 Gaussian draw.
 
-    The draw comes from rng at index, or from the Generator rng's next values
-    when index is None (sample_noise_batch). The draw, trace, residuals and
-    gradient are written into out (from GradBuffers.empty, at least len(X)
-    rows), or into fresh arrays without it.
+    The draw takes gen's next values (sample_noise_batch). The draw, trace,
+    residuals and gradient are written into out (from GradBuffers.empty, at
+    least len(X) rows), or into fresh arrays without it.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -135,7 +134,7 @@ def batch_gradient(params: Params, X, Y, s0: float, rng, index: int | None = 0,
     n = X.shape[0]
     if out is None:
         out = GradBuffers.empty(params.arch, n)
-    noise = sample_noise_batch(params.arch, NoiseModel("gaussian_additive", s0), rng, index, n, out.noise)
+    noise = sample_noise_batch(params.arch, NoiseModel("gaussian_additive", s0), gen, n, out.noise)
     trace = forward_noisy(params, X, noise, out=out.trace)
     return backward(trace, Y, params, out)
 

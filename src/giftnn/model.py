@@ -383,15 +383,14 @@ def _draw_values(gen: np.random.Generator, family: str, s: float, v: np.ndarray)
 
 
 def sample_noise_batch(
-    arch: Architecture, model: NoiseModel, rng, index: int | None, n: int, out: NoiseDraw | None = None
+    arch: Architecture, model: NoiseModel, gen: np.random.Generator, n: int, out: NoiseDraw | None = None
 ) -> NoiseDraw:
-    """Draw n independent realizations as (n, d) arrays per site, from one stream index.
+    """Draw n independent realizations as (n, d) arrays per site from gen's next values.
 
-    rng is an RngStream, drawn from at its generator(index), or, with index
-    None, a Generator whose next values are drawn. Identical (seed, stream,
-    index, n) gives identical values. One generator call fills the draw's
-    vector, site after site in _site_dims order; the families draw each value
-    on its own, so this equals one call per site. With out (from
+    A caller that keys a draw passes RngStream.generator(index), so identical
+    (seed, stream, index, n) gives identical values. One generator call fills
+    the draw's vector, site after site in _site_dims order; the families draw
+    each value on its own, so this equals one call per site. With out (from
     NoiseDraw.empty, at least n rows) the draw fills the front of out's
     vector and its sites are views of it; without it they are fresh.
     """
@@ -399,7 +398,7 @@ def sample_noise_batch(
         raise ValueError("batch size must be >= 1")
     draw = NoiseDraw.empty(arch, n) if out is None else out.leading(arch, n)
     draw.multiplicative = model.family == "gaussian_multiplicative"
-    _draw_values(rng if index is None else rng.generator(index), model.family, model.level, draw.vector)
+    _draw_values(gen, model.family, model.level, draw.vector)
     return draw
 
 

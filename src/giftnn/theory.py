@@ -8,12 +8,12 @@ Carlo error in Z and the data subsample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .device import Device
-from .gift import GiftConfig, estimate_direction, gift_run, mc_blocks, mean_se
+from .gift import GiftConfig, estimate_direction, gift_run, mc_blocks, mean_se, noise_weight_factor
 from .gradients import ResidualBuffers, residual_stack
 from .model import (
     Architecture,
@@ -101,48 +101,36 @@ def d2_ds2_grad_fd_report(params: Params, s: float, data, h: float = 0.05,
     return _fd_grad_combo(params, data, [s - h, s, s + h], [1.0 / hh, -2.0 / hh, 1.0 / hh], mc_samples, seed)
 
 
-def product_derivative_factor(dims, points, s: float) -> float:
-    """Analytic d/ds log prod_i phi_s(n_i) = (1/s) * sum_i(||n_i||^2/s^2 - d_i)."""
-    if not s > 0:
-        raise ValueError("s must be positive")
-    total = 0.0
-    for d, n in zip(dims, points):
-        n = np.asarray(n, dtype=float)
-        if n.shape != (d,):
-            raise ValueError(f"point shape {n.shape}, want ({d},)")
-        total += float(n @ n) / s**2 - d
-    return total / s
-
-
-def check_gaussian_product_derivative(dims, points, s: float) -> float:
-    """Relative error between the analytic product-derivative identity and a
-    fourth-order central finite difference in s, evaluated in log space for
-    stability (the truncation of 3-point stencils overwhelms cases where the
-    analytic value happens to be near zero)."""
+def check_gaussian_product_derivative(draw: NoiseDraw, s: float) -> float:
+    """Relative error between noise_weight_factor(draw, s) / s, the analytic
+    d/ds of the one-row draw's log density -D log s - ||N||^2 / (2 s^2) (D
+    values in the draw), and a fourth-order central finite difference in s of
+    that log density. Log space keeps the difference accurate where the
+    factor is near zero."""
     h = 1e-4
-    analytic = product_derivative_factor(dims, points, s)
+    analytic = float(noise_weight_factor(draw, s)[0]) / s
+    D, sq = draw.vector.size, float(draw.vector @ draw.vector)
 
-    def log_prod(sv: float) -> float:
-        total = 0.0
-        for d, n in zip(dims, points):
-            n = np.asarray(n, dtype=float)
-            total += -d * np.log(sv) - float(n @ n) / (2.0 * sv**2)
-        return total
+    def log_density(sv: float) -> float:
+        return -D * np.log(sv) - sq / (2.0 * sv**2)
 
-    fd = (-log_prod(s + 2 * h) + 8 * log_prod(s + h) - 8 * log_prod(s - h) + log_prod(s - 2 * h)) / (12.0 * h)
+    fd = (-log_density(s + 2 * h) + 8 * log_density(s + h) - 8 * log_density(s - h)
+          + log_density(s - 2 * h)) / (12.0 * h)
     return abs(fd - analytic) / max(abs(analytic), 1e-12)
 
 
 def check_gaussian_product_cases(n_cases: int, rng: RngStream) -> float:
-    """Worst relative error over random (dims, points, s) cases."""
+    """Worst relative error over random cases: per case a random architecture
+    (2-4 dims, each 1-4) and level s in [0.3, 1.5], and one level-s row drawn
+    through sample_noise_batch."""
     worst = 0.0
     for c in range(n_cases):
         gen = rng.generator(c)
-        n_blocks = int(gen.integers(1, 4))
-        dims = [int(gen.integers(1, 5)) for _ in range(n_blocks)]
+        n_dims = int(gen.integers(2, 5))
+        arch = Architecture(tuple(int(d) for d in gen.integers(1, 5, n_dims)))
         s = float(gen.uniform(0.3, 1.5))
-        points = [s * gen.standard_normal(d) for d in dims]
-        worst = max(worst, check_gaussian_product_derivative(dims, points, s))
+        draw = sample_noise_batch(arch, NoiseModel("gaussian_additive", s), gen, 1)
+        worst = max(worst, check_gaussian_product_derivative(draw, s))
     return worst
 
 
@@ -258,7 +246,7 @@ def check_theorem1_empirically(
     diverged = 0
     for seed in range(n_seeds):
         try:
-            w0, _ = train(arch, replace(train_config, seed=seed), data)
+            w0, _ = train(arch, train_config, data, seed)
         except TrainingDiverged:
             diverged += 1
             continue
@@ -286,57 +274,33 @@ def check_theorem1_empirically(
     }
 
 
-@dataclass
-class HierarchicalSpec:
-    """Nested-expectation test target: K1 outer draws A, K2 inner draws B per A."""
+def check_hierarchical_sampler(k1: int, k2: int, n_reps: int, rng: RngStream) -> dict:
+    """Estimate a nested expectation n_reps times from K1 outer draws A and K2
+    inner draws B per A, and compare against the predicted standard error
+    sqrt(Var(E[f|A])/K1 + E[Var(f|A)]/(K1 K2)).
 
-    draw_outer: callable
-    draw_inner: callable
-    f: callable
-    true_mean: float
-    var_outer: float | None = None
-    mean_inner_var: float | None = None
-
-
-def default_hierarchical_spec() -> HierarchicalSpec:
-    """A ~ U(0,1); B | A ~ Normal(0, variance A); f = A B^2; E f = E A^2 = 1/3."""
-    return HierarchicalSpec(
-        draw_outer=lambda gen, k1: gen.uniform(0.0, 1.0, k1),
-        draw_inner=lambda gen, A, k2: np.sqrt(A)[:, None] * gen.standard_normal((A.shape[0], k2)),
-        f=lambda A, B: A[:, None] * B**2,
-        true_mean=1.0 / 3.0,
-        var_outer=4.0 / 45.0,       # Var(E[f|A]) = Var(A^2)
-        mean_inner_var=2.0 / 5.0,   # E[Var(f|A)] = E[2 A^4]
-    )
-
-
-def check_hierarchical_sampler(k1: int, k2: int, n_reps: int, rng: RngStream,
-                               spec: HierarchicalSpec | None = None) -> dict:
-    """Estimate the nested expectation n_reps times and compare against the
-    predicted standard error sqrt(var_outer/K1 + mean_inner_var/(K1 K2))."""
-    spec = spec or default_hierarchical_spec()
+    The target: A ~ U(0,1), B | A ~ Normal(0, variance A) and f = A B^2, so
+    E f = E A^2 = 1/3, Var(E[f|A]) = Var(A^2) = 4/45 and E[Var(f|A)] = E[2 A^4] = 2/5.
+    """
     estimates = np.empty(n_reps)
     for r in range(n_reps):
         gen = rng.generator(r)
-        A = spec.draw_outer(gen, k1)
-        B = spec.draw_inner(gen, A, k2)
-        estimates[r] = float(np.mean(spec.f(A, B)))
-    errors = estimates - spec.true_mean
-    se_pred = None
-    within = None
-    if spec.var_outer is not None and spec.mean_inner_var is not None:
-        se_pred = float(np.sqrt(spec.var_outer / k1 + spec.mean_inner_var / (k1 * k2)))
-        within = bool(np.all(np.abs(errors) <= 4.0 * se_pred))
+        A = gen.uniform(0.0, 1.0, k1)
+        B = np.sqrt(A)[:, None] * gen.standard_normal((k1, k2))
+        estimates[r] = float(np.mean(A[:, None] * B**2))
+    true_mean = 1.0 / 3.0
+    errors = estimates - true_mean
+    se_pred = float(np.sqrt(4.0 / 45.0 / k1 + 2.0 / 5.0 / (k1 * k2)))
     return {
         "k1": k1,
         "k2": k2,
         "n_reps": n_reps,
         "estimates": estimates,
-        "true_mean": spec.true_mean,
+        "true_mean": true_mean,
         "errors": errors,
         "mean_abs_error": float(np.abs(errors).mean()),
         "se_pred": se_pred,
-        "all_within_4se": within,
+        "all_within_4se": bool(np.all(np.abs(errors) <= 4.0 * se_pred)),
     }
 
 
@@ -358,7 +322,7 @@ def gradient_fd_check(n_cases: int, rng: RngStream) -> float:
         params = Params(arch, ws, bs)
         x = 0.8 * gen.standard_normal((1, dims[0]))
         y = gen.standard_normal((1, dims[-1]))
-        noise = sample_noise_batch(arch, NoiseModel("gaussian_additive", 0.3), noise_rng, c, 1)
+        noise = sample_noise_batch(arch, NoiseModel("gaussian_additive", 0.3), noise_rng.generator(c), 1)
 
         trace = forward_noisy(params, x, noise)
         analytic = backward(trace, y, params).grad.vector

@@ -44,7 +44,7 @@ class TrainConfig:
     """The config's train section: SGD schedule eps_k = eps0 / (1 + k/tau)^p with p in (0.5, 1].
 
     That exponent range keeps sum(eps_k) divergent and sum(eps_k^2) finite.
-    Projection is optional and off by default; seed is set per run, checked but no config leaf.
+    Projection is optional and off by default.
     """
 
     s0: float = leaf(0.2, _positive)
@@ -54,11 +54,8 @@ class TrainConfig:
     decay_p: float = leaf(0.75, _where(_finite, "in (0.5, 1]", lambda x: 0.5 < x <= 1.0))
     tau: float = leaf(300.0, _positive)
     projection: Hyperrectangle | None = leaf(None, _optional(_box))
-    seed: int = 0
 
-    def __post_init__(self):
-        check_leaves(self)
-        self.seed = checked("seed", _integer, self.seed)
+    __post_init__ = check_leaves
 
 
 def step_size(config: TrainConfig, k: int) -> float:
@@ -82,35 +79,37 @@ class LossHistory:
         return out
 
 
-def train(arch: Architecture, config: TrainConfig, data):
+def train(arch: Architecture, config: TrainConfig, data, seed: int):
     """Projected SGD on the mean squared error under fresh level-s0 noise per sample.
 
-    Starts from init_uniform weights drawn from the seed's init stream. Each
-    epoch draws its noise from one generator, keyed (STREAM_TRAIN_NOISE, epoch)
-    as the shuffle is keyed by epoch, and each step takes that generator's next
-    rows. Returns (params, LossHistory). Aborts with TrainingDiverged when the
-    batch loss becomes non-finite or exceeds LOSS_GUARD.
+    The integer seed keys every stream of the run. Starts from init_uniform
+    weights drawn from the seed's init stream. Each epoch draws its noise from
+    one generator, keyed (STREAM_TRAIN_NOISE, epoch) as the shuffle is keyed by
+    epoch, and each step takes that generator's next rows. Returns (params,
+    LossHistory). Aborts with TrainingDiverged when the batch loss becomes
+    non-finite or exceeds LOSS_GUARD.
 
     One workspace serves every step: the gradient's buffers, sized for a full
     batch (a short last batch uses their leading rows), and two parameter
     vectors that take turns holding the current parameters and the next step.
     """
+    seed = checked("seed", _integer, seed)
     if len(data) < 1:
         raise ValueError("dataset must be nonempty")
     X, Y = data.inputs, data.targets
-    params = init_uniform(arch, RngStream(config.seed, STREAM_INIT).generator(0))
+    params = init_uniform(arch, RngStream(seed, STREAM_INIT).generator(0))
     rows = min(config.batch_size, len(data))
     buffers = GradBuffers.empty(arch, rows)
     spare = Params.empty(arch)
 
-    shuffle_rng = RngStream(config.seed, STREAM_SHUFFLE)
-    noise_rng = RngStream(config.seed, STREAM_TRAIN_NOISE)
+    shuffle_rng = RngStream(seed, STREAM_SHUFFLE)
+    noise_rng = RngStream(seed, STREAM_TRAIN_NOISE)
     history = LossHistory()
     k = 0
     for epoch in range(config.epochs):
         noise_gen = noise_rng.generator(epoch)
         for idx in epoch_batches(len(data), config.batch_size, shuffle_rng, epoch):
-            sample = batch_gradient(params, X[idx], Y[idx], config.s0, noise_gen, index=None, out=buffers)
+            sample = batch_gradient(params, X[idx], Y[idx], config.s0, noise_gen, out=buffers)
             loss = batch_loss(sample)
             if not math.isfinite(loss) or loss > LOSS_GUARD:
                 raise TrainingDiverged(f"loss {loss:.6g} at step {k} (epoch {epoch}); guard {LOSS_GUARD:g}")

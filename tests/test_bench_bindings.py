@@ -1,7 +1,8 @@
 """The benchmark's tracer patches named functions of the package (perfbench/tracer.py
 PATCHES). A refactor that renames or unbinds one of them breaks the benchmark;
-this runs a tiny gift, eval, sweep and theorem check under the tracer so that such a
-break fails here too, and counts the calls at the sites each path reaches.
+this runs a tiny gift, eval, sweep, theorem check and check command under the
+tracer so that such a break fails here too, and counts the calls at the sites
+each path reaches.
 
 perfbench/tracer.py is imported read-only, from its file.
 """
@@ -126,3 +127,13 @@ def test_theorem_check_runs_under_the_benchmark_tracer():
     assert summary["gift.estimate_direction"]["calls"] == 2
     assert summary["gift.gift_run"]["calls"] == 2
     assert summary["theory.mc_objective_pair"]["calls"] == 2
+
+
+def test_check_command_runs_under_the_benchmark_tracer(tmp_path, capsys):
+    # check reaches the traced kernels through theory's sample_noise_batch (50 product-derivative cases and
+    # 20 finite-difference nets, one draw each) and the finite-difference check's call-time gradients.backward
+    code, summary = traced(lambda: main(["check", "--out", str(tmp_path)]))
+    capsys.readouterr()
+    assert code == 0
+    assert summary["gradients.backward"]["calls"] == 20
+    assert summary["model.sample_noise_batch"]["calls"] == 20 + 50

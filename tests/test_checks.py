@@ -7,9 +7,13 @@ import pytest
 
 from giftnn.checks import leaves
 from giftnn.cli import SCHEMA
+from giftnn.data import Dataset
 from giftnn.gift import GiftConfig
-from giftnn.model import Hyperrectangle
-from giftnn.trainer import TrainConfig
+from giftnn.model import Architecture, Hyperrectangle
+from giftnn.trainer import TrainConfig, train
+
+ARCH = Architecture((1, 1))
+DATA = Dataset(np.zeros((4, 1)), np.zeros((4, 1)))
 
 LEAVES = [pytest.param(cls, name, default, id=f"{cls.__name__}.{name}")
           for cls in (TrainConfig, GiftConfig) for name, (default, _) in leaves(cls).items()]
@@ -18,7 +22,7 @@ LEAVES = [pytest.param(cls, name, default, id=f"{cls.__name__}.{name}")
 def test_schema_sections_are_the_classes_leaves():
     assert SCHEMA["train"] == leaves(TrainConfig)
     assert SCHEMA["gift"] == leaves(GiftConfig)
-    assert "seed" not in SCHEMA["train"]  # set per run, not a config leaf
+    assert "seed" not in SCHEMA["train"]  # train's per-run argument, not a config leaf
 
 
 @pytest.mark.parametrize("cls, name, default", LEAVES)
@@ -35,9 +39,10 @@ def test_every_leaf_rejects_a_value_of_another_type(cls, name, default):
     (lambda: GiftConfig(eta=0.02, k1=True, k2=2), "k1"),
     (lambda: GiftConfig(eta=-0.1), "eta"),
     (lambda: TrainConfig(projection={"w_min": 1.0}), "projection"),
-    (lambda: TrainConfig(epochs=1, seed=2.5), "seed"),
-    (lambda: TrainConfig(epochs=1, seed="x"), "seed"),
-    (lambda: TrainConfig(epochs=1, seed=True), "seed"),
+    # the seed is train's argument, checked as the constructors check their leaves
+    (lambda: train(ARCH, TrainConfig(epochs=1), DATA, 2.5), "seed"),
+    (lambda: train(ARCH, TrainConfig(epochs=1), DATA, "x"), "seed"),
+    (lambda: train(ARCH, TrainConfig(epochs=1), DATA, True), "seed"),
 ])
 def test_values_the_cli_rejects_are_rejected_by_the_constructors(build, name):
     with pytest.raises(ValueError, match=f"^{name}: "):
@@ -55,9 +60,10 @@ def test_leaves_come_back_in_the_form_the_program_uses():
 
 
 def test_numpy_numbers_come_back_as_python_numbers():
-    cfg = TrainConfig(epochs=np.int64(3), s0=np.float32(0.25), seed=np.uint32(7))
-    assert (cfg.epochs, cfg.s0, cfg.seed) == (3, 0.25, 7)
-    assert type(cfg.epochs) is int and type(cfg.s0) is float and type(cfg.seed) is int
+    cfg = TrainConfig(epochs=np.int64(3), s0=np.float32(0.25))
+    assert (cfg.epochs, cfg.s0) == (3, 0.25)
+    assert type(cfg.epochs) is int and type(cfg.s0) is float
+    assert train(ARCH, cfg, DATA, np.uint32(7))[0].vector.tobytes() == train(ARCH, cfg, DATA, 7)[0].vector.tobytes()
     assert type(GiftConfig(k1=np.int64(5)).k1) is int
     assert type(GiftConfig(eta=np.float16(0.5)).eta) is float
     for build in (lambda: TrainConfig(epochs=np.bool_(True)), lambda: TrainConfig(s0=np.bool_(True)),

@@ -492,6 +492,13 @@ class TestExitCodes:
         assert len(payload["checks"]) == 4
         capsys.readouterr()
 
+    def test_check_writes_under_an_out_dir_given_by_set(self, tmp_path, capsys):
+        # --set out_dir=DIR names the leaf --out overrides, so the report lands in the same place
+        out = tmp_path / "o"
+        assert main(["check", "--set", f"out_dir={out}"]) == 0
+        assert json.loads((out / "check" / "checks.json").read_text())["all_passed"] is True
+        capsys.readouterr()
+
 
 class TestTrainGiftEval:
     def test_train_artifacts_and_loss_decrease(self, tmp_path, capsys):

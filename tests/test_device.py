@@ -43,7 +43,7 @@ class TestForward:
         x = np.array([[0.5, -0.2, 0.1]])
         out = dev.forward_batch([p], x, noise_slot=4)
         draw = sample_noise_batch(p.arch, NoiseModel("gaussian_additive", 0.3),
-                                  RngStream(11, STREAM_DEVICE).substream(4), 0, 1)
+                                  RngStream(11, STREAM_DEVICE).substream(4).generator(0), 1)
         ref = forward_noisy(p, x, draw).activations[-1]
         assert np.array_equal(out, ref)
 
@@ -122,7 +122,8 @@ def counting_draws(monkeypatch):
 
 def keyed_block_draw(params, model, seed, slot, block, rows):
     """The draw of block `block` of a call on `slot`: spawn key (STREAM_DEVICE, slot, block)."""
-    return sample_noise_batch(params.arch, model, RngStream(seed, STREAM_DEVICE).substream(slot), block, rows)
+    gen = RngStream(seed, STREAM_DEVICE).substream(slot).generator(block)
+    return sample_noise_batch(params.arch, model, gen, rows)
 
 
 def uncached_output(params, model, seed, slot, X, repeat=1):

@@ -62,7 +62,7 @@ class TestNoiseWeightFactor:
         s0 = 0.7
         n = 10**5
         batch = sample_noise_batch(arch, NoiseModel("gaussian_additive", s0),
-                                   RngStream(5, STREAM_ESTIMATE), 0, n)
+                                   RngStream(5, STREAM_ESTIMATE).generator(0), n)
         f = noise_weight_factor(batch, s0)
         assert f.shape == (n,)
         # Var per site = 2 d, total dim 5 -> SE = sqrt(10/n)
@@ -85,7 +85,8 @@ class TestNoiseWeightFactor:
 def test_additive_only_guards_reject_multiplicative_draws(use, message):
     # the in-silico passes take additive draws; only the device applies multiplicative factors
     p = small_params([2, 3, 2], seed=7)
-    draw = sample_noise_batch(p.arch, NoiseModel("gaussian_multiplicative", 0.1), RngStream(8, STREAM_EVAL), 0, 1)
+    draw = sample_noise_batch(p.arch, NoiseModel("gaussian_multiplicative", 0.1),
+                              RngStream(8, STREAM_EVAL).generator(0), 1)
     with pytest.raises(ValueError, match=message):
         use(p, np.zeros((1, 2)), draw)
 
@@ -103,7 +104,7 @@ def fresh_block_estimate(params, data, s0, k1, k2, rng):
     total = Params.zeros(arch)
     for c, (start, stop) in enumerate(point_blocks(k1, k2)):
         rows = idx[start:stop]
-        noise = sample_noise_batch(arch, NoiseModel("gaussian_additive", s0), rng, 1 + c, len(rows) * k2)
+        noise = sample_noise_batch(arch, NoiseModel("gaussian_additive", s0), rng.generator(1 + c), len(rows) * k2)
         trace = forward_noisy(params, data.inputs[rows], noise, k2)
         R = residual_stack(trace, np.repeat(data.targets[rows], k2, axis=0), params)
         f = noise_weight_factor(noise, s0)
@@ -131,7 +132,7 @@ class TestEstimateDirection:
 
         # replay: same index stream, same noise stream
         model = NoiseModel("gaussian_additive", s0)
-        draws = sample_noise_batch(p.arch, model, rng, 1, 1)
+        draws = sample_noise_batch(p.arch, model, rng.generator(1), 1)
         trace = forward_noisy(p, data.inputs, draws)
         g = backward(trace, data.targets, p)
         f = noise_weight_factor(draws, s0)[0]
@@ -294,7 +295,7 @@ class TestEvalInSitu:
         losses = []
         for c, start in enumerate(range(0, len(idx), 8192)):
             rows = idx[start:start + 8192]
-            noise = sample_noise_batch(p.arch, model, rng, 1 + c, rows.size)
+            noise = sample_noise_batch(p.arch, model, rng.generator(1 + c), rows.size)
             out = forward_noisy(p, X[rows], noise).activations[-1]
             losses.append(((Y[rows] - out) ** 2).sum(axis=1))
         losses = np.concatenate(losses)

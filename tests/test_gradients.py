@@ -16,7 +16,7 @@ from test_model import small_params, zero_draw
 
 def test_zero_residual_gives_zero_gradients():
     p = small_params([2, 3, 2], seed=1)
-    draw = sample_noise_batch(p.arch, NoiseModel("gaussian_additive", 0.3), RngStream(2, 3), 0, 1)
+    draw = sample_noise_batch(p.arch, NoiseModel("gaussian_additive", 0.3), RngStream(2, 3).generator(0), 1)
     trace = forward_noisy(p, np.array([[0.4, -0.1]]), draw)
     g = backward(trace, trace.activations[-1].copy(), p)
     assert np.all(g.grad.vector == 0.0)
@@ -39,7 +39,7 @@ def test_l1_linear_hand_expansion():
 
 def test_residual_recursion_shapes_and_values():
     p = small_params([3, 4, 2], seed=4)
-    draw = sample_noise_batch(p.arch, NoiseModel("gaussian_additive", 0.2), RngStream(5, 3), 0, 1)
+    draw = sample_noise_batch(p.arch, NoiseModel("gaussian_additive", 0.2), RngStream(5, 3).generator(0), 1)
     x = np.array([[0.2, -0.6, 1.0]])
     y = np.array([[0.5, -0.5]])
     trace = forward_noisy(p, x, draw)
@@ -58,7 +58,7 @@ def test_fd_agreement_fixed_noise():
     # every component of a [3,4,2] tanh net matches central differences < 1e-5 rel
     p = small_params([3, 4, 2], seed=6)
     arch = p.arch
-    draw = sample_noise_batch(arch, NoiseModel("gaussian_additive", 0.3), RngStream(7, 3), 0, 1)
+    draw = sample_noise_batch(arch, NoiseModel("gaussian_additive", 0.3), RngStream(7, 3).generator(0), 1)
     x = RngStream(8, 3).generator(0).standard_normal((1, 3)) * 0.8
     y = np.array([[0.3, -0.7]])
     trace = forward_noisy(p, x, draw)
@@ -111,9 +111,9 @@ def test_batch_mean_is_average_of_members():
     gen = RngStream(13, 3).generator(0)
     X = gen.standard_normal((6, 2))
     Y = gen.standard_normal((6, 2))
-    g = batch_gradient(p, X, Y, 0.2, RngStream(14, 3), index=0)
+    g = batch_gradient(p, X, Y, 0.2, RngStream(14, 3).generator(0))
 
-    draws = sample_noise_batch(p.arch, NoiseModel("gaussian_additive", 0.2), RngStream(14, 3), 0, 6)
+    draws = sample_noise_batch(p.arch, NoiseModel("gaussian_additive", 0.2), RngStream(14, 3).generator(0), 6)
     acc_w = np.zeros_like(p.weights[0])
     for i in range(6):
         d = zero_draw(p.arch, 1)
@@ -125,7 +125,7 @@ def test_batch_mean_is_average_of_members():
 
 
 def test_generator_steps_draw_its_next_rows():
-    # with index None each call draws the generator's next values: two 3-row steps from one generator take
+    # each call draws the generator's next values: two 3-row steps from one generator take
     # the rows a fresh generator gives two 3-row draws in turn, and the workspace gives the fresh arrays' values
     p = small_params([2, 3, 2], seed=12)
     gen = RngStream(13, 3).generator(0)
@@ -135,8 +135,8 @@ def test_generator_steps_draw_its_next_rows():
     steps, ref = RngStream(14, 3).generator(0), RngStream(14, 3).generator(0)
     buffers = GradBuffers.empty(p.arch, 4)
     for rows in (slice(0, 3), slice(3, 6)):
-        g = batch_gradient(p, X[rows], Y[rows], 0.2, steps, index=None, out=buffers)
-        draw = sample_noise_batch(p.arch, model, ref, None, 3)
+        g = batch_gradient(p, X[rows], Y[rows], 0.2, steps, out=buffers)
+        draw = sample_noise_batch(p.arch, model, ref, 3)
         want = backward(forward_noisy(p, X[rows], draw), Y[rows], p)
         assert g.grad.vector.tobytes() == want.grad.vector.tobytes()
         assert batch_loss(g) == batch_loss(want)
@@ -148,20 +148,20 @@ def test_short_batches_write_into_the_workspace_leading_rows():
     gen = RngStream(16, 3).generator(0)
     X, Y = gen.standard_normal((9, 2)), gen.standard_normal((9, 2))
     buffers = GradBuffers.empty(p.arch, 8)
-    g = batch_gradient(p, X[:5], Y[:5], 0.2, RngStream(17, 3), out=buffers)
-    want = batch_gradient(p, X[:5], Y[:5], 0.2, RngStream(17, 3))
+    g = batch_gradient(p, X[:5], Y[:5], 0.2, RngStream(17, 3).generator(0), out=buffers)
+    want = batch_gradient(p, X[:5], Y[:5], 0.2, RngStream(17, 3).generator(0))
     assert g.grad is buffers.grad and g.grad.vector.tobytes() == want.grad.vector.tobytes()
     assert batch_loss(g) == batch_loss(want)
     for r, r_want, room in zip(g.residuals, want.residuals, buffers.residuals.residuals, strict=True):
         assert r.shape[0] == 5 and np.shares_memory(r, room) and r.tobytes() == r_want.tobytes()
     with pytest.raises(ValueError, match="hold 8 rows, need 9"):
-        batch_gradient(p, X, Y, 0.2, RngStream(17, 3), out=buffers)
+        batch_gradient(p, X, Y, 0.2, RngStream(17, 3).generator(0), out=buffers)
 
 
 def test_empty_batch_rejected():
     p = small_params([2, 2])
     with pytest.raises(ValueError):
-        batch_gradient(p, np.zeros((0, 2)), np.zeros((0, 2)), 0.1, RngStream(0, 3))
+        batch_gradient(p, np.zeros((0, 2)), np.zeros((0, 2)), 0.1, RngStream(0, 3).generator(0))
 
 
 def test_mean_gradient_matches_fd_of_mc_objective():
@@ -177,7 +177,7 @@ def test_mean_gradient_matches_fd_of_mc_objective():
     n_reps = 400
     samples = np.empty((n_reps, 3))
     for r in range(n_reps):
-        g = batch_gradient(p, X, Y, s0, RngStream(21, 3), index=r)
+        g = batch_gradient(p, X, Y, s0, RngStream(21, 3).generator(r))
         samples[r] = g.grad.vector
     mean = samples.mean(axis=0)
     se = samples.std(axis=0, ddof=1) / np.sqrt(n_reps)
@@ -196,7 +196,7 @@ def test_batch_loss_matches_residuals():
     gen = RngStream(31, 3).generator(0)
     X = gen.standard_normal((5, 2))
     Y = gen.standard_normal((5, 2))
-    g = batch_gradient(p, X, Y, 0.3, RngStream(32, 3), index=1)
+    g = batch_gradient(p, X, Y, 0.3, RngStream(32, 3).generator(1))
     loss = batch_loss(g)
     assert np.isfinite(loss) and loss > 0
     assert np.isclose(loss, np.mean(np.sum(g.residuals[-1] ** 2, axis=1)))

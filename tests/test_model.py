@@ -122,7 +122,7 @@ class TestNoiseModel:
 class TestSampleNoise:
     def test_two_l_vectors_with_matching_dims(self):
         arch = Architecture((3, 5, 4, 2))
-        draw = sample_noise_batch(arch, NoiseModel("gaussian_additive", 0.5), RngStream(0, 3), 0, 1)
+        draw = sample_noise_batch(arch, NoiseModel("gaussian_additive", 0.5), RngStream(0, 3).generator(0), 1)
         assert len(draw.act) == 3       # a_0 .. a_{L-1}
         assert len(draw.weigh) == 3     # w_1 .. w_L
         assert [v.shape for v in draw.act] == [(1, 3), (1, 5), (1, 4)]
@@ -131,8 +131,8 @@ class TestSampleNoise:
     def test_same_seed_bitwise_identical(self):
         arch = Architecture((2, 3))
         model = NoiseModel("gaussian_additive", 1.0)
-        a = sample_noise_batch(arch, model, RngStream(7, 3), 5, 1)
-        b = sample_noise_batch(arch, model, RngStream(7, 3), 5, 1)
+        a = sample_noise_batch(arch, model, RngStream(7, 3).generator(5), 1)
+        b = sample_noise_batch(arch, model, RngStream(7, 3).generator(5), 1)
         for u, v in zip(a.act + a.weigh, b.act + b.weigh):
             assert np.array_equal(u, v)
 
@@ -141,7 +141,7 @@ class TestSampleNoise:
         arch = Architecture((2, 4))
         model = NoiseModel("gaussian_additive", 1.0)
         n = 10**5
-        batch = sample_noise_batch(arch, model, RngStream(1, 3), 0, n)
+        batch = sample_noise_batch(arch, model, RngStream(1, 3).generator(0), n)
         site = batch.weigh[0]
         assert site.shape == (n, 4)
         assert abs(site.mean()) < 4.0 / np.sqrt(n * 4)
@@ -150,7 +150,7 @@ class TestSampleNoise:
     def test_batch_matches_sequence_distribution(self):
         arch = Architecture((2, 2))
         model = NoiseModel("uniform", 0.3)
-        batch = sample_noise_batch(arch, model, RngStream(2, 3), 0, 10_000)
+        batch = sample_noise_batch(arch, model, RngStream(2, 3).generator(0), 10_000)
         assert np.all(np.abs(batch.act[0]) <= 0.3)
         assert abs(batch.act[0].var() - 0.3**2 / 3) < 0.002
 
@@ -181,7 +181,7 @@ class TestOneVectorDraw:
         model = NoiseModel(family, 0.3)
         rng = RngStream(41, 3)
         out = None if rows is None else NoiseDraw.empty(arch, rows)
-        draw = sample_noise_batch(arch, model, rng, 7, n, out=out)
+        draw = sample_noise_batch(arch, model, rng.generator(7), n, out=out)
         act, weigh = per_site_draw(arch, model, rng, 7, n)
         for u, v in zip(draw.act + draw.weigh, act + weigh, strict=True):
             assert u.shape == v.shape and u.tobytes() == v.tobytes()
@@ -191,7 +191,7 @@ class TestOneVectorDraw:
         arch = Architecture((3, 5, 4, 2))
         assert arch.noise_values_per_row == 3 + 5 + 5 + 4 + 4 + 2
         buf = NoiseDraw.empty(arch, 8)
-        draw = sample_noise_batch(arch, NoiseModel("laplace", 0.2), RngStream(42, 3), 0, 3, out=buf)
+        draw = sample_noise_batch(arch, NoiseModel("laplace", 0.2), RngStream(42, 3).generator(0), 3, out=buf)
         assert draw.vector.size == 3 * arch.noise_values_per_row
         assert np.shares_memory(draw.vector, buf.vector[:draw.vector.size])
         order = [draw.act[l] if kind == "a" else draw.weigh[l - 1] for kind, l, _ in _site_dims(arch)]
@@ -201,7 +201,7 @@ class TestOneVectorDraw:
         arch = Architecture((3, 5, 2))
         buf = NoiseDraw.empty(arch, 4)
         with pytest.raises(ValueError, match="draw buffers hold 4 rows, need 5"):
-            sample_noise_batch(arch, NoiseModel("gaussian_additive", 0.2), RngStream(43, 3), 0, 5, out=buf)
+            sample_noise_batch(arch, NoiseModel("gaussian_additive", 0.2), RngStream(43, 3).generator(0), 5, out=buf)
 
 
 class TestForward:
@@ -224,7 +224,7 @@ class TestForward:
         # independent reimplementation of the noisy recursion, 1e-12 relative
         p = small_params([3, 4, 2], seed=5)
         arch = p.arch
-        draw = sample_noise_batch(arch, NoiseModel("gaussian_additive", 0.4), RngStream(6, 3), 0, 1)
+        draw = sample_noise_batch(arch, NoiseModel("gaussian_additive", 0.4), RngStream(6, 3).generator(0), 1)
         x = RngStream(7, 3).generator(0).standard_normal((1, 3))
         trace = forward_noisy(p, x, draw)
 
@@ -240,7 +240,7 @@ class TestForward:
     def test_trace_invariants_recompute(self):
         p = small_params([2, 3, 3, 1], seed=9)
         arch = p.arch
-        draw = sample_noise_batch(arch, NoiseModel("gaussian_additive", 0.2), RngStream(8, 3), 0, 1)
+        draw = sample_noise_batch(arch, NoiseModel("gaussian_additive", 0.2), RngStream(8, 3).generator(0), 1)
         x = np.array([[0.3, -0.8]])
         trace = forward_noisy(p, x, draw)
         assert np.array_equal(trace.activations[0], x + draw.act[0])
@@ -291,7 +291,7 @@ class TestForward:
         # one noise row per input row: neither a 1-row draw (which would broadcast), a 3-row one, nor a draw of
         # (d,) sites (rows None) fits 5 inputs
         p = small_params([4, 3, 2], seed=13)
-        draw = sample_noise_batch(p.arch, NoiseModel("gaussian_additive", 0.2), RngStream(14, 3), 0, rows or 1)
+        draw = sample_noise_batch(p.arch, NoiseModel("gaussian_additive", 0.2), RngStream(14, 3).generator(0), rows or 1)
         if rows is None:
             draw = NoiseDraw([v[0] for v in draw.act], [v[0] for v in draw.weigh], draw.vector)
         shape = "4," if rows is None else f"{rows}, 4"
@@ -302,7 +302,7 @@ class TestForward:
     def test_repeated_inputs_match_repeated_rows(self, family):
         # each point broadcast over its repeat rows gives the pass over np.repeat-ed rows, bit for bit
         p = small_params([3, 4, 2], seed=16)
-        draw = sample_noise_batch(p.arch, NoiseModel(family, 0.3), RngStream(17, 3), 0, 5 * 4)
+        draw = sample_noise_batch(p.arch, NoiseModel(family, 0.3), RngStream(17, 3).generator(0), 5 * 4)
         x = RngStream(18, 3).generator(0).standard_normal((5, 3))
         broadcast = _forward(p, x, draw, repeat=4)
         rows = _forward(p, np.repeat(x, 4, axis=0), draw)
@@ -317,7 +317,7 @@ class TestForward:
     def test_multiplicative_rejected_in_forward_noisy(self):
         arch = Architecture((2, 2))
         p = small_params([2, 2])
-        draw = sample_noise_batch(arch, NoiseModel("gaussian_multiplicative", 0.1), RngStream(0, 3), 0, 1)
+        draw = sample_noise_batch(arch, NoiseModel("gaussian_multiplicative", 0.1), RngStream(0, 3).generator(0), 1)
         with pytest.raises(ValueError):
             forward_noisy(p, np.zeros((1, 2)), draw)
 
@@ -330,7 +330,7 @@ class TestForward:
         model = NoiseModel("gaussian_additive", s)
         x = np.array([0.1, 0.2, -0.3])
         n = 10**5
-        draws = sample_noise_batch(arch, model, RngStream(21, 3), 0, n)
+        draws = sample_noise_batch(arch, model, RngStream(21, 3).generator(0), n)
         outs = (x + draws.act[0]) @ W.T + draws.weigh[0]
         expected = s**2 * (1.0 + (W**2).sum(axis=1))
         assert np.all(np.abs(outs.var(axis=0) / expected - 1.0) < 0.05)
@@ -369,7 +369,7 @@ class TestInPlaceForward:
         p = small_params([3, 4, 4, 2], seed=13)
         model = NoiseModel(family, 0.3)
         rng = RngStream(14, 3)
-        draw = sample_noise_batch(p.arch, model, rng, 0, n)
+        draw = sample_noise_batch(p.arch, model, rng.generator(0), n)
         x = RngStream(15, 3).generator(0).standard_normal((n, 3))
         before = [v.copy() for v in draw.act + draw.weigh]
         x_before = x.copy()

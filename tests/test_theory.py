@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from giftnn import gift as gift_module
+from giftnn import theory as theory_module
 from giftnn.data import Dataset, synthetic_linear
 from giftnn.gift import GiftConfig, estimate_direction, mean_se
 from giftnn.gradients import residual_stack
@@ -22,7 +23,6 @@ from giftnn.model import (
     sample_noise_batch,
 )
 from giftnn.theory import (
-    HierarchicalSpec,
     check_gaussian_product_cases,
     check_gaussian_product_derivative,
     check_hierarchical_sampler,
@@ -30,15 +30,13 @@ from giftnn.theory import (
     condition_report,
     d2_ds2_grad_fd_report,
     d_ds_grad_fd_report,
-    default_hierarchical_spec,
     gradient_fd_check,
     linear_condition_bound,
     mc_objective_pair,
-    product_derivative_factor,
 )
 from giftnn.trainer import TrainConfig, train
 
-from test_model import small_params
+from test_model import small_params, zero_draw
 
 V = np.array([[0.3, -0.4]])
 LINEAR_ARCH = Architecture((2, 1))
@@ -55,24 +53,25 @@ def linear_data(n=4096, seed=3):
 
 class TestGaussianProductDerivative:
     def test_single_zero_point(self):
-        # factor at n=0 is -d/s; finite difference agrees
-        s = 0.7
-        assert product_derivative_factor([1], [np.zeros(1)], s) == pytest.approx(-1.0 / s)
-        assert check_gaussian_product_derivative([1], [np.zeros(1)], s) < 1e-6
-
-    def test_factor_vanishes_at_matched_norm(self):
-        s = 0.5
-        n = np.full(4, s)  # ||n||^2 = 4 s^2 = s^2 * d
-        assert product_derivative_factor([4], [n], s) == 0.0
+        # the estimator's factor at a zero draw is -D, so d/ds log density is -D/s; the finite difference agrees
+        assert check_gaussian_product_derivative(zero_draw(Architecture((1, 1)), 1), 0.7) < 1e-6
 
     def test_random_blocks(self):
-        gen = RngStream(1, STREAM_THEORY).generator(0)
-        pts = [0.7 * gen.standard_normal(2), 0.7 * gen.standard_normal(3)]
-        assert check_gaussian_product_derivative([2, 3], pts, 0.7) < 1e-6
+        s = 0.7
+        draw = sample_noise_batch(Architecture((2, 3)), NoiseModel("gaussian_additive", s),
+                                  RngStream(1, STREAM_THEORY).generator(0), 1)
+        assert check_gaussian_product_derivative(draw, s) < 1e-6
 
     def test_many_random_cases(self):
         worst = check_gaussian_product_cases(50, RngStream(2, STREAM_THEORY))
         assert worst < 1e-6
+
+    def test_checks_the_estimators_factor(self, monkeypatch):
+        # the factor with its squares over s0 instead of s0^2, sum(||N||^2/s0 - d), fails the check
+        real = theory_module.noise_weight_factor
+        monkeypatch.setattr(theory_module, "noise_weight_factor",
+                            lambda draw, s0: (real(draw, s0) + draw.vector.size) * s0 - draw.vector.size)
+        assert check_gaussian_product_cases(50, RngStream(2, STREAM_THEORY)) > 1e-6
 
 
 class TestDsGradFd:
@@ -117,7 +116,7 @@ def reference_fd_report(params, s_values, coeffs, data, mc_samples, seed):
     for c, start in enumerate(range(0, mc_samples, CHUNK_ROWS)):
         rows = idx[start:start + CHUNK_ROWS]
         X, Y = data.inputs[rows], data.targets[rows]
-        Z = sample_noise_batch(arch, NoiseModel("gaussian_additive", 1.0), rng, 1 + c, rows.size)
+        Z = sample_noise_batch(arch, NoiseModel("gaussian_additive", 1.0), rng.generator(1 + c), rows.size)
         Rs, As = [], []
         for sv in s_values:
             fresh = NoiseDraw.over(arch, sv * Z.vector)
@@ -150,9 +149,9 @@ class TestMonteCarloBlocks:
         calls = []
         real = gift_module.sample_noise_batch
 
-        def recording(arch, model, rng, index, n, out=None):
-            calls.append((index, n))
-            return real(arch, model, rng, index, n, out=out)
+        def recording(arch, model, gen, n, out=None):
+            calls.append((gen.bit_generator.seed_seq.spawn_key[-1], n))  # the block's stream index
+            return real(arch, model, gen, n, out=out)
 
         monkeypatch.setattr(gift_module, "sample_noise_batch", recording)
         return calls
@@ -260,16 +259,6 @@ class TestMcObjectivePair:
 
 
 class TestHierarchicalSampler:
-    def test_constant_function_exact(self):
-        spec = HierarchicalSpec(
-            draw_outer=lambda gen, k1: gen.uniform(0, 1, k1),
-            draw_inner=lambda gen, A, k2: gen.standard_normal((A.shape[0], k2)),
-            f=lambda A, B: np.full((A.shape[0], B.shape[1]), 2.5),
-            true_mean=2.5,
-        )
-        out = check_hierarchical_sampler(10, 3, 5, RngStream(0, STREAM_THEORY), spec)
-        assert np.allclose(out["estimates"], 2.5)
-
     def test_nested_expectation_within_4se(self):
         out = check_hierarchical_sampler(100, 100, 20, RngStream(1, STREAM_THEORY))
         assert out["all_within_4se"]
@@ -297,8 +286,8 @@ def objective_gaps(data, s_t, cfg, n_seeds, mc_samples):
     """
     w0s, pairs = [], []
     for seed in range(n_seeds):
-        w0s.append(train(LINEAR_ARCH, replace(cfg, seed=seed), data)[0])
-        w_t, _ = train(LINEAR_ARCH, replace(cfg, s0=s_t, seed=seed), data)
+        w0s.append(train(LINEAR_ARCH, cfg, data, seed)[0])
+        w_t, _ = train(LINEAR_ARCH, replace(cfg, s0=s_t), data, seed)
         pairs.append(mc_objective_pair(w0s[-1], w_t, s_t, data, mc_samples, seed=mix64(seed)))
     return w0s, np.array([p["diff"] for p in pairs]), np.array([p["diff_se"] for p in pairs])
 
@@ -330,10 +319,11 @@ class TestTheorem1Empirically:
 
 
 def test_default_spec_variances_match_analytic():
-    spec = default_hierarchical_spec()
-    assert spec.true_mean == pytest.approx(1 / 3)
-    assert spec.var_outer == pytest.approx(4 / 45)
-    assert spec.mean_inner_var == pytest.approx(2 / 5)
+    # two (K1, K2) pairs pin both variance components of the predicted SE
+    for k1, k2 in ((10, 3), (7, 1)):
+        out = check_hierarchical_sampler(k1, k2, 1, RngStream(6, STREAM_THEORY))
+        assert out["true_mean"] == pytest.approx(1 / 3)
+        assert out["se_pred"] == pytest.approx(np.sqrt((4 / 45) / k1 + (2 / 5) / (k1 * k2)))
 
     # direct Monte-Carlo confirmation of both variance components
     gen = RngStream(6, STREAM_THEORY).generator(0)

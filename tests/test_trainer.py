@@ -89,22 +89,22 @@ class TestTrain:
     def test_linear_converges_to_ridge_minimizer(self):
         # s0=1 shrinks W* to V/2
         cfg = TrainConfig(s0=1.0, epochs=120, batch_size=256, eps0=0.1,
-                          decay_p=1.0, tau=150.0, seed=0)
-        params, _ = train(ARCH, cfg, linear_data(8192))
+                          decay_p=1.0, tau=150.0)
+        params, _ = train(ARCH, cfg, linear_data(8192), 0)
         target = V / 2.0
         assert np.linalg.norm(params.weights[0] - target) < 1e-2
 
     def test_tiny_s0_recovers_v(self):
         cfg = TrainConfig(s0=1e-6, epochs=60, batch_size=256, eps0=0.1,
-                          decay_p=1.0, tau=150.0, seed=0)
-        params, _ = train(ARCH, cfg, linear_data(4096))
+                          decay_p=1.0, tau=150.0)
+        params, _ = train(ARCH, cfg, linear_data(4096), 0)
         assert np.linalg.norm(params.weights[0] - V) < 1e-2
 
     def test_projection_binds_on_boundary(self):
         h = Hyperrectangle(-0.05, 0.05, -0.05, 0.05)
         cfg = TrainConfig(s0=0.1, epochs=40, batch_size=128, eps0=0.1,
-                          decay_p=1.0, tau=100.0, projection=h, seed=0)
-        params, _ = train(ARCH, cfg, linear_data(2048))
+                          decay_p=1.0, tau=100.0, projection=h)
+        params, _ = train(ARCH, cfg, linear_data(2048), 0)
         W = params.weights[0]
         assert np.all(W <= 0.05 + 1e-15) and np.all(W >= -0.05 - 1e-15)
         # unconstrained optimum ~ [0.297, -0.198]: both coordinates clamp
@@ -112,31 +112,31 @@ class TestTrain:
         assert np.isclose(abs(W[0, 1]), 0.05)
 
     def test_deterministic_given_seed(self):
-        cfg = TrainConfig(s0=0.3, epochs=3, batch_size=64, eps0=0.05, tau=1000.0, seed=7)
+        cfg = TrainConfig(s0=0.3, epochs=3, batch_size=64, eps0=0.05, tau=1000.0)
         data = linear_data(512)
-        a, ha = train(ARCH, cfg, data)
-        b, hb = train(ARCH, cfg, data)
+        a, ha = train(ARCH, cfg, data, 7)
+        b, hb = train(ARCH, cfg, data, 7)
         assert np.array_equal(a.weights[0], b.weights[0])
         assert ha.losses == hb.losses
 
     def test_smoothed_loss_decreases_on_linear_task(self):
         for seed in range(3):
             cfg = TrainConfig(s0=0.2, epochs=15, batch_size=64, eps0=0.1,
-                              decay_p=0.75, tau=300.0, seed=seed)
-            _, hist = train(ARCH, cfg, linear_data(2048, seed=seed + 10))
+                              decay_p=0.75, tau=300.0)
+            _, hist = train(ARCH, cfg, linear_data(2048, seed=seed + 10), seed)
             sm = hist.smoothed()
             assert sm[-1] < sm[0]
 
     def test_divergence_guard(self):
         cfg = TrainConfig(s0=0.2, epochs=50, batch_size=8, eps0=1e4,
-                          decay_p=0.75, tau=1e6, seed=0)
+                          decay_p=0.75, tau=1e6)
         with pytest.raises(TrainingDiverged):
-            train(ARCH, cfg, linear_data(256))
+            train(ARCH, cfg, linear_data(256), 0)
 
     def test_history_records_schedule(self):
         cfg = TrainConfig(s0=0.2, epochs=2, batch_size=128, eps0=0.05,
-                          decay_p=0.75, tau=1000.0, seed=1)
-        _, hist = train(ARCH, cfg, linear_data(512))
+                          decay_p=0.75, tau=1000.0)
+        _, hist = train(ARCH, cfg, linear_data(512), 1)
         assert hist.eps[0] == 0.05
         assert hist.eps == sorted(hist.eps, reverse=True)
         assert hist.steps == list(range(len(hist.steps)))
@@ -150,19 +150,19 @@ def desk_data(n, seed=2):
     return Dataset(gen.standard_normal((n, 16)), 0.5 * gen.standard_normal((n, 4)))
 
 
-def fresh_arrays_train(arch, config, data):
+def fresh_arrays_train(arch, config, data, seed):
     """The training loop with a fresh gradient, step and projection per step: the reference for train().
 
     Each epoch's steps draw their noise rows in turn from the epoch's generator, (STREAM_TRAIN_NOISE, epoch).
     """
-    params = init_uniform(arch, RngStream(config.seed, STREAM_INIT).generator(0))
-    shuffle_rng = RngStream(config.seed, STREAM_SHUFFLE)
-    noise_rng = RngStream(config.seed, STREAM_TRAIN_NOISE)
+    params = init_uniform(arch, RngStream(seed, STREAM_INIT).generator(0))
+    shuffle_rng = RngStream(seed, STREAM_SHUFFLE)
+    noise_rng = RngStream(seed, STREAM_TRAIN_NOISE)
     losses, k = [], 0
     for epoch in range(config.epochs):
         noise_gen = noise_rng.generator(epoch)
         for idx in epoch_batches(len(data), config.batch_size, shuffle_rng, epoch):
-            sample = batch_gradient(params, data.inputs[idx], data.targets[idx], config.s0, noise_gen, index=None)
+            sample = batch_gradient(params, data.inputs[idx], data.targets[idx], config.s0, noise_gen)
             loss = batch_loss(sample)
             if not np.isfinite(loss) or loss > LOSS_GUARD:
                 raise TrainingDiverged(f"loss {loss:.6g} at step {k} (epoch {epoch}); guard {LOSS_GUARD:g}")
@@ -177,16 +177,16 @@ def fresh_arrays_train(arch, config, data):
 class TestWorkspace:
     """train() steps on one set of arrays; its results equal fresh arrays per step, bit for bit."""
 
-    @pytest.mark.parametrize("config, n", [
-        (TrainConfig(s0=0.1, seed=3), 2000),  # the default schedule: 2000 = 31 x 64 + 16, a short last batch
-        (TrainConfig(s0=0.2, epochs=5, batch_size=100, seed=4), 40),  # one batch, smaller than batch_size
-        (TrainConfig(s0=0.1, epochs=3, eps0=0.5, projection=Hyperrectangle(-0.05, 0.05, -0.02, 0.02),
-                     seed=5), 500),
+    @pytest.mark.parametrize("config, n", [  # config is a (TrainConfig, seed) pair
+        ((TrainConfig(s0=0.1), 3), 2000),  # the default schedule: 2000 = 31 x 64 + 16, a short last batch
+        ((TrainConfig(s0=0.2, epochs=5, batch_size=100), 4), 40),  # one batch, smaller than batch_size
+        ((TrainConfig(s0=0.1, epochs=3, eps0=0.5, projection=Hyperrectangle(-0.05, 0.05, -0.02, 0.02)), 5), 500),
     ])
     def test_matches_fresh_arrays_per_step(self, config, n):
+        config, seed = config
         data = desk_data(n)
-        params, history = train(DESK_SMALL, config, data)
-        ref, ref_losses = fresh_arrays_train(DESK_SMALL, config, data)
+        params, history = train(DESK_SMALL, config, data, seed)
+        ref, ref_losses = fresh_arrays_train(DESK_SMALL, config, data, seed)
         assert params.vector.tobytes() == ref.vector.tobytes()
         assert history.losses == ref_losses
         if config.projection is not None:
@@ -196,23 +196,23 @@ class TestWorkspace:
             assert np.abs(params.vector[nw:]).max() == box.b_max
 
     def test_divergence_fires_at_the_same_step(self):
-        config = TrainConfig(s0=0.2, epochs=50, batch_size=8, eps0=1e4, decay_p=0.75, tau=1e6, seed=0)
+        config = TrainConfig(s0=0.2, epochs=50, batch_size=8, eps0=1e4, decay_p=0.75, tau=1e6)
         data = linear_data(256)
         with pytest.raises(TrainingDiverged) as ref:
-            fresh_arrays_train(ARCH, config, data)
+            fresh_arrays_train(ARCH, config, data, 0)
         with pytest.raises(TrainingDiverged) as got:
-            train(ARCH, config, data)
+            train(ARCH, config, data, 0)
         assert str(got.value) == str(ref.value)
 
     def test_non_finite_parameters_raise(self):
         # a loss under the guard and a step that overflows: the parameters leave the reals at step 0
         data = desk_data(200)
         data = Dataset(data.inputs, 100 * data.targets)
-        config = TrainConfig(s0=0.1, epochs=1, eps0=1e308, seed=1)
+        config = TrainConfig(s0=0.1, epochs=1, eps0=1e308)
         with pytest.raises(ValueError, match="non-finite"), np.errstate(over="ignore"):
-            fresh_arrays_train(DESK_SMALL, config, data)
+            fresh_arrays_train(DESK_SMALL, config, data, 1)
         with pytest.raises(ValueError, match="non-finite"), np.errstate(over="ignore"):
-            train(DESK_SMALL, config, data)
+            train(DESK_SMALL, config, data, 1)
 
 
 def test_loss_history_smoothing_constant_series():
