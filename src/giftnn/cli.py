@@ -287,7 +287,6 @@ def _meta(cfg: dict) -> dict:
 def write_csv(path, fieldnames, rows, meta: dict):
     """Meta (with timestamp) goes on a comment header line; the body below it is
     deterministic for a fixed config and seeds."""
-    os.makedirs(os.path.dirname(path), exist_ok=True)
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
     writer.writeheader()
@@ -321,7 +320,6 @@ def _jsonable(obj):
 
 
 def write_json(path, payload: dict):
-    os.makedirs(os.path.dirname(path), exist_ok=True)
     with open_atomic(path, "w") as f:
         json.dump(_jsonable(payload), f, indent=2, sort_keys=True)
         f.write("\n")
@@ -400,7 +398,6 @@ def cmd_train(exp: Experiment) -> int:
     for seed in exp.seeds:
         params, history = _train_one(exp, train_ds, seed)
         seed_dir = os.path.join(out, f"seed_{seed}")
-        os.makedirs(seed_dir, exist_ok=True)
         save_params(params, os.path.join(seed_dir, "params.npz"))
         rows = [
             {"step": s, "epoch": e, "eps": eps, "loss": loss}
@@ -450,7 +447,6 @@ def cmd_gift(exp: Experiment, checkpoint_root: str | None) -> int:
         trace, fresh_base, fresh_post = _gift_one(exp, w0, direction, test_ds, family, s_t, seed)
         rows.append(_gift_row(family, s0, s_t, seed, trace, fresh_base, fresh_post))
         seed_dir = os.path.join(out, f"seed_{seed}")
-        os.makedirs(seed_dir, exist_ok=True)
         save_params(trace.w_f, os.path.join(seed_dir, "params_final.npz"))
         write_json(os.path.join(seed_dir, "gift_trace.json"), {
             "meta": meta,
@@ -579,7 +575,7 @@ def cmd_sweep(exp: Experiment) -> int:
         "non_degradation": bool(all(float(r["loss_improvement"]) >= 0.0 for r in rows)),
     })
     print(f"sweep: {len(rows)} rows, {len(agg_rows)} cells, {len(failures)} failures ({out})")
-    return EXIT_OK
+    return EXIT_RUNTIME if failures else EXIT_OK
 
 
 def cmd_check(out_dir: str) -> int:

@@ -18,8 +18,8 @@ from .model import (
     Params,
     RngStream,
     STREAM_DEVICE,
-    _forward,
     block_rows,
+    forward_noisy,
     point_blocks,
     sample_noise_batch,
 )
@@ -117,7 +117,7 @@ class Device:
                         v.flags.writeable = False
                     kept.append(draw)
             for p, set_out in zip(params, out):
-                trace = _forward(p, X[start:stop], draw, repeat, self._outputs)
+                trace = forward_noisy(p, X[start:stop], draw, repeat, self._outputs)
                 set_out[start * repeat:stop * repeat] = trace.activations[-1]
         if kept is not None:
             self._replay_key, self._replay = key, kept

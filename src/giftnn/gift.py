@@ -20,7 +20,7 @@ import numpy as np
 
 from .checks import _choice, _count, _finite, _where, check_leaves, leaf
 from .device import Device
-from .gradients import ResidualBuffers, residual_stack
+from .gradients import layer_sums, residual_stack
 from .model import (
     ForwardTrace,
     NoiseDraw,
@@ -142,8 +142,8 @@ def estimate_direction(params: Params, data, s0: float, k1: int, k2: int, rng: R
 
     Per draw the contribution is factor(N) * R(l) A(l-1)^T for weights and
     factor(N) * R(l) for biases. See the module docstring for the scale
-    convention relative to the s-derivative of the gradient. One set of
-    arrays, sized for the largest block, holds every block's trace and
+    convention relative to the s-derivative of the gradient. One trace,
+    sized for the largest block, holds every block's activations and
     residuals in turn, so one block is live at a time.
     """
     if len(data) < 1:
@@ -151,20 +151,16 @@ def estimate_direction(params: Params, data, s0: float, k1: int, k2: int, rng: R
     if k1 < 1 or k2 < 1:
         raise ValueError("k1 and k2 must be >= 1")
     arch = params.arch
-    rows = block_rows(k1, k2)
-    trace_buf = ForwardTrace.empty(arch, rows)
-    residual_buf = ResidualBuffers.empty(arch, rows)
+    trace_buf = ForwardTrace.empty(arch, block_rows(k1, k2))
     total = Params.zeros(arch)
-    term = Params.empty(arch)  # one block's sums, added to the total layer by layer
+    term = Params.empty(arch)  # one block's sums, added to the total
     for X, Y, noise in mc_blocks(arch, NoiseModel("gaussian_additive", s0), data, k1, k2, rng):
         trace = forward_noisy(params, X, noise, k2, trace_buf)
-        R = residual_stack(trace, np.repeat(Y, k2, axis=0), params, residual_buf)
-        f = noise_weight_factor(noise, s0, residual_buf.scratch)  # the squares fit the widest layer's room
-        for l in range(arch.n_layers):
-            R[l] *= f[:, None]  # R(l) is not read again: weight it in place
-            np.matmul(R[l].T, trace.activations[l], out=term.weights[l])
-            total.weights[l] += term.weights[l]
-            total.biases[l] += R[l].sum(axis=0)
+        R = residual_stack(trace, np.repeat(Y, k2, axis=0), params)
+        f = noise_weight_factor(noise, s0, trace.scratch)  # the squares fit the widest layer's room
+        for r in R:
+            r *= f[:, None]  # R(l) is not read again: weight it in place
+        total.vector += layer_sums(R, trace.activations, term).vector
     total.vector /= k1 * k2  # in place: the same values as a new quotient
     return Params.from_vector(arch, total.vector)
 

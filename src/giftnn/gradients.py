@@ -17,7 +17,6 @@ from .model import (
     NoiseModel,
     Params,
     forward_noisy,
-    head,
     sample_noise_batch,
 )
 
@@ -36,79 +35,66 @@ class GradSample:
     residuals: list
 
 
-@dataclass
-class ResidualBuffers:
-    """Arrays residual_stack(out=) writes into: R(1)..R(L), (rows, d_l) each, and a
-    flat scratch with room for (rows, d) values of the widest layer, where
-    residual_stack puts each hidden layer's activation derivative."""
+def residual_stack(trace: ForwardTrace, target, params: Params) -> list:
+    """Backprop vectors R(1)..R(L) for a kept trace, written into its residuals; rows are samples when batched.
 
-    residuals: list
-    scratch: np.ndarray
-
-    @classmethod
-    def empty(cls, arch, rows: int) -> "ResidualBuffers":
-        dims = arch.layer_dims
-        return cls([np.empty((rows, d)) for d in dims[1:]], np.empty(rows * max(dims)))
-
-
-def residual_stack(trace: ForwardTrace, target, params: Params, out: ResidualBuffers | None = None) -> list:
-    """Backprop vectors R(1)..R(L) for a trace; rows are samples when batched.
-
-    With out (at least as many rows as the trace) R is written into its first
-    rows and returned as views; without it the arrays are fresh.
+    Each hidden layer's activation derivative is formed in the trace's scratch.
     """
     L = params.arch.n_layers
     y = np.asarray(target, dtype=float)
     outputs = trace.activations[-1]
     if y.shape != outputs.shape:
         raise ValueError(f"target shape {y.shape}, output shape {outputs.shape}")
-    n = outputs.shape[0]
-    if out is None:
-        out = ResidualBuffers.empty(params.arch, n)
-    R = head(out.residuals, n)
+    R = trace.residuals
     np.subtract(y, outputs, out=R[L - 1])
     for l in range(L - 1, 0, -1):
         # R(l) = (W(l+1)^T R(l+1)) .* (1 - t(l)^2); row form: R(l+1) @ W(l+1)
         np.matmul(R[l], params.weights[l], out=R[l - 1])
         t = trace.hidden_tanh[l - 1]
-        deriv = np.square(t, out=out.scratch[:t.size].reshape(t.shape))
+        deriv = np.square(t, out=trace.scratch[:t.size].reshape(t.shape))
         np.subtract(1.0, deriv, out=deriv)
         R[l - 1] *= deriv
     return R
 
 
+def layer_sums(R, activations, out: Params) -> Params:
+    """Write the row sums of R(l) A(l-1)^T and of R(l) into out's weights and biases, layer by layer.
+
+    R and activations may be generators: one layer's pair is read at a time.
+    Each sum lands in out's own view, with no temporary.
+    """
+    for W, b, r, a in zip(out.weights, out.biases, R, activations):
+        np.matmul(r.T, a, out=W)
+        np.add.reduce(r, axis=0, out=b)
+    return out
+
+
 @dataclass
 class GradBuffers:
     """Arrays batch_gradient(out=) writes into, for batches of at most `rows` rows:
-    a draw, a trace, residual buffers and a gradient. A shorter batch uses
-    their leading rows, so one set serves every step of a training run."""
+    a draw, a trace (which holds the residuals) and a gradient. A shorter batch
+    uses their leading rows, so one set serves every step of a training run."""
 
     noise: NoiseDraw
     trace: ForwardTrace
-    residuals: ResidualBuffers
     grad: Params
 
     @classmethod
     def empty(cls, arch, rows: int) -> "GradBuffers":
-        return cls(NoiseDraw.empty(arch, rows), ForwardTrace.empty(arch, rows),
-                   ResidualBuffers.empty(arch, rows), Params.empty(arch))
+        return cls(NoiseDraw.empty(arch, rows), ForwardTrace.empty(arch, rows), Params.empty(arch))
 
 
 def backward(trace: ForwardTrace, target, params: Params, out: GradBuffers | None = None) -> GradSample:
     """Mean gradient of (y - output)^2 over the rows of a batched trace, its noise held fixed.
 
     Traces hold (n, d) rows, as the forward pass requires; a one-row batch gives
-    the per-sample gradient. With out, R and the gradient are written into its
-    residual buffers and gradient; without it they are fresh.
+    the per-sample gradient. R is written into the trace's residuals, and the
+    gradient into out's, or into a fresh Params without it.
     """
-    if trace.noise.multiplicative:
+    if trace.noise is None or trace.noise.multiplicative:
         raise ValueError("backward requires a trace from an additive-noise forward pass")
-    R = residual_stack(trace, target, params, None if out is None else out.residuals)
-    grad = Params.empty(params.arch) if out is None else out.grad
-    for l in range(params.arch.n_layers):
-        # each sum lands in the gradient's own view, with no temporary
-        np.matmul(R[l].T, trace.activations[l], out=grad.weights[l])
-        np.add.reduce(R[l], axis=0, out=grad.biases[l])
+    R = residual_stack(trace, target, params)
+    grad = layer_sums(R, trace.activations, Params.empty(params.arch) if out is None else out.grad)
     # then every layer's scaling at once, entry by entry as per layer: weight sums times -2/n, and
     # bias sums divided by n, the mean as np.mean forms it, then times -2
     n, nw = R[0].shape[0], params.arch.n_weights
@@ -123,9 +109,9 @@ def batch_gradient(params: Params, X, Y, s0: float, gen: np.random.Generator,
                    out: GradBuffers | None = None) -> GradSample:
     """Mean gradient over the rows of X, Y, each row under an independent level-s0 Gaussian draw.
 
-    The draw takes gen's next values (sample_noise_batch). The draw, trace,
-    residuals and gradient are written into out (from GradBuffers.empty, at
-    least len(X) rows), or into fresh arrays without it.
+    The draw takes gen's next values (sample_noise_batch). The draw, trace
+    (with its residuals) and gradient are written into out (from
+    GradBuffers.empty, at least len(X) rows), or into fresh arrays without it.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)

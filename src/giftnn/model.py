@@ -70,7 +70,7 @@ def block_rows(n_points: int, k2: int) -> int:
 
 
 def head(arrays, n: int) -> list:
-    """Views of the first n rows of each array; the arrays themselves when they hold n rows."""
+    """Views of the first n rows of each array; the arrays themselves when they hold n rows, or None."""
     if arrays and arrays[0].shape[0] != n:
         return [a[:n] for a in arrays]
     return arrays
@@ -336,21 +336,29 @@ class ForwardTrace:
     """Activations A(0..L), the hidden layers' t(l) = tanh(z(l)), and the noise used (None in a noise-free pass).
 
     hidden_tanh[l-1] holds t(l) for l = 1..L-1, before the activation noise
-    is added; backprop's derivative 1 - t(l)^2 reads it. A pass that keeps
-    no trace has hidden_tanh None: each layer's activation overwrote its
-    pre-activation, and only activations[-1] is its output.
+    is added; backprop's derivative 1 - t(l)^2 reads it. A kept trace also
+    holds the arrays backprop writes: residuals, R(1)..R(L), (n, d_l) each,
+    and a flat scratch with room for (n, d) values of the widest layer. A
+    pass that keeps no trace has hidden_tanh, residuals and scratch None:
+    each layer's activation overwrote its pre-activation, and only
+    activations[-1] is its output.
     """
 
     activations: list
     hidden_tanh: list | None
     noise: NoiseDraw | None
+    residuals: list | None = None
+    scratch: np.ndarray | None = None
 
     @classmethod
     def empty(cls, arch: Architecture, rows: int, keep: bool = True) -> "ForwardTrace":
-        """Uninitialized (rows, d) arrays for _forward(out=) to fill; keep=False holds no hidden_tanh."""
+        """Uninitialized (rows, d) arrays for forward_noisy(out=) to fill; keep=False holds only activations."""
         dims = arch.layer_dims
         acts = [np.empty((rows, d)) for d in dims]
-        return cls(acts, [np.empty((rows, d)) for d in dims[1:-1]] if keep else None, None)
+        if not keep:
+            return cls(acts, None, None)
+        return cls(acts, [np.empty((rows, d)) for d in dims[1:-1]], None,
+                   [np.empty((rows, d)) for d in dims[1:]], np.empty(rows * max(dims)))
 
 
 def _site_dims(arch: Architecture):
@@ -415,18 +423,18 @@ def _check_noise_dims(arch: Architecture, noise: NoiseDraw, n: int):
             raise ValueError(f"weighing noise {l + 1}: shape {noise.weigh[l].shape}, want {(n, dims[l + 1])}")
 
 
-def _forward(params: Params, x, noise: NoiseDraw | None = None, repeat: int = 1,
-             out: ForwardTrace | None = None) -> ForwardTrace:
-    """Shared forward recursion; handles additive and multiplicative draws, or none.
+def forward_noisy(params: Params, x, noise: NoiseDraw | None = None, repeat: int = 1,
+                  out: ForwardTrace | None = None) -> ForwardTrace:
+    """The forward recursion under an additive or multiplicative draw, or none; returns its trace.
 
     x holds (p, d0) per-point inputs, each run repeat times in a row, so the
     draw and the outputs have p * repeat rows, row r reading x[r // repeat].
-    The input-site noise is added by broadcast; no repeated input rows are built.
-    The pass writes into the first rows of out (from ForwardTrace.empty) and
-    returns views of them, or into fresh arrays without it; when out keeps no
-    hidden_tanh, neither does the returned trace. With no draw nothing is
-    perturbed: each input runs once, A(0) is x itself, and the pass keeps no
-    trace and writes fresh arrays.
+    The input-site noise is added (or multiplied) by broadcast; no repeated
+    input rows are built. The pass writes into the first rows of out (from
+    ForwardTrace.empty) and returns views of them, or into a fresh kept trace
+    without it; when out keeps no trace, neither does the returned one. With
+    no draw nothing is perturbed: each input runs once, A(0) is x itself, and
+    the pass keeps no trace and writes fresh arrays.
     """
     arch = params.arch
     dims = arch.layer_dims
@@ -436,15 +444,16 @@ def _forward(params: Params, x, noise: NoiseDraw | None = None, repeat: int = 1,
         raise ValueError(f"input shape {x.shape}, want (n, {dims[0]})")
     n = x.shape[0] * repeat
     if noise is None:
-        acts, kept = [x] + [np.empty((n, d)) for d in dims[1:]], None
+        out = ForwardTrace([x] + [np.empty((n, d)) for d in dims[1:]], None, None)
     else:
         _check_noise_dims(arch, noise, n)
         if out is None:
             out = ForwardTrace.empty(arch, n)
         elif out.activations[0].shape[0] < n:
             raise ValueError(f"trace buffers hold {out.activations[0].shape[0]} rows, need {n}")
-        acts = head(out.activations, n)
-        kept = None if out.hidden_tanh is None else head(out.hidden_tanh, n)
+    acts = head(out.activations, n)
+    kept = head(out.hidden_tanh, n)
+    if noise is not None:
         perturb = np.multiply if noise.multiplicative else np.add
         if repeat == 1:
             perturb(x, noise.act[0], out=acts[0])
@@ -462,27 +471,12 @@ def _forward(params: Params, x, noise: NoiseDraw | None = None, repeat: int = 1,
             np.tanh(z, out=z)
             if noise is not None:
                 perturb(z, noise.act[l], out=acts[l])
-    return ForwardTrace(activations=acts, hidden_tanh=kept, noise=noise)
-
-
-def forward_noisy(params: Params, x, noise: NoiseDraw, repeat: int = 1,
-                  out: ForwardTrace | None = None) -> ForwardTrace:
-    """One noisy forward pass under an additive-family draw; returns its trace.
-
-    x holds per-point inputs, each run repeat times in a row, and out holds
-    the arrays to write, as in _forward. Multiplicative draws are rejected
-    here; only the device simulator applies them.
-    """
-    if noise is None:
-        raise ValueError("forward_noisy needs a noise draw; forward_deterministic runs the noise-free pass")
-    if noise.multiplicative:
-        raise ValueError("forward_noisy takes additive draws; the device applies multiplicative noise")
-    return _forward(params, x, noise, repeat, out)
+    return ForwardTrace(acts, kept, noise, head(out.residuals, n), out.scratch)
 
 
 def forward_deterministic(params: Params, x) -> np.ndarray:
     """Noise-free output: the recursion with no draw, its first product reading x. Keeps no trace."""
-    return _forward(params, x).activations[-1]
+    return forward_noisy(params, x).activations[-1]
 
 
 def project(params: Params, h: Hyperrectangle, out: Params | None = None) -> Params:
@@ -516,11 +510,12 @@ PARAMS_FORMAT_VERSION = 1
 
 @contextlib.contextmanager
 def open_atomic(path, mode: str = "w"):
-    """Open a temp file beside path for writing ("w" or "wb"); on a clean exit it
-    replaces path, on an exception it is removed. Readers see the old file or the
-    whole new one, never a partial write."""
+    """Open a temp file beside path for writing ("w" or "wb"), creating path's
+    directory first; on a clean exit it replaces path, on an exception it is
+    removed. Readers see the old file or the whole new one, never a partial write."""
     path = os.fspath(path)
     head, name = os.path.split(path)
+    os.makedirs(head or os.curdir, exist_ok=True)
     tmp = os.path.join(head, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     try:
         with open(tmp, mode.replace("w", "x")) as f:  # "x": a fresh file, created under the umask

@@ -14,7 +14,7 @@ import numpy as np
 
 from .device import Device
 from .gift import GiftConfig, estimate_direction, gift_run, mc_blocks, mean_se, noise_weight_factor
-from .gradients import ResidualBuffers, residual_stack
+from .gradients import layer_sums, residual_stack
 from .model import (
     Architecture,
     ForwardTrace,
@@ -51,32 +51,31 @@ def _fd_grad_combo(params: Params, data, s_values, coeffs, mc_samples: int, seed
     s * Z_i; Z_i and the data row are shared across all s_j.
     """
     arch = params.arch
-    m = len(s_values)
     total = Params.zeros(arch)  # sums of the per-sample combination
     sq = Params.zeros(arch)  # sums of its square
+    term = Params.empty(arch)  # one level's, or one level pair's, sums
 
     unit = NoiseModel("gaussian_additive", 1.0)
     rows = block_rows(mc_samples, 1)
-    # s * Z is written into one draw's arrays for every level, and each level keeps its own trace and residuals
+    # s * Z is written into one draw's arrays for every level, and each level keeps its own trace
     level_noise = NoiseDraw.empty(arch, rows)
-    buffers = [(ForwardTrace.empty(arch, rows), ResidualBuffers.empty(arch, rows)) for _ in s_values]
+    trace_bufs = [ForwardTrace.empty(arch, rows) for _ in s_values]
     for X, Y, Z in mc_blocks(arch, unit, data, mc_samples, 1, RngStream(seed, STREAM_THEORY)):
         noise = level_noise.leading(arch, len(X))
-        Rs, As = [], []
-        for s, (trace_buf, residual_buf) in zip(s_values, buffers):
+        traces = []
+        for s, trace_buf in zip(s_values, trace_bufs):
             np.multiply(Z.vector, s, out=noise.vector)
-            trace = forward_noisy(params, X, noise, out=trace_buf)
-            Rs.append(residual_stack(trace, Y, params, residual_buf))
-            As.append(trace.activations)
-        for l in range(arch.n_layers):
-            for j in range(m):
-                total.weights[l] += (-2.0 * coeffs[j]) * (Rs[j][l].T @ As[j][l])
-                total.biases[l] += (-2.0 * coeffs[j]) * Rs[j][l].sum(axis=0)
-                for j2 in range(j, m):
-                    w = 4.0 * coeffs[j] * coeffs[j2] * (1.0 if j2 == j else 2.0)
-                    RR = Rs[j][l] * Rs[j2][l]
-                    sq.weights[l] += w * (RR.T @ (As[j][l] * As[j2][l]))
-                    sq.biases[l] += w * RR.sum(axis=0)
+            traces.append(forward_noisy(params, X, noise, out=trace_buf))
+            residual_stack(traces[-1], Y, params)
+        # each entry takes its terms in level order, and its square terms in level-pair order
+        for j, a in enumerate(traces):
+            total.vector += (-2.0 * coeffs[j]) * layer_sums(a.residuals, a.activations, term).vector
+            for j2, b in enumerate(traces[j:], start=j):
+                w = 4.0 * coeffs[j] * coeffs[j2] * (1.0 if j2 == j else 2.0)
+                # generators: one layer's products exist at a time
+                RR = (ra * rb for ra, rb in zip(a.residuals, b.residuals))
+                AA = (xa * xb for xa, xb in zip(a.activations, b.activations))
+                sq.vector += w * layer_sums(RR, AA, term).vector
 
     n = float(mc_samples)
     mean = total.vector / n
@@ -328,7 +327,8 @@ def gradient_fd_check(n_cases: int, rng: RngStream) -> float:
         analytic = backward(trace, y, params).grad.vector
 
         vec = params.to_vector()
-        loss = lambda p: float(((y - forward_noisy(p, x, noise).activations[-1]) ** 2).sum())
+        outputs = ForwardTrace.empty(arch, 1, keep=False)  # the loss reads only the output: keep no trace
+        loss = lambda p: float(((y - forward_noisy(p, x, noise, out=outputs).activations[-1]) ** 2).sum())
         for k in range(vec.size):
             e = np.zeros_like(vec)
             e[k] = step

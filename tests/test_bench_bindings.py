@@ -47,6 +47,18 @@ def test_gift_and_eval_run_under_the_benchmark_tracer(tmp_path, capsys):
     # queries, 2 x 64 test points x k2 = 2 per fresh pair and 32 x k2 = 2 per eval seed
     assert summary["device.forward_batch"]["rows"] == sum(t["queries"] for t in traces) + 2 * 2 * 64 * 2 + 2 * 32 * 2
     assert summary["gift.estimate_direction"]["rows"] > 0
+    # the device's passes stay untraced, so model.forward_noisy's per-layer counts are in-silico rows only
+    forward_spans = [span for span in tracer.spans if span[0] == "model.forward_noisy"]
+    assert forward_spans and not any("device.forward_batch" in ancestors(tracer, span) for span in forward_spans)
+
+
+def ancestors(tracer, span):
+    """Names of a span's parent, grandparent, ..., nearest first."""
+    names, parent = [], span[3]
+    while parent >= 0:
+        names.append(tracer.spans[parent][0])
+        parent = tracer.spans[parent][3]
+    return names
 
 
 def test_fresh_pair_queries_each_test_point_k2_times_under_the_benchmark_tracer(tmp_path, capsys):

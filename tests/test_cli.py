@@ -677,7 +677,7 @@ class TestSweep:
             out = tmp_path / f"w{workers}" / "sweep"
             argv = tiny_argv("sweep", out.parent, "sweep.s0_grid=[0.1]", "train.eps0=1e6",
                              TWO_FAMILIES, f"sweep.workers={workers}")
-            assert main(argv) == 0
+            assert main(argv) == 2  # a failed cell is a runtime error; every artifact is still written
             assert (out / "sweep_rows.csv").exists()
             assert read_csv_body(out / "sweep_aggregate.csv")[1] == []  # written, header only
             failures[workers] = json.loads((out / "sweep.json").read_text())["failures"]
@@ -723,7 +723,7 @@ class TestSweep:
 
         monkeypatch.setattr(cli, "_gift_one", flaky)
         out = tmp_path / "o"
-        assert main(tiny_argv("sweep", out, "sweep.s0_grid=[0.1]", "sweep.st_grid=[0.1,0.3]", TWO_FAMILIES)) == 0
+        assert main(tiny_argv("sweep", out, "sweep.s0_grid=[0.1]", "sweep.st_grid=[0.1,0.3]", TWO_FAMILIES)) == 2
         capsys.readouterr()
         _, rows = read_csv_body(out / "sweep" / "sweep_rows.csv")
         assert [(r["family"], r["seed"], r["s_t"]) for r in rows] == [

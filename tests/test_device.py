@@ -13,7 +13,6 @@ from giftnn.model import (
     Params,
     RngStream,
     STREAM_DEVICE,
-    _forward,
     forward_deterministic,
     forward_noisy,
     point_blocks,
@@ -129,8 +128,8 @@ def keyed_block_draw(params, model, seed, slot, block, rows):
 def uncached_output(params, model, seed, slot, X, repeat=1):
     """A call's outputs rebuilt block by block from freshly made keyed draws."""
     return np.concatenate([
-        _forward(params, X[start:stop], keyed_block_draw(params, model, seed, slot, c, (stop - start) * repeat),
-                 repeat).activations[-1]
+        forward_noisy(params, X[start:stop], keyed_block_draw(params, model, seed, slot, c, (stop - start) * repeat),
+                      repeat).activations[-1]
         for c, (start, stop) in enumerate(point_blocks(X.shape[0], repeat))])
 
 
@@ -274,7 +273,7 @@ class TestBlockForward:
             rows = (stop - start) * repeat
             assert draws[c].act[0].shape == (rows, 3)  # one block's noise at a time
             draw = keyed_block_draw(p, model, 21, 3, c, rows)
-            ref = _forward(p, X[start:stop], draw, repeat).activations[-1]
+            ref = forward_noisy(p, X[start:stop], draw, repeat).activations[-1]
             assert out[start * repeat:stop * repeat].tobytes() == ref.tobytes()
 
     def test_sets_share_each_block(self, monkeypatch):

@@ -20,7 +20,6 @@ from giftnn.gradients import backward, residual_stack
 from giftnn.model import (
     CHUNK_ROWS,
     Architecture,
-    ForwardTrace,
     NOISE_FAMILIES,
     NoiseDraw,
     NoiseModel,
@@ -29,7 +28,6 @@ from giftnn.model import (
     STREAM_DATA,
     STREAM_ESTIMATE,
     STREAM_EVAL,
-    _forward,
     apply_step,
     forward_noisy,
     point_blocks,
@@ -75,26 +73,19 @@ class TestNoiseWeightFactor:
 
 
 @pytest.mark.parametrize("use, message", [
-    (lambda p, x, draw: forward_noisy(p, x, draw), "forward_noisy takes additive draws"),
-    (lambda p, x, draw: backward(_forward(p, x, draw), np.zeros((1, 2)), p), "requires a trace from an additive"),
+    (lambda p, x, draw: backward(forward_noisy(p, x, draw), np.zeros((1, 2)), p), "requires a trace from an additive"),
+    (lambda p, x, draw: backward(forward_noisy(p, x), np.zeros((1, 2)), p), "requires a trace from an additive"),
     (lambda p, x, draw: noise_weight_factor(draw, 0.1), "defined for additive draws"),
-    (lambda p, x, draw: forward_noisy(p, x, draw, out=ForwardTrace.empty(p.arch, 4)), "takes additive draws"),
     (lambda p, x, draw: noise_weight_factor(draw, 0.1, np.empty(12)), "defined for additive draws"),
-], ids=["forward_noisy", "backward", "noise_weight_factor", "forward_noisy_into_buffers",
-        "noise_weight_factor_scratch"])
+], ids=["backward", "backward_noise_free", "noise_weight_factor", "noise_weight_factor_scratch"])
 def test_additive_only_guards_reject_multiplicative_draws(use, message):
-    # the in-silico passes take additive draws; only the device applies multiplicative factors
+    # backprop needs a trace of an additive draw, and the score factor an additive draw; only the device
+    # applies multiplicative factors
     p = small_params([2, 3, 2], seed=7)
     draw = sample_noise_batch(p.arch, NoiseModel("gaussian_multiplicative", 0.1),
                               RngStream(8, STREAM_EVAL).generator(0), 1)
     with pytest.raises(ValueError, match=message):
         use(p, np.zeros((1, 2)), draw)
-
-
-def test_forward_noisy_without_a_draw_points_to_the_noise_free_pass():
-    p = small_params([2, 3, 2], seed=7)
-    with pytest.raises(ValueError, match="needs a noise draw; forward_deterministic"):
-        forward_noisy(p, np.zeros((1, 2)), None)
 
 
 def fresh_block_estimate(params, data, s0, k1, k2, rng):
@@ -200,12 +191,12 @@ def sample_rows(data, k1, seed):
 
 
 def repeated_rows_reference(params, model, seed, slot, data, idx, k2):
-    """Outputs and report of scoring np.repeat-ed rows: one _forward per block over its keyed draw."""
+    """Outputs and report of scoring np.repeat-ed rows: one forward_noisy per block over its keyed draw."""
     X, Y = (np.repeat(a[idx], k2, axis=0) for a in (data.inputs, data.targets))
     k1 = len(idx)
     out = np.concatenate([
-        _forward(params, X[start * k2:stop * k2],
-                 keyed_block_draw(params, model, seed, slot, c, (stop - start) * k2)).activations[-1]
+        forward_noisy(params, X[start * k2:stop * k2],
+                      keyed_block_draw(params, model, seed, slot, c, (stop - start) * k2)).activations[-1]
         for c, (start, stop) in enumerate(point_blocks(k1, k2))])
     per_point = ((Y - out) ** 2).sum(axis=1).reshape(k1, k2).mean(axis=1)
     per_point_acc = (np.argmax(out, axis=1) == np.argmax(Y, axis=1)).reshape(k1, k2).mean(axis=1)

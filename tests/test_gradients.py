@@ -152,7 +152,7 @@ def test_short_batches_write_into_the_workspace_leading_rows():
     want = batch_gradient(p, X[:5], Y[:5], 0.2, RngStream(17, 3).generator(0))
     assert g.grad is buffers.grad and g.grad.vector.tobytes() == want.grad.vector.tobytes()
     assert batch_loss(g) == batch_loss(want)
-    for r, r_want, room in zip(g.residuals, want.residuals, buffers.residuals.residuals, strict=True):
+    for r, r_want, room in zip(g.residuals, want.residuals, buffers.trace.residuals, strict=True):
         assert r.shape[0] == 5 and np.shares_memory(r, room) and r.tobytes() == r_want.tobytes()
     with pytest.raises(ValueError, match="hold 8 rows, need 9"):
         batch_gradient(p, X, Y, 0.2, RngStream(17, 3).generator(0), out=buffers)

@@ -7,6 +7,7 @@ from giftnn.cli import ARCH_PRESETS
 from giftnn.model import (
     CHUNK_ROWS,
     Architecture,
+    ForwardTrace,
     Hyperrectangle,
     NOISE_FAMILIES,
     NoiseDraw,
@@ -15,7 +16,6 @@ from giftnn.model import (
     RngStream,
     STREAM_VERSION,
     _draw_values,
-    _forward,
     _site_dims,
     apply_step,
     forward_deterministic,
@@ -304,22 +304,11 @@ class TestForward:
         p = small_params([3, 4, 2], seed=16)
         draw = sample_noise_batch(p.arch, NoiseModel(family, 0.3), RngStream(17, 3).generator(0), 5 * 4)
         x = RngStream(18, 3).generator(0).standard_normal((5, 3))
-        broadcast = _forward(p, x, draw, repeat=4)
-        rows = _forward(p, np.repeat(x, 4, axis=0), draw)
-        passes = [broadcast]
-        if family == "gaussian_additive":  # forward_noisy passes repeat on; it takes additive draws only
-            passes.append(forward_noisy(p, x, draw, repeat=4))
-        for trace in passes:
-            assert all(u.tobytes() == v.tobytes() for u, v in zip(trace.activations, rows.activations, strict=True))
+        broadcast = forward_noisy(p, x, draw, repeat=4)
+        rows = forward_noisy(p, np.repeat(x, 4, axis=0), draw)
+        assert all(u.tobytes() == v.tobytes() for u, v in zip(broadcast.activations, rows.activations, strict=True))
         with pytest.raises(ValueError, match=r"want \(15, 3\)"):
-            _forward(p, x, draw, repeat=3)
-
-    def test_multiplicative_rejected_in_forward_noisy(self):
-        arch = Architecture((2, 2))
-        p = small_params([2, 2])
-        draw = sample_noise_batch(arch, NoiseModel("gaussian_multiplicative", 0.1), RngStream(0, 3).generator(0), 1)
-        with pytest.raises(ValueError):
-            forward_noisy(p, np.zeros((1, 2)), draw)
+            forward_noisy(p, x, draw, repeat=3)
 
     def test_l1_output_variance_closed_form(self):
         # out = W(x + Na0) + b + Nw: var per component = s^2 (1 + ||W row||^2)
@@ -373,12 +362,25 @@ class TestInPlaceForward:
         x = RngStream(15, 3).generator(0).standard_normal((n, 3))
         before = [v.copy() for v in draw.act + draw.weigh]
         x_before = x.copy()
-        trace = _forward(p, x, draw)
+        trace = forward_noisy(p, x, draw)
         acts, tanhs = out_of_place_forward(p, x, draw)
         assert all(np.array_equal(u, v) for u, v in zip(trace.activations, acts, strict=True))
         assert all(np.array_equal(u, v) for u, v in zip(trace.hidden_tanh, tanhs, strict=True))
         assert all(np.array_equal(u, v) for u, v in zip(draw.act + draw.weigh, before))
         assert np.array_equal(x, x_before)
+
+    def test_untraced_arrays_hold_the_output_and_no_trace(self):
+        # keep=False holds activations alone: no t(l), no residuals, no scratch, and the same output bits
+        p = small_params([3, 4, 4, 2], seed=13)
+        draw = sample_noise_batch(p.arch, NoiseModel("gaussian_additive", 0.3), RngStream(14, 3).generator(0), 5)
+        x = RngStream(15, 3).generator(0).standard_normal((5, 3))
+        kept = forward_noisy(p, x, draw)
+        assert [r.shape for r in kept.residuals] == [(5, 4), (5, 4), (5, 2)] and kept.scratch.size == 5 * 4
+        out = ForwardTrace.empty(p.arch, 8, keep=False)
+        untraced = forward_noisy(p, x, draw, out=out)
+        assert untraced.activations[-1].tobytes() == kept.activations[-1].tobytes()
+        for trace in (out, untraced, forward_noisy(p, x)):
+            assert trace.hidden_tanh is trace.residuals is trace.scratch is None
 
 
 class TestProject:
@@ -458,6 +460,13 @@ class TestSerialization:
         save_params(p, tmp_path / "a.npz")
         save_params(p, tmp_path / "b.npz")
         assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
+
+    def test_save_creates_the_directory(self, tmp_path):
+        # every artifact is written through open_atomic, which makes the target's directory
+        p = small_params([2, 2])
+        path = tmp_path / "new" / "seed_0" / "params.npz"
+        save_params(p, path)
+        assert np.array_equal(load_params(path).vector, p.vector)
 
 
 class TestRngStream:
