@@ -339,16 +339,21 @@ def _estimate_one(exp: Experiment, params, train_ds, s0: float, seed: int) -> Pa
     return estimate_direction(params, train_ds, s0, g.est_k1, g.est_k2, RngStream(seed, STREAM_ESTIMATE))
 
 
-def _gift_one(exp: Experiment, w0: Params, direction: Params, test_ds,
-              family: str, s_t: float, seed: int):
-    """One fine-tuning run plus an independent paired re-evaluation on the full
-    test subset (noise slot 0, shared between w0 and w_f)."""
-    device = Device(NoiseModel(family, s_t), seed=_device_seed(seed, family, s_t))
-    trace = gift_run(device, w0, direction, exp.gift_config, test_ds,
-                     RngStream(_device_seed(seed, family, -s_t), STREAM_EVAL))
-    X, Y, k2 = test_ds.inputs, test_ds.targets, exp.gift_config.k2
-    fresh_base, fresh_post = eval_in_situ(device, [w0, trace.w_f], X, Y, k2, 0)
-    return trace, fresh_base, fresh_post
+def _device(family: str, s_t: float, seed: int) -> Device:
+    return Device(NoiseModel(family, s_t), seed=_device_seed(seed, family, s_t))
+
+
+def _line_search(exp: Experiment, device: Device, w0: Params, direction: Params, test_ds,
+                 family: str, s_t: float, seed: int):
+    """One fine-tuning run on the (family, s_t, seed) device. Its points and noise slot
+    come from (family, s_t, seed) alone, so every start point's search shares them."""
+    return gift_run(device, w0, direction, exp.gift_config, test_ds,
+                    RngStream(_device_seed(seed, family, -s_t), STREAM_EVAL))
+
+
+def _fresh_pair(exp: Experiment, device: Device, w0: Params, w_f: Params, test_ds):
+    """An independent paired re-evaluation of w0 and w_f on the full test subset (noise slot 0)."""
+    return eval_in_situ(device, [w0, w_f], test_ds.inputs, test_ds.targets, exp.gift_config.k2, 0)
 
 
 def _gift_row(family, s0, s_t, seed, trace, fresh_base, fresh_post) -> dict:
@@ -444,7 +449,10 @@ def cmd_gift(exp: Experiment, checkpoint_root: str | None) -> int:
     for seed in exp.seeds:
         w0 = _load_checkpoint(exp, checkpoint_root, train_ds, seed)
         direction = _estimate_one(exp, w0, train_ds, s0, seed)
-        trace, fresh_base, fresh_post = _gift_one(exp, w0, direction, test_ds, family, s_t, seed)
+        device = _device(family, s_t, seed)
+        trace = _line_search(exp, device, w0, direction, test_ds, family, s_t, seed)
+        fresh_base, fresh_post = _fresh_pair(exp, device, w0, trace.w_f, test_ds)
+        del device  # its kept draw would otherwise live through the next seed's estimate
         rows.append(_gift_row(family, s0, s_t, seed, trace, fresh_base, fresh_post))
         seed_dir = os.path.join(out, f"seed_{seed}")
         save_params(trace.w_f, os.path.join(seed_dir, "params_final.npz"))
@@ -477,7 +485,7 @@ def cmd_eval(exp: Experiment, checkpoint_root: str | None) -> int:
     noise = exp.noise
     for seed in exp.seeds:
         params = _load_checkpoint(exp, checkpoint_root, train_ds, seed)
-        device = Device(noise, seed=_device_seed(seed, noise.family, noise.level))
+        device = _device(noise.family, noise.level, seed)
         idx = RngStream(seed, STREAM_EVAL).generator(0).integers(0, len(test_ds), size=exp.gift_config.k1)
         report, = eval_in_situ(device, [params], test_ds.inputs[idx], test_ds.targets[idx], exp.gift_config.k2, 0)
         rows.append({
@@ -498,53 +506,76 @@ def cmd_eval(exp: Experiment, checkpoint_root: str | None) -> int:
     return EXIT_OK
 
 
-def _sweep_task(exp: Experiment, s0: float, seed: int):
-    """All (family, s_t) cells for one (s0, seed); its arguments pickle for worker pools.
+def _sweep_task(exp: Experiment, seed: int):
+    """Every (family, s0, s_t) cell of one seed; its arguments pickle for worker pools.
 
-    w0 and the direction depend on (s0, seed) alone, so they are computed once
-    and shared by every family. Returns one (rows, failure) per family, by
-    position in sweep.families; failure is None or a record of the exception.
+    w0 and the direction depend on (s0, seed) alone, so each is computed once
+    and shared by every family. The device depends on (family, s_t, seed)
+    alone, so one device scores every s0: all line searches first, then all
+    fresh pairs. The line searches share their points and noise slot, and
+    the fresh pairs slot 0 on the full test set, so after the first s0 the
+    device replays the draw it kept, and every row is what a device of its
+    own would give. The device keeps one draw at a time: a fresh pair run
+    between two line searches would overwrite theirs.
+
+    Returns, per family in sweep.families and per s0 in sweep.s0_grid, (rows,
+    failure): rows in st_grid order, failure None or a record of the first
+    exception in s_t order, which drops that (family, s0)'s rows at every s_t.
     """
-    families = exp.sweep["families"]
+    families, s0_grid = exp.sweep["families"], exp.sweep["s0_grid"]
 
-    def failure(family, e):
-        return {"family": family, "s0": s0, "seed": seed, "error": str(e)}
+    def failed(family, s0, e):
+        return [], {"family": family, "s0": s0, "seed": seed, "error": str(e)}
 
     try:
         train_ds, test_ds = exp.datasets()
-        w0, _ = train(exp.arch, replace(exp.train_config, s0=s0), train_ds, seed)
-        direction = _estimate_one(exp, w0, train_ds, s0, seed)
     except ConfigError:  # the data block is wrong for every task: stop, naming its leaf
         raise
-    except Exception as e:  # keep sweeping; every family's cells needed w0 and D
-        return [([], failure(family, e)) for family in families]
-    results = []
-    for family in families:
+    except Exception as e:  # keep sweeping; every cell of this seed needed the data
+        return [[failed(family, s0, e) for s0 in s0_grid] for family in families]
+    starts, errors = {}, {}  # s0 -> (w0, D); (family, s0) -> its first exception
+    for s0 in s0_grid:
         try:
-            rows = []
-            for s_t in exp.sweep["st_grid"]:
-                trace, fresh_base, fresh_post = _gift_one(exp, w0, direction, test_ds, family, s_t, seed)
-                rows.append(_gift_row(family, s0, s_t, seed, trace, fresh_base, fresh_post))
-            results.append((rows, None))
-        except Exception as e:  # keep sweeping; record this family's failure
-            results.append(([], failure(family, e)))
-    return results
+            w0, _ = train(exp.arch, replace(exp.train_config, s0=s0), train_ds, seed)
+            starts[s0] = w0, _estimate_one(exp, w0, train_ds, s0, seed)
+        except Exception as e:  # keep sweeping; every family's cells at this s0 needed w0 and D
+            errors.update({(family, s0): e for family in families})
+    rows = {(family, s0): [] for family in families for s0 in starts}
+    for family in families:
+        for s_t in exp.sweep["st_grid"]:
+            device = _device(family, s_t, seed)
+            traces = {}
+            for s0, (w0, direction) in starts.items():
+                if (family, s0) not in errors:
+                    try:
+                        traces[s0] = _line_search(exp, device, w0, direction, test_ds, family, s_t, seed)
+                    except Exception as e:  # keep sweeping; drop this (family, s0)'s rows
+                        errors[family, s0] = e
+            for s0, trace in traces.items():
+                try:
+                    fresh_base, fresh_post = _fresh_pair(exp, device, starts[s0][0], trace.w_f, test_ds)
+                    rows[family, s0].append(_gift_row(family, s0, s_t, seed, trace, fresh_base, fresh_post))
+                except Exception as e:  # keep sweeping; drop this (family, s0)'s rows
+                    errors[family, s0] = e
+    return [[failed(family, s0, errors[family, s0]) if (family, s0) in errors else (rows[family, s0], None)
+             for s0 in s0_grid] for family in families]
 
 
 def cmd_sweep(exp: Experiment) -> int:
     meta = _meta(exp.raw)
     sw = exp.sweep
-    tasks = [(exp, s0, seed) for s0 in sw["s0_grid"] for seed in exp.seeds]
-    workers = min(sw["workers"], len(tasks))
+    seeds = exp.seeds
+    workers = min(sw["workers"], len(seeds))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_task, *zip(*tasks)))
+            results = list(pool.map(_sweep_task, [exp] * len(seeds), seeds))
     else:
-        results = [_sweep_task(*task) for task in tasks]
-    # family-major, then (s0, seed) in task order: the order of the grid loops below
-    per_family = [result[i] for i in range(len(sw["families"])) for result in results]
-    rows = [row for chunk, _ in per_family for row in chunk]
-    failures = [failure for _, failure in per_family if failure is not None]
+        results = [_sweep_task(exp, seed) for seed in seeds]
+    # family-major, then s0, then seed: the order of the grid loops below
+    cells = [result[f][i] for f in range(len(sw["families"])) for i in range(len(sw["s0_grid"]))
+             for result in results]
+    rows = [row for chunk, _ in cells for row in chunk]
+    failures = [failure for _, failure in cells if failure is not None]
 
     stats = ("rel_loss_improvement", "loss_improvement",
              "fresh_rel_acc_improvement", "fresh_acc_change",

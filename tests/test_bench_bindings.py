@@ -97,6 +97,21 @@ def test_sweep_runs_under_the_benchmark_tracer(tmp_path, capsys):
     assert summary["model.apply_step"]["calls"] >= steps
 
 
+def test_device_draws_do_not_grow_with_the_s0_grid(tmp_path, capsys):
+    # one device per (family, s_t, seed) scores every s0 and replays the draw it kept for the first
+    draws = {}
+    for s0_grid in ("[0.1]", "[0.1,0.2]"):
+        tracer = load_tracer().Tracer()
+        argv = tiny_argv("sweep", tmp_path / s0_grid, f"sweep.s0_grid={s0_grid}", "sweep.st_grid=[0.3,0.4]")
+        with tracer.install():
+            assert main(argv) == 0
+        draws[s0_grid] = sum(span[0] == "model.sample_noise_batch" and "device.forward_batch" in ancestors(tracer, span)
+                             for span in tracer.spans)
+    capsys.readouterr()
+    assert draws["[0.1]"] > 0
+    assert draws["[0.1,0.2]"] == draws["[0.1]"]
+
+
 def test_every_training_step_is_traced_through_the_call_chain(tmp_path, capsys):
     # train -> batch_gradient -> sample_noise_batch / forward_noisy / backward -> residual_stack, and
     # train -> apply_step: a step inlined out of these names would vanish from the benchmark's layers

@@ -714,14 +714,14 @@ class TestSweep:
             assert bodies["both"][i] == bodies["gauss"][i] + bodies["laplace"][i]
 
     def test_one_family_failing_keeps_the_other_rows(self, tmp_path, capsys, monkeypatch):
-        gift_one = cli._gift_one
+        line_search = cli._line_search
 
-        def flaky(exp, w0, direction, test_ds, family, s_t, seed):
+        def flaky(exp, device, w0, direction, test_ds, family, s_t, seed):
             if family == "laplace":
                 raise FloatingPointError("device diverged")
-            return gift_one(exp, w0, direction, test_ds, family, s_t, seed)
+            return line_search(exp, device, w0, direction, test_ds, family, s_t, seed)
 
-        monkeypatch.setattr(cli, "_gift_one", flaky)
+        monkeypatch.setattr(cli, "_line_search", flaky)
         out = tmp_path / "o"
         assert main(tiny_argv("sweep", out, "sweep.s0_grid=[0.1]", "sweep.st_grid=[0.1,0.3]", TWO_FAMILIES)) == 2
         capsys.readouterr()
@@ -731,6 +731,36 @@ class TestSweep:
         failures = json.loads((out / "sweep" / "sweep.json").read_text())["failures"]
         assert failures == [{"family": "laplace", "s0": 0.1, "seed": seed, "error": "device diverged"}
                             for seed in (0, 1)]
+
+    def test_a_failed_line_search_drops_its_s0_and_keeps_the_others(self, tmp_path, capsys, monkeypatch):
+        # s0=0.2 fails at the second s_t, after its first s_t scored on the device it shares with s0=0.1
+        estimate, line_search = cli.estimate_direction, cli._line_search
+        levels = []  # (direction, s0) per estimate
+
+        def recorded(params, data, s0, *args):
+            direction = estimate(params, data, s0, *args)
+            levels.append((direction, s0))
+            return direction
+
+        def flaky(exp, device, w0, direction, test_ds, family, s_t, seed):
+            s0 = next(level for d, level in levels if d is direction)
+            if (s0, s_t) == (0.2, 0.3):
+                raise FloatingPointError("device diverged")
+            return line_search(exp, device, w0, direction, test_ds, family, s_t, seed)
+
+        grid = ("sweep.st_grid=[0.1,0.3]", "sweep.workers=1")
+        assert main(tiny_argv("sweep", tmp_path / "alone", "sweep.s0_grid=[0.1]", *grid)) == 0
+        monkeypatch.setattr(cli, "estimate_direction", recorded)
+        monkeypatch.setattr(cli, "_line_search", flaky)
+        assert main(tiny_argv("sweep", tmp_path / "both", "sweep.s0_grid=[0.1,0.2]", *grid)) == 2
+        capsys.readouterr()
+        _, rows = read_csv_body(tmp_path / "both" / "sweep" / "sweep_rows.csv")
+        assert {r["s0"] for r in rows} == {"0.1"}  # (family, 0.2, seed) drops its rows at both s_t
+        failures = json.loads((tmp_path / "both" / "sweep" / "sweep.json").read_text())["failures"]
+        assert failures == [{"family": "gaussian_additive", "s0": 0.2, "seed": seed, "error": "device diverged"}
+                            for seed in (0, 1)]
+        for name in ("sweep_rows.csv", "sweep_aggregate.csv"):
+            assert csv_body(tmp_path / "both" / "sweep" / name) == csv_body(tmp_path / "alone" / "sweep" / name)
 
     def test_pool_starts_no_more_workers_than_tasks(self, tmp_path, capsys, monkeypatch):
         started = []
@@ -749,8 +779,8 @@ class TestSweep:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
-        argv = tiny_argv("sweep", tmp_path / "o", "sweep.s0_grid=[0.1]", "sweep.st_grid=[0.1]",
+        argv = tiny_argv("sweep", tmp_path / "o", "sweep.s0_grid=[0.1,0.2]", "sweep.st_grid=[0.1]",
                          "sweep.workers=8")
         assert main(argv) == 0
         capsys.readouterr()
-        assert started == [2]  # one (s0, seed) task per seed
+        assert started == [2]  # one task per seed, whatever the number of s0 levels
