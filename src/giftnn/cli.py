@@ -474,6 +474,7 @@ def cmd_gift(exp: Experiment, checkpoint_root: str | None) -> int:
         print(f"gift seed {seed}: loss {trace.baseline.loss:.5f} -> "
               f"{trace.baseline.loss - trace.improvement:.5f} "
               f"(improvement {trace.improvement:.5f}, steps {trace.steps_taken})")
+        del w0, direction, trace  # nor may w0, D and w_f (in the trace) live through the next seed's estimate
     write_csv(os.path.join(out, "gift_summary.csv"), GIFT_FIELDS, rows, meta)
     return EXIT_OK
 

@@ -39,10 +39,12 @@ class Device:
     only read. Every row counts in query_count.
 
     Every call names its noise slot. A call runs its points in the blocks of
-    model.point_blocks(k1, repeat), and block c draws its noise at spawn key
-    (STREAM_DEVICE, slot, c) of the device seed, so noise depends only on
-    (slot, layer dims, k1, repeat): calls that pass the same slot and shapes
-    share their random numbers (common random numbers), whatever sets they score.
+    model.point_blocks(arch, k1, repeat), each a draw of at most
+    model.BLOCK_BYTES unless one point's repeat rows exceed it, and block c
+    draws its noise at spawn key (STREAM_DEVICE, slot, c) of the device
+    seed, so noise depends only on (slot, layer dims, k1, repeat): calls that
+    pass the same slot and shapes share their random numbers (common random
+    numbers), whatever sets they score.
 
     Each block's draw is made once per call, and every parameter set runs
     through the block while it is live. Every draw is made into one vector the
@@ -89,7 +91,7 @@ class Device:
         key = (noise_slot, dims, k1, repeat)
         replay = self._replay if self._replay_key == key else None
         kept = None
-        rows = block_rows(k1, repeat)
+        rows = block_rows(arch, k1, repeat)
         width = arch.noise_values_per_row
         if replay is None:
             self._replay_key = self._replay = None  # the kept draw is overwritten below
@@ -104,7 +106,7 @@ class Device:
         if self._outputs_key != (dims, rows):
             self._outputs_key, self._outputs = (dims, rows), ForwardTrace.empty(arch, rows, keep=False)
         stream = self._stream.substream(noise_slot)
-        for c, (start, stop) in enumerate(point_blocks(k1, repeat)):
+        for c, (start, stop) in enumerate(point_blocks(arch, k1, repeat)):
             n = (stop - start) * repeat
             if replay is not None:
                 draw = replay[c]

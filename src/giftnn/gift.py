@@ -124,14 +124,15 @@ def mc_blocks(arch, model: NoiseModel, data, n_points: int, k2: int, rng: RngStr
 
     X and Y hold one row per drawn point; the draw holds k2 rows per point, in
     a row, for a pass that repeats each point k2 times. The blocks are those of
-    model.point_blocks (the device's block plan too); block c draws its noise
-    from model at rng index 1 + c. Every block's draw is written into the
-    front of one draw of block_rows(n_points, k2) rows, so a yielded block is
-    valid until the next one is drawn.
+    model.point_blocks(arch, n_points, k2), the device's block plan too: each
+    draws at most model.BLOCK_BYTES, or holds one point; block c draws its
+    noise from model at rng index 1 + c. Every block's draw is written into
+    the front of one draw of block_rows(arch, n_points, k2) rows, so a
+    yielded block is valid until the next one is drawn.
     """
     idx = rng.generator(0).integers(0, len(data), size=n_points)
-    draw = NoiseDraw.empty(arch, block_rows(n_points, k2))
-    for c, (start, stop) in enumerate(point_blocks(n_points, k2)):
+    draw = NoiseDraw.empty(arch, block_rows(arch, n_points, k2))
+    for c, (start, stop) in enumerate(point_blocks(arch, n_points, k2)):
         rows = idx[start:stop]
         noise = sample_noise_batch(arch, model, rng.generator(1 + c), len(rows) * k2, out=draw)
         yield data.inputs[rows], data.targets[rows], noise
@@ -142,16 +143,17 @@ def estimate_direction(params: Params, data, s0: float, k1: int, k2: int, rng: R
 
     Per draw the contribution is factor(N) * R(l) A(l-1)^T for weights and
     factor(N) * R(l) for biases. See the module docstring for the scale
-    convention relative to the s-derivative of the gradient. One trace,
-    sized for the largest block, holds every block's activations and
-    residuals in turn, so one block is live at a time.
+    convention relative to the s-derivative of the gradient. One trace, sized
+    for the largest of mc_blocks' blocks (at most model.BLOCK_BYTES of draw),
+    holds every block's activations and residuals in turn, so one block is
+    live at a time.
     """
     if len(data) < 1:
         raise ValueError("data sampler must be nonempty")
     if k1 < 1 or k2 < 1:
         raise ValueError("k1 and k2 must be >= 1")
     arch = params.arch
-    trace_buf = ForwardTrace.empty(arch, block_rows(k1, k2))
+    trace_buf = ForwardTrace.empty(arch, block_rows(arch, k1, k2))
     total = Params.zeros(arch)
     term = Params.empty(arch)  # one block's sums, added to the total
     for X, Y, noise in mc_blocks(arch, NoiseModel("gaussian_additive", s0), data, k1, k2, rng):

@@ -41,32 +41,39 @@ STREAM_THEORY = 8
 # line search draws its slot in [1, 2^62); version 6: training draws its noise from
 # one generator per epoch, keyed (STREAM_TRAIN_NOISE, epoch), each step taking the
 # next rows, so train bodies and checkpoints move; device noise, the direction
-# estimate and the oracles are the same as under version 5).
-STREAM_VERSION = 6
+# estimate and the oracles are the same as under version 5; version 7: blocks also hold
+# at most BLOCK_BYTES of draw, which moves every block plan above 256 noise values per row).
+STREAM_VERSION = 7
 
 # Rows per block of every batched noisy pass: a Monte Carlo block (gift.mc_blocks)
 # and a block of a device call (Device.forward_batch), both planned by point_blocks.
-# A pass allocates one block's arrays (a draw, a trace, residuals) once, sized by
-# block_rows, and every block writes into their leading rows, so one block is live
-# and no block is allocated and faulted in afresh. At 1,024 rows a shallow_mnist
-# block's draw is 18 MB. Fixed, never chosen by a caller, so results never depend
-# on memory.
+# A block holds at most CHUNK_ROWS rows and BLOCK_BYTES of draw: up to 256 noise values
+# per row the rows bind, and a shallow_mnist block (2,194) is 119 rows, a 2 MB draw where
+# 1,024 rows drew 18 MB. A pass allocates one block's arrays (a draw, a trace, residuals)
+# once, sized by block_rows, and every block writes into their leading rows, so one block
+# is live and no block is allocated and faulted in afresh. Fixed, never chosen by a
+# caller, so results never depend on memory.
 CHUNK_ROWS = 1024
+BLOCK_BYTES = 2 * 2**20
 
 
-def point_blocks(n_points: int, k2: int) -> list:
+def _points_per_block(arch: Architecture, k2: int) -> int:
+    return max(1, min(CHUNK_ROWS, BLOCK_BYTES // (8 * arch.noise_values_per_row)) // k2)
+
+
+def point_blocks(arch: Architecture, n_points: int, k2: int) -> list:
     """The block plan of a pass over n_points data points of k2 rows each: (start, stop) point ranges.
 
-    A block holds whole points, at most CHUNK_ROWS // k2 of them, or one point
-    when k2 alone exceeds CHUNK_ROWS.
+    A block holds whole points, as many as fit in CHUNK_ROWS rows and in
+    BLOCK_BYTES of arch's draw, or one point when its k2 rows alone exceed either.
     """
-    per_block = max(1, CHUNK_ROWS // k2)
+    per_block = _points_per_block(arch, k2)
     return [(start, min(start + per_block, n_points)) for start in range(0, n_points, per_block)]
 
 
-def block_rows(n_points: int, k2: int) -> int:
-    """Rows of the largest block of point_blocks(n_points, k2), its first: what a pass's arrays hold."""
-    return min(n_points, max(1, CHUNK_ROWS // k2)) * k2
+def block_rows(arch: Architecture, n_points: int, k2: int) -> int:
+    """Rows of the largest block of point_blocks(arch, n_points, k2), its first: what a pass's arrays hold."""
+    return min(n_points, _points_per_block(arch, k2)) * k2
 
 
 def head(arrays, n: int) -> list:

@@ -56,7 +56,7 @@ def _fd_grad_combo(params: Params, data, s_values, coeffs, mc_samples: int, seed
     term = Params.empty(arch)  # one level's, or one level pair's, sums
 
     unit = NoiseModel("gaussian_additive", 1.0)
-    rows = block_rows(mc_samples, 1)
+    rows = block_rows(arch, mc_samples, 1)
     # s * Z is written into one draw's arrays for every level, and each level keeps its own trace
     level_noise = NoiseDraw.empty(arch, rows)
     trace_bufs = [ForwardTrace.empty(arch, rows) for _ in s_values]
@@ -205,7 +205,7 @@ def mc_objective_pair(params_a: Params, params_b: Params, s: float, data,
     parameter sets under shared draws; the difference gets a paired SE."""
     model = NoiseModel("gaussian_additive", s)
     arch = params_a.arch
-    outputs = ForwardTrace.empty(arch, block_rows(mc_samples, 1), keep=False)  # both sets' passes, in turn
+    outputs = ForwardTrace.empty(arch, block_rows(arch, mc_samples, 1), keep=False)  # both sets' passes, in turn
     sums = np.zeros(3)  # sum_a, sum_b, sum of squared diff
     sum_d = 0.0
     for X, Y, noise in mc_blocks(arch, model, data, mc_samples, 1, RngStream(seed, STREAM_THEORY)):

@@ -9,6 +9,7 @@ import pytest
 
 from giftnn import cli
 from giftnn.cli import (
+    ARCH_PRESETS,
     ConfigError,
     DEFAULT_CONFIG,
     Experiment,
@@ -23,7 +24,7 @@ from giftnn.cli import (
 )
 from giftnn.data import DATA_DIR_ENV
 from giftnn.gift import estimate_direction
-from giftnn.model import STREAM_ESTIMATE, RngStream, load_params, point_blocks
+from giftnn.model import STREAM_ESTIMATE, Architecture, RngStream, load_params, point_blocks
 
 from test_data import write_idx
 from test_device import MIB, traced_peak
@@ -618,21 +619,36 @@ class TestTrainGiftEval:
 TWO_FAMILIES = 'sweep.families=["gaussian_additive","laplace"]'
 
 
+def wide_gift_argv(out, seeds):
+    argv = ["gift", "--out", str(out), "--set", f"seeds={seeds}"]
+    for item in ["arch.preset=shallow_mnist", "data.n_train=256", "data.n_test=128", "train.epochs=1",
+                 "gift.est_k1=20", "gift.est_k2=100", "gift.k1=128", "gift.k2=8", "gift.max_steps=1"]:
+        argv += ["--set", item]
+    return argv
+
+
+def command_peak(argv, capsys):
+    codes = []
+    peak = traced_peak(lambda: codes.append(main(argv)))
+    capsys.readouterr()
+    assert codes == [0]
+    return peak
+
+
 class TestCommandMemory:
     def test_wide_gift_command_stays_within_memory(self, tmp_path, capsys):
-        # the whole command at shallow_mnist dims: datasets, training, a 20 x 100 estimate (two 1,000-row blocks),
-        # a one-step line search and the fresh pair, in about a second. It peaks at about 58.8 MiB, set by the
-        # estimate's one live block; holding two blocks at once took it to 82.6 MiB.
-        argv = ["gift", "--out", str(tmp_path / "run"), "--set", "seeds=[0]"]
-        for item in ["arch.preset=shallow_mnist", "data.n_train=256", "data.n_test=128", "train.epochs=1",
-                     "gift.est_k1=20", "gift.est_k2=100", "gift.k1=128", "gift.k2=8", "gift.max_steps=1"]:
-            argv += ["--set", item]
-        assert len(point_blocks(20, 100)) == 2
-        codes = []
-        peak = traced_peak(lambda: codes.append(main(argv)))
-        capsys.readouterr()
-        assert codes == [0]
-        assert peak < 62 * MIB, f"peak traced allocation {peak / MIB:.1f} MiB"
+        # the whole command at shallow_mnist dims: datasets, training, a 20 x 100 estimate (twenty one-point
+        # blocks of 100 rows), a one-step line search and the fresh pair, in about a second. It peaks at about
+        # 39.9 MiB; two 1,000-row blocks peaked at 58.8 MiB, and holding both of them at once at 82.6 MiB.
+        assert len(point_blocks(Architecture(ARCH_PRESETS["shallow_mnist"]), 20, 100)) == 20
+        peak = command_peak(wide_gift_argv(tmp_path / "run", "[0]"), capsys)
+        assert peak < 42 * MIB, f"peak traced allocation {peak / MIB:.1f} MiB"
+
+    def test_a_second_seed_adds_no_memory(self, tmp_path, capsys):
+        # each seed drops its w0, direction, trace and device before the next: keeping them put 2.9 MiB on the peak
+        one, two = (command_peak(wide_gift_argv(tmp_path / f"run_{n}", seeds), capsys)
+                    for n, seeds in ((1, "[0]"), (2, "[0,1]")))
+        assert two - one < 1 * MIB, f"two seeds {two / MIB:.1f} MiB, one {one / MIB:.1f}"
 
 
 class TestSweep:

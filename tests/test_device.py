@@ -13,6 +13,7 @@ from giftnn.model import (
     Params,
     RngStream,
     STREAM_DEVICE,
+    block_rows,
     forward_deterministic,
     forward_noisy,
     point_blocks,
@@ -130,7 +131,7 @@ def uncached_output(params, model, seed, slot, X, repeat=1):
     return np.concatenate([
         forward_noisy(params, X[start:stop], keyed_block_draw(params, model, seed, slot, c, (stop - start) * repeat),
                       repeat).activations[-1]
-        for c, (start, stop) in enumerate(point_blocks(X.shape[0], repeat))])
+        for c, (start, stop) in enumerate(point_blocks(params.arch, X.shape[0], repeat))])
 
 
 class TestDrawCache:
@@ -219,7 +220,7 @@ class TestDrawCache:
         p = small_params([2, 3, 2], seed=14)
         model = NoiseModel("laplace", 0.3)
         X = RngStream(15, 1).generator(0).standard_normal((9, 2))
-        n_blocks = len(point_blocks(9, 500))
+        n_blocks = len(point_blocks(p.arch, 9, 500))
         assert n_blocks == 5
         outs = {}
         for budget in (device_module.REPLAY_BYTES, 0):
@@ -267,7 +268,7 @@ class TestBlockForward:
         X = RngStream(22, 1).generator(0).standard_normal((k1, 3))
         out = dev.forward_batch([p], X, noise_slot=3, repeat=repeat)
         assert dev.query_count == k1 * repeat and out.shape == (k1 * repeat, 2)
-        blocks = point_blocks(k1, repeat)
+        blocks = point_blocks(p.arch, k1, repeat)
         assert len(blocks) == 3 and len(draws) == 3
         for c, (start, stop) in enumerate(blocks):
             rows = (stop - start) * repeat
@@ -286,32 +287,32 @@ class TestBlockForward:
         dev = Device(model, seed=27)
         together = dev.forward_batch(sets, X, 1, 8)
         assert dev.query_count == 3 * 300 * 8
-        assert len(draws) == len(point_blocks(300, 8))
+        assert len(draws) == len(point_blocks(sets[0].arch, 300, 8))
         for p, rows in zip(sets, together.reshape(3, 300 * 8, 2)):
             assert rows.tobytes() == dev.forward_batch([p], X, 1, 8).tobytes()
         with pytest.raises(ValueError, match="no parameter sets"):
             dev.forward_batch([], X, 1, 8)
 
     def test_wide_call_holds_one_block_of_noise(self):
-        # an 8,000-row shallow_mnist call: its whole draw is 140 MB (134 MiB), one 1,024-row block of it 18 MB;
-        # one block's draw and output-only pass, reused block after block, peak at about 29.5 MiB (35 MiB when
-        # each block's draw and trace were fresh)
+        # an 8,000-row shallow_mnist call: its whole draw is 140 MB (134 MiB), one 112-row block of it 2.0 MB
+        # (BLOCK_BYTES); one block's draw and output-only pass, reused block after block, peak at about 3.8 MiB
+        # (29.5 MiB in 1,024-row blocks, 35 MiB when each block's draw and trace were fresh)
         p = wide_params()
         dev = Device(NoiseModel("gaussian_additive", 0.1), seed=1)
         X = RngStream(2, 1).generator(0).standard_normal((1000, SHALLOW_MNIST[0]))
         peak = traced_peak(lambda: dev.forward_batch([p], X, noise_slot=0, repeat=8))
         assert dev.query_count == 8000
-        assert peak < 32 * MIB, f"peak traced allocation {peak / MIB:.1f} MiB"
+        assert peak < 4.2 * MIB, f"peak traced allocation {peak / MIB:.1f} MiB"
 
     def test_streamed_calls_share_the_device_vector(self):
         # a streamed call draws each block into the front of the device's one draw vector, which outlives the
-        # call, so a second 8,000-row shallow_mnist call allocates no block draw (18 MB) of its own
+        # call, so a second 8,000-row shallow_mnist call allocates no block draw (2.0 MB) of its own
         p = wide_params()
         dev = Device(NoiseModel("gaussian_additive", 0.1), seed=1)
         X = RngStream(2, 1).generator(0).standard_normal((1000, SHALLOW_MNIST[0]))
         first = dev.forward_batch([p], X, noise_slot=0, repeat=8)
         peak = traced_peak(lambda: dev.forward_batch([p], X, noise_slot=1, repeat=8))
-        block_draw = CHUNK_ROWS * p.arch.noise_values_per_row * 8
+        block_draw = block_rows(p.arch, 1000, 8) * p.arch.noise_values_per_row * 8
         assert 8 * first.size * p.arch.noise_values_per_row > device_module.REPLAY_BYTES  # streamed, not kept
         assert peak < block_draw, f"peak traced allocation {peak / MIB:.1f} MiB"
 

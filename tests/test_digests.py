@@ -16,7 +16,11 @@ the block plan shows in the digests.
 A digest moves whenever a result does. That is meant to happen only together
 with a stream-version bump, which adds a new table here. Version 6 moved the
 training stream, so every body downstream of a checkpoint moved with it; gift
-and eval bodies from one fixed checkpoint are those of version 5. The values were
+and eval bodies from one fixed checkpoint are those of version 5. Version 7 capped
+each block's draw at BLOCK_BYTES, which moves the block plan only above 256 noise
+values per row, so its desk_small table equals version 6's; WIDE_DIGESTS pins a
+tiny shallow_mnist `gift` (training, a 20 x 100 estimate and a 128 x 8 line
+search, each over several blocks) whose bodies did move. The values were
 recorded with numpy 2.4 on x86-64 with OpenBLAS; another numpy, BLAS library
 or CPU kernel may round a matrix product differently in the last bit and so
 move the digests without any change to this code. On such a platform this test
@@ -90,6 +94,46 @@ DIGESTS = {
         "train/seed_1/params.npz": "6ef345042fd450d2a7cefbee623e7f5406d3cce1d9ab080a9e1e6f54d0eb81d0",
         "train/seed_1/train_log.csv": "ce85c42f1841ef82d40ef642e5d36e07128d8d00fcb60c9b2d61eee9556678eb",
     },
+    7: {
+        "eval/eval.csv": "eab32f76fca3fdd0f6b1c619d3bc4ffb15a8b72b0e96e9bb71c2ce982995545d",
+        "gift/gift_summary.csv": "3313b9e695082c0cfba07e1ffc948c758c3dee8ec26f6a1e229b41f94244bedf",
+        "gift/seed_0/params_final.npz": "684b4970df4e96176b034fcdc56afa573918002fd7266ffb41f11908c45d7135",
+        "gift/seed_1/params_final.npz": "f9a9853f2a67ee7e670d7116ac9d4a476def99657cc782d0035ba19018afcd16",
+        "multiplicative/gift/gift_summary.csv": "5f1ae48e74e1b0d83512cd776258c70cec6078884ad3ccec51225d0e0c619a26",
+        "multiplicative/gift/seed_0/params_final.npz": "f3592847a58f580986c90094e456f58eeaf009b8b7df832b05679ee6608291bc",
+        "multiplicative/gift/seed_1/params_final.npz": "f9a9853f2a67ee7e670d7116ac9d4a476def99657cc782d0035ba19018afcd16",
+        "sweep/sweep_aggregate.csv": "d1a22dddd9d5e149b0a6b301cd51b239ae50347f084fc1414dbb699d5627e838",
+        "sweep/sweep_rows.csv": "5528f47eea752a5c05090476e16c1f2bffd25002859a60fb5db9281943fa3460",
+        "train/seed_0/params.npz": "f3592847a58f580986c90094e456f58eeaf009b8b7df832b05679ee6608291bc",
+        "train/seed_0/train_log.csv": "f96bf4fe8c5531e215df845c65ae1981ae16565d3109c390558bee5e551bade1",
+        "train/seed_1/params.npz": "6ef345042fd450d2a7cefbee623e7f5406d3cce1d9ab080a9e1e6f54d0eb81d0",
+        "train/seed_1/train_log.csv": "ce85c42f1841ef82d40ef642e5d36e07128d8d00fcb60c9b2d61eee9556678eb",
+    },
+}
+
+
+WIDE_SETS = [
+    "arch.preset=shallow_mnist",
+    "data.n_train=256",
+    "data.n_test=128",
+    "train.epochs=1",
+    "gift.k1=128",
+    "gift.k2=8",
+    "gift.max_steps=1",
+    "gift.est_k1=20",
+    "gift.est_k2=100",
+    "seeds=[0]",
+]
+
+WIDE_DIGESTS = {
+    6: {
+        "gift/gift_summary.csv": "9571a66073294881a4a83c224dc7058b0c2b0f2ae50eb2065d0cbd398278fd0f",
+        "gift/seed_0/params_final.npz": "cd0e9844294ebe04b99af3567ddcce623cef5b5e7413b54a8b81e2dc3e2bf596",
+    },
+    7: {
+        "gift/gift_summary.csv": "e34e00c03c1cec0998ec78ecb80208e634c2cd84b29cf717aa1dda676ed36653",
+        "gift/seed_0/params_final.npz": "57cdfbc41ceb8f88f7ab6405ccd2e6c13768e32036cd18a47f71a4eb75ca5226",
+    },
 }
 
 
@@ -105,15 +149,8 @@ def file_digest(path: str) -> str:
     return hashlib.sha256(body).hexdigest()
 
 
-def run_digests(out) -> dict:
-    """Run the four commands into out, and gift once more on a multiplicative device into
-    out/multiplicative; {relative path: digest} of every CSV and .npz written."""
-    argv = lambda cmd, *extra, to=str(out): [cmd, "--out", to, *extra] + [a for s in SETS for a in ("--set", s)]
-    checkpoint = ["--checkpoint", os.path.join(str(out), "train")]
-    multiplicative = argv("gift", *checkpoint, "--set", "device.family=gaussian_multiplicative",
-                          to=os.path.join(str(out), "multiplicative"))
-    for args in (argv("train"), argv("gift", *checkpoint), argv("eval", *checkpoint), argv("sweep"), multiplicative):
-        assert main(args) == 0, args[0]
+def written_digests(out) -> dict:
+    """{relative path: digest} of every CSV and .npz written under out."""
     digests = {}
     for root, _, names in os.walk(out):
         for name in names:
@@ -121,6 +158,18 @@ def run_digests(out) -> dict:
                 path = os.path.join(root, name)
                 digests[os.path.relpath(path, out).replace(os.sep, "/")] = file_digest(path)
     return digests
+
+
+def run_digests(out) -> dict:
+    """Run the four commands into out, and gift once more on a multiplicative device into
+    out/multiplicative; the digests of what they wrote."""
+    argv = lambda cmd, *extra, to=str(out): [cmd, "--out", to, *extra] + [a for s in SETS for a in ("--set", s)]
+    checkpoint = ["--checkpoint", os.path.join(str(out), "train")]
+    multiplicative = argv("gift", *checkpoint, "--set", "device.family=gaussian_multiplicative",
+                          to=os.path.join(str(out), "multiplicative"))
+    for args in (argv("train"), argv("gift", *checkpoint), argv("eval", *checkpoint), argv("sweep"), multiplicative):
+        assert main(args) == 0, args[0]
+    return written_digests(out)
 
 
 def test_bodies_match_the_pinned_digests(tmp_path, capsys):
@@ -145,3 +194,14 @@ def test_version_5_kept_the_train_digests():
     # version 5 changed device noise only: training makes no device call
     train = sorted(name for name in DIGESTS[4] if name.startswith("train/"))
     assert train and all(DIGESTS[5][name] == DIGESTS[4][name] for name in train)
+
+
+def test_version_7_kept_the_desk_small_digests():
+    # version 7 moved the block plan only above 256 noise values per row; desk_small has 116
+    assert DIGESTS[7] == DIGESTS[6]
+
+
+def test_wide_gift_bodies_match_the_pinned_digests(tmp_path, capsys):
+    assert main(["gift", "--out", str(tmp_path)] + [a for s in WIDE_SETS for a in ("--set", s)]) == 0
+    capsys.readouterr()
+    assert written_digests(tmp_path) == WIDE_DIGESTS[STREAM_VERSION]

@@ -93,7 +93,7 @@ def fresh_block_estimate(params, data, s0, k1, k2, rng):
     arch = params.arch
     idx = rng.generator(0).integers(0, len(data), size=k1)
     total = Params.zeros(arch)
-    for c, (start, stop) in enumerate(point_blocks(k1, k2)):
+    for c, (start, stop) in enumerate(point_blocks(arch, k1, k2)):
         rows = idx[start:stop]
         noise = sample_noise_batch(arch, NoiseModel("gaussian_additive", s0), rng.generator(1 + c), len(rows) * k2)
         trace = forward_noisy(params, data.inputs[rows], noise, k2)
@@ -155,16 +155,17 @@ class TestEstimateDirection:
         assert np.array_equal(a.vector, b.vector)
 
     def test_wide_estimate_stays_within_block_memory(self):
-        # one set of 1,000-row arrays, reused by every block at k2 = 100, peaks near 52.3 MiB; a block drawn while
-        # the previous one was still held took ten blocks to 76 MiB, repeated input rows to 82 MiB, and
+        # at k2 = 100 a block is one point (100 rows of 2,194 noise values, under BLOCK_BYTES); one set of 100-row
+        # arrays, reused by every block, peaks near 11.9 MiB. 1,000-row blocks peaked at 52.3 MiB, a block drawn
+        # while the previous one was still held took ten blocks to 76 MiB, repeated input rows to 82 MiB, and
         # 8,192-row blocks to 429 MiB
         p = wide_params(seed=14)
         X = RngStream(15, STREAM_DATA).generator(0).standard_normal((200, SHALLOW_MNIST[0]))
         data = Dataset(X, np.tanh(X[:, :SHALLOW_MNIST[-1]]))
         one_block, ten_blocks = (
             traced_peak(lambda: estimate_direction(p, data, 0.1, k1, 100, RngStream(16, STREAM_ESTIMATE)))
-            for k1 in (10, 100))
-        assert ten_blocks < 55 * MIB, f"peak traced allocation {ten_blocks / MIB:.1f} MiB"
+            for k1 in (1, 10))
+        assert ten_blocks < 12.5 * MIB, f"peak traced allocation {ten_blocks / MIB:.1f} MiB"
         assert ten_blocks - one_block < 1 * MIB, f"ten blocks {ten_blocks / MIB:.1f} MiB, one {one_block / MIB:.1f}"
 
     @pytest.mark.parametrize("dims", [(3, 6, 4, 2), (7, 3, 2)], ids=["widest_hidden", "widest_input"])
@@ -197,7 +198,7 @@ def repeated_rows_reference(params, model, seed, slot, data, idx, k2):
     out = np.concatenate([
         forward_noisy(params, X[start * k2:stop * k2],
                       keyed_block_draw(params, model, seed, slot, c, (stop - start) * k2)).activations[-1]
-        for c, (start, stop) in enumerate(point_blocks(k1, k2))])
+        for c, (start, stop) in enumerate(point_blocks(params.arch, k1, k2))])
     per_point = ((Y - out) ** 2).sum(axis=1).reshape(k1, k2).mean(axis=1)
     per_point_acc = (np.argmax(out, axis=1) == np.argmax(Y, axis=1)).reshape(k1, k2).mean(axis=1)
     return out, EvalReport(float(per_point.mean()), mean_se(per_point), float(per_point_acc.mean()),
@@ -209,8 +210,8 @@ class TestEvalInSitu:
     @pytest.mark.parametrize("k1, k2", [(401, 3), (23, 100)])
     def test_per_point_scoring_matches_repeated_rows(self, family, k1, k2):
         # several blocks of whole points, the last one short; neither k2 divides CHUNK_ROWS
-        assert len(point_blocks(k1, k2)) > 1 and k1 % (CHUNK_ROWS // k2) and CHUNK_ROWS % k2
         p = small_params([3, 5, 4, 3], seed=30)
+        assert len(point_blocks(p.arch, k1, k2)) > 1 and k1 % (CHUNK_ROWS // k2) and CHUNK_ROWS % k2
         gen = RngStream(31, STREAM_DATA).generator(0)
         X = gen.standard_normal((64, 3))
         data = Dataset(X, np.tanh(X @ gen.standard_normal((3, 3))))
@@ -360,8 +361,9 @@ class TestGiftConfig:
 class TestGiftRun:
     def test_wide_line_search_builds_no_repeated_rows(self):
         # one call scores [w0, w+, w-] block by block, never holding the search's whole 140 MB draw, and the device
-        # keeps no copies of the sets (three 3.5 MiB copies put the peak at 63.0 MiB); with one block's draw and
-        # output-only passes reused block after block it peaks at about 47.2 MiB (52.6 when each block was fresh)
+        # keeps no copies of the sets (three 3.5 MiB copies put the peak at 63.0 MiB); with one 112-row block's
+        # draw and output-only passes reused block after block it peaks at about 22.1 MiB (47.2 MiB in 1,024-row
+        # blocks, 52.6 when each block was fresh)
         w0, d = wide_params(seed=17), wide_params(seed=18)
         X = RngStream(19, STREAM_DATA).generator(0).standard_normal((200, SHALLOW_MNIST[0]))
         data = Dataset(X, np.tanh(X[:, :SHALLOW_MNIST[-1]]))
@@ -369,7 +371,7 @@ class TestGiftRun:
         cfg = GiftConfig(eta=0.01, k1=1000, k2=8, max_steps=1)
         peak = traced_peak(lambda: gift_run(dev, w0, d, cfg, data, RngStream(21, STREAM_EVAL)))
         assert dev.query_count == 3 * 1000 * 8
-        assert peak < 50 * MIB, f"peak traced allocation {peak / MIB:.1f} MiB"
+        assert peak < 23.5 * MIB, f"peak traced allocation {peak / MIB:.1f} MiB"
 
     def test_quadratic_line_search_finds_minimum(self):
         # (w-1.8)^2 from w0=0 with D=1, eta=0.5: both_worse keeps searching past
@@ -523,7 +525,7 @@ class TestGiftRun:
         assert kept.steps_taken == streamed.steps_taken > 1
         assert (kept.baseline, kept.records, kept.selected) == (streamed.baseline, streamed.records, streamed.selected)
         assert kept.w_f.vector.tobytes() == streamed.w_f.vector.tobytes()
-        n_blocks = len(point_blocks(300, 8))
+        n_blocks = len(point_blocks(p.arch, 300, 8))
         assert n_draws == [n_blocks, n_blocks * kept.steps_taken]
 
     def test_line_search_draws_its_noise_slot_once(self, monkeypatch):

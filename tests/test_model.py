@@ -5,6 +5,7 @@ import pytest
 
 from giftnn.cli import ARCH_PRESETS
 from giftnn.model import (
+    BLOCK_BYTES,
     CHUNK_ROWS,
     Architecture,
     ForwardTrace,
@@ -18,6 +19,7 @@ from giftnn.model import (
     _draw_values,
     _site_dims,
     apply_step,
+    block_rows,
     forward_deterministic,
     forward_noisy,
     load_params,
@@ -340,7 +342,15 @@ def out_of_place_forward(params, x, noise):
     return acts, tanhs
 
 
+def version_6_blocks(n_points, k2):
+    """The block plan of stream versions 4-6: whole points in at most CHUNK_ROWS rows, whatever the dims."""
+    per_block = max(1, CHUNK_ROWS // k2)
+    return [(start, min(start + per_block, n_points)) for start in range(0, n_points, per_block)]
+
+
 class TestPointBlocks:
+    DESK_SMALL = Architecture(ARCH_PRESETS["desk_small"])
+
     @pytest.mark.parametrize("n_points, k2, want", [
         (10, 100, [(0, 10)]),
         (25, 100, [(0, 10), (10, 20), (20, 25)]),
@@ -348,7 +358,40 @@ class TestPointBlocks:
         (CHUNK_ROWS + 1, 1, [(0, CHUNK_ROWS), (CHUNK_ROWS, CHUNK_ROWS + 1)]),
     ])
     def test_blocks_hold_whole_points(self, n_points, k2, want):
-        assert point_blocks(n_points, k2) == want
+        assert point_blocks(self.DESK_SMALL, n_points, k2) == want
+
+    @pytest.mark.parametrize("k2", [1, 8, 100, CHUNK_ROWS + 1])
+    @pytest.mark.parametrize("n_points", [1, 300, 2500])
+    def test_desk_small_keeps_the_version_6_plan(self, n_points, k2):
+        # 116 noise values per row: a full 1,024-row block draws 950,272 B, under BLOCK_BYTES
+        assert self.DESK_SMALL.noise_values_per_row == 116
+        assert 8 * CHUNK_ROWS * 116 == 950_272 < BLOCK_BYTES
+        assert point_blocks(self.DESK_SMALL, n_points, k2) == version_6_blocks(n_points, k2)
+
+    @pytest.mark.parametrize("preset", ["shallow_mnist", "deep_mnist"])
+    @pytest.mark.parametrize("k2", [1, 8, 100, CHUNK_ROWS + 1])
+    def test_wide_blocks_draw_at_most_block_bytes(self, preset, k2):
+        # a block takes as many whole points as fit in BLOCK_BYTES of draw, or one point when its k2 rows
+        # alone exceed it (deep_mnist at k2 = 100: 100 rows of 3,094 values, 2.5 MB)
+        arch = Architecture(ARCH_PRESETS[preset])
+        n_points = 500
+        blocks = point_blocks(arch, n_points, k2)
+        assert [start for start, _ in blocks] == [0] + [stop for _, stop in blocks[:-1]]
+        assert blocks[-1][1] == n_points
+        point_bytes = 8 * k2 * arch.noise_values_per_row
+        draws = [(stop - start) * point_bytes for start, stop in blocks]
+        if point_bytes > BLOCK_BYTES:
+            assert all(stop - start == 1 for start, stop in blocks)
+        else:
+            assert max(draws) <= BLOCK_BYTES
+            assert all(d + point_bytes > BLOCK_BYTES for d in draws[:-1])  # no full block has room for another point
+
+    @pytest.mark.parametrize("preset", sorted(ARCH_PRESETS))
+    @pytest.mark.parametrize("n_points, k2", [(1, 1), (5, 8), (300, 8), (25, 100), (3000, 1), (3, CHUNK_ROWS + 1)])
+    def test_block_rows_are_the_largest_blocks_rows(self, preset, n_points, k2):
+        arch = Architecture(ARCH_PRESETS[preset])
+        want = max((stop - start) * k2 for start, stop in point_blocks(arch, n_points, k2))
+        assert block_rows(arch, n_points, k2) == want
 
 
 class TestInPlaceForward:
@@ -497,9 +540,9 @@ class TestRngStream:
 
     def test_stream_version_fingerprint(self):
         # SFC64 seeded by SeedSequence(seed, spawn_key=(stream, index)) since stream version 2;
-        # a change to these values is a new stream version (versions 4 to 6 moved blocks, keys and the training
+        # a change to these values is a new stream version (versions 4 to 7 moved blocks, keys and the training
         # stream's generators, not these)
-        assert STREAM_VERSION == 6
+        assert STREAM_VERSION == 7
         got = RngStream(0, 1).generator(0).standard_normal(4)
         want = [-1.2540797385549642, -0.057374060490056056, 0.1831656089569397, -0.25374987556925]
         assert got.tolist() == want

@@ -36,6 +36,7 @@ from giftnn.theory import (
 )
 from giftnn.trainer import TrainConfig, train
 
+from test_device import wide_params
 from test_model import small_params, zero_draw
 
 V = np.array([[0.3, -0.4]])
@@ -138,10 +139,11 @@ def reference_fd_report(params, s_values, coeffs, data, mc_samples, seed):
 
 class TestMonteCarloBlocks:
     """The block plan since stream version 4 (model.point_blocks): at most CHUNK_ROWS = 1,024 rows,
-    block c drawing at index 1 + c.
+    block c drawing at index 1 + c; since version 7 also at most BLOCK_BYTES of draw, which binds
+    above 256 noise values per row.
 
     The oracles (k2 = 1) fill whole blocks; the estimator keeps each data point's
-    k2 rows in one block, so k2 = 100 gives 1,000-row blocks.
+    k2 rows in one block, so k2 = 100 gives 1,000-row blocks on these small nets.
     """
 
     @pytest.fixture
@@ -163,6 +165,17 @@ class TestMonteCarloBlocks:
         draw_calls.clear()
         d_ds_grad_fd_report(p, 0.3, data, h=0.05, mc_samples=n, seed=1)
         assert draw_calls == [(1, CHUNK_ROWS), (2, CHUNK_ROWS), (3, 5)]
+
+    def test_wide_oracles_draw_blocks_of_block_bytes(self, draw_calls):
+        # shallow_mnist rows hold 2,194 noise values, so a 2 MiB block is 119 rows
+        p = wide_params(seed=42)
+        X = RngStream(43, STREAM_DATA).generator(0).standard_normal((64, p.arch.layer_dims[0]))
+        data = Dataset(X, np.tanh(X[:, :p.arch.layer_dims[-1]]))
+        mc_objective_pair(p, p, 0.3, data, mc_samples=250, seed=1)
+        assert draw_calls == [(1, 119), (2, 119), (3, 12)]
+        draw_calls.clear()
+        d_ds_grad_fd_report(p, 0.3, data, h=0.05, mc_samples=250, seed=1)
+        assert draw_calls == [(1, 119), (2, 119), (3, 12)]
 
     def test_estimator_blocks_hold_whole_points(self, draw_calls):
         estimate_direction(linear_params(), linear_data(256), 0.2, 25, 100, RngStream(0, STREAM_ESTIMATE))
