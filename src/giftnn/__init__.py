@@ -26,6 +26,7 @@ from .gift import (
     eval_in_situ,
     gift_run,
     noise_weight_factor,
+    normalize,
 )
 from .device import Device
 from .data import Dataset, load_idx, load_mnist, synthetic_linear, synthetic_teacher, to_dataset

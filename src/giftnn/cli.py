@@ -34,7 +34,7 @@ from .data import (
     synthetic_teacher,
 )
 from .device import Device
-from .gift import GiftConfig, estimate_direction, eval_in_situ, gift_run, mean_se
+from .gift import GiftConfig, estimate_direction, eval_in_situ, gift_run, mean_se, normalize
 from .model import (
     Architecture,
     NOISE_FAMILIES,
@@ -335,8 +335,9 @@ def _train_one(exp: Experiment, train_ds, seed: int):
 
 
 def _estimate_one(exp: Experiment, params, train_ds, s0: float, seed: int) -> Params:
+    """The direction estimate at (s0, seed), scaled to unit norm in place: the direction every line search takes."""
     g = exp.gift_config
-    return estimate_direction(params, train_ds, s0, g.est_k1, g.est_k2, RngStream(seed, STREAM_ESTIMATE))
+    return normalize(estimate_direction(params, train_ds, s0, g.est_k1, g.est_k2, RngStream(seed, STREAM_ESTIMATE)))
 
 
 def _device(family: str, s_t: float, seed: int) -> Device:
@@ -353,7 +354,8 @@ def _line_search(exp: Experiment, device: Device, w0: Params, direction: Params,
 
 def _fresh_pair(exp: Experiment, device: Device, w0: Params, w_f: Params, test_ds):
     """An independent paired re-evaluation of w0 and w_f on the full test subset (noise slot 0)."""
-    return eval_in_situ(device, [w0, w_f], test_ds.inputs, test_ds.targets, exp.gift_config.k2, 0)
+    return eval_in_situ(device, [w0, w_f], test_ds.inputs, test_ds.targets, np.arange(len(test_ds)),
+                        exp.gift_config.k2, 0)
 
 
 def _gift_row(family, s0, s_t, seed, trace, fresh_base, fresh_post) -> dict:
@@ -488,7 +490,7 @@ def cmd_eval(exp: Experiment, checkpoint_root: str | None) -> int:
         params = _load_checkpoint(exp, checkpoint_root, train_ds, seed)
         device = _device(noise.family, noise.level, seed)
         idx = RngStream(seed, STREAM_EVAL).generator(0).integers(0, len(test_ds), size=exp.gift_config.k1)
-        report, = eval_in_situ(device, [params], test_ds.inputs[idx], test_ds.targets[idx], exp.gift_config.k2, 0)
+        report, = eval_in_situ(device, [params], test_ds.inputs, test_ds.targets, idx, exp.gift_config.k2, 0)
         rows.append({
             "seed": seed,
             "family": noise.family,

@@ -33,10 +33,13 @@ class Device:
     """Opaque noisy forward oracle with a monotone query counter; it holds no parameters.
 
     forward_batch takes a nonempty sequence of m parameter sets of one
-    architecture, (k1, d0) per-point inputs and a repeat count, and runs every
-    set over each point repeat times in a row, returning (m * k1 * repeat, dL)
-    outputs, set-major; within a set, row r reads X[r // repeat]. The sets are
-    only read. Every row counts in query_count.
+    architecture, an (n, d0) input matrix X, the k1 points to score as row
+    indices into X (in any order, repeats allowed) and a repeat count. It runs
+    every set over each point repeat times in a row, returning
+    (m * k1 * repeat, dL) outputs, set-major; within a set, row r reads
+    X[points[r // repeat]]. The sets and X are only read, and no (k1, d0)
+    matrix of the points is built: each block gathers its own points' rows
+    once, before its sets run. Every row counts in query_count.
 
     Every call names its noise slot. A call runs its points in the blocks of
     model.point_blocks(arch, k1, repeat), each a draw of at most
@@ -69,10 +72,10 @@ class Device:
         self._outputs = None
         self.query_count = 0
 
-    def forward_batch(self, params: Sequence[Params], X, noise_slot: int, repeat: int = 1) -> np.ndarray:
-        """m * len(X) * repeat noisy inferences for m parameter sets; counts every row as a query.
+    def forward_batch(self, params: Sequence[Params], X, points, noise_slot: int, repeat: int = 1) -> np.ndarray:
+        """m * len(points) * repeat noisy inferences for m parameter sets; counts every row as a query.
 
-        Each input row is queried repeat times in a row.
+        Each point, a row index into X, is queried repeat times in a row.
         """
         if not params:
             raise ValueError("no parameter sets to score")
@@ -84,9 +87,14 @@ class Device:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != dims[0]:
             raise ValueError(f"input shape {X.shape}, want (n, {dims[0]})")
+        points = np.asarray(points)
+        if points.ndim != 1 or points.dtype.kind not in "iu":
+            raise ValueError(f"points must be a 1-D array of row indices, got {points.dtype} of shape {points.shape}")
+        if points.size and not (0 <= points.min() and points.max() < X.shape[0]):
+            raise ValueError(f"points must index the {X.shape[0]} input rows, got {points.min()}..{points.max()}")
         if repeat < 1:
             raise ValueError(f"repeat must be >= 1, got {repeat}")
-        k1 = X.shape[0]
+        k1 = points.size
         out = np.empty((len(params), k1 * repeat, dims[-1]))
         key = (noise_slot, dims, k1, repeat)
         replay = self._replay if self._replay_key == key else None
@@ -118,8 +126,9 @@ class Device:
                     for v in [draw.vector, *draw.act, *draw.weigh]:
                         v.flags.writeable = False
                     kept.append(draw)
+            x = X[points[start:stop]]
             for p, set_out in zip(params, out):
-                trace = forward_noisy(p, X[start:stop], draw, repeat, self._outputs)
+                trace = forward_noisy(p, x, draw, repeat, self._outputs)
                 set_out[start * repeat:stop * repeat] = trace.activations[-1]
         if kept is not None:
             self._replay_key, self._replay = key, kept

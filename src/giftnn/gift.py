@@ -37,6 +37,9 @@ from .model import (
 # A step stops the search when this rule over its two losses is at or above the baseline's.
 STOP_RULES = {"either_worse": max, "both_worse": min}
 
+# How far from 1 the norm of a direction gift_run steps along may be.
+UNIT_NORM_TOLERANCE = 1e-12
+
 
 @dataclass
 class GiftConfig:
@@ -83,7 +86,8 @@ class GiftTrace:
 
     Candidate i,sign has params w0 + sign*i*eta*D; w_f is the argmin over all
     recorded scores including the baseline, so improvement is never negative.
-    best is w_f's report: the baseline's when selected == (0, 0).
+    w_f is w0 itself when the baseline wins. best is w_f's report: the
+    baseline's when selected == (0, 0).
     """
 
     baseline: EvalReport
@@ -167,16 +171,31 @@ def estimate_direction(params: Params, data, s0: float, k1: int, k2: int, rng: R
     return Params.from_vector(arch, total.vector)
 
 
+def normalize(direction: Params) -> Params:
+    """Scale the direction to unit norm in place, D *= 1 / ||D||, and return it.
+
+    No second vector is made: callers normalize an estimate once, where it is
+    made, and gift_run steps along it. A zero or non-finite norm is refused.
+    """
+    dn = direction.norm()
+    if not np.isfinite(dn) or dn == 0.0:
+        raise ValueError("direction must be finite and nonzero")
+    direction.vector *= 1.0 / dn
+    return direction
+
+
 def mean_se(values: np.ndarray) -> float:
     """Standard error of a sample mean, std(ddof=1) / sqrt(n); 0 for one value."""
     return float(values.std(ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
 
 
-def eval_in_situ(device: Device, params: Sequence[Params], X, Y, k2: int, noise_slot: int) -> list[EvalReport]:
-    """Mean squared device error of each parameter set over K1 data points X, Y, each queried k2 times, on a noise slot.
+def eval_in_situ(device: Device, params: Sequence[Params], X, Y, points, k2: int,
+                 noise_slot: int) -> list[EvalReport]:
+    """Mean squared device error of each parameter set over K1 data points, each queried k2 times, on a noise slot.
 
-    X is (K1, d0) and Y is (K1, dL), one row per data point; the device runs
-    each point k2 times in a row.
+    X is (n, d0) and Y is (n, dL), row-aligned; points holds the K1 data
+    points as row indices into both. The device gathers each block's input
+    rows itself and runs each point k2 times in a row.
     Returns one EvalReport per parameter set, in order, from one device call
     on the sets as given (the device rejects an empty list), so every set sees
     the same noise and each block is drawn once. Also reports argmax-vs-argmax
@@ -186,14 +205,15 @@ def eval_in_situ(device: Device, params: Sequence[Params], X, Y, k2: int, noise_
     """
     if k2 < 1:
         raise ValueError(f"k2 must be >= 1, got {k2}")
-    k1 = X.shape[0]
+    k1 = len(points)
     if k1 == 0:
-        raise ValueError(f"input shape {X.shape} holds no data points")
+        raise ValueError("no data points to score")
     for p in params:
-        want = (k1, p.arch.layer_dims[-1])
+        want = (X.shape[0], p.arch.layer_dims[-1])
         if Y.shape != want:
             raise ValueError(f"target shape {Y.shape}, want {want} for input shape {X.shape}")
-    outs = device.forward_batch(params, X, noise_slot, k2).reshape(len(params), k1, k2, -1)
+    outs = device.forward_batch(params, X, points, noise_slot, k2).reshape(len(params), k1, k2, -1)
+    Y = Y[points]
 
     reports = []
     for out in outs:
@@ -219,28 +239,28 @@ def gift_run(
     data,
     rng: RngStream,
 ) -> GiftTrace:
-    """Symmetric line search from w0 along the direction, scored on the device.
+    """Symmetric line search from w0 along the unit direction D, scored on the device.
 
-    D is the direction scaled to unit norm, so eta is the step length in
-    parameter space; direction_norm reports D's norm (1 up to rounding).
-    Candidates w0 +- i*eta*D share one data subsample, gathered once per
-    search, and one device noise slot drawn from rng in [1, 2^62) (slot 0
-    belongs to the fresh re-evaluation and eval), so their scores differ
-    only through the parameters. Each step scores its candidates in one
-    device call, step 1 the baseline with them. Stops per stop_rule
-    (either_worse: one side at or above the baseline; both_worse: both
-    sides) or at max_steps. The argmin over everything visited, baseline
-    included, is kept as the search runs; w_f is that candidate itself, or a
-    copy of w0 when the baseline wins.
+    D must have unit norm (within UNIT_NORM_TOLERANCE; see normalize), so eta
+    is the step length in parameter space and a raw estimate is refused
+    rather than stepped along; direction_norm reports D's norm (1 up to
+    rounding). Candidates w0 +- i*eta*D share one data subsample, drawn once
+    per search as row indices into data, and one device noise slot drawn from
+    rng in [1, 2^62) (slot 0 belongs to the fresh re-evaluation and eval), so
+    their scores differ only through the parameters. Each step scores its
+    candidates in one device call, step 1 the baseline with them. Stops per
+    stop_rule (either_worse: one side at or above the baseline; both_worse:
+    both sides) or at max_steps. The argmin over everything visited, baseline
+    included, is kept as the search runs; w_f is that candidate itself, or
+    w0 itself when the baseline wins.
     """
     dn = direction.norm()
     if not np.isfinite(dn) or dn == 0.0:
         raise ValueError("direction must be finite and nonzero")
-    direction = direction.scaled(1.0 / dn)
-    dn = direction.norm()
+    if abs(dn - 1.0) > UNIT_NORM_TOLERANCE:
+        raise ValueError(f"direction norm {dn!r} is not 1 within {UNIT_NORM_TOLERANCE}: normalize it first")
     gen = rng.generator(0)
     idx = gen.integers(0, len(data), size=config.k1)
-    X, Y = data.inputs[idx], data.targets[idx]
     slot = int(gen.integers(1, 1 << 62))
     assert 0 < slot < 1 << 62, "the line search never takes slot 0"
 
@@ -251,7 +271,8 @@ def gift_run(
     for i in range(1, config.max_steps + 1):
         coef = i * config.eta
         candidates = [apply_step(w0, +coef, direction), apply_step(w0, -coef, direction)]
-        reports = eval_in_situ(device, [w0, *candidates] if i == 1 else candidates, X, Y, config.k2, slot)
+        sets = [w0, *candidates] if i == 1 else candidates
+        reports = eval_in_situ(device, sets, data.inputs, data.targets, idx, config.k2, slot)
         if i == 1:
             baseline = best = reports.pop(0)
         for sign, w, rep in zip((+1, -1), candidates, reports):
@@ -267,7 +288,7 @@ def gift_run(
         best=best,
         records=records,
         selected=selected,
-        w_f=w0.copy() if w_f is None else w_f,
+        w_f=w0 if w_f is None else w_f,
         improvement=baseline.loss - best.loss,
         steps_taken=i,
         queries=device.query_count - q_before,

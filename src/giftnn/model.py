@@ -237,9 +237,6 @@ class Params:
         sq += sum(float((b**2).sum()) for b in self.biases)
         return np.sqrt(sq)
 
-    def scaled(self, c: float) -> "Params":
-        return Params.from_vector(self.arch, c * self.vector)
-
 
 def _finite(vector: np.ndarray) -> np.ndarray:
     if not np.isfinite(vector).all():
@@ -348,7 +345,8 @@ class ForwardTrace:
     and a flat scratch with room for (n, d) values of the widest layer. A
     pass that keeps no trace has hidden_tanh, residuals and scratch None:
     each layer's activation overwrote its pre-activation, and only
-    activations[-1] is its output.
+    activations[-1] is its output; a noise-free pass's hidden activations
+    are None.
     """
 
     activations: list
@@ -441,7 +439,9 @@ def forward_noisy(params: Params, x, noise: NoiseDraw | None = None, repeat: int
     ForwardTrace.empty) and returns views of them, or into a fresh kept trace
     without it; when out keeps no trace, neither does the returned one. With
     no draw nothing is perturbed: each input runs once, A(0) is x itself, and
-    the pass keeps no trace and writes fresh arrays.
+    the pass keeps no trace. It forms each layer in a fresh array and drops
+    the hidden layer before it, so its activations hold A(0) and A(L), and
+    None for every hidden layer.
     """
     arch = params.arch
     dims = arch.layer_dims
@@ -449,35 +449,37 @@ def forward_noisy(params: Params, x, noise: NoiseDraw | None = None, repeat: int
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != dims[0]:
         raise ValueError(f"input shape {x.shape}, want (n, {dims[0]})")
-    n = x.shape[0] * repeat
     if noise is None:
-        out = ForwardTrace([x] + [np.empty((n, d)) for d in dims[1:]], None, None)
-    else:
-        _check_noise_dims(arch, noise, n)
-        if out is None:
-            out = ForwardTrace.empty(arch, n)
-        elif out.activations[0].shape[0] < n:
-            raise ValueError(f"trace buffers hold {out.activations[0].shape[0]} rows, need {n}")
+        a = x
+        for l in range(1, L + 1):
+            a = np.matmul(a, params.weights[l - 1].T)  # the last reference to A(l-1) goes here
+            a += params.biases[l - 1]
+            if l < L:
+                np.tanh(a, out=a)
+        return ForwardTrace([x] + [None] * (L - 1) + [a], None, None)
+    n = x.shape[0] * repeat
+    _check_noise_dims(arch, noise, n)
+    if out is None:
+        out = ForwardTrace.empty(arch, n)
+    elif out.activations[0].shape[0] < n:
+        raise ValueError(f"trace buffers hold {out.activations[0].shape[0]} rows, need {n}")
     acts = head(out.activations, n)
     kept = head(out.hidden_tanh, n)
-    if noise is not None:
-        perturb = np.multiply if noise.multiplicative else np.add
-        if repeat == 1:
-            perturb(x, noise.act[0], out=acts[0])
-        else:  # point p's repeat rows read x[p]
-            perturb(x[:, None, :], noise.act[0].reshape(-1, repeat, dims[0]), out=acts[0].reshape(-1, repeat, dims[0]))
+    perturb = np.multiply if noise.multiplicative else np.add
+    if repeat == 1:
+        perturb(x, noise.act[0], out=acts[0])
+    else:  # point p's repeat rows read x[p]
+        perturb(x[:, None, :], noise.act[0].reshape(-1, repeat, dims[0]), out=acts[0].reshape(-1, repeat, dims[0]))
     for l in range(1, L + 1):
         # in place, in the order of W a + b + n: the same values as fresh arrays give. A kept hidden
         # layer forms z(l) and then t(l) in its hidden_tanh array; otherwise A(l) overwrites z(l)
         z = acts[l] if kept is None or l == L else kept[l - 1]
         np.matmul(acts[l - 1], params.weights[l - 1].T, out=z)
         z += params.biases[l - 1]
-        if noise is not None:
-            perturb(z, noise.weigh[l - 1], out=z)
+        perturb(z, noise.weigh[l - 1], out=z)
         if l < L:
             np.tanh(z, out=z)
-            if noise is not None:
-                perturb(z, noise.act[l], out=acts[l])
+            perturb(z, noise.act[l], out=acts[l])
     return ForwardTrace(acts, kept, noise, head(out.residuals, n), out.scratch)
 
 

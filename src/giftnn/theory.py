@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .device import Device
-from .gift import GiftConfig, estimate_direction, gift_run, mc_blocks, mean_se, noise_weight_factor
+from .gift import GiftConfig, estimate_direction, gift_run, mc_blocks, mean_se, noise_weight_factor, normalize
 from .gradients import layer_sums, residual_stack
 from .model import (
     Architecture,
@@ -249,8 +249,8 @@ def check_theorem1_empirically(
         except TrainingDiverged:
             diverged += 1
             continue
-        direction = estimate_direction(w0, data, train_config.s0, gift_config.est_k1, gift_config.est_k2,
-                                       RngStream(seed, STREAM_ESTIMATE))
+        direction = normalize(estimate_direction(w0, data, train_config.s0, gift_config.est_k1, gift_config.est_k2,
+                                                 RngStream(seed, STREAM_ESTIMATE)))
         device = Device(NoiseModel("gaussian_additive", s_t), seed=mix64(seed))
         trace = gift_run(device, w0, direction, gift_config, data, RngStream(seed, STREAM_EVAL))
         imp_est.append(trace.improvement)

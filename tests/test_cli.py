@@ -240,12 +240,13 @@ class TestExperimentValidation:
 
     def test_wide_datasets_stay_within_memory(self):
         # the 2,500-row shallow_mnist teacher pool (15 MiB of inputs), scaled in place and labelled by a noise-free
-        # pass that reads the inputs themselves and keeps no trace, peaks at about 32.0 MiB; the pass's copy of the
-        # inputs took it to 47.0 MiB, and a scaled copy of the inputs and a traced pass to 60.3 MiB
+        # pass that reads the inputs themselves, keeps no trace and drops each hidden layer once the next is formed,
+        # peaks at about 29.9 MiB; every layer allocated up front took it to 32.0 MiB, the pass's copy of the inputs
+        # to 47.0 MiB, and a scaled copy of the inputs and a traced pass to 60.3 MiB
         cfg = fresh_config()
         cfg["arch"]["preset"] = "shallow_mnist"
         peak = traced_peak(Experiment(cfg).datasets)
-        assert peak < 35 * MIB, f"peak traced allocation {peak / MIB:.1f} MiB"
+        assert peak < 32.7 * MIB, f"peak traced allocation {peak / MIB:.1f} MiB"
 
 
 class TestArtifacts:
@@ -619,12 +620,16 @@ class TestTrainGiftEval:
 TWO_FAMILIES = 'sweep.families=["gaussian_additive","laplace"]'
 
 
-def wide_gift_argv(out, seeds):
-    argv = ["gift", "--out", str(out), "--set", f"seeds={seeds}"]
-    for item in ["arch.preset=shallow_mnist", "data.n_train=256", "data.n_test=128", "train.epochs=1",
-                 "gift.est_k1=20", "gift.est_k2=100", "gift.k1=128", "gift.k2=8", "gift.max_steps=1"]:
+def wide_argv(command, out, seeds, *settings):
+    argv = [command, "--out", str(out), "--set", f"seeds={seeds}"]
+    for item in ["arch.preset=shallow_mnist", "data.n_train=256", "data.n_test=128", "train.epochs=1", *settings]:
         argv += ["--set", item]
     return argv
+
+
+def wide_gift_argv(out, seeds):
+    return wide_argv("gift", out, seeds, "gift.est_k1=20", "gift.est_k2=100", "gift.k1=128", "gift.k2=8",
+                     "gift.max_steps=1")
 
 
 def command_peak(argv, capsys):
@@ -639,10 +644,20 @@ class TestCommandMemory:
     def test_wide_gift_command_stays_within_memory(self, tmp_path, capsys):
         # the whole command at shallow_mnist dims: datasets, training, a 20 x 100 estimate (twenty one-point
         # blocks of 100 rows), a one-step line search and the fresh pair, in about a second. It peaks at about
-        # 39.9 MiB; two 1,000-row blocks peaked at 58.8 MiB, and holding both of them at once at 82.6 MiB.
+        # 35.1 MiB; a raw direction beside its unit copy and the search's gathered points took it to 39.3 MiB,
+        # two 1,000-row blocks to 58.8 MiB, and holding both of them at once to 82.6 MiB.
         assert len(point_blocks(Architecture(ARCH_PRESETS["shallow_mnist"]), 20, 100)) == 20
         peak = command_peak(wide_gift_argv(tmp_path / "run", "[0]"), capsys)
-        assert peak < 42 * MIB, f"peak traced allocation {peak / MIB:.1f} MiB"
+        assert peak < 37.5 * MIB, f"peak traced allocation {peak / MIB:.1f} MiB"
+
+    def test_wide_eval_command_stays_within_memory(self, tmp_path, capsys):
+        # eval --checkpoint at shallow_mnist dims scores the default 1,000 points x 8 on the device, which gathers
+        # each block's rows itself. It peaks at about 10.4 MiB; gathering the 1,000 x 784 points first (6.3 MB)
+        # took it to 16.4 MiB.
+        out = tmp_path / "run"
+        assert main(wide_argv("train", out, "[0]")) == 0
+        peak = command_peak(wide_argv("eval", out, "[0]") + ["--checkpoint", str(out / "train")], capsys)
+        assert peak < 11.2 * MIB, f"peak traced allocation {peak / MIB:.1f} MiB"
 
     def test_a_second_seed_adds_no_memory(self, tmp_path, capsys):
         # each seed drops its w0, direction, trace and device before the next: keeping them put 2.9 MiB on the peak

@@ -15,6 +15,7 @@ from giftnn.gift import (
     gift_run,
     mean_se,
     noise_weight_factor,
+    normalize,
 )
 from giftnn.gradients import backward, residual_stack
 from giftnn.model import (
@@ -34,7 +35,8 @@ from giftnn.model import (
     sample_noise_batch,
 )
 
-from test_device import MIB, SHALLOW_MNIST, counting_draws, keyed_block_draw, traced_peak, wide_params
+from test_device import (MIB, SHALLOW_MNIST, counting_draws, every_row, keyed_block_draw, traced_peak,
+                         wide_params)
 from test_model import small_params, zero_draw
 
 
@@ -183,7 +185,8 @@ class TestEstimateDirection:
     def test_direction_norm_and_scaling(self):
         d = Params(Architecture((2, 1)), [np.array([[3.0, 0.0]])], [np.array([4.0])])
         assert d.norm() == pytest.approx(5.0)
-        assert d.scaled(0.2).norm() == pytest.approx(1.0)
+        assert normalize(d) is d and d.norm() == pytest.approx(1.0)
+        assert d.vector.tolist() == [3.0 * (1 / 5.0), 0.0, 4.0 * (1 / 5.0)]
 
 
 def sample_rows(data, k1, seed):
@@ -220,11 +223,11 @@ class TestEvalInSitu:
         idx = sample_rows(data, k1, 33)
         slot = 5
         ref_out, ref_report = repeated_rows_reference(p, model, 32, slot, data, idx, k2)
-        out = dev.forward_batch([p], data.inputs[idx], slot, k2)
+        out = dev.forward_batch([p], data.inputs, idx, slot, k2)
         assert dev.query_count == k1 * k2
         assert np.array_equal(out, ref_out)
         for calls in (2, 3):
-            assert eval_in_situ(dev, [p], data.inputs[idx], data.targets[idx], k2, slot) == [ref_report]
+            assert eval_in_situ(dev, [p], data.inputs, data.targets, idx, k2, slot) == [ref_report]
             assert dev.query_count == calls * k1 * k2
 
     @pytest.mark.parametrize("family", NOISE_FAMILIES)
@@ -238,15 +241,15 @@ class TestEvalInSitu:
         Y = np.tanh(X[:, :2])
         model = NoiseModel(family, 0.3)
         together_dev, single_dev = Device(model, seed=37), Device(model, seed=37)
-        together = eval_in_situ(together_dev, sets, X, Y, 8, 6)
-        singles = [eval_in_situ(single_dev, [p], X, Y, 8, 6)[0] for p in sets]
+        together = eval_in_situ(together_dev, sets, X, Y, every_row(X), 8, 6)
+        singles = [eval_in_situ(single_dev, [p], X, Y, every_row(X), 8, 6)[0] for p in sets]
         assert together == singles
         assert together_dev.query_count == single_dev.query_count == 3 * 300 * 8
 
     def test_needs_a_parameter_set(self):
         dev = Device(NoiseModel("gaussian_additive", 0.2), seed=27)
         with pytest.raises(ValueError, match="no parameter sets"):
-            eval_in_situ(dev, [], np.zeros((4, 2)), np.zeros((4, 2)), 4, 0)
+            eval_in_situ(dev, [], np.zeros((4, 2)), np.zeros((4, 2)), np.arange(4), 4, 0)
         assert dev.query_count == 0
 
     def test_perfect_predictor_near_zero_loss(self):
@@ -256,7 +259,7 @@ class TestEvalInSitu:
         data = linear_dataset(256)
         dev = Device(NoiseModel("gaussian_additive", 1e-9), seed=1)
         idx = sample_rows(data, 64, 2)
-        rep, = eval_in_situ(dev, [p], data.inputs[idx], data.targets[idx], 2, 0)
+        rep, = eval_in_situ(dev, [p], data.inputs, data.targets, idx, 2, 0)
         assert rep.loss < 1e-12
         assert rep.accuracy == 1.0  # single output: argmax trivially matches
 
@@ -265,7 +268,7 @@ class TestEvalInSitu:
         p = Params(arch, [np.array([[1.0]])], [np.zeros(1)])
         data = Dataset(np.array([[2.0]]), np.array([[0.0]]))
         dev = Device(NoiseModel("gaussian_additive", 1e-12), seed=0)
-        rep, = eval_in_situ(dev, [p], data.inputs, data.targets, 1, 0)
+        rep, = eval_in_situ(dev, [p], data.inputs, data.targets, every_row(data.inputs), 1, 0)
         assert rep.loss == pytest.approx(4.0, rel=1e-6)
         assert rep.loss_se == 0.0
 
@@ -279,7 +282,7 @@ class TestEvalInSitu:
         s = 0.3
         dev = Device(NoiseModel("gaussian_additive", s), seed=22)
         idx = sample_rows(data, 2000, 23)
-        rep, = eval_in_situ(dev, [p], X[idx], Y[idx], 8, 0)
+        rep, = eval_in_situ(dev, [p], X, Y, idx, 8, 0)
 
         model = NoiseModel("gaussian_additive", s)
         rng = RngStream(24, STREAM_EVAL)
@@ -300,8 +303,8 @@ class TestEvalInSitu:
         data = linear_dataset(64, seed=26, v=TWO_OUTPUTS)
         dev = Device(NoiseModel("gaussian_additive", 0.2), seed=27)
         X, Y = data.inputs[:32], data.targets[:32]
-        a, = eval_in_situ(dev, [p], X, Y, 4, 9)
-        b, = eval_in_situ(dev, [p], X, Y, 4, 9)
+        a, = eval_in_situ(dev, [p], X, Y, every_row(X), 4, 9)
+        b, = eval_in_situ(dev, [p], X, Y, every_row(X), 4, 9)
         assert a.loss == b.loss and a.accuracy == b.accuracy
         assert (a.k1, a.k2, a.noise_slot) == (32, 4, 9)
 
@@ -311,14 +314,14 @@ class TestEvalInSitu:
         dev = Device(NoiseModel("gaussian_additive", 0.2), seed=27)
         for k2 in (0, -1):
             with pytest.raises(ValueError, match=f"k2 must be >= 1, got {k2}"):
-                eval_in_situ(dev, [p], data.inputs[:8], data.targets[:8], k2, 0)
+                eval_in_situ(dev, [p], data.inputs[:8], data.targets[:8], np.arange(8), k2, 0)
         assert dev.query_count == 0
 
     def test_inputs_must_hold_a_data_point(self):
         p = small_params([2, 2], seed=25)
         dev = Device(NoiseModel("gaussian_additive", 0.2), seed=27)
-        with pytest.raises(ValueError, match=r"input shape \(0, 2\) holds no data points"):
-            eval_in_situ(dev, [p], np.zeros((0, 2)), np.zeros((0, 2)), 4, 0)
+        with pytest.raises(ValueError, match="no data points to score"):
+            eval_in_situ(dev, [p], np.zeros((4, 2)), np.zeros((4, 2)), np.arange(0), 4, 0)
         assert dev.query_count == 0
 
     def test_targets_must_match_the_outputs(self):
@@ -328,11 +331,11 @@ class TestEvalInSitu:
         dev = Device(NoiseModel("gaussian_additive", 0.2), seed=27)
         assert data.targets.shape == (64, 1)
         with pytest.raises(ValueError, match=r"target shape \(64, 1\), want \(64, 2\)"):
-            eval_in_situ(dev, [p], data.inputs, data.targets, 4, 0)
+            eval_in_situ(dev, [p], data.inputs, data.targets, every_row(data.inputs), 4, 0)
         # nor do K1 x k2 repeated targets fit K1 per-point inputs
         Y = np.repeat(linear_dataset(64, seed=26, v=TWO_OUTPUTS).targets[:8], 4, axis=0)
         with pytest.raises(ValueError, match=r"target shape \(32, 2\), want \(8, 2\) for input shape \(8, 2\)"):
-            eval_in_situ(dev, [p], data.inputs[:8], Y, 4, 0)
+            eval_in_situ(dev, [p], data.inputs[:8], Y, np.arange(8), 4, 0)
         assert dev.query_count == 0
 
 
@@ -362,16 +365,18 @@ class TestGiftRun:
     def test_wide_line_search_builds_no_repeated_rows(self):
         # one call scores [w0, w+, w-] block by block, never holding the search's whole 140 MB draw, and the device
         # keeps no copies of the sets (three 3.5 MiB copies put the peak at 63.0 MiB); with one 112-row block's
-        # draw and output-only passes reused block after block it peaks at about 22.1 MiB (47.2 MiB in 1,024-row
-        # blocks, 52.6 when each block was fresh)
-        w0, d = wide_params(seed=17), wide_params(seed=18)
+        # draw and output-only passes reused block after block, each block gathering its own points' rows, and
+        # the unit direction taken as given, it peaks at about 12.7 MiB (22.1 MiB with the search's 1,000 x 784
+        # gathered points and a unit copy of the direction, 47.2 MiB in 1,024-row blocks, 52.6 when each block
+        # was fresh)
+        w0, d = wide_params(seed=17), normalize(wide_params(seed=18))
         X = RngStream(19, STREAM_DATA).generator(0).standard_normal((200, SHALLOW_MNIST[0]))
         data = Dataset(X, np.tanh(X[:, :SHALLOW_MNIST[-1]]))
         dev = Device(NoiseModel("gaussian_additive", 0.1), seed=20)
         cfg = GiftConfig(eta=0.01, k1=1000, k2=8, max_steps=1)
         peak = traced_peak(lambda: gift_run(dev, w0, d, cfg, data, RngStream(21, STREAM_EVAL)))
         assert dev.query_count == 3 * 1000 * 8
-        assert peak < 23.5 * MIB, f"peak traced allocation {peak / MIB:.1f} MiB"
+        assert peak < 13.5 * MIB, f"peak traced allocation {peak / MIB:.1f} MiB"
 
     def test_quadratic_line_search_finds_minimum(self):
         # (w-1.8)^2 from w0=0 with D=1, eta=0.5: both_worse keeps searching past
@@ -395,14 +400,14 @@ class TestGiftRun:
         # output w + b along D = (2, 1)/sqrt(5) toward y = -1.8: the plus side is worse from step 1, the minus
         # side passes the minimum near c = -1.34 and is worse than the baseline from step 11 (c = -2.75) on
         arch, w0, data, dev = quadratic_device_and_data(y=-1.8)
-        d = Params(arch, [np.array([[2.0]])], [np.array([1.0])])
+        d = normalize(Params(arch, [np.array([[2.0]])], [np.array([1.0])]))
         cfg = GiftConfig(eta=0.25, k1=1, k2=1, max_steps=15, stop_rule="both_worse")
         trace = gift_run(dev, w0, d, cfg, data, RngStream(6, STREAM_EVAL))
         assert trace.stop_reason == "both_worse"
         assert trace.steps_taken == 11
         assert trace.selected == (5, -1)
         i, sign = trace.selected
-        want = apply_step(w0, i * sign * cfg.eta, d.scaled(1.0 / d.norm()))
+        want = apply_step(w0, i * sign * cfg.eta, d)
         assert trace.w_f.vector.tobytes() == want.vector.tobytes()
         assert not np.shares_memory(trace.w_f.vector, w0.vector)
         assert not np.shares_memory(trace.w_f.vector, d.vector)
@@ -429,7 +434,7 @@ class TestGiftRun:
         trace = gift_run(dev, w0, d, cfg, data, RngStream(2, STREAM_EVAL))
         assert trace.selected == (0, 0)
         assert trace.improvement == 0.0
-        assert np.array_equal(trace.w_f.weights[0], w0.weights[0])
+        assert trace.w_f is w0  # the baseline itself, not a copy
 
     def test_eta_zero_degenerates_to_baseline(self):
         arch, w0, data, dev = quadratic_device_and_data(s_t=0.3)
@@ -441,9 +446,11 @@ class TestGiftRun:
         assert trace.steps_taken == 1
 
     def test_line_search_steps_along_the_unit_direction(self):
-        # D = 2 on loss (2 - w)^2: candidates sit at sign*i*eta*D/||D||, so eta is the step length
+        # D = 2 normalized on loss (2 - w)^2: candidates sit at sign*i*eta*D/||D||, so eta is the step length
         arch, w0, data, dev = quadratic_device_and_data()
-        d = Params(arch, [np.array([[2.0]])], [np.zeros(1)])
+        raw = Params(arch, [np.array([[2.0]])], [np.zeros(1)])
+        d = normalize(raw)
+        assert d is raw and d.weights[0][0, 0] == 1.0  # scaled in place
         cfg = GiftConfig(eta=0.25, k1=1, k2=1, max_steps=3, stop_rule="both_worse")
         trace = gift_run(dev, w0, d, cfg, data, RngStream(5, STREAM_EVAL))
         assert trace.direction_norm == 1.0
@@ -457,8 +464,22 @@ class TestGiftRun:
         arch, w0, data, dev = quadratic_device_and_data()
         d = Params(arch, [np.array([[0.0]])], [np.zeros(1)])
         cfg = GiftConfig(eta=0.5, k1=1, k2=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="direction must be finite and nonzero"):
             gift_run(dev, w0, d, cfg, data, RngStream(4, STREAM_EVAL))
+        with pytest.raises(ValueError, match="direction must be finite and nonzero"):
+            normalize(d)
+        assert dev.query_count == 0
+
+    @pytest.mark.parametrize("scale", [2.0, 1.0 + 1e-9, 1.0 - 1e-9])
+    def test_non_unit_direction_refused(self, scale):
+        # a raw estimate would silently change the step length, so the search takes unit directions only
+        arch, w0, data, dev = quadratic_device_and_data()
+        d = Params(arch, [np.array([[scale]])], [np.zeros(1)])
+        cfg = GiftConfig(eta=0.5, k1=1, k2=1)
+        with pytest.raises(ValueError, match=r"direction norm .* is not 1 within 1e-12"):
+            gift_run(dev, w0, d, cfg, data, RngStream(4, STREAM_EVAL))
+        assert dev.query_count == 0
+        assert gift_run(dev, w0, normalize(d), cfg, data, RngStream(4, STREAM_EVAL)).direction_norm == 1.0
 
     def test_non_degradation_and_trace_consistency(self):
         p = small_params([2, 3, 2], seed=30)
@@ -466,7 +487,7 @@ class TestGiftRun:
         gen = RngStream(32, STREAM_DATA).generator(0)
         data = Dataset(data.inputs, np.column_stack([data.targets[:, 0], -data.targets[:, 0]]))
         dev = Device(NoiseModel("gaussian_additive", 0.25), seed=33)
-        d = estimate_direction(p, data, 0.2, 64, 16, RngStream(34, STREAM_ESTIMATE))
+        d = normalize(estimate_direction(p, data, 0.2, 64, 16, RngStream(34, STREAM_ESTIMATE)))
         cfg = GiftConfig(eta=0.05, k1=128, k2=4, max_steps=6, stop_rule="either_worse")
         trace = gift_run(dev, p, d, cfg, data, RngStream(35, STREAM_EVAL))
         assert trace.improvement >= 0.0
@@ -478,7 +499,7 @@ class TestGiftRun:
         p = small_params([2, 2], seed=40)
         data = linear_dataset(128, seed=41, v=TWO_OUTPUTS)
         cfg = GiftConfig(eta=0.1, k1=32, k2=4, max_steps=4)
-        d = Params(p.arch, [np.full((2, 2), 0.5)], [np.full(2, 0.1)])
+        d = normalize(Params(p.arch, [np.full((2, 2), 0.5)], [np.full(2, 0.1)]))
         traces = []
         for _ in range(2):
             dev = Device(NoiseModel("laplace", 0.3), seed=42)
@@ -494,7 +515,7 @@ class TestGiftRun:
         data = linear_dataset(64, seed=51, v=TWO_OUTPUTS)
         dev = Device(NoiseModel("gaussian_additive", 0.2), seed=52)
         cfg = GiftConfig(eta=0.05, k1=16, k2=3, max_steps=4, stop_rule="either_worse")
-        d = Params(p.arch, [np.full((2, 2), 1.0)], [np.full(2, 0.5)])
+        d = normalize(Params(p.arch, [np.full((2, 2), 1.0)], [np.full(2, 0.5)]))
         trace = gift_run(dev, p, d, cfg, data, RngStream(53, STREAM_EVAL))
         assert trace.queries == (1 + 2 * trace.steps_taken) * 16 * 3
 
@@ -512,7 +533,7 @@ class TestGiftRun:
         draws = counting_draws(monkeypatch)
         p = small_params([2, 3, 2], seed=60)
         data = linear_dataset(128, seed=61, v=TWO_OUTPUTS)
-        d = Params(p.arch, [np.full((3, 2), 0.2), np.full((2, 3), -0.1)], [np.full(3, 0.1), np.zeros(2)])
+        d = normalize(Params(p.arch, [np.full((3, 2), 0.2), np.full((2, 3), -0.1)], [np.full(3, 0.1), np.zeros(2)]))
         cfg = GiftConfig(eta=0.01, k1=300, k2=8, max_steps=4, stop_rule="both_worse")
         traces, n_draws = [], []
         for budget in (device_module.REPLAY_BYTES, 0):
@@ -538,6 +559,6 @@ class TestGiftRun:
         trace = gift_run(dev, w0, d, cfg, data, RngStream(1, STREAM_EVAL))
         assert trace.steps_taken == 3 and len(trace.records) == 6
         assert len(draws) == 1
-        eval_in_situ(dev, [w0, trace.w_f], data.inputs, data.targets, 4, 0)
+        eval_in_situ(dev, [w0, trace.w_f], data.inputs, data.targets, every_row(data.inputs), 4, 0)
         assert len(draws) == 2
         assert dev.query_count == (1 + 6 + 2) * 4

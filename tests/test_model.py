@@ -477,7 +477,7 @@ class TestApplyStep:
         d = small_params([3, 4, 2], seed=6)
         p_before, d_before = p.to_vector(), d.to_vector()
         box = Hyperrectangle(-0.1, 0.1, -0.1, 0.1)
-        for q in (apply_step(p, 0.0, d), apply_step(p, 0.3, d), project(p, box), p.copy(), p.scaled(1.0)):
+        for q in (apply_step(p, 0.0, d), apply_step(p, 0.3, d), project(p, box), p.copy()):
             assert not np.shares_memory(q.vector, p.vector)
             assert not np.shares_memory(q.vector, d.vector)
             q.weights[0][...] = 9.0

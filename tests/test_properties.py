@@ -6,7 +6,7 @@ from scipy.optimize import minimize
 
 from giftnn.data import Dataset, epoch_batches, to_dataset
 from giftnn.device import Device
-from giftnn.gift import GiftConfig, gift_run
+from giftnn.gift import GiftConfig, gift_run, normalize
 from giftnn.model import (
     Architecture,
     Hyperrectangle,
@@ -153,7 +153,7 @@ class TestGiftTraceInvariants:
         arch = Architecture((2, 1))
         w0 = Params(arch, [gen.uniform(-1, 1, (1, 2))], [gen.uniform(-0.5, 0.5, 1)])
         data = Dataset(gen.standard_normal((64, 2)), gen.standard_normal((64, 1)))
-        direction = Params(arch, [gen.standard_normal((1, 2))], [gen.standard_normal(1)])
+        direction = normalize(Params(arch, [gen.standard_normal((1, 2))], [gen.standard_normal(1)]))
         device = Device(NoiseModel("gaussian_additive", 0.3), seed=seed)
         config = GiftConfig(eta=eta, k1=16, k2=2, max_steps=max_steps, stop_rule=rule)
         trace = gift_run(device, w0, direction, config, data, RngStream(seed, STREAM_EVAL))
@@ -169,5 +169,5 @@ class TestGiftTraceInvariants:
         assert trace.queries == (1 + 2 * trace.steps_taken) * 16 * 2
 
         i, sign = trace.selected
-        expected = apply_step(w0, sign * i * eta / direction.norm(), direction)  # gift_run steps along D/||D||
-        assert np.allclose(trace.w_f.to_vector(), expected.to_vector())
+        expected = apply_step(w0, sign * i * eta, direction)  # eta is the step length along the unit direction
+        assert trace.w_f.vector.tobytes() == expected.vector.tobytes()
