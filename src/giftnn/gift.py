@@ -123,6 +123,17 @@ def noise_weight_factor(noise: NoiseDraw, s0: float, scratch: np.ndarray | None 
     return total
 
 
+@dataclass
+class DirEstimate:
+    """A parameter-space estimate plus its componentwise standard errors."""
+
+    value: Params
+    se: Params
+
+    def to_vectors(self):
+        return self.value.to_vector(), self.se.to_vector()
+
+
 def mc_blocks(arch, model: NoiseModel, data, n_points: int, k2: int, rng: RngStream):
     """Monte Carlo blocks (X, Y, noise) over n_points data rows drawn at rng index 0.
 
@@ -132,43 +143,81 @@ def mc_blocks(arch, model: NoiseModel, data, n_points: int, k2: int, rng: RngStr
     draws at most model.BLOCK_BYTES, or holds one point; block c draws its
     noise from model at rng index 1 + c. Every block's draw is written into
     the front of one draw of block_rows(arch, n_points, k2) rows, so a
-    yielded block is valid until the next one is drawn.
+    yielded block is valid until the next one is drawn. The counts are checked
+    when called, before anything is allocated: take the blocks first.
     """
+    if len(data) < 1 or n_points < 1 or k2 < 1:
+        raise ValueError(f"got {len(data)} data rows, n_points={n_points}, k2={k2}: each must be >= 1")
     idx = rng.generator(0).integers(0, len(data), size=n_points)
     draw = NoiseDraw.empty(arch, block_rows(arch, n_points, k2))
-    for c, (start, stop) in enumerate(point_blocks(arch, n_points, k2)):
-        rows = idx[start:stop]
-        noise = sample_noise_batch(arch, model, rng.generator(1 + c), len(rows) * k2, out=draw)
-        yield data.inputs[rows], data.targets[rows], noise
+
+    def blocks():
+        for c, (start, stop) in enumerate(point_blocks(arch, n_points, k2)):
+            rows = idx[start:stop]
+            noise = sample_noise_batch(arch, model, rng.generator(1 + c), len(rows) * k2, out=draw)
+            yield data.inputs[rows], data.targets[rows], noise
+
+    return blocks()
+
+
+def mc_gradient(params: Params, data, levels, coeffs, n_points: int, k2: int, rng: RngStream,
+                score: bool = False, moment: bool = False):
+    """Mean over n_points x k2 rows of sum_j coeffs[j] * (R_j A_j^T, R_j) under noise N_j = levels[j] * Z.
+
+    Every level shares the row's unit draw Z and data point, so differences in
+    s are exact up to Monte Carlo error in Z and the data subsample; the loss
+    gradient is -2 times a level's term. score weights each row's term by
+    noise_weight_factor(N_j, levels[j]); moment returns a DirEstimate whose SE
+    treats rows as independent, as they are at k2 = 1. np.multiply forms s * Z,
+    bit equal to a level-s draw, in one level draw, or in Z itself for the last
+    level. Each level keeps one trace, sized for the largest block. Terms are
+    added in level order, square terms in level-pair order.
+    """
+    arch = params.arch
+    blocks = mc_blocks(arch, NoiseModel("gaussian_additive", 1.0), data, n_points, k2, rng)
+    rows = block_rows(arch, n_points, k2)
+    level_noise = NoiseDraw.empty(arch, rows) if len(levels) > 1 else None
+    trace_bufs = [ForwardTrace.empty(arch, rows) for _ in levels]
+    total = Params.zeros(arch)
+    sq = Params.zeros(arch) if moment else None
+    term = Params.empty(arch)  # one block's sums for a level or a level pair, added to a total
+    for X, Y, Z in blocks:
+        Y = np.repeat(Y, k2, axis=0)
+        traces = []
+        for j, (s, trace_buf) in enumerate(zip(levels, trace_bufs)):
+            noise = Z if j == len(levels) - 1 else level_noise.leading(arch, len(Y))
+            np.multiply(Z.vector, s, out=noise.vector)
+            traces.append(forward_noisy(params, X, noise, k2, trace_buf))
+            R = residual_stack(traces[-1], Y, params)
+            if score:
+                f = noise_weight_factor(noise, s, traces[-1].scratch)  # the squares fit the widest layer's room
+                for r in R:
+                    r *= f[:, None]  # R(l) is read again only by the square terms: weight it in place
+            layer_sums(R, traces[-1].activations, term).vector *= coeffs[j]
+            total.vector += term.vector
+        if moment:
+            for j, a in enumerate(traces):
+                for j2, b in enumerate(traces[j:], start=j):  # generators: one layer's products exist at a time
+                    RR = (ra * rb for ra, rb in zip(a.residuals, b.residuals))
+                    AA = (xa * xb for xa, xb in zip(a.activations, b.activations))
+                    layer_sums(RR, AA, term).vector *= coeffs[j] * coeffs[j2] * (1.0 if j2 == j else 2.0)
+                    sq.vector += term.vector
+    n = n_points * k2
+    total.vector /= n  # in place: the same values as a new quotient
+    mean = Params.from_vector(arch, total.vector)
+    if not moment:
+        return mean
+    se = np.sqrt(np.maximum(sq.vector / n - mean.vector**2, 0.0) / n)
+    return DirEstimate(mean, Params.from_vector(arch, se))
 
 
 def estimate_direction(params: Params, data, s0: float, k1: int, k2: int, rng: RngStream) -> Params:
-    """Hierarchical mean over K1 data pairs x K2 level-s0 draws of factor-weighted residual terms.
+    """Hierarchical mean over K1 data pairs x K2 level-s0 draws of factor(N) * (R(l) A(l-1)^T, R(l)).
 
-    Per draw the contribution is factor(N) * R(l) A(l-1)^T for weights and
-    factor(N) * R(l) for biases. See the module docstring for the scale
-    convention relative to the s-derivative of the gradient. One trace, sized
-    for the largest of mc_blocks' blocks (at most model.BLOCK_BYTES of draw),
-    holds every block's activations and residuals in turn, so one block is
-    live at a time.
+    mc_gradient at the one level s0 with the score weight; the module
+    docstring gives its scale relative to the s-derivative of the gradient.
     """
-    if len(data) < 1:
-        raise ValueError("data sampler must be nonempty")
-    if k1 < 1 or k2 < 1:
-        raise ValueError("k1 and k2 must be >= 1")
-    arch = params.arch
-    trace_buf = ForwardTrace.empty(arch, block_rows(arch, k1, k2))
-    total = Params.zeros(arch)
-    term = Params.empty(arch)  # one block's sums, added to the total
-    for X, Y, noise in mc_blocks(arch, NoiseModel("gaussian_additive", s0), data, k1, k2, rng):
-        trace = forward_noisy(params, X, noise, k2, trace_buf)
-        R = residual_stack(trace, np.repeat(Y, k2, axis=0), params)
-        f = noise_weight_factor(noise, s0, trace.scratch)  # the squares fit the widest layer's room
-        for r in R:
-            r *= f[:, None]  # R(l) is not read again: weight it in place
-        total.vector += layer_sums(R, trace.activations, term).vector
-    total.vector /= k1 * k2  # in place: the same values as a new quotient
-    return Params.from_vector(arch, total.vector)
+    return mc_gradient(params, data, [s0], [1.0], k1, k2, rng, score=True)
 
 
 def normalize(direction: Params) -> Params:

@@ -1,9 +1,5 @@
 """Numeric verification tools: derivative-in-s oracles, closed-form condition
 bounds, the Gaussian-product derivative identity, and the hierarchical sampler.
-
-The finite-difference oracles reuse one set of standard-normal draws across the
-probed noise levels (noise = s * Z), so differences in s are exact up to Monte
-Carlo error in Z and the data subsample.
 """
 
 from __future__ import annotations
@@ -13,8 +9,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .device import Device
-from .gift import GiftConfig, estimate_direction, gift_run, mc_blocks, mean_se, noise_weight_factor, normalize
-from .gradients import layer_sums, residual_stack
+from .gift import (DirEstimate, GiftConfig, estimate_direction, gift_run, mc_blocks, mc_gradient, mean_se,
+                   noise_weight_factor, normalize)
+from .gradients import residual_stack  # noqa: F401  bound only for perfbench/tracer.py PATCHES
 from .model import (
     Architecture,
     ForwardTrace,
@@ -33,71 +30,23 @@ from .model import (
 from .trainer import TrainConfig, TrainingDiverged, train
 
 
-@dataclass
-class DirEstimate:
-    """A parameter-space estimate plus its componentwise standard errors."""
-
-    value: Params
-    se: Params
-
-    def to_vectors(self):
-        return self.value.to_vector(), self.se.to_vector()
-
-
-def _fd_grad_combo(params: Params, data, s_values, coeffs, mc_samples: int, seed: int) -> DirEstimate:
-    """Mean and SE over samples of sum_j coeffs[j] * grad_i(s_j), with shared draws.
-
-    grad_i(s) is the per-sample loss gradient (including its -2) under noise
-    s * Z_i; Z_i and the data row are shared across all s_j.
-    """
-    arch = params.arch
-    total = Params.zeros(arch)  # sums of the per-sample combination
-    sq = Params.zeros(arch)  # sums of its square
-    term = Params.empty(arch)  # one level's, or one level pair's, sums
-
-    unit = NoiseModel("gaussian_additive", 1.0)
-    rows = block_rows(arch, mc_samples, 1)
-    # s * Z is written into one draw's arrays for every level, and each level keeps its own trace
-    level_noise = NoiseDraw.empty(arch, rows)
-    trace_bufs = [ForwardTrace.empty(arch, rows) for _ in s_values]
-    for X, Y, Z in mc_blocks(arch, unit, data, mc_samples, 1, RngStream(seed, STREAM_THEORY)):
-        noise = level_noise.leading(arch, len(X))
-        traces = []
-        for s, trace_buf in zip(s_values, trace_bufs):
-            np.multiply(Z.vector, s, out=noise.vector)
-            traces.append(forward_noisy(params, X, noise, out=trace_buf))
-            residual_stack(traces[-1], Y, params)
-        # each entry takes its terms in level order, and its square terms in level-pair order
-        for j, a in enumerate(traces):
-            total.vector += (-2.0 * coeffs[j]) * layer_sums(a.residuals, a.activations, term).vector
-            for j2, b in enumerate(traces[j:], start=j):
-                w = 4.0 * coeffs[j] * coeffs[j2] * (1.0 if j2 == j else 2.0)
-                # generators: one layer's products exist at a time
-                RR = (ra * rb for ra, rb in zip(a.residuals, b.residuals))
-                AA = (xa * xb for xa, xb in zip(a.activations, b.activations))
-                sq.vector += w * layer_sums(RR, AA, term).vector
-
-    n = float(mc_samples)
-    mean = total.vector / n
-    se = np.sqrt(np.maximum(sq.vector / n - mean**2, 0.0) / n)
-    return DirEstimate(Params.from_vector(arch, mean), Params.from_vector(arch, se))
-
-
 def d_ds_grad_fd_report(params: Params, s: float, data, h: float = 0.05,
                         mc_samples: int = 200_000, seed: int = 0) -> DirEstimate:
-    """Central difference in s of the Monte Carlo loss-gradient estimate."""
+    """Central difference in s of the Monte Carlo loss gradient: mc_gradient, the -2 in its coefficients."""
     if not 0 < h < s:
         raise ValueError(f"need 0 < h < s, got h={h}, s={s}")
-    return _fd_grad_combo(params, data, [s - h, s + h], [-0.5 / h, 0.5 / h], mc_samples, seed)
+    return mc_gradient(params, data, [s - h, s + h], [1.0 / h, -1.0 / h], mc_samples, 1,
+                       RngStream(seed, STREAM_THEORY), moment=True)
 
 
 def d2_ds2_grad_fd_report(params: Params, s: float, data, h: float = 0.05,
                           mc_samples: int = 200_000, seed: int = 0) -> DirEstimate:
-    """Three-point stencil in s of the Monte Carlo loss-gradient estimate."""
+    """Three-point stencil in s of the Monte Carlo loss gradient: mc_gradient, the -2 in its coefficients."""
     if not 0 < h < s:
         raise ValueError(f"need 0 < h < s, got h={h}, s={s}")
     hh = h * h
-    return _fd_grad_combo(params, data, [s - h, s, s + h], [1.0 / hh, -2.0 / hh, 1.0 / hh], mc_samples, seed)
+    return mc_gradient(params, data, [s - h, s, s + h], [-2.0 / hh, 4.0 / hh, -2.0 / hh], mc_samples, 1,
+                       RngStream(seed, STREAM_THEORY), moment=True)
 
 
 def check_gaussian_product_derivative(draw: NoiseDraw, s: float) -> float:
@@ -205,10 +154,11 @@ def mc_objective_pair(params_a: Params, params_b: Params, s: float, data,
     parameter sets under shared draws; the difference gets a paired SE."""
     model = NoiseModel("gaussian_additive", s)
     arch = params_a.arch
+    blocks = mc_blocks(arch, model, data, mc_samples, 1, RngStream(seed, STREAM_THEORY))  # checks the counts
     outputs = ForwardTrace.empty(arch, block_rows(arch, mc_samples, 1), keep=False)  # both sets' passes, in turn
     sums = np.zeros(3)  # sum_a, sum_b, sum of squared diff
     sum_d = 0.0
-    for X, Y, noise in mc_blocks(arch, model, data, mc_samples, 1, RngStream(seed, STREAM_THEORY)):
+    for X, Y, noise in blocks:
         la = ((Y - forward_noisy(params_a, X, noise, out=outputs).activations[-1]) ** 2).sum(axis=1)
         lb = ((Y - forward_noisy(params_b, X, noise, out=outputs).activations[-1]) ** 2).sum(axis=1)
         d = la - lb

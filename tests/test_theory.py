@@ -208,6 +208,34 @@ class TestMonteCarloBlocks:
         assert rep.se.vector.tobytes() == se.tobytes()
 
 
+MC_ENTRY_POINTS = {
+    "estimate_direction_k1": lambda p, data, n: estimate_direction(p, data, 0.2, n, 1, RngStream(0, STREAM_ESTIMATE)),
+    "estimate_direction_k2": lambda p, data, n: estimate_direction(p, data, 0.2, 1, n, RngStream(0, STREAM_ESTIMATE)),
+    "d_ds_grad_fd_report": lambda p, data, n: d_ds_grad_fd_report(p, 0.3, data, mc_samples=n),
+    "d2_ds2_grad_fd_report": lambda p, data, n: d2_ds2_grad_fd_report(p, 0.3, data, mc_samples=n),
+    "mc_objective_pair": lambda p, data, n: mc_objective_pair(p, p, 0.3, data, mc_samples=n),
+}
+
+
+class EmptyData:
+    """A data set with no rows; Dataset itself refuses to be empty."""
+
+    inputs, targets = np.zeros((0, 2)), np.zeros((0, 1))
+
+    def __len__(self):
+        return 0
+
+
+@pytest.mark.parametrize("rows, count", [(64, 0), (64, -1), (0, 1)], ids=["zero", "negative", "empty_data"])
+@pytest.mark.parametrize("entry", MC_ENTRY_POINTS)
+def test_monte_carlo_passes_refuse_counts_below_one(entry, rows, count):
+    # gift.mc_blocks checks the counts before any array is allocated: 0 used to divide by zero or report
+    # non-finite params, and -1 to fail inside numpy on a negative dimension
+    data = linear_data(rows) if rows else EmptyData()
+    with pytest.raises(ValueError, match=rf"got {rows} data rows, n_points=-?\d+, k2=-?\d+: each must be >= 1"):
+        MC_ENTRY_POINTS[entry](linear_params(), data, count)
+
+
 class TestLinearConditionBound:
     def test_half_norm_limit(self):
         assert linear_condition_bound([0.3, -0.4], 1e-12, 1.0) == pytest.approx(1.0)
