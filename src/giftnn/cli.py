@@ -274,10 +274,17 @@ def code_hash() -> str:
 
 def _meta(cfg: dict) -> dict:
     blob = json.dumps(cfg, sort_keys=True)
+    try:  # a body is byte-identical on one host and one BLAS set-up: numpy's BLAS and its thread counts
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas.get('name')} {blas.get('version')}"
+    except (KeyError, TypeError, ValueError):
+        blas = None
     return {
         "version": __version__,
         "code_hash": code_hash(),
         "stream_version": STREAM_VERSION,
+        "blas": {"library": blas, **{var: os.environ.get(var)
+                                     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}},
         "config_sha256": hashlib.sha256(blob.encode()).hexdigest()[:16],
         "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "config": cfg,
@@ -330,32 +337,51 @@ def _device_seed(seed: int, family: str, s_t: float) -> int:
     return mix64(seed ^ mix64(tag))
 
 
-def _train_one(exp: Experiment, train_ds, seed: int):
-    return train(exp.arch, exp.train_config, train_ds, seed)
+def _fine_tune(exp: Experiment, seed: int, train_ds, test_ds, families, s0_grid, st_grid, start, finish) -> dict:
+    """Every (family, s0, s_t) cell of one seed: gift runs one cell, a sweep task its seed's grid.
 
+    start(s0) returns w0; w0 and the unit direction depend on (s0, seed) alone,
+    so each is made once and every family shares it. One device per (family,
+    s_t, seed) scores every s0: all line searches first, sharing their points
+    and noise slot, then all fresh pairs, each an independent paired
+    re-evaluation of w0 and w_f on slot 0 and the full test set. After the
+    first s0 the device replays the draw it kept, so every row is what a device
+    of its own would give; it keeps one draw at a time, so a fresh pair run
+    between two line searches would overwrite theirs.
 
-def _estimate_one(exp: Experiment, params, train_ds, s0: float, seed: int) -> Params:
-    """The direction estimate at (s0, seed), scaled to unit norm in place: the direction every line search takes."""
+    Returns, per (family, s0) in grid order, what finish(row, trace) returns at
+    each s_t in st_grid order, or the first exception, which drops that (family,
+    s0)'s results at every s_t.
+    """
     g = exp.gift_config
-    return normalize(estimate_direction(params, train_ds, s0, g.est_k1, g.est_k2, RngStream(seed, STREAM_ESTIMATE)))
-
-
-def _device(family: str, s_t: float, seed: int) -> Device:
-    return Device(NoiseModel(family, s_t), seed=_device_seed(seed, family, s_t))
-
-
-def _line_search(exp: Experiment, device: Device, w0: Params, direction: Params, test_ds,
-                 family: str, s_t: float, seed: int):
-    """One fine-tuning run on the (family, s_t, seed) device. Its points and noise slot
-    come from (family, s_t, seed) alone, so every start point's search shares them."""
-    return gift_run(device, w0, direction, exp.gift_config, test_ds,
-                    RngStream(_device_seed(seed, family, -s_t), STREAM_EVAL))
-
-
-def _fresh_pair(exp: Experiment, device: Device, w0: Params, w_f: Params, test_ds):
-    """An independent paired re-evaluation of w0 and w_f on the full test subset (noise slot 0)."""
-    return eval_in_situ(device, [w0, w_f], test_ds.inputs, test_ds.targets, np.arange(len(test_ds)),
-                        exp.gift_config.k2, 0)
+    results = {(family, s0): [] for family in families for s0 in s0_grid}  # or the first exception
+    starts = {}  # s0 -> (w0, D)
+    for s0 in s0_grid:
+        try:
+            w0 = start(s0)
+            starts[s0] = w0, normalize(estimate_direction(w0, train_ds, s0, g.est_k1, g.est_k2,
+                                                          RngStream(seed, STREAM_ESTIMATE)))
+        except Exception as e:  # every family's cells at this s0 needed w0 and D
+            results.update({(family, s0): e for family in families})
+    for family in families:
+        for s_t in st_grid:
+            device = Device(NoiseModel(family, s_t), seed=_device_seed(seed, family, s_t))
+            traces = {}
+            for s0, (w0, direction) in starts.items():
+                if isinstance(results[family, s0], list):
+                    try:
+                        traces[s0] = gift_run(device, w0, direction, g, test_ds,
+                                              RngStream(_device_seed(seed, family, -s_t), STREAM_EVAL))
+                    except Exception as e:
+                        results[family, s0] = e
+            for s0, trace in traces.items():
+                try:
+                    fresh = eval_in_situ(device, [starts[s0][0], trace.w_f], test_ds.inputs, test_ds.targets,
+                                         np.arange(len(test_ds)), g.k2, 0)
+                    results[family, s0].append(finish(_gift_row(family, s0, s_t, seed, trace, *fresh), trace))
+                except Exception as e:
+                    results[family, s0] = e
+    return results
 
 
 def _gift_row(family, s0, s_t, seed, trace, fresh_base, fresh_post) -> dict:
@@ -403,7 +429,7 @@ def cmd_train(exp: Experiment) -> int:
     meta = _meta(exp.raw)
     out = os.path.join(exp.out_dir, "train")
     for seed in exp.seeds:
-        params, history = _train_one(exp, train_ds, seed)
+        params, history = train(exp.arch, exp.train_config, train_ds, seed)
         seed_dir = os.path.join(out, f"seed_{seed}")
         save_params(params, os.path.join(seed_dir, "params.npz"))
         rows = [
@@ -427,8 +453,7 @@ def cmd_train(exp: Experiment) -> int:
 
 def _load_checkpoint(exp: Experiment, checkpoint_root: str | None, train_ds, seed: int) -> Params:
     if checkpoint_root is None:
-        params, _ = _train_one(exp, train_ds, seed)
-        return params
+        return train(exp.arch, exp.train_config, train_ds, seed)[0]
     path = os.path.join(checkpoint_root, f"seed_{seed}", "params.npz")
     try:
         params = load_params(path)
@@ -441,42 +466,43 @@ def _load_checkpoint(exp: Experiment, checkpoint_root: str | None, train_ds, see
     return params
 
 
+def _gift_artifacts(exp: Experiment, meta: dict, out: str, seed: int, row: dict, trace) -> dict:
+    """Writes one gift seed's final params and trace and returns its row."""
+    seed_dir = os.path.join(out, f"seed_{seed}")
+    save_params(trace.w_f, os.path.join(seed_dir, "params_final.npz"))
+    write_json(os.path.join(seed_dir, "gift_trace.json"), {
+        "meta": meta,
+        "seed": seed,
+        "baseline": vars(trace.baseline),
+        "candidates": [
+            {"i": i, "sign": s, **vars(rep)} for i, s, rep in trace.records
+        ],
+        "selected": list(trace.selected),
+        "improvement": trace.improvement,
+        "steps_taken": trace.steps_taken,
+        "queries": trace.queries,
+        "stop_reason": trace.stop_reason,
+        "eta": exp.gift_config.eta,
+        "direction_norm": trace.direction_norm,
+    })
+    print(f"gift seed {seed}: loss {trace.baseline.loss:.5f} -> "
+          f"{trace.baseline.loss - trace.improvement:.5f} "
+          f"(improvement {trace.improvement:.5f}, steps {trace.steps_taken})")
+    return row
+
+
 def cmd_gift(exp: Experiment, checkpoint_root: str | None) -> int:
     train_ds, test_ds = exp.datasets()
     meta = _meta(exp.raw)
     out = os.path.join(exp.out_dir, "gift")
     rows = []
-    s0 = exp.train_config.s0
-    family, s_t = exp.noise.family, exp.noise.level
-    for seed in exp.seeds:
-        w0 = _load_checkpoint(exp, checkpoint_root, train_ds, seed)
-        direction = _estimate_one(exp, w0, train_ds, s0, seed)
-        device = _device(family, s_t, seed)
-        trace = _line_search(exp, device, w0, direction, test_ds, family, s_t, seed)
-        fresh_base, fresh_post = _fresh_pair(exp, device, w0, trace.w_f, test_ds)
-        del device  # its kept draw would otherwise live through the next seed's estimate
-        rows.append(_gift_row(family, s0, s_t, seed, trace, fresh_base, fresh_post))
-        seed_dir = os.path.join(out, f"seed_{seed}")
-        save_params(trace.w_f, os.path.join(seed_dir, "params_final.npz"))
-        write_json(os.path.join(seed_dir, "gift_trace.json"), {
-            "meta": meta,
-            "seed": seed,
-            "baseline": vars(trace.baseline),
-            "candidates": [
-                {"i": i, "sign": s, **vars(rep)} for i, s, rep in trace.records
-            ],
-            "selected": list(trace.selected),
-            "improvement": trace.improvement,
-            "steps_taken": trace.steps_taken,
-            "queries": trace.queries,
-            "stop_reason": trace.stop_reason,
-            "eta": exp.gift_config.eta,
-            "direction_norm": trace.direction_norm,
-        })
-        print(f"gift seed {seed}: loss {trace.baseline.loss:.5f} -> "
-              f"{trace.baseline.loss - trace.improvement:.5f} "
-              f"(improvement {trace.improvement:.5f}, steps {trace.steps_taken})")
-        del w0, direction, trace  # nor may w0, D and w_f (in the trace) live through the next seed's estimate
+    for seed in exp.seeds:  # one cell; a seed's w0, direction, device and trace are gone before the next's
+        result, = _fine_tune(exp, seed, train_ds, test_ds, [exp.noise.family], [exp.train_config.s0],
+                             [exp.noise.level], lambda _: _load_checkpoint(exp, checkpoint_root, train_ds, seed),
+                             lambda row, trace: _gift_artifacts(exp, meta, out, seed, row, trace)).values()
+        if isinstance(result, Exception):
+            raise result
+        rows += result
     write_csv(os.path.join(out, "gift_summary.csv"), GIFT_FIELDS, rows, meta)
     return EXIT_OK
 
@@ -488,7 +514,7 @@ def cmd_eval(exp: Experiment, checkpoint_root: str | None) -> int:
     noise = exp.noise
     for seed in exp.seeds:
         params = _load_checkpoint(exp, checkpoint_root, train_ds, seed)
-        device = _device(noise.family, noise.level, seed)
+        device = Device(noise, seed=_device_seed(seed, noise.family, noise.level))
         idx = RngStream(seed, STREAM_EVAL).generator(0).integers(0, len(test_ds), size=exp.gift_config.k1)
         report, = eval_in_situ(device, [params], test_ds.inputs, test_ds.targets, idx, exp.gift_config.k2, 0)
         rows.append({
@@ -510,58 +536,27 @@ def cmd_eval(exp: Experiment, checkpoint_root: str | None) -> int:
 
 
 def _sweep_task(exp: Experiment, seed: int):
-    """Every (family, s0, s_t) cell of one seed; its arguments pickle for worker pools.
-
-    w0 and the direction depend on (s0, seed) alone, so each is computed once
-    and shared by every family. The device depends on (family, s_t, seed)
-    alone, so one device scores every s0: all line searches first, then all
-    fresh pairs. The line searches share their points and noise slot, and
-    the fresh pairs slot 0 on the full test set, so after the first s0 the
-    device replays the draw it kept, and every row is what a device of its
-    own would give. The device keeps one draw at a time: a fresh pair run
-    between two line searches would overwrite theirs.
-
-    Returns, per family in sweep.families and per s0 in sweep.s0_grid, (rows,
-    failure): rows in st_grid order, failure None or a record of the first
-    exception in s_t order, which drops that (family, s0)'s rows at every s_t.
-    """
-    families, s0_grid = exp.sweep["families"], exp.sweep["s0_grid"]
-
-    def failed(family, s0, e):
-        return [], {"family": family, "s0": s0, "seed": seed, "error": str(e)}
-
+    """Every (family, s0, s_t) cell of one seed, each s0 trained from scratch; its arguments pickle for
+    worker pools. Returns (rows, failures): the rows of the cells that ran, and a record of each
+    (family, s0) whose first exception dropped its rows."""
+    sw = exp.sweep
     try:
         train_ds, test_ds = exp.datasets()
     except ConfigError:  # the data block is wrong for every task: stop, naming its leaf
         raise
     except Exception as e:  # keep sweeping; every cell of this seed needed the data
-        return [[failed(family, s0, e) for s0 in s0_grid] for family in families]
-    starts, errors = {}, {}  # s0 -> (w0, D); (family, s0) -> its first exception
-    for s0 in s0_grid:
-        try:
-            w0, _ = train(exp.arch, replace(exp.train_config, s0=s0), train_ds, seed)
-            starts[s0] = w0, _estimate_one(exp, w0, train_ds, s0, seed)
-        except Exception as e:  # keep sweeping; every family's cells at this s0 needed w0 and D
-            errors.update({(family, s0): e for family in families})
-    rows = {(family, s0): [] for family in families for s0 in starts}
-    for family in families:
-        for s_t in exp.sweep["st_grid"]:
-            device = _device(family, s_t, seed)
-            traces = {}
-            for s0, (w0, direction) in starts.items():
-                if (family, s0) not in errors:
-                    try:
-                        traces[s0] = _line_search(exp, device, w0, direction, test_ds, family, s_t, seed)
-                    except Exception as e:  # keep sweeping; drop this (family, s0)'s rows
-                        errors[family, s0] = e
-            for s0, trace in traces.items():
-                try:
-                    fresh_base, fresh_post = _fresh_pair(exp, device, starts[s0][0], trace.w_f, test_ds)
-                    rows[family, s0].append(_gift_row(family, s0, s_t, seed, trace, fresh_base, fresh_post))
-                except Exception as e:  # keep sweeping; drop this (family, s0)'s rows
-                    errors[family, s0] = e
-    return [[failed(family, s0, errors[family, s0]) if (family, s0) in errors else (rows[family, s0], None)
-             for s0 in s0_grid] for family in families]
+        results = {(family, s0): e for family in sw["families"] for s0 in sw["s0_grid"]}
+    else:
+        results = _fine_tune(exp, seed, train_ds, test_ds, sw["families"], sw["s0_grid"], sw["st_grid"],
+                             lambda s0: train(exp.arch, replace(exp.train_config, s0=s0), train_ds, seed)[0],
+                             lambda row, trace: row)  # a trace holds w_f: none outlives its fresh pair
+    rows, failures = [], []
+    for (family, s0), result in results.items():
+        if isinstance(result, Exception):  # keep sweeping without this (family, s0)'s rows
+            failures.append({"family": family, "s0": s0, "seed": seed, "error": str(result)})
+        else:
+            rows += result
+    return rows, failures
 
 
 def cmd_sweep(exp: Experiment) -> int:
@@ -574,11 +569,12 @@ def cmd_sweep(exp: Experiment) -> int:
             results = list(pool.map(_sweep_task, [exp] * len(seeds), seeds))
     else:
         results = [_sweep_task(exp, seed) for seed in seeds]
-    # family-major, then s0, then seed: the order of the grid loops below
-    cells = [result[f][i] for f in range(len(sw["families"])) for i in range(len(sw["s0_grid"]))
-             for result in results]
-    rows = [row for chunk, _ in cells for row in chunk]
-    failures = [failure for _, failure in cells if failure is not None]
+
+    def grid_order(record):  # family-major, then s0; the tasks come in seed order, rows in s_t order
+        return sw["families"].index(record["family"]), sw["s0_grid"].index(record["s0"])
+
+    rows = sorted((row for task_rows, _ in results for row in task_rows), key=grid_order)
+    failures = sorted((failure for _, task_failures in results for failure in task_failures), key=grid_order)
 
     stats = ("rel_loss_improvement", "loss_improvement",
              "fresh_rel_acc_improvement", "fresh_acc_change",

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import _choice, _count, _finite, _where, check_leaves, leaf
+from .checks import _choice, _count, _finite, _integer, _where, check_leaves, checked, leaf
 from .device import Device
 from .gradients import layer_sums, residual_stack
 from .model import (
@@ -144,8 +144,10 @@ def mc_blocks(arch, model: NoiseModel, data, n_points: int, k2: int, rng: RngStr
     noise from model at rng index 1 + c. Every block's draw is written into
     the front of one draw of block_rows(arch, n_points, k2) rows, so a
     yielded block is valid until the next one is drawn. The counts are checked
-    when called, before anything is allocated: take the blocks first.
+    as integers >= 1 when called, before anything is allocated: take the
+    blocks first.
     """
+    n_points, k2 = checked("n_points", _integer, n_points), checked("k2", _integer, k2)
     if len(data) < 1 or n_points < 1 or k2 < 1:
         raise ValueError(f"got {len(data)} data rows, n_points={n_points}, k2={k2}: each must be >= 1")
     idx = rng.generator(0).integers(0, len(data), size=n_points)

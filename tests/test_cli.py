@@ -556,6 +556,36 @@ class TestTrainGiftEval:
         capsys.readouterr()
         assert csv_body(a / "gift" / "gift_summary.csv") == csv_body(b / "gift" / "gift_summary.csv")
 
+    def test_gift_summary_is_the_one_cell_sweep(self, tmp_path, capsys):
+        # gift runs the sweep task's chain on one cell: its rows are the sweep's, byte for byte
+        assert main(tiny_argv("gift", tmp_path / "g", "device.family=laplace", "train.s0=0.1",
+                              "device.s_t=0.3")) == 0
+        assert main(tiny_argv("sweep", tmp_path / "s", 'sweep.families=["laplace"]', "sweep.s0_grid=[0.1]",
+                              "sweep.st_grid=[0.3]")) == 0
+        capsys.readouterr()
+        body = csv_body(tmp_path / "g" / "gift" / "gift_summary.csv")
+        assert body.count("\nlaplace,0.1,0.3,") == 2  # one row per seed
+        assert body == csv_body(tmp_path / "s" / "sweep" / "sweep_rows.csv")
+
+    def test_gift_diverged_training_exits_2_without_a_summary(self, tmp_path, capsys):
+        assert main(tiny_argv("gift", tmp_path / "o", "train.eps0=1e6")) == 2
+        err = capsys.readouterr().err
+        assert err.count("runtime error: TrainingDiverged") == 1 and len(err.splitlines()) == 1
+        assert not (tmp_path / "o" / "gift" / "gift_summary.csv").exists()
+
+    def test_header_names_the_blas_set_up(self, tmp_path, capsys, monkeypatch):
+        # bodies are byte-identical on one host and one BLAS set-up, which the header records
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        assert main(tiny_argv("gift", tmp_path / "o", "seeds=[0]")) == 0
+        capsys.readouterr()
+        meta, _ = read_csv_body(tmp_path / "o" / "gift" / "gift_summary.csv")
+        blas = meta["blas"]
+        assert sorted(blas) == ["MKL_NUM_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "library"]
+        assert blas["OMP_NUM_THREADS"] == "1" and blas["MKL_NUM_THREADS"] is None
+        assert blas["OPENBLAS_NUM_THREADS"] == os.environ.get("OPENBLAS_NUM_THREADS")
+        assert blas["library"] is None or isinstance(blas["library"], str)
+
     def test_integer_level_runs_as_its_float(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(tiny_argv("gift", a, "device.s_t=1")) == 0
@@ -666,6 +696,19 @@ class TestCommandMemory:
         assert two - one < 1 * MIB, f"two seeds {two / MIB:.1f} MiB, one {one / MIB:.1f}"
 
 
+def device_cells(monkeypatch) -> dict:
+    """The (family, s_t) of each device the CLI makes from here on, keyed by the device."""
+    cells, make = {}, cli.Device
+
+    def recorded(noise, seed):
+        device = make(noise, seed=seed)
+        cells[device] = noise.family, noise.level
+        return device
+
+    monkeypatch.setattr(cli, "Device", recorded)
+    return cells
+
+
 class TestSweep:
     def test_grid_rows_aggregate_and_flags(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -745,14 +788,15 @@ class TestSweep:
             assert bodies["both"][i] == bodies["gauss"][i] + bodies["laplace"][i]
 
     def test_one_family_failing_keeps_the_other_rows(self, tmp_path, capsys, monkeypatch):
-        line_search = cli._line_search
+        line_search = cli.gift_run
+        cells = device_cells(monkeypatch)
 
-        def flaky(exp, device, w0, direction, test_ds, family, s_t, seed):
-            if family == "laplace":
+        def flaky(device, *args):
+            if cells[device][0] == "laplace":
                 raise FloatingPointError("device diverged")
-            return line_search(exp, device, w0, direction, test_ds, family, s_t, seed)
+            return line_search(device, *args)
 
-        monkeypatch.setattr(cli, "_line_search", flaky)
+        monkeypatch.setattr(cli, "gift_run", flaky)
         out = tmp_path / "o"
         assert main(tiny_argv("sweep", out, "sweep.s0_grid=[0.1]", "sweep.st_grid=[0.1,0.3]", TWO_FAMILIES)) == 2
         capsys.readouterr()
@@ -765,24 +809,25 @@ class TestSweep:
 
     def test_a_failed_line_search_drops_its_s0_and_keeps_the_others(self, tmp_path, capsys, monkeypatch):
         # s0=0.2 fails at the second s_t, after its first s_t scored on the device it shares with s0=0.1
-        estimate, line_search = cli.estimate_direction, cli._line_search
+        estimate, line_search = cli.estimate_direction, cli.gift_run
         levels = []  # (direction, s0) per estimate
+        cells = device_cells(monkeypatch)
 
         def recorded(params, data, s0, *args):
             direction = estimate(params, data, s0, *args)
             levels.append((direction, s0))
             return direction
 
-        def flaky(exp, device, w0, direction, test_ds, family, s_t, seed):
+        def flaky(device, w0, direction, *args):
             s0 = next(level for d, level in levels if d is direction)
-            if (s0, s_t) == (0.2, 0.3):
+            if (s0, cells[device][1]) == (0.2, 0.3):
                 raise FloatingPointError("device diverged")
-            return line_search(exp, device, w0, direction, test_ds, family, s_t, seed)
+            return line_search(device, w0, direction, *args)
 
         grid = ("sweep.st_grid=[0.1,0.3]", "sweep.workers=1")
         assert main(tiny_argv("sweep", tmp_path / "alone", "sweep.s0_grid=[0.1]", *grid)) == 0
         monkeypatch.setattr(cli, "estimate_direction", recorded)
-        monkeypatch.setattr(cli, "_line_search", flaky)
+        monkeypatch.setattr(cli, "gift_run", flaky)
         assert main(tiny_argv("sweep", tmp_path / "both", "sweep.s0_grid=[0.1,0.2]", *grid)) == 2
         capsys.readouterr()
         _, rows = read_csv_body(tmp_path / "both" / "sweep" / "sweep_rows.csv")

@@ -236,6 +236,14 @@ def test_monte_carlo_passes_refuse_counts_below_one(entry, rows, count):
         MC_ENTRY_POINTS[entry](linear_params(), data, count)
 
 
+@pytest.mark.parametrize("count", [2.5, True], ids=["fraction", "boolean"])
+@pytest.mark.parametrize("entry", MC_ENTRY_POINTS)
+def test_monte_carlo_passes_refuse_counts_that_are_not_integers(entry, count):
+    # refused by name before numpy sees them: numpy would take True as 1
+    with pytest.raises(ValueError, match=rf"(n_points|k2): expected an integer, got {count}"):
+        MC_ENTRY_POINTS[entry](linear_params(), linear_data(64), count)
+
+
 class TestLinearConditionBound:
     def test_half_norm_limit(self):
         assert linear_condition_bound([0.3, -0.4], 1e-12, 1.0) == pytest.approx(1.0)
