@@ -16,7 +16,7 @@ from .model import (
     sample_noise_batch,
     save_params,
 )
-from .gradients import GradSample, backward, batch_gradient
+from .gradients import backward, batch_gradient
 from .trainer import TrainConfig, TrainingDiverged, train
 from .gift import (
     EvalReport,

@@ -272,19 +272,24 @@ def code_hash() -> str:
     return digest.hexdigest()[:12]
 
 
-def _meta(cfg: dict) -> dict:
-    blob = json.dumps(cfg, sort_keys=True)
-    try:  # a body is byte-identical on one host and one BLAS set-up: numpy's BLAS and its thread counts
+def blas_setup() -> dict:
+    """numpy's BLAS and its thread counts: a body is byte-identical on one host and one such set-up."""
+    try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = f"{blas.get('name')} {blas.get('version')}"
     except (KeyError, TypeError, ValueError):
         blas = None
+    return {"library": blas, **{var: os.environ.get(var)
+                                for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
+
+
+def _meta(cfg: dict) -> dict:
+    blob = json.dumps(cfg, sort_keys=True)
     return {
         "version": __version__,
         "code_hash": code_hash(),
         "stream_version": STREAM_VERSION,
-        "blas": {"library": blas, **{var: os.environ.get(var)
-                                     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}},
+        "blas": blas_setup(),
         "config_sha256": hashlib.sha256(blob.encode()).hexdigest()[:16],
         "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "config": cfg,

@@ -135,7 +135,8 @@ class DirEstimate:
 
 
 def mc_blocks(arch, model: NoiseModel, data, n_points: int, k2: int, rng: RngStream):
-    """Monte Carlo blocks (X, Y, noise) over n_points data rows drawn at rng index 0.
+    """(n_points, k2, blocks): the checked counts, and Monte Carlo blocks (X, Y, noise) over n_points
+    data rows drawn at rng index 0.
 
     X and Y hold one row per drawn point; the draw holds k2 rows per point, in
     a row, for a pass that repeats each point k2 times. The blocks are those of
@@ -144,8 +145,8 @@ def mc_blocks(arch, model: NoiseModel, data, n_points: int, k2: int, rng: RngStr
     noise from model at rng index 1 + c. Every block's draw is written into
     the front of one draw of block_rows(arch, n_points, k2) rows, so a
     yielded block is valid until the next one is drawn. The counts are checked
-    as integers >= 1 when called, before anything is allocated: take the
-    blocks first.
+    as integers >= 1 when called, before anything is allocated, and come back
+    as ints that size the caller's pass: take the blocks first.
     """
     n_points, k2 = checked("n_points", _integer, n_points), checked("k2", _integer, k2)
     if len(data) < 1 or n_points < 1 or k2 < 1:
@@ -159,7 +160,7 @@ def mc_blocks(arch, model: NoiseModel, data, n_points: int, k2: int, rng: RngStr
             noise = sample_noise_batch(arch, model, rng.generator(1 + c), len(rows) * k2, out=draw)
             yield data.inputs[rows], data.targets[rows], noise
 
-    return blocks()
+    return n_points, k2, blocks()
 
 
 def mc_gradient(params: Params, data, levels, coeffs, n_points: int, k2: int, rng: RngStream,
@@ -176,7 +177,7 @@ def mc_gradient(params: Params, data, levels, coeffs, n_points: int, k2: int, rn
     added in level order, square terms in level-pair order.
     """
     arch = params.arch
-    blocks = mc_blocks(arch, NoiseModel("gaussian_additive", 1.0), data, n_points, k2, rng)
+    n_points, k2, blocks = mc_blocks(arch, NoiseModel("gaussian_additive", 1.0), data, n_points, k2, rng)
     rows = block_rows(arch, n_points, k2)
     level_noise = NoiseDraw.empty(arch, rows) if len(levels) > 1 else None
     trace_bufs = [ForwardTrace.empty(arch, rows) for _ in levels]
@@ -187,7 +188,7 @@ def mc_gradient(params: Params, data, levels, coeffs, n_points: int, k2: int, rn
         Y = np.repeat(Y, k2, axis=0)
         traces = []
         for j, (s, trace_buf) in enumerate(zip(levels, trace_bufs)):
-            noise = Z if j == len(levels) - 1 else level_noise.leading(arch, len(Y))
+            noise = Z if j == len(levels) - 1 else NoiseDraw.over(arch, level_noise.vector[:Z.vector.size])
             np.multiply(Z.vector, s, out=noise.vector)
             traces.append(forward_noisy(params, X, noise, k2, trace_buf))
             R = residual_stack(traces[-1], Y, params)

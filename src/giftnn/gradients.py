@@ -21,20 +21,6 @@ from .model import (
 )
 
 
-@dataclass
-class GradSample:
-    """The loss gradient, Params-shaped, plus the backprop vectors that produced it.
-
-    residuals[l-1] holds R(l); R(L) = y - A(L). The gradient carries the
-    explicit -2 of the squared loss: dW(l) = -2 R(l) A(l-1)^T, db(l) = -2 R(l).
-    It is written in place and not checked for finite entries; the batch loss
-    is what detects divergence.
-    """
-
-    grad: Params
-    residuals: list
-
-
 def residual_stack(trace: ForwardTrace, target, params: Params) -> list:
     """Backprop vectors R(1)..R(L) for a kept trace, written into its residuals; rows are samples when batched.
 
@@ -72,8 +58,9 @@ def layer_sums(R, activations, out: Params) -> Params:
 @dataclass
 class GradBuffers:
     """Arrays batch_gradient(out=) writes into, for batches of at most `rows` rows:
-    a draw, a trace (which holds the residuals) and a gradient. A shorter batch
-    uses their leading rows, so one set serves every step of a training run."""
+    a draw, a trace (which holds the residuals) and the gradient it returns. A
+    shorter batch uses their leading rows, so one set serves every step of a
+    training run."""
 
     noise: NoiseDraw
     trace: ForwardTrace
@@ -84,17 +71,21 @@ class GradBuffers:
         return cls(NoiseDraw.empty(arch, rows), ForwardTrace.empty(arch, rows), Params.empty(arch))
 
 
-def backward(trace: ForwardTrace, target, params: Params, out: GradBuffers | None = None) -> GradSample:
+def backward(trace: ForwardTrace, target, params: Params, out: Params | None = None) -> Params:
     """Mean gradient of (y - output)^2 over the rows of a batched trace, its noise held fixed.
 
     Traces hold (n, d) rows, as the forward pass requires; a one-row batch gives
-    the per-sample gradient. R is written into the trace's residuals, and the
-    gradient into out's, or into a fresh Params without it.
+    the per-sample gradient. R(1)..R(L), R(L) = y - A(L), are written into the
+    trace's residuals, where the caller reads them. The gradient carries the
+    explicit -2 of the squared loss, dW(l) = -2 R(l) A(l-1)^T and db(l) = -2 R(l),
+    each a mean over the rows. It is written into out, or into a fresh Params
+    without it, and not checked for finite entries; the batch loss is what
+    detects divergence.
     """
     if trace.noise is None or trace.noise.multiplicative:
         raise ValueError("backward requires a trace from an additive-noise forward pass")
     R = residual_stack(trace, target, params)
-    grad = layer_sums(R, trace.activations, Params.empty(params.arch) if out is None else out.grad)
+    grad = layer_sums(R, trace.activations, Params.empty(params.arch) if out is None else out)
     # then every layer's scaling at once, entry by entry as per layer: weight sums times -2/n, and
     # bias sums divided by n, the mean as np.mean forms it, then times -2
     n, nw = R[0].shape[0], params.arch.n_weights
@@ -102,16 +93,19 @@ def backward(trace: ForwardTrace, target, params: Params, out: GradBuffers | Non
     biases = grad.vector[nw:]
     biases /= n
     biases *= -2.0
-    return GradSample(grad=grad, residuals=R)
+    return grad
 
 
 def batch_gradient(params: Params, X, Y, s0: float, gen: np.random.Generator,
-                   out: GradBuffers | None = None) -> GradSample:
-    """Mean gradient over the rows of X, Y, each row under an independent level-s0 Gaussian draw.
+                   out: GradBuffers | None = None) -> tuple:
+    """(gradient, loss): the mean gradient and mean squared-error loss over the rows of X, Y, each row
+    under an independent level-s0 Gaussian draw.
 
     The draw takes gen's next values (sample_noise_batch). The draw, trace
     (with its residuals) and gradient are written into out (from
     GradBuffers.empty, at least len(X) rows), or into fresh arrays without it.
+    The loss is formed from the trace's R(L): its per-row sums and their mean
+    are the reductions np.sum and np.mean make, called without their wrappers.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -122,14 +116,6 @@ def batch_gradient(params: Params, X, Y, s0: float, gen: np.random.Generator,
         out = GradBuffers.empty(params.arch, n)
     noise = sample_noise_batch(params.arch, NoiseModel("gaussian_additive", s0), gen, n, out.noise)
     trace = forward_noisy(params, X, noise, out=out.trace)
-    return backward(trace, Y, params, out)
-
-
-def batch_loss(grad: GradSample) -> float:
-    """Mean squared-error loss of the batch that produced grad.
-
-    The per-row sums and their mean are the reductions np.sum and np.mean
-    make, called without their wrappers.
-    """
-    R = grad.residuals[-1]
-    return float(np.add.reduce(np.add.reduce(np.square(R), axis=1))) / R.shape[0]
+    grad = backward(trace, Y, params, out.grad)
+    R = trace.residuals[-1]
+    return grad, float(np.add.reduce(np.add.reduce(np.square(R), axis=1))) / n

@@ -291,9 +291,11 @@ class NoiseDraw:
     pre-activation. The sites are consecutive (n, d) views of `vector`, one
     row per realization, in _site_dims order, (a,0), (w,1), (a,1), ..., (w,L),
     so the whole draw is n * noise_values_per_row values that one generator
-    call fills; NoiseDraw.over builds one. Multiplicative draws hold the factors
-    1 + level * g of standard-normal values g, applied as v -> v * factor at
-    the same sites; only the device simulator consumes those.
+    call fills. NoiseDraw.over builds one over a vector, also over the front
+    of a larger draw's vector, whose first site rows are not contiguous.
+    Multiplicative draws hold the factors 1 + level * g of standard-normal
+    values g, applied as v -> v * factor at the same sites; only the device
+    simulator consumes those.
     """
 
     act: list
@@ -319,20 +321,6 @@ class NoiseDraw:
     def empty(cls, arch: Architecture, rows: int) -> "NoiseDraw":
         """An uninitialized draw of rows rows, for sample_noise_batch(out=) to fill."""
         return cls.over(arch, np.empty(rows * arch.noise_values_per_row))
-
-    def leading(self, arch: Architecture, n: int) -> "NoiseDraw":
-        """An additive draw of n rows carved from the front of this draw's vector.
-
-        Its sites are not the first rows of this draw's sites: those rows are
-        not contiguous, and a draw of n rows is. A draw of n rows is its own
-        leading draw.
-        """
-        rows = self.vector.size // arch.noise_values_per_row
-        if rows < n:
-            raise ValueError(f"draw buffers hold {rows} rows, need {n}")
-        if rows == n:
-            return self
-        return NoiseDraw.over(arch, self.vector[:n * arch.noise_values_per_row])
 
 
 @dataclass
@@ -404,12 +392,18 @@ def sample_noise_batch(
     (seed, stream, index, n) gives identical values. One generator call fills
     the draw's vector, site after site in _site_dims order; the families draw
     each value on its own, so this equals one call per site. With out (from
-    NoiseDraw.empty, at least n rows) the draw fills the front of out's
-    vector and its sites are views of it; without it they are fresh.
+    NoiseDraw.empty or NoiseDraw.over, at least n rows) the draw is out
+    itself when out holds n rows, and otherwise NoiseDraw.over on the front
+    of out's vector; without it the draw is fresh.
     """
     if n < 1:
         raise ValueError("batch size must be >= 1")
-    draw = NoiseDraw.empty(arch, n) if out is None else out.leading(arch, n)
+    draw = NoiseDraw.empty(arch, n) if out is None else out
+    rows = draw.vector.size // arch.noise_values_per_row
+    if rows < n:
+        raise ValueError(f"draw buffers hold {rows} rows, need {n}")
+    if rows > n:
+        draw = NoiseDraw.over(arch, draw.vector[:n * arch.noise_values_per_row])
     draw.multiplicative = model.family == "gaussian_multiplicative"
     _draw_values(gen, model.family, model.level, draw.vector)
     return draw
@@ -434,8 +428,9 @@ def forward_noisy(params: Params, x, noise: NoiseDraw | None = None, repeat: int
 
     x holds (p, d0) per-point inputs, each run repeat times in a row, so the
     draw and the outputs have p * repeat rows, row r reading x[r // repeat].
-    The input-site noise is added (or multiplied) by broadcast; no repeated
-    input rows are built. The pass writes into the first rows of out (from
+    The input-site noise is added (or multiplied) by one broadcast of each
+    point over its repeat rows, whatever the repeat count; no repeated input
+    rows are built. The pass writes into the first rows of out (from
     ForwardTrace.empty) and returns views of them, or into a fresh kept trace
     without it; when out keeps no trace, neither does the returned one. With
     no draw nothing is perturbed: each input runs once, A(0) is x itself, and
@@ -466,10 +461,8 @@ def forward_noisy(params: Params, x, noise: NoiseDraw | None = None, repeat: int
     acts = head(out.activations, n)
     kept = head(out.hidden_tanh, n)
     perturb = np.multiply if noise.multiplicative else np.add
-    if repeat == 1:
-        perturb(x, noise.act[0], out=acts[0])
-    else:  # point p's repeat rows read x[p]
-        perturb(x[:, None, :], noise.act[0].reshape(-1, repeat, dims[0]), out=acts[0].reshape(-1, repeat, dims[0]))
+    # point p's repeat rows read x[p]
+    perturb(x[:, None, :], noise.act[0].reshape(-1, repeat, dims[0]), out=acts[0].reshape(-1, repeat, dims[0]))
     for l in range(1, L + 1):
         # in place, in the order of W a + b + n: the same values as fresh arrays give. A kept hidden
         # layer forms z(l) and then t(l) in its hidden_tanh array; otherwise A(l) overwrites z(l)

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import _count, checked
 from .device import Device
 from .gift import (DirEstimate, GiftConfig, estimate_direction, gift_run, mc_blocks, mc_gradient, mean_se,
                    noise_weight_factor, normalize)
@@ -154,7 +155,7 @@ def mc_objective_pair(params_a: Params, params_b: Params, s: float, data,
     parameter sets under shared draws; the difference gets a paired SE."""
     model = NoiseModel("gaussian_additive", s)
     arch = params_a.arch
-    blocks = mc_blocks(arch, model, data, mc_samples, 1, RngStream(seed, STREAM_THEORY))  # checks the counts
+    mc_samples, _, blocks = mc_blocks(arch, model, data, mc_samples, 1, RngStream(seed, STREAM_THEORY))
     outputs = ForwardTrace.empty(arch, block_rows(arch, mc_samples, 1), keep=False)  # both sets' passes, in turn
     sums = np.zeros(3)  # sum_a, sum_b, sum of squared diff
     sum_d = 0.0
@@ -191,6 +192,7 @@ def check_theorem1_empirically(
     model of the Monte Carlo objective, so both improvements measure the same
     objective.
     """
+    n_seeds = checked("n_seeds", _count, n_seeds)
     imp_est, imp_true, imp_true_ses = [], [], []
     diverged = 0
     for seed in range(n_seeds):
@@ -274,7 +276,7 @@ def gradient_fd_check(n_cases: int, rng: RngStream) -> float:
         noise = sample_noise_batch(arch, NoiseModel("gaussian_additive", 0.3), noise_rng.generator(c), 1)
 
         trace = forward_noisy(params, x, noise)
-        analytic = backward(trace, y, params).grad.vector
+        analytic = backward(trace, y, params).vector
 
         vec = params.to_vector()
         outputs = ForwardTrace.empty(arch, 1, keep=False)  # the loss reads only the output: keep no trace

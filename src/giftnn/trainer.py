@@ -9,7 +9,7 @@ import numpy as np
 
 from .checks import _count, _finite, _integer, _optional, _positive, _where, check_leaves, checked, leaf
 from .data import epoch_batches
-from .gradients import GradBuffers, batch_gradient, batch_loss
+from .gradients import GradBuffers, batch_gradient
 from .model import (
     Architecture,
     Hyperrectangle,
@@ -89,9 +89,10 @@ def train(arch: Architecture, config: TrainConfig, data, seed: int):
     LossHistory). Aborts with TrainingDiverged when the batch loss becomes
     non-finite or exceeds LOSS_GUARD.
 
-    One workspace serves every step: the gradient's buffers, sized for a full
-    batch (a short last batch uses their leading rows), and two parameter
-    vectors that take turns holding the current parameters and the next step.
+    One workspace serves every step: a GradBuffers (a draw, a trace and the
+    gradient batch_gradient returns with the loss), sized for a full batch (a
+    short last batch uses their leading rows), and two parameter vectors that
+    take turns holding the current parameters and the next step.
     """
     seed = checked("seed", _integer, seed)
     if len(data) < 1:
@@ -109,12 +110,11 @@ def train(arch: Architecture, config: TrainConfig, data, seed: int):
     for epoch in range(config.epochs):
         noise_gen = noise_rng.generator(epoch)
         for idx in epoch_batches(len(data), config.batch_size, shuffle_rng, epoch):
-            sample = batch_gradient(params, X[idx], Y[idx], config.s0, noise_gen, out=buffers)
-            loss = batch_loss(sample)
+            grad, loss = batch_gradient(params, X[idx], Y[idx], config.s0, noise_gen, out=buffers)
             if not math.isfinite(loss) or loss > LOSS_GUARD:
                 raise TrainingDiverged(f"loss {loss:.6g} at step {k} (epoch {epoch}); guard {LOSS_GUARD:g}")
             eps = step_size(config, k)
-            params, spare = apply_step(params, -eps, sample.grad, out=spare), params
+            params, spare = apply_step(params, -eps, grad, out=spare), params
             if config.projection is not None:
                 project(params, config.projection, out=params)
             history.steps.append(k)

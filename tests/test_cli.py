@@ -23,7 +23,7 @@ from giftnn.cli import (
     write_json,
 )
 from giftnn.data import DATA_DIR_ENV
-from giftnn.gift import estimate_direction
+from giftnn.gift import EvalReport, GiftTrace, estimate_direction
 from giftnn.model import STREAM_ESTIMATE, Architecture, RngStream, load_params, point_blocks
 
 from test_data import write_idx
@@ -273,6 +273,15 @@ class TestArtifacts:
             write_json(str(path), {"a": 2, "b": object()})  # json.dump raises after writing "a"
         assert path.read_bytes() == before
         assert os.listdir(path.parent) == ["x.json"]
+
+    def test_gift_row_holds_every_gift_field_in_order(self):
+        # csv.DictWriter writes a key missing from a row as an empty cell and raises nothing, so a key
+        # dropped from _gift_row would blank a gift_summary.csv or sweep_rows.csv column
+        report = EvalReport(loss=0.5, loss_se=0.1, accuracy=0.75, accuracy_se=0.05, k1=4, k2=2, noise_slot=0)
+        trace = GiftTrace(baseline=report, best=report, records=[], selected=(0, 0), w_f=None, improvement=0.0,
+                          steps_taken=1, queries=24, stop_reason="either_worse", direction_norm=1.0)
+        row = cli._gift_row("gaussian_additive", 0.2, 0.3, 0, trace, report, report)
+        assert list(row) == cli.GIFT_FIELDS
 
     def test_device_seed_separates_family_level_and_sign(self):
         a = _device_seed(0, "gaussian_additive", 0.3)

@@ -129,7 +129,7 @@ class TestEstimateDirection:
         trace = forward_noisy(p, data.inputs, draws)
         g = backward(trace, data.targets, p)
         f = noise_weight_factor(draws, s0)[0]
-        assert np.allclose(d.vector, f * (g.grad.vector / -2.0), rtol=1e-12)
+        assert np.allclose(d.vector, f * (g.vector / -2.0), rtol=1e-12)
 
     def test_affine_in_targets_with_shared_streams(self):
         # the estimate is affine in Y under fixed noise: D(2Y) = 2 D(Y) - D(0);

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from giftnn.gradients import GradBuffers, backward, batch_gradient, batch_loss
+from giftnn.gradients import GradBuffers, backward, batch_gradient
 from giftnn.model import (
     Architecture,
     NoiseModel,
@@ -19,7 +19,7 @@ def test_zero_residual_gives_zero_gradients():
     draw = sample_noise_batch(p.arch, NoiseModel("gaussian_additive", 0.3), RngStream(2, 3).generator(0), 1)
     trace = forward_noisy(p, np.array([[0.4, -0.1]]), draw)
     g = backward(trace, trace.activations[-1].copy(), p)
-    assert np.all(g.grad.vector == 0.0)
+    assert np.all(g.vector == 0.0)
 
 
 def test_l1_linear_hand_expansion():
@@ -33,8 +33,8 @@ def test_l1_linear_hand_expansion():
     trace = forward_noisy(p, x, zero_draw(arch, 1))
     g = backward(trace, y, p)
     r = y[0] - (W @ x[0] + b)
-    assert np.allclose(g.grad.weights[0], -2.0 * np.outer(r, x), rtol=1e-12)
-    assert np.allclose(g.grad.biases[0], -2.0 * r, rtol=1e-12)
+    assert np.allclose(g.weights[0], -2.0 * np.outer(r, x), rtol=1e-12)
+    assert np.allclose(g.biases[0], -2.0 * r, rtol=1e-12)
 
 
 def test_residual_recursion_shapes_and_values():
@@ -49,9 +49,9 @@ def test_residual_recursion_shapes_and_values():
     assert np.array_equal(trace.hidden_tanh[0], np.tanh(z))  # the kept t(1), bit for bit
     sig = 1.0 - np.tanh(z) ** 2
     r1 = (r2 @ p.weights[1]) * sig
-    assert np.allclose(g.residuals[1], r2, rtol=1e-12)
-    assert np.allclose(g.residuals[0], r1, rtol=1e-12)
-    assert np.allclose(g.grad.weights[0], -2.0 * np.outer(r1, trace.activations[0]), rtol=1e-12)
+    assert np.allclose(trace.residuals[1], r2, rtol=1e-12)
+    assert np.allclose(trace.residuals[0], r1, rtol=1e-12)
+    assert np.allclose(g.weights[0], -2.0 * np.outer(r1, trace.activations[0]), rtol=1e-12)
 
 
 def test_fd_agreement_fixed_noise():
@@ -70,7 +70,7 @@ def test_fd_agreement_fixed_noise():
         return float(((y - t.activations[-1]) ** 2).sum())
 
     v0 = p.to_vector()
-    analytic = g.grad.to_vector()
+    analytic = g.to_vector()
     h = 1e-6
     for i in range(v0.size):
         e = np.zeros_like(v0)
@@ -89,7 +89,7 @@ def test_ones_activation_ties_dw_rows_to_db():
     trace = forward_noisy(p, x, zero_draw(arch, 1))
     g = backward(trace, y, p)
     for j in range(2):
-        assert np.allclose(g.grad.weights[0][j], g.grad.biases[0][j])
+        assert np.allclose(g.weights[0][j], g.biases[0][j])
 
 
 def test_target_shape_mismatch():
@@ -111,7 +111,7 @@ def test_batch_mean_is_average_of_members():
     gen = RngStream(13, 3).generator(0)
     X = gen.standard_normal((6, 2))
     Y = gen.standard_normal((6, 2))
-    g = batch_gradient(p, X, Y, 0.2, RngStream(14, 3).generator(0))
+    g, _ = batch_gradient(p, X, Y, 0.2, RngStream(14, 3).generator(0))
 
     draws = sample_noise_batch(p.arch, NoiseModel("gaussian_additive", 0.2), RngStream(14, 3).generator(0), 6)
     acc_w = np.zeros_like(p.weights[0])
@@ -120,8 +120,8 @@ def test_batch_mean_is_average_of_members():
         for site, drawn in zip(d.act + d.weigh, draws.act + draws.weigh):
             site[...] = drawn[i:i + 1]
         trace = forward_noisy(p, X[i:i + 1], d)
-        acc_w += backward(trace, Y[i:i + 1], p).grad.weights[0]
-    assert np.allclose(g.grad.weights[0], acc_w / 6, rtol=1e-10)
+        acc_w += backward(trace, Y[i:i + 1], p).weights[0]
+    assert np.allclose(g.weights[0], acc_w / 6, rtol=1e-10)
 
 
 def test_generator_steps_draw_its_next_rows():
@@ -135,11 +135,12 @@ def test_generator_steps_draw_its_next_rows():
     steps, ref = RngStream(14, 3).generator(0), RngStream(14, 3).generator(0)
     buffers = GradBuffers.empty(p.arch, 4)
     for rows in (slice(0, 3), slice(3, 6)):
-        g = batch_gradient(p, X[rows], Y[rows], 0.2, steps, out=buffers)
+        g, loss = batch_gradient(p, X[rows], Y[rows], 0.2, steps, out=buffers)
         draw = sample_noise_batch(p.arch, model, ref, 3)
-        want = backward(forward_noisy(p, X[rows], draw), Y[rows], p)
-        assert g.grad.vector.tobytes() == want.grad.vector.tobytes()
-        assert batch_loss(g) == batch_loss(want)
+        trace = forward_noisy(p, X[rows], draw)
+        want = backward(trace, Y[rows], p)
+        assert g.vector.tobytes() == want.vector.tobytes()
+        assert loss == float(np.mean(np.sum(trace.residuals[-1] ** 2, axis=1)))
 
 
 def test_short_batches_write_into_the_workspace_leading_rows():
@@ -148,12 +149,15 @@ def test_short_batches_write_into_the_workspace_leading_rows():
     gen = RngStream(16, 3).generator(0)
     X, Y = gen.standard_normal((9, 2)), gen.standard_normal((9, 2))
     buffers = GradBuffers.empty(p.arch, 8)
-    g = batch_gradient(p, X[:5], Y[:5], 0.2, RngStream(17, 3).generator(0), out=buffers)
-    want = batch_gradient(p, X[:5], Y[:5], 0.2, RngStream(17, 3).generator(0))
-    assert g.grad is buffers.grad and g.grad.vector.tobytes() == want.grad.vector.tobytes()
-    assert batch_loss(g) == batch_loss(want)
-    for r, r_want, room in zip(g.residuals, want.residuals, buffers.trace.residuals, strict=True):
-        assert r.shape[0] == 5 and np.shares_memory(r, room) and r.tobytes() == r_want.tobytes()
+    g, loss = batch_gradient(p, X[:5], Y[:5], 0.2, RngStream(17, 3).generator(0), out=buffers)
+    want, want_loss = batch_gradient(p, X[:5], Y[:5], 0.2, RngStream(17, 3).generator(0))
+    assert g is buffers.grad and g.vector.tobytes() == want.vector.tobytes()
+    assert loss == want_loss
+    draw = sample_noise_batch(p.arch, NoiseModel("gaussian_additive", 0.2), RngStream(17, 3).generator(0), 5)
+    trace = forward_noisy(p, X[:5], draw)
+    backward(trace, Y[:5], p)
+    for r_want, room in zip(trace.residuals, buffers.trace.residuals, strict=True):
+        assert room[:5].tobytes() == r_want.tobytes()
     with pytest.raises(ValueError, match="hold 8 rows, need 9"):
         batch_gradient(p, X, Y, 0.2, RngStream(17, 3).generator(0), out=buffers)
 
@@ -177,8 +181,8 @@ def test_mean_gradient_matches_fd_of_mc_objective():
     n_reps = 400
     samples = np.empty((n_reps, 3))
     for r in range(n_reps):
-        g = batch_gradient(p, X, Y, s0, RngStream(21, 3).generator(r))
-        samples[r] = g.grad.vector
+        g, _ = batch_gradient(p, X, Y, s0, RngStream(21, 3).generator(r))
+        samples[r] = g.vector
     mean = samples.mean(axis=0)
     se = samples.std(axis=0, ddof=1) / np.sqrt(n_reps)
 
@@ -196,7 +200,7 @@ def test_batch_loss_matches_residuals():
     gen = RngStream(31, 3).generator(0)
     X = gen.standard_normal((5, 2))
     Y = gen.standard_normal((5, 2))
-    g = batch_gradient(p, X, Y, 0.3, RngStream(32, 3).generator(1))
-    loss = batch_loss(g)
+    buffers = GradBuffers.empty(p.arch, 5)
+    _, loss = batch_gradient(p, X, Y, 0.3, RngStream(32, 3).generator(1), out=buffers)
     assert np.isfinite(loss) and loss > 0
-    assert np.isclose(loss, np.mean(np.sum(g.residuals[-1] ** 2, axis=1)))
+    assert np.isclose(loss, np.mean(np.sum(buffers.trace.residuals[-1] ** 2, axis=1)))

@@ -396,17 +396,18 @@ class TestPointBlocks:
 
 class TestInPlaceForward:
     @pytest.mark.parametrize("family", ["gaussian_additive", "gaussian_multiplicative", "laplace"])
-    @pytest.mark.parametrize("n", [1, 5])
-    def test_matches_out_of_place_reference_and_leaves_draw_intact(self, family, n):
+    @pytest.mark.parametrize("n, repeat", [(1, 1), (5, 1), (5, 3)], ids=["1", "5", "5x3"])
+    def test_matches_out_of_place_reference_and_leaves_draw_intact(self, family, n, repeat):
+        # the reference runs np.repeat-ed input rows, so every repeat count meets a pass built of new arrays
         p = small_params([3, 4, 4, 2], seed=13)
         model = NoiseModel(family, 0.3)
         rng = RngStream(14, 3)
-        draw = sample_noise_batch(p.arch, model, rng.generator(0), n)
+        draw = sample_noise_batch(p.arch, model, rng.generator(0), n * repeat)
         x = RngStream(15, 3).generator(0).standard_normal((n, 3))
         before = [v.copy() for v in draw.act + draw.weigh]
         x_before = x.copy()
-        trace = forward_noisy(p, x, draw)
-        acts, tanhs = out_of_place_forward(p, x, draw)
+        trace = forward_noisy(p, x, draw, repeat)
+        acts, tanhs = out_of_place_forward(p, np.repeat(x, repeat, axis=0), draw)
         assert all(np.array_equal(u, v) for u, v in zip(trace.activations, acts, strict=True))
         assert all(np.array_equal(u, v) for u, v in zip(trace.hidden_tanh, tanhs, strict=True))
         assert all(np.array_equal(u, v) for u, v in zip(draw.act + draw.weigh, before))

@@ -6,7 +6,7 @@ import pytest
 from giftnn import gift as gift_module
 from giftnn import theory as theory_module
 from giftnn.data import Dataset, synthetic_linear
-from giftnn.gift import GiftConfig, estimate_direction, mean_se
+from giftnn.gift import DirEstimate, GiftConfig, estimate_direction, mean_se
 from giftnn.gradients import residual_stack
 from giftnn.model import (
     CHUNK_ROWS,
@@ -242,6 +242,35 @@ def test_monte_carlo_passes_refuse_counts_that_are_not_integers(entry, count):
     # refused by name before numpy sees them: numpy would take True as 1
     with pytest.raises(ValueError, match=rf"(n_points|k2): expected an integer, got {count}"):
         MC_ENTRY_POINTS[entry](linear_params(), linear_data(64), count)
+
+
+THEOREM_CONFIGS = (TrainConfig(s0=0.2, epochs=2, batch_size=32, eps0=0.05, decay_p=1.0, tau=150.0),
+                   GiftConfig(eta=0.02, k1=8, k2=2, max_steps=2, est_k1=4, est_k2=3))
+
+INTEGRAL_COUNT_ENTRY_POINTS = {
+    **MC_ENTRY_POINTS,
+    "check_theorem1_n_seeds": lambda p, data, n: check_theorem1_empirically(
+        LINEAR_ARCH, data, 0.3, *THEOREM_CONFIGS, n_seeds=n, mc_samples=64),
+    "check_theorem1_mc_samples": lambda p, data, n: check_theorem1_empirically(
+        LINEAR_ARCH, data, 0.3, *THEOREM_CONFIGS, n_seeds=1, mc_samples=n),
+}
+
+
+def result_bits(result) -> list:
+    """A result's numbers as (dtype, bytes) pairs in a fixed order: equal lists for bit-equal results."""
+    if isinstance(result, dict):
+        return [bits for key in sorted(result) for bits in result_bits(result[key])]
+    if isinstance(result, DirEstimate):
+        return result_bits(result.value) + result_bits(result.se)
+    a = np.asarray(result.vector if isinstance(result, Params) else result)
+    return [(a.dtype.str, a.tobytes())]
+
+
+@pytest.mark.parametrize("entry", INTEGRAL_COUNT_ENTRY_POINTS)
+def test_monte_carlo_passes_take_an_integral_float_as_its_integer(entry):
+    # the checked counts size the pass: 3.0 used to reach np.repeat, an array shape or range() as a float
+    run, data = INTEGRAL_COUNT_ENTRY_POINTS[entry], linear_data(64)
+    assert result_bits(run(linear_params(), data, 3.0)) == result_bits(run(linear_params(), data, 3))
 
 
 class TestLinearConditionBound:

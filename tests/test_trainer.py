@@ -5,7 +5,7 @@ import pytest
 
 from giftnn.cli import DEFAULT_CONFIG
 from giftnn.data import Dataset, epoch_batches, synthetic_linear
-from giftnn.gradients import batch_gradient, batch_loss
+from giftnn.gradients import batch_gradient
 from giftnn.model import (
     Architecture,
     Hyperrectangle,
@@ -162,11 +162,10 @@ def fresh_arrays_train(arch, config, data, seed):
     for epoch in range(config.epochs):
         noise_gen = noise_rng.generator(epoch)
         for idx in epoch_batches(len(data), config.batch_size, shuffle_rng, epoch):
-            sample = batch_gradient(params, data.inputs[idx], data.targets[idx], config.s0, noise_gen)
-            loss = batch_loss(sample)
+            grad, loss = batch_gradient(params, data.inputs[idx], data.targets[idx], config.s0, noise_gen)
             if not np.isfinite(loss) or loss > LOSS_GUARD:
                 raise TrainingDiverged(f"loss {loss:.6g} at step {k} (epoch {epoch}); guard {LOSS_GUARD:g}")
-            params = apply_step(params, -step_size(config, k), sample.grad)
+            params = apply_step(params, -step_size(config, k), grad)
             if config.projection is not None:
                 params = project(params, config.projection)
             losses.append(loss)
