@@ -11,6 +11,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from .checks import _integer, _where, checked
 from .model import (
     ForwardTrace,
     NoiseDraw,
@@ -28,6 +29,9 @@ from .model import (
 # by a caller: it trades CPU time against memory and never changes a result.
 REPLAY_BYTES = 32 * 2**20
 
+# A noise slot is one spawn-key entry, an unsigned 64-bit integer: no two slots share a stream.
+_slot = _where(_integer, "an integer in [0, 2**64)", lambda s: 0 <= s < 2**64)
+
 
 class Device:
     """Opaque noisy forward oracle with a monotone query counter; it holds no parameters.
@@ -36,13 +40,14 @@ class Device:
     architecture, an (n, d0) input matrix X, the k1 points to score as row
     indices into X (in any order, repeats allowed) and a repeat count. It runs
     every set over each point repeat times in a row, returning
-    (m * k1 * repeat, dL) outputs, set-major; within a set, row r reads
-    X[points[r // repeat]]. The sets and X are only read, and no (k1, d0)
-    matrix of the points is built: each block gathers its own points' rows
-    once, before its sets run. Every row counts in query_count.
+    (m * k1 * repeat, dL) outputs in a new array, set-major; within a set, row
+    r reads X[points[r // repeat]]. The sets and X are only read, and no
+    (k1, d0) matrix of the points is built: each block gathers its own points'
+    rows once, before its sets run. Every row counts in query_count.
 
-    Every call names its noise slot. A call runs its points in the blocks of
-    model.point_blocks(arch, k1, repeat), each a draw of at most
+    Every call names its noise slot, an integer in [0, 2**64); any other
+    value is refused before anything is drawn. A call runs its points in the
+    blocks of model.point_blocks(arch, k1, repeat), each a draw of at most
     model.BLOCK_BYTES unless one point's repeat rows exceed it, and block c
     draws its noise at spawn key (STREAM_DEVICE, slot, c) of the device
     seed, so noise depends only on (slot, layer dims, k1, repeat): calls that
@@ -92,8 +97,10 @@ class Device:
             raise ValueError(f"points must be a 1-D array of row indices, got {points.dtype} of shape {points.shape}")
         if points.size and not (0 <= points.min() and points.max() < X.shape[0]):
             raise ValueError(f"points must index the {X.shape[0]} input rows, got {points.min()}..{points.max()}")
+        repeat = checked("repeat", _integer, repeat)
         if repeat < 1:
             raise ValueError(f"repeat must be >= 1, got {repeat}")
+        noise_slot = checked("noise_slot", _slot, noise_slot)
         k1 = points.size
         out = np.empty((len(params), k1 * repeat, dims[-1]))
         key = (noise_slot, dims, k1, repeat)

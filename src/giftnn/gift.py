@@ -251,10 +251,12 @@ def eval_in_situ(device: Device, params: Sequence[Params], X, Y, points, k2: int
     Returns one EvalReport per parameter set, in order, from one device call
     on the sets as given (the device rejects an empty list), so every set sees
     the same noise and each block is drawn once. Also reports argmax-vs-argmax
-    accuracy. Standard errors come from the K1 per-data-point means. Calls
-    that pass the same architecture, points, k2 and slot share their random
-    numbers.
+    accuracy. The squared errors are formed in the array the device call
+    returned, after the accuracy is read from it. Standard errors come from
+    the K1 per-data-point means. Calls that pass the same architecture,
+    points, k2 and slot share their random numbers.
     """
+    k2 = checked("k2", _integer, k2)
     if k2 < 1:
         raise ValueError(f"k2 must be >= 1, got {k2}")
     k1 = len(points)
@@ -269,8 +271,10 @@ def eval_in_situ(device: Device, params: Sequence[Params], X, Y, points, k2: int
 
     reports = []
     for out in outs:
-        per_point = ((Y[:, None, :] - out) ** 2).sum(axis=2).mean(axis=1)
         per_point_acc = (np.argmax(out, axis=2) == np.argmax(Y, axis=1)[:, None]).mean(axis=1)
+        # the call's outputs are this function's own: square the errors in them, (a - Y)^2 == (Y - a)^2
+        np.subtract(out, Y[:, None, :], out=out)
+        per_point = np.square(out, out=out).sum(axis=2).mean(axis=1)
         reports.append(EvalReport(
             loss=float(per_point.mean()),
             loss_se=mean_se(per_point),

@@ -21,6 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .checks import _integer, checked
+
 
 NOISE_FAMILIES = ("gaussian_additive", "uniform", "gaussian_multiplicative", "laplace")
 
@@ -396,6 +398,7 @@ def sample_noise_batch(
     itself when out holds n rows, and otherwise NoiseDraw.over on the front
     of out's vector; without it the draw is fresh.
     """
+    n = checked("n", _integer, n)
     if n < 1:
         raise ValueError("batch size must be >= 1")
     draw = NoiseDraw.empty(arch, n) if out is None else out

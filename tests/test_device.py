@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -80,6 +81,21 @@ class TestForward:
         with pytest.raises(ValueError, match="repeat must be >= 1, got 0"):
             dev.forward_batch([p], np.zeros((1, 2)), np.arange(1), 0, repeat=0)
         assert dev.query_count == 0
+
+    def test_a_slot_is_one_unsigned_64_bit_integer(self):
+        # the spawn key is taken mod 2**64, so 2**64 would replay slot 0 (the fresh pair's and eval's) and True
+        # slot 1; each is refused before anything is drawn, and the largest slot draws at its own spawn key
+        p = small_params([3, 2], seed=1)
+        model = NoiseModel("gaussian_additive", 0.3)
+        dev = Device(model, seed=11)
+        x = np.array([[0.5, -0.2, 0.1]])
+        for slot in (2**64, True, -1, 1.5):
+            with pytest.raises(ValueError, match=rf"^noise_slot: .*, got {re.escape(repr(slot))}$"):
+                dev.forward_batch([p], x, [0], slot)
+        assert dev.query_count == 0
+        slot = 2**64 - 1
+        draw = sample_noise_batch(p.arch, model, RngStream(11, STREAM_DEVICE).substream(slot).generator(0), 1)
+        assert dev.forward_batch([p], x, [0], slot).tobytes() == forward_noisy(p, x, draw).activations[-1].tobytes()
 
     @pytest.mark.parametrize("points, message", [
         ([0, 3], r"points must index the 3 input rows, got 0\.\.3"),

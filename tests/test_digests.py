@@ -24,14 +24,15 @@ search, each over several blocks) whose bodies did move. The values were
 recorded with numpy 2.4 on x86-64 with OpenBLAS; another numpy, BLAS library
 or CPU kernel may round a matrix product differently in the last bit and so
 move the digests without any change to this code. On such a platform this test
-fails and says which file moved; it is not made tolerant of that.
+fails and says which file moved and under which BLAS set-up it ran; it is not
+made tolerant of that.
 """
 
 import hashlib
 import os
 
 from giftnn import device as device_module
-from giftnn.cli import main
+from giftnn.cli import blas_setup, main
 from giftnn.model import STREAM_VERSION
 
 SETS = [
@@ -112,6 +113,22 @@ DIGESTS = {
 }
 
 
+# The BLAS set-up every pin above passes under, as cli.blas_setup() reports it, on a 2-core x86-64 host whose
+# OpenBLAS picks its AVX-512 (SkylakeX) kernels; unset thread counts mean 2 threads there. The wide pin moves
+# under OPENBLAS_NUM_THREADS=1, and every pin under a non-AVX-512 kernel.
+PINNED_BLAS_SETUP = {
+    "library": "scipy-openblas 0.3.31.188.0",
+    "OPENBLAS_NUM_THREADS": None,
+    "OMP_NUM_THREADS": None,
+    "MKL_NUM_THREADS": None,
+}
+
+
+def blas_setups() -> str:
+    """The set-up the pins pass under and the one this run used, for a failure message."""
+    return f"pinned under BLAS set-up {PINNED_BLAS_SETUP}, ran under {blas_setup()}"
+
+
 WIDE_SETS = [
     "arch.preset=shallow_mnist",
     "data.n_train=256",
@@ -177,9 +194,9 @@ def test_bodies_match_the_pinned_digests(tmp_path, capsys):
     want = DIGESTS[STREAM_VERSION]
     got = run_digests(tmp_path)
     capsys.readouterr()
-    assert sorted(got) == sorted(want), f"written files {sorted(got)}, pinned {sorted(want)}"
+    assert sorted(got) == sorted(want), f"written files {sorted(got)}, pinned {sorted(want)}; {blas_setups()}"
     moved = [f"{name}: got {got[name]}, pinned {want[name]}" for name in sorted(want) if got[name] != want[name]]
-    assert not moved, "digests moved (stream version %d):\n%s" % (STREAM_VERSION, "\n".join(moved))
+    assert not moved, "digests moved (stream version %d; %s):\n%s" % (STREAM_VERSION, blas_setups(), "\n".join(moved))
 
 
 def test_replay_budget_moves_no_digest(tmp_path, monkeypatch, capsys):
@@ -187,7 +204,7 @@ def test_replay_budget_moves_no_digest(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(device_module, "REPLAY_BYTES", 0)
     got = run_digests(tmp_path)
     capsys.readouterr()
-    assert got == DIGESTS[STREAM_VERSION]
+    assert got == DIGESTS[STREAM_VERSION], blas_setups()
 
 
 def test_version_5_kept_the_train_digests():
@@ -204,4 +221,5 @@ def test_version_7_kept_the_desk_small_digests():
 def test_wide_gift_bodies_match_the_pinned_digests(tmp_path, capsys):
     assert main(["gift", "--out", str(tmp_path)] + [a for s in WIDE_SETS for a in ("--set", s)]) == 0
     capsys.readouterr()
-    assert written_digests(tmp_path) == WIDE_DIGESTS[STREAM_VERSION]
+    got = written_digests(tmp_path)
+    assert got == WIDE_DIGESTS[STREAM_VERSION], f"got {got}, pinned {WIDE_DIGESTS[STREAM_VERSION]}; {blas_setups()}"

@@ -1,3 +1,4 @@
+import re
 from dataclasses import MISSING, fields
 
 import numpy as np
@@ -208,6 +209,31 @@ def repeated_rows_reference(params, model, seed, slot, data, idx, k2):
                            mean_se(per_point_acc), k1, k2, slot)
 
 
+# each entry point that takes a count of rows, with the count as its last argument
+COUNTED_CALLS = {
+    "repeat": lambda dev, p, X, Y, n: dev.forward_batch([p], X, np.arange(4), 0, n).tobytes(),
+    "k2": lambda dev, p, X, Y, n: repr(eval_in_situ(dev, [p], X, Y, np.arange(4), n, 0)),
+    "n": lambda dev, p, X, Y, n: sample_noise_batch(p.arch, NoiseModel("laplace", 0.2), RngStream(3).generator(0),
+                                                    n).vector.tobytes(),
+}
+
+
+@pytest.mark.parametrize("name", COUNTED_CALLS)
+@pytest.mark.parametrize("count", [2.0, True, 2.5])
+def test_counts_of_rows_take_an_integral_float_as_its_integer(name, count):
+    # 2.0 runs as 2; True and 2.5 are refused by name before any row is queried or drawn
+    call = COUNTED_CALLS[name]
+    p = small_params([2, 3, 1], seed=4)
+    X, Y = RngStream(5).generator(0).standard_normal((4, 2)), np.zeros((4, 1))
+    dev = Device(NoiseModel("gaussian_additive", 0.2), seed=6)
+    if count == 2:
+        assert call(dev, p, X, Y, count) == call(Device(NoiseModel("gaussian_additive", 0.2), seed=6), p, X, Y, 2)
+        return
+    with pytest.raises(ValueError, match=rf"^{name}: expected an integer, got {re.escape(repr(count))}$"):
+        call(dev, p, X, Y, count)
+    assert dev.query_count == 0
+
+
 class TestEvalInSitu:
     @pytest.mark.parametrize("family", NOISE_FAMILIES)
     @pytest.mark.parametrize("k1, k2", [(401, 3), (23, 100)])
@@ -316,6 +342,19 @@ class TestEvalInSitu:
             with pytest.raises(ValueError, match=f"k2 must be >= 1, got {k2}"):
                 eval_in_situ(dev, [p], data.inputs[:8], data.targets[:8], np.arange(8), k2, 0)
         assert dev.query_count == 0
+
+    def test_line_search_call_squares_the_errors_in_its_outputs(self):
+        # one [w0, w+, w-] call at shallow_mnist dims, 1,000 points x 8, on a fresh device: the device's block draw,
+        # output-only pass and 1.8 MiB output array stay live while each set is scored; forming (Y - out)^2 in two new
+        # (1000, 8, 10) arrays per set peaked at 5.76 MiB, squaring in the outputs at 5.23 MiB
+        w0, d = wide_params(seed=0), wide_params(seed=1)
+        sets = [w0, apply_step(w0, 0.02, d), apply_step(w0, -0.02, d)]
+        gen = RngStream(2, 1).generator(0)
+        X, Y = gen.standard_normal((1000, SHALLOW_MNIST[0])), gen.standard_normal((1000, SHALLOW_MNIST[-1]))
+        dev = Device(NoiseModel("gaussian_additive", 0.1), seed=1)
+        peak = traced_peak(lambda: eval_in_situ(dev, sets, X, Y, every_row(X), 8, 0))
+        assert dev.query_count == 3 * 8000
+        assert peak < 5.5 * MIB, f"peak traced allocation {peak / MIB:.2f} MiB"
 
     def test_inputs_must_hold_a_data_point(self):
         p = small_params([2, 2], seed=25)
